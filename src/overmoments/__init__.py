@@ -45,7 +45,6 @@ from .moments import (
 )
 from .series import (
     PowerSeries,
-    RationalSeries,
     lambert_term,
     overpartition_gf,
     pochhammer_q,
@@ -61,7 +60,6 @@ __all__ = [
     "rank",
     "residual_crank_weights",
     "PowerSeries",
-    "RationalSeries",
     "lambert_term",
     "overpartition_gf",
     "pochhammer_q",

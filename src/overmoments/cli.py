@@ -34,11 +34,33 @@ def _parse_range(text: str) -> list[int]:
     return [int(text)]
 
 
+def _at_least(values: list[int], least: int, name: str) -> list[int]:
+    low = min(values)
+    if low < least:
+        raise argparse.ArgumentTypeError(f"{name} must be >= {least}, got {low}")
+    return values
+
+
+def _parse_orders(text: str) -> list[int]:
+    """Range of moment orders, each r >= 1."""
+    return _at_least(_parse_range(text), 1, "r")
+
+
+def _parse_indices(text: str) -> list[int]:
+    """Range of coefficient indices, each N >= 0."""
+    return _at_least(_parse_range(text), 0, "N")
+
+
+def _parse_order(text: str) -> int:
+    """One moment order r >= 1."""
+    return _at_least([int(text)], 1, "r")[0]
+
+
 def _parse_grid(text: str) -> list[int]:
     vals = [int(v) for v in text.split(",") if v]
     if not vals:
         raise argparse.ArgumentTypeError("empty grid")
-    return vals
+    return _at_least(vals, 0, "N")
 
 
 def _check_prec(value: str) -> int:
@@ -471,8 +493,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_series)
 
     p = sub.add_parser("ospt", help="exact ospt values with positivity verdicts")
-    p.add_argument("--r", type=_parse_range, required=True, metavar="A:B")
-    p.add_argument("--N", type=_parse_range, required=True, metavar="A:B")
+    p.add_argument("--r", type=_parse_orders, required=True, metavar="A:B")
+    p.add_argument("--N", type=_parse_indices, required=True, metavar="A:B")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_ospt)
@@ -481,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flavor", choices=("moment", "difference", "symmetrized"),
                    required=True)
     p.add_argument("--kind", choices=("crank", "rank"), default="crank")
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=_parse_order, required=True)
     p.add_argument("--grid", type=_parse_grid, required=True, metavar="N1,N2,...")
     p.add_argument("--prec", type=_check_prec, default=256)
     p.add_argument("--workers", type=int, default=1)

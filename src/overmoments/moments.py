@@ -10,19 +10,25 @@ whose coefficients a_l come from an exact rational triangular solve (the
 B_l have degree l and leading coefficient 1/l!, so the system is triangular
 and the a_l unique).  Small-N values are checked against enumeration;
 large-N values come from the generating series exclusively.
+
+Every symmetrized series is the prefactor (-q)oo/(q)oo times a Lambert sum,
+so the power moments are computed fused: with D the least common
+denominator of the a_l, the integer weights D r! and D a_l combine the
+Lambert sums (crank minus rank for ospt) as plain integers, one multiply by
+the prefactor follows, and every coefficient is divided exactly by D.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Literal
 
 from . import genfunc
 from .combinat import StatTable
 from .errors import OutOfRange
-from .series import PowerSeries, RationalSeries, overpartition_gf
+from .series import PowerSeries, overpartition_gf
 
 __all__ = [
     "positive_moment",
@@ -112,11 +118,14 @@ def basis_change(r: int) -> BasisChange:
         coeffs[l] = c
         for i in range(l + 1):
             remainder[i] -= c * B[i]
-    assert all(x == 0 for x in remainder)
-    assert coeffs[r] == factorial(r)
+    if any(remainder):
+        raise ArithmeticError(f"basis change for r={r} left a remainder")
+    if coeffs[r] != factorial(r):
+        raise ArithmeticError(f"leading basis coefficient {coeffs[r]} is not {r}!")
     bc = BasisChange(r, tuple(coeffs[:r]))
     for m in range(1, r + 2):
-        assert bc.holds_at(m), f"basis identity fails at m={m}"
+        if not bc.holds_at(m):
+            raise ArithmeticError(f"basis identity fails at m={m}")
     return bc
 
 
@@ -157,30 +166,52 @@ def symmetrized_moment_values(
     raise ValueError("kind must be 'rank' or 'crank'")
 
 
-def positive_moment_values(
-    kind: Kind, r: int, trunc: int, prefactor: PowerSeries | None = None
+def _fused_values(
+    r: int, trunc: int, prefactor: PowerSeries | None, lamberts: dict
 ) -> list[int]:
-    """Positive power moments for all N <= trunc via the basis change."""
+    """Coefficients of prefactor * sum_l a_l sum_f sign_f f(l), with a_r = r!.
+
+    `lamberts` maps each Lambert-sum function f to its sign.  The weights a_l
+    are scaled by their common denominator D, the Lambert sums are combined
+    as integers, and the single product is divided back by D; a nonzero
+    remainder means the basis change is wrong and raises.
+    """
     if r < 1:
         raise ValueError("r must be >= 1")
     if prefactor is None:
         prefactor = overpartition_gf(trunc)
-    bc = basis_change(r)
-    total = RationalSeries(
-        symmetrized_moment_values(kind, r, trunc, prefactor)
-    ).scale(factorial(r))
-    for l in range(1, r):
-        if bc.a[l]:
-            total = total + RationalSeries(
-                symmetrized_moment_values(kind, l, trunc, prefactor)
-            ).scale(bc.a[l])
-    return [c for c in total.to_integer().coeffs]
+    weights = (*basis_change(r).a, Fraction(factorial(r)))
+    D = lcm(*(w.denominator for w in weights))
+    total = [0] * (trunc + 1)
+    for l, w in enumerate(weights):
+        if not w:
+            continue
+        for lambert, sign in lamberts.items():
+            weight = sign * int(w * D)
+            for n, c in enumerate(lambert(l, trunc).coeffs):
+                total[n] += weight * c
+    values = []
+    for n, c in enumerate((prefactor * PowerSeries(total)).coeffs):
+        value, rest = divmod(c, D)
+        if rest:
+            raise ArithmeticError(f"coefficient of q^{n} is not divisible by {D}")
+        values.append(value)
+    return values
+
+
+def positive_moment_values(
+    kind: Kind, r: int, trunc: int, prefactor: PowerSeries | None = None
+) -> list[int]:
+    """Positive power moments for all N <= trunc via the fused basis change."""
+    if kind == "crank":
+        return _fused_values(r, trunc, prefactor, {genfunc.crank_lambert_sum: 1})
+    if kind == "rank":
+        return _fused_values(r, trunc, prefactor, {genfunc.rank_lambert_sum: 1})
+    raise ValueError("kind must be 'rank' or 'crank'")
 
 
 def ospt_values(r: int, trunc: int, prefactor: PowerSeries | None = None) -> list[int]:
     """ospt_r(N) = crank minus rank positive moment, for all N <= trunc."""
-    if prefactor is None:
-        prefactor = overpartition_gf(trunc)
-    crank = positive_moment_values("crank", r, trunc, prefactor)
-    rank = positive_moment_values("rank", r, trunc, prefactor)
-    return [c - rk for c, rk in zip(crank, rank)]
+    return _fused_values(
+        r, trunc, prefactor, {genfunc.crank_lambert_sum: 1, genfunc.rank_lambert_sum: -1}
+    )

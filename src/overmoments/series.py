@@ -6,14 +6,13 @@ coefficient you can read is always the true coefficient.  Coefficients are
 Python ints, hence arbitrary precision from the start (overpartition counts
 pass 2^63 near n = 160).
 
-Multiplication packs coefficients into a single big integer (Kronecker
-substitution) so the heavy lifting runs on CPython's native big-int
-multiply instead of an O(n^2) Python loop.
+Multiplication packs signed coefficients into a single big integer
+(Kronecker substitution), so each product is one multiply on CPython's
+native big ints instead of an O(n^2) Python loop.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 from typing import Iterable, Sequence
 
@@ -21,7 +20,6 @@ from .errors import NonUnitConstantTerm
 
 __all__ = [
     "PowerSeries",
-    "RationalSeries",
     "pochhammer_q",
     "overpartition_gf",
     "euler_product",
@@ -32,45 +30,39 @@ __all__ = [
 def _kron_mul(a: Sequence[int], b: Sequence[int], trunc: int) -> list[int]:
     """Product of integer coefficient lists, truncated at `trunc`.
 
-    Splits `a` by sign so both packed integers are nonnegative; slot width is
-    sized so that no convolution coefficient can overflow into its neighbor.
+    One signed big-int multiply (Kronecker substitution): each operand packs
+    as sum_i a_i 2^(w i) with signed a_i, so the product packs the signed
+    convolution coefficients c_k.  The slot width w is sized so that
+    |c_k| < 2^(w-1); adding 2^(w-1) to every slot of the low trunc+1 slots
+    makes each one a digit in [0, 2^w) with no borrow between neighbours,
+    and unpacking subtracts that bias again.
     """
-    a = list(a[: trunc + 1])
-    b = list(b[: trunc + 1])
-    maxa = max((abs(x) for x in a), default=0)
-    maxb = max((abs(x) for x in b), default=0)
+    a = a[: trunc + 1]
+    b = b[: trunc + 1]
+    maxa = max(map(abs, a), default=0)
+    maxb = max(map(abs, b), default=0)
+    slots = trunc + 1
     if maxa == 0 or maxb == 0:
-        return [0] * (trunc + 1)
-    nbits = (maxa * maxb * min(len(a), len(b))).bit_length() + 2
-    wbytes = (nbits + 7) // 8
+        return [0] * slots
+    # one spare bit for the sign, rounded up to whole bytes
+    wbytes = (maxa * maxb * min(len(a), len(b))).bit_length() // 8 + 1
+    half = 1 << (8 * wbytes - 1)
+    half_slot = half.to_bytes(wbytes, "little")
 
-    def pack(coeffs: list[int]) -> int:
-        return int.from_bytes(
-            b"".join(c.to_bytes(wbytes, "little") for c in coeffs), "little"
-        )
+    def bias(n: int) -> int:
+        return int.from_bytes(half_slot * n, "little")
 
-    def unpack(value: int) -> list[int]:
-        data = value.to_bytes((value.bit_length() + 7) // 8 + wbytes, "little")
-        return [
-            int.from_bytes(data[i * wbytes : (i + 1) * wbytes], "little")
-            for i in range(trunc + 1)
-        ]
+    def pack(coeffs: Sequence[int]) -> int:
+        # |c| <= max(maxa, maxb) < half, so every biased slot is a digit
+        data = b"".join((c + half).to_bytes(wbytes, "little") for c in coeffs)
+        return int.from_bytes(data, "little") - bias(len(coeffs))
 
-    pos = [x if x > 0 else 0 for x in a]
-    neg = [-x if x < 0 else 0 for x in a]
-    packed_b = pack(b) if min(b) >= 0 else None
-    if packed_b is None:
-        # both operands signed: split b as well
-        bpos = [x if x > 0 else 0 for x in b]
-        bneg = [-x if x < 0 else 0 for x in b]
-        pp = unpack(pack(pos) * pack(bpos))
-        pn = unpack(pack(pos) * pack(bneg))
-        np_ = unpack(pack(neg) * pack(bpos))
-        nn = unpack(pack(neg) * pack(bneg))
-        return [pp[i] + nn[i] - pn[i] - np_[i] for i in range(trunc + 1)]
-    rp = unpack(pack(pos) * packed_b)
-    rn = unpack(pack(neg) * packed_b)
-    return [rp[i] - rn[i] for i in range(trunc + 1)]
+    biased = (pack(a) * pack(b) + bias(slots)) & ((1 << (8 * wbytes * slots)) - 1)
+    data = biased.to_bytes(wbytes * slots, "little")
+    return [
+        int.from_bytes(data[i * wbytes : (i + 1) * wbytes], "little") - half
+        for i in range(slots)
+    ]
 
 
 def _invert_list(a: Sequence[int], trunc: int) -> list[int]:
@@ -172,71 +164,6 @@ class PowerSeries:
         """Debug dump, one line per coefficient: index <tab> value."""
         for i, c in enumerate(self._coeffs):
             fp.write(f"{i}\t{c}\n")
-
-
-class RationalSeries:
-    """PowerSeries companion with exact rational coefficients.
-
-    Fraction keeps denominators positive and fractions reduced; used for
-    basis-change combinations before integrality is asserted.
-    """
-
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs: Iterable, trunc: int | None = None):
-        c = [Fraction(x) for x in coeffs]
-        if trunc is not None:
-            c = c[: trunc + 1] + [Fraction(0)] * (trunc + 1 - len(c))
-        elif not c:
-            raise ValueError("empty coefficient list needs an explicit trunc")
-        self._coeffs = tuple(c)
-
-    @property
-    def trunc(self) -> int:
-        return len(self._coeffs) - 1
-
-    @property
-    def coeffs(self) -> tuple:
-        return self._coeffs
-
-    def __getitem__(self, n: int) -> Fraction:
-        return self._coeffs[n]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RationalSeries) and self._coeffs == other._coeffs
-
-    def __add__(self, other: "RationalSeries") -> "RationalSeries":
-        t = min(self.trunc, other.trunc)
-        return RationalSeries([self[i] + other[i] for i in range(t + 1)])
-
-    def __mul__(self, other: "RationalSeries") -> "RationalSeries":
-        t = min(self.trunc, other.trunc)
-        out = [Fraction(0)] * (t + 1)
-        for i in range(t + 1):
-            ai = self[i]
-            if ai:
-                for j in range(t + 1 - i):
-                    bj = other[j]
-                    if bj:
-                        out[i + j] += ai * bj
-        return RationalSeries(out)
-
-    def scale(self, k) -> "RationalSeries":
-        k = Fraction(k)
-        return RationalSeries([k * c for c in self._coeffs])
-
-    @staticmethod
-    def from_integer(ps: PowerSeries) -> "RationalSeries":
-        return RationalSeries(ps.coeffs)
-
-    def to_integer(self) -> PowerSeries:
-        """Convert back to integer coefficients; fails if any denominator > 1."""
-        out = []
-        for i, c in enumerate(self._coeffs):
-            if c.denominator != 1:
-                raise ValueError(f"coefficient of q^{i} is not integral: {c}")
-            out.append(c.numerator)
-        return PowerSeries(out)
 
 
 def pochhammer_q(sign: int, trunc: int) -> PowerSeries:

@@ -41,27 +41,11 @@ def exact_moments():
     """Positive power moments for r = 1..6, both kinds, N <= 2500."""
     trunc = max(GRID)
     pref = overpartition_gf(trunc)
-    sym = {
-        (kind, l): moments.symmetrized_moment_values(kind, l, trunc, prefactor=pref)
+    return {
+        (kind, r): moments.positive_moment_values(kind, r, trunc, prefactor=pref)
         for kind in ("crank", "rank")
-        for l in range(1, 7)
+        for r in range(1, 7)
     }
-    power = {}
-    for kind in ("crank", "rank"):
-        for r in range(1, 7):
-            bc = moments.basis_change(r)
-            weights = [(factorial(r), r)] + [
-                (bc.a[l], l) for l in range(1, r) if bc.a[l]
-            ]
-            vals = []
-            for n in range(trunc + 1):
-                acc = Fraction(0)
-                for w, l in weights:
-                    acc += Fraction(w) * sym[(kind, l)][n]
-                assert acc.denominator == 1
-                vals.append(acc.numerator)
-            power[(kind, r)] = vals
-    return power
 
 
 def test_a1_quoted_sample_expansions():

@@ -1,5 +1,6 @@
 """Command-line interface: formats, determinism, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -97,6 +98,35 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         run(["converge", "--flavor", "moment", "--r", "2", "--grid", ""])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["ospt", "--r", "1", "--N=-3:2"], "N must be >= 0, got -3"),
+        (["ospt", "--r", "0:1", "--N", "1:3"], "r must be >= 1, got 0"),
+        (["converge", "--flavor", "moment", "--r", "0", "--grid", "100"],
+         "r must be >= 1, got 0"),
+        (["converge", "--flavor", "moment", "--r", "2", "--grid", "100,-5"],
+         "N must be >= 0, got -5"),
+    ],
+)
+def test_out_of_range_arguments_exit_2(argv, message, capsys):
+    # negative N used to index the value list from its end; r < 1 used to
+    # escape as a ValueError traceback with exit 1
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(message)
+
+
+def test_ospt_csv_is_byte_identical(tmp_path):
+    # SHA-256 of the exact ospt table recorded before the fused pipeline
+    out = tmp_path / "ospt.csv"
+    assert run(["ospt", "--r", "1:6", "--N", "0:600", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "09833e42088f747efd4ca99a83dcae5c7b17f55ebfe20b36960d663610114bfd"
+    )
 
 
 def test_budget_guard_exit_3(tmp_path):

@@ -9,6 +9,7 @@ import pytest
 from overmoments import moments
 from overmoments.combinat import build_table
 from overmoments.errors import OutOfRange
+from overmoments.series import overpartition_gf
 
 NMAX = 15
 CRANK = build_table("crank", NMAX)
@@ -106,6 +107,51 @@ def test_series_backed_values_match_tables():
             for n in range(NMAX + 1):
                 assert sym[n] == moments.symmetrized_positive_moment(table, r, n)
                 assert pow_[n] == moments.positive_moment(table, r, n)
+
+
+def test_fused_values_match_fraction_basis_change():
+    # independent oracle: Fraction-weighted sums of the symmetrized series,
+    # one prefactor product per order and kind
+    trunc = 600
+    pref = overpartition_gf(trunc)
+    sym = {
+        (kind, l): moments.symmetrized_moment_values(kind, l, trunc, prefactor=pref)
+        for kind in ("crank", "rank")
+        for l in range(1, 7)
+    }
+    for r in range(1, 7):
+        bc = moments.basis_change(r)
+        weights = [(Fraction(factorial(r)), r)] + [
+            (bc.a[l], l) for l in range(1, r) if bc.a[l]
+        ]
+        power = {}
+        for kind in ("crank", "rank"):
+            vals = []
+            for n in range(trunc + 1):
+                acc = sum((w * sym[(kind, l)][n] for w, l in weights), Fraction(0))
+                assert acc.denominator == 1
+                vals.append(acc.numerator)
+            assert moments.positive_moment_values(kind, r, trunc, prefactor=pref) == vals
+            power[kind] = vals
+        assert moments.ospt_values(r, trunc, prefactor=pref) == [
+            c - k for c, k in zip(power["crank"], power["rank"])
+        ]
+
+
+def test_fused_values_raise_on_inexact_division(monkeypatch):
+    # a wrong basis change leaves a remainder after dividing by D = 7; the
+    # guard is an explicit raise, not an assert, so python -O keeps it
+    exact = moments.basis_change
+
+    def skewed(r):
+        a = exact(r).a
+        return moments.BasisChange(r, a[:-1] + (a[-1] + Fraction(1, 7),))
+
+    monkeypatch.setattr(moments, "basis_change", skewed)
+    with pytest.raises(ArithmeticError, match="not divisible by 7"):
+        moments.positive_moment_values("crank", 3, 40)
+    with pytest.raises(ArithmeticError, match="not divisible by 7"):
+        moments.ospt_values(3, 40)
 
 
 def test_ospt_values():

@@ -4,11 +4,13 @@ import io
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from overmoments.errors import NonUnitConstantTerm
 from overmoments.series import (
     PowerSeries,
-    RationalSeries,
+    _kron_mul,
     euler_product,
     lambert_term,
     overpartition_gf,
@@ -28,6 +30,44 @@ def brute_partitions(n, cap=None):
         for rest in brute_partitions(n - k, k):
             out.append((k,) + rest)
     return out
+
+
+def schoolbook(a, b, trunc):
+    """Truncated convolution by the O(n^2) definition (test oracle)."""
+    out = [0] * (trunc + 1)
+    for i, x in enumerate(a[: trunc + 1]):
+        for j, y in enumerate(b[: trunc + 1 - i]):
+            out[i + j] += x * y
+    return out
+
+
+@st.composite
+def signed_coeffs(draw):
+    """Signed coefficients of at most k bits, biased towards 0 and +-(2^k - 1)."""
+    top = 2 ** draw(st.integers(1, 70)) - 1
+    value = st.one_of(st.sampled_from([top, -top, 0]), st.integers(-top, top))
+    return draw(st.lists(value, max_size=12))
+
+
+@settings(max_examples=400, deadline=None)
+@given(a=signed_coeffs(), b=signed_coeffs(), trunc=st.integers(0, 24))
+@example(a=[0, 0, 0], b=[-5, 7, -1], trunc=4)  # one operand all zero
+@example(a=[-3, 2, 0, -1, 5], b=[4, -4, 1, 9], trunc=1)  # trunc below both lengths
+@example(a=[255] * 4, b=[-255] * 9, trunc=12)  # |c_k| at the slot bound
+def test_kron_mul_matches_schoolbook(a, b, trunc):
+    assert _kron_mul(a, b, trunc) == schoolbook(a, b, trunc)
+
+
+def test_kron_mul_at_slot_boundary():
+    # all coefficients at +-(2^k - 1): the middle convolution coefficient
+    # reaches the slot bound maxa * maxb * min(len) exactly, for bounds on
+    # both sides of every byte boundary
+    for k in range(1, 33):
+        top = 2**k - 1
+        for n in range(1, 6):
+            for sa, sb in ((1, 1), (1, -1), (-1, -1)):
+                a, b = [sa * top] * n, [sb * top] * (n + 2)
+                assert _kron_mul(a, b, 2 * n) == schoolbook(a, b, 2 * n)
 
 
 def test_mul_difference_of_squares():
@@ -173,15 +213,3 @@ def test_dump_format():
     buf = io.StringIO()
     PowerSeries([5, -3, 0], 2).dump(buf)
     assert buf.getvalue() == "0\t5\n1\t-3\n2\t0\n"
-
-
-def test_rational_series_roundtrip():
-    from fractions import Fraction
-
-    rs = RationalSeries([Fraction(1, 2), Fraction(3, 2)]).scale(2)
-    assert rs.to_integer().coeffs == (1, 3)
-    with pytest.raises(ValueError):
-        RationalSeries([Fraction(1, 3)]).to_integer()
-    # Fraction keeps denominators positive and reduced
-    assert RationalSeries([Fraction(2, -4)])[0] == Fraction(-1, 2)
-    assert RationalSeries([Fraction(2, -4)])[0].denominator == 2
