@@ -27,12 +27,12 @@ one keeps it bounded.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from typing import Literal
 
 import mpmath as mp
 
+from . import genfunc
 from .errors import Inconclusive, NonConvergent, PrecisionLoss
 
 __all__ = [
@@ -103,14 +103,6 @@ def log_integer(value: int, prec: int = 256) -> mp.mpf:
 # ---------------------------------------------------------------------------
 
 
-def _rho_c(r: int) -> Fraction:
-    return Fraction(0) if r % 2 == 1 else Fraction(1, 2)
-
-
-def _rho_r(r: int) -> Fraction:
-    return Fraction(1, 2) if r % 2 == 1 else Fraction(1)
-
-
 def subleading_candidates(kind: Kind, r: int, prec: int = 256) -> dict:
     """Candidate values for the pole-expansion subleading constant.
 
@@ -136,14 +128,14 @@ def subleading_candidates(kind: Kind, r: int, prec: int = 256) -> dict:
 
         out: dict[str, mp.mpf | None] = {}
         if kind == "crank":
-            rho = mp.mpf(float(_rho_c(r)))
+            rho = mp.mpf(float(genfunc.rho_crank(r)))
             lit = zeta_form(r - 1, 1 - r)
             out["zeta_shifted"] = (
                 None if lit is None and rho != 0 else -(eta(r - 2) / 2 + rho * (lit or 0))
             )
             out["eta"] = -(eta(r - 2) / 2 + rho * eta(r - 1))
         elif kind == "rank":
-            rho = mp.mpf(float(_rho_r(r)))
+            rho = mp.mpf(float(genfunc.rho_rank(r)))
             lit = zeta_form(r - 1, 1 - r)
             out["zeta_shifted"] = None if lit is None else -(eta(r - 2) + rho / 2 * lit)
             out["eta"] = -(eta(r - 2) + rho / 2 * eta(r - 1))
@@ -426,7 +418,7 @@ def s_series_eval(kind: Literal["S", "S_tilde"], r: int, tau, prec: int = 256):
         y = tv.imag
         if y <= 0:
             raise NonConvergent("tau must lie in the upper half-plane")
-        rho = _rho_c(r) if kind == "S" else _rho_r(r)
+        rho = genfunc.rho_crank(r) if kind == "S" else genfunc.rho_rank(r)
         shift_coeff = mp.mpf(r) / 2 + mp.mpf(float(rho))
         q = mp.e ** (2j * mp.pi * tv)
         threshold = mp.mpf(2) ** (-(prec + 10))

@@ -53,9 +53,12 @@ def working_precision(N: int, prec: int | None = None) -> int:
 def gf_numeric(kind: str, r: int, q, prec: int = 256, shift: int | None = None):
     """Evaluate the full moment series (prefactor times Lambert sum) at complex q.
 
-    The overpartition prefactor is a direct product run to convergence; the
-    Lambert sum stops once a certified tail bound drops below the working
-    epsilon.  Raises NonConvergent outside |q| < 1.
+    The prefactor (-q)oo/(q)oo is 1/theta_4(q), theta_4 = 1 + 2 sum (-1)^k q^{k^2}.
+    By the product formula |theta_4(q)| >= theta_4(|q|) >= e^{-pi^2/(4t)},
+    t = -log|q|, so pi^2/(4t ln 2) guard bits keep it at full relative
+    precision as q -> 1.  Powers of q are built by recurrence; each sum stops
+    once its tail drops below the working epsilon (the Lambert sum by a
+    certified bound).  Raises NonConvergent outside |q| < 1.
     """
     if kind not in ("crank", "rank"):
         raise ValueError("kind must be 'crank' or 'rank'")
@@ -67,39 +70,35 @@ def gf_numeric(kind: str, r: int, q, prec: int = 256, shift: int | None = None):
         if absq >= 1:
             raise NonConvergent("|q| must be < 1")
         eps = mp.mpf(2) ** (-(prec + 8))
-        # prefactor prod (1+q^k)/(1-q^k); factors within eps of 1 are dropped
-        kmax = int((prec + 16) * mp.log(2) / -mp.log(absq)) + 2
-        pref = mp.mpc(1)
-        qk = mp.mpc(1)
-        for _ in range(kmax):
-            qk *= qv
-            pref *= (1 + qk) / (1 - qk)
-        # Lambert sum
+        # q^{e(n)} by recurrence: e(n+1) - e(n) = de grows by dde per step,
+        # de = n + r - s (crank) or 2n + 1 + r - s (rank)
+        d = r - shift
+        e, de, dde = (d, d + 1, 1) if kind == "crank" else (d + 1, d + 3, 2)
+        qe, step, lift = qv**e, qv**de, qv**dde
+        qn = mp.mpc(1)
         total = mp.mpc(0)
         n = 1
         while True:
-            if kind == "crank":
-                e = (n * n + (2 * (r - shift) - 1) * n) // 2
-                qn = qv**n
-                term = (-1) ** (n + 1) * qv**e / (1 - qn) ** r
-            else:
-                e = n * n + (r - shift) * n
-                qn = qv**n
-                term = (-1) ** (n + 1) * qv**e / ((1 - qn) ** r * (1 + qn))
-            total += term
+            qn *= qv
+            den = (1 - qn) ** r if kind == "crank" else (1 - qn) ** r * (1 + qn)
+            total += qe / den if n % 2 == 1 else -qe / den
             # certified tail: the next term bounds the remainder up to the
             # geometric factor 1/(1 - |q|), absorbed into the 2x margin
-            nn = n + 1
-            e_next = (
-                (nn * nn + (2 * (r - shift) - 1) * nn) // 2
-                if kind == "crank"
-                else nn * nn + (r - shift) * nn
-            )
-            bound = 2 * absq**e_next / (1 - absq**nn) ** (r + 1)
+            bound = 2 * absq ** (e + de) / (1 - absq ** (n + 1)) ** (r + 1)
             if bound < eps * max(1, abs(total)):
                 break
-            n += 1
-        result = pref * total * (2 if kind == "rank" else 1)
+            qe, step = qe * step, step * lift
+            e, de, n = e + de, de + dde, n + 1
+        t = -mp.log(absq)
+    bits = prec + 16 + int(mp.ceil(mp.pi**2 / (4 * t * mp.ln2))) + 8
+    with mp.workprec(bits):
+        # q^{(k+1)^2} = q^{k^2} q^{2k+1}, up to |q|^{k^2} < 2^-bits
+        q2, odd, square, theta = qv * qv, qv, mp.mpc(1), mp.mpc(0)
+        for k in range(1, int(mp.sqrt(bits * mp.ln2 / t)) + 2):
+            square *= odd
+            odd *= q2
+            theta += square if k % 2 == 0 else -square
+        result = total * (2 if kind == "rank" else 1) / (1 + 2 * theta)
     with mp.workprec(prec):
         return +result
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -61,6 +62,14 @@ def _parse_grid(text: str) -> list[int]:
     if not vals:
         raise argparse.ArgumentTypeError("empty grid")
     return _at_least(vals, 0, "N")
+
+
+def _parse_workers(text: str) -> int:
+    """Worker processes, 1..os.cpu_count()."""
+    workers, cpus = int(text), os.cpu_count() or 1
+    if not 1 <= workers <= cpus:
+        raise argparse.ArgumentTypeError(f"workers must be in 1..{cpus}, got {workers}")
+    return workers
 
 
 def _check_prec(value: str) -> int:
@@ -506,14 +515,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=_parse_order, required=True)
     p.add_argument("--grid", type=_parse_grid, required=True, metavar="N1,N2,...")
     p.add_argument("--prec", type=_check_prec, default=256)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_parse_workers, default=1)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_converge)
 
     p = sub.add_parser("verify", help="run a named check suite")
     p.add_argument("--suite", choices=sorted(_SUITES), required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_parse_workers, default=1)
     p.add_argument("--budget", type=int, default=10_000_000)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
@@ -526,6 +535,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except ValueError as exc:
+        # the library's argument validation: a usage error, not a traceback
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
     except OversizeRequest as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return 3

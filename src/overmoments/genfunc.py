@@ -9,8 +9,8 @@ shift s (weight binom(m+s, r) on the count at statistic value m >= 1):
 The standard symmetrized series use s = floor((r-1)/2); with that shift the
 crank exponent is n^2/2 + (r/2 + rho_C) n and the rank exponent is
 n^2 + (r/2 + rho_R) n, where rho_C(r) = 0 (r odd) or 1/2, and
-rho_R(r) = 1/2 (r odd) or 1.  Both exponents are asserted integral at
-construction.
+rho_R(r) = 1/2 (r odd) or 1.  Both exponents are checked against these
+forms at construction.
 
 Every identity here is cross-checked against enumeration in the test suite;
 the shift parameter exists because two widely quoted sample expansions
@@ -32,7 +32,6 @@ z-truncation policy is needed).
 from __future__ import annotations
 
 import hashlib
-import json
 from fractions import Fraction
 
 from .errors import OutOfRange
@@ -89,8 +88,10 @@ def crank_lambert_sum(r: int, trunc: int, shift: int | None = None) -> PowerSeri
         if e2 % 2 != 0:
             raise AssertionError(f"non-integral crank exponent at n={n}")
         e = e2 // 2
-        if shift == standard_shift(r):
-            assert Fraction(n * n, 2) + (Fraction(r, 2) + rho_crank(r)) * n == e
+        if shift == standard_shift(r) and (
+            Fraction(n * n, 2) + (Fraction(r, 2) + rho_crank(r)) * n != e
+        ):
+            raise ArithmeticError(f"crank exponent at n={n} disagrees with rho_crank({r})")
         if e > trunc:
             break
         sign = 1 if n % 2 == 1 else -1
@@ -117,8 +118,8 @@ def rank_lambert_sum(r: int, trunc: int, shift: int | None = None) -> PowerSerie
     n = 1
     while True:
         e = n * n + (r - shift) * n
-        if shift == standard_shift(r):
-            assert n * n + (Fraction(r, 2) + rho_rank(r)) * n == e
+        if shift == standard_shift(r) and n * n + (Fraction(r, 2) + rho_rank(r)) * n != e:
+            raise ArithmeticError(f"rank exponent at n={n} disagrees with rho_rank({r})")
         if e > trunc:
             break
         sign = 2 if n % 2 == 1 else -2
@@ -286,13 +287,3 @@ def series_manifest(kind: str, r: int, trunc: int, series: PowerSeries) -> dict:
         "\n".join(str(c) for c in series.coeffs).encode()
     ).hexdigest()
     return {"kind": kind, "r": r, "trunc": trunc, "checksum": digest}
-
-
-def write_series_csv(series: PowerSeries, fp) -> None:
-    """Debug-dump format: one line per coefficient, index <tab> value."""
-    series.dump(fp)
-
-
-def write_manifest(manifest: dict, fp) -> None:
-    json.dump(manifest, fp, sort_keys=True)
-    fp.write("\n")

@@ -16,6 +16,51 @@ def horner_eval(series, q):
     return acc
 
 
+def direct_product_oracle(kind, r, q, prec, shift=None):
+    """prod (1+q^k)/(1-q^k) run to convergence times the Lambert sum with
+    every power taken as q**e: the direct evaluation the theta_4 prefactor
+    and the power recurrences replaced."""
+    if shift is None:
+        shift = genfunc.standard_shift(r)
+    with mp.workprec(prec + 16):
+        qv = mp.mpc(q)
+        absq = abs(qv)
+        eps = mp.mpf(2) ** (-(prec + 8))
+        pref = mp.mpc(1)
+        qk = mp.mpc(1)
+        for _ in range(int((prec + 16) * mp.log(2) / -mp.log(absq)) + 2):
+            qk *= qv
+            pref *= (1 + qk) / (1 - qk)
+        total = mp.mpc(0)
+        n = 1
+        while True:
+            if kind == "crank":
+                e = (n * n + (2 * (r - shift) - 1) * n) // 2
+                den = (1 - qv**n) ** r
+            else:
+                e = n * n + (r - shift) * n
+                den = (1 - qv**n) ** r * (1 + qv**n)
+            total += (-1) ** (n + 1) * qv**e / den
+            if 2 * absq**e / (1 - absq**n) ** (r + 1) < eps * max(1, abs(total)):
+                break
+            n += 1
+        return pref * total * (2 if kind == "rank" else 1)
+
+
+@pytest.mark.parametrize("N, x", [(10_000, 0), (10_000, 5e-4), (60, 0), (60, 0.02)])
+def test_gf_numeric_matches_direct_product(N, x):
+    # x = 0 at the N = 10^4 radius is the worst theta_4 cancellation:
+    # theta_4 is about e^{-50 pi} there while its terms are of size 1
+    wp = circle.working_precision(N)
+    with mp.workprec(wp):
+        q = mp.e ** (-mp.pi / (2 * mp.sqrt(N))) * mp.e ** (2j * mp.pi * mp.mpf(x))
+    for kind, r, shift in (("crank", 3, None), ("rank", 4, None), ("crank", 4, 2)):
+        ref = direct_product_oracle(kind, r, q, wp, shift)
+        got = circle.gf_numeric(kind, r, q, wp, shift=shift)
+        with mp.workprec(wp):
+            assert abs(got - ref) < mp.mpf(2) ** (-(wp - 20)) * abs(ref)
+
+
 def test_gf_numeric_matches_series_at_real_q():
     with mp.workprec(160):
         q = mp.mpf(3) / 10

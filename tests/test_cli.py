@@ -2,10 +2,14 @@
 
 import hashlib
 import json
+import os
 
 import pytest
 
 from overmoments.cli import main
+
+
+CPUS = os.cpu_count() or 1
 
 
 def run(args):
@@ -109,11 +113,19 @@ def test_usage_errors_exit_2():
          "r must be >= 1, got 0"),
         (["converge", "--flavor", "moment", "--r", "2", "--grid", "100,-5"],
          "N must be >= 0, got -5"),
+        (["series", "--kind", "crank", "--r", "3", "--trunc", "-1"], "trunc must be >= 0"),
+        (["series", "--kind", "crank", "--r", "3", "--trunc", "5", "--shift", "7"],
+         "shift 7 outside supported range -1..2"),
+        (["converge", "--flavor", "moment", "--r", "2", "--grid", "100", "--workers", "0"],
+         f"workers must be in 1..{CPUS}, got 0"),
+        (["verify", "--suite", "oracle", "--workers", str(CPUS + 1)],
+         f"workers must be in 1..{CPUS}, got {CPUS + 1}"),
     ],
 )
 def test_out_of_range_arguments_exit_2(argv, message, capsys):
-    # negative N used to index the value list from its end; r < 1 used to
-    # escape as a ValueError traceback with exit 1
+    # negative N used to index the value list from its end; r < 1 and the
+    # library's ValueErrors used to escape as a traceback with exit 1;
+    # --workers 0 used to run serially without a word
     with pytest.raises(SystemExit) as exc:
         run(argv)
     assert exc.value.code == 2

@@ -136,14 +136,20 @@ def test_manifest_checksum_is_deterministic():
 
 
 def test_export_helpers():
-    import io
-    import json
+    import hashlib
 
     ser = genfunc.crank_symmetrized_series(2, 4)
-    buf = io.StringIO()
-    genfunc.write_series_csv(ser, buf)
-    assert buf.getvalue().splitlines()[2] == f"2\t{ser[2]}"
-    buf = io.StringIO()
-    genfunc.write_manifest(genfunc.series_manifest("crank", 2, 4, ser), buf)
-    payload = json.loads(buf.getvalue())
-    assert payload["kind"] == "crank" and payload["trunc"] == 4
+    manifest = genfunc.series_manifest("crank", 2, 4, ser)
+    assert manifest["kind"] == "crank" and manifest["r"] == 2 and manifest["trunc"] == 4
+    lines = "\n".join(str(c) for c in ser.coeffs)
+    assert manifest["checksum"] == hashlib.sha256(lines.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "name, build", [("rho_crank", genfunc.crank_lambert_sum), ("rho_rank", genfunc.rank_lambert_sum)]
+)
+def test_rho_exponent_mismatch_raises(name, build, monkeypatch):
+    # an explicit raise, so the invariant holds under python -O as well
+    monkeypatch.setattr(genfunc, name, lambda r: Fraction(1, 3))
+    with pytest.raises(ArithmeticError):
+        build(3, 10)
