@@ -6,6 +6,13 @@ back rounded to that precision.  Exact big integers are turned into logs via
 mpf conversion, which keeps the top bits of the mantissa and is accurate to
 working precision regardless of the integer's size.
 
+The two q-series behind every numeric check have their only numeric
+evaluators here: `s_series_eval` (the crank and rank Lambert sums) and
+`overpartition_numeric` (the prefactor (-q)oo/(q)oo as 1/theta_4(q)).  Both
+return unrounded at their working precision, so each caller rounds once:
+the pole-expansion residual, the automorphic prefactor check, and the
+circle method's integrand `circle.gf_numeric`.
+
 Constants, for order r >= 1, with eta the alternating zeta:
 
   leading pole coefficient      c_r  = eta(r)
@@ -46,6 +53,7 @@ __all__ = [
     "bessel_i_series",
     "main_term",
     "s_series_eval",
+    "overpartition_numeric",
     "expansion_residual",
     "FitResult",
     "fit_subleading",
@@ -201,21 +209,6 @@ class AsymptoticConstants:
                 * mp.pi ** (-self.r + 1)
                 * mp.mpf(2) ** (self.r - 4)
                 * (self.d_crank - 2 * self.d_rank)
-            )
-
-    @property
-    def delta_quoted(self) -> mp.mpf:
-        """The commonly quoted closed form r! pi^{-r+1} 2^{r-7/2}
-        (eta(r-2) + eta(r-1)/2); carried for comparison, not selected."""
-        with mp.workprec(self.precision_bits):
-            return (
-                mp.factorial(self.r)
-                * mp.pi ** (-self.r + 1)
-                * mp.mpf(2) ** (self.r - mp.mpf(7) / 2)
-                * (
-                    dirichlet_eta(self.r - 2, self.precision_bits)
-                    + dirichlet_eta(self.r - 1, self.precision_bits) / 2
-                )
             )
 
     def manifest(self) -> dict:
@@ -400,49 +393,77 @@ def main_term(
 
 
 # ---------------------------------------------------------------------------
-# Direct evaluation of the Lambert-type sums near the unit circle.
+# Numeric evaluation of the two q-series near the unit circle.
 # ---------------------------------------------------------------------------
 
 
-def s_series_eval(kind: Literal["S", "S_tilde"], r: int, tau, prec: int = 256):
-    """Evaluate S_r (crank inner sum) or S~_r (rank inner sum) at tau.
+def s_series_eval(kind: Kind, r: int, q, prec: int = 256, shift: int | None = None):
+    """Lambert sum of the crank or rank moment series at complex q, |q| < 1.
 
-    Direct summation with a rigorous stopping rule: terms are Gaussian in n,
-    so once n * Im(tau) >= 1 and the running term drops below 2^{-prec-10}
-    relative to the partial sum, the tail is below the cutoff for good.
+    The same sum as `genfunc.crank_lambert_sum` / `rank_lambert_sum` (the rank
+    sum carries the factor 2), with binomial shift s defaulting to the
+    standard one.  Powers of q are built by recurrence: the exponent e(n)
+    steps by n + r - s (crank) or 2n + 1 + r - s (rank).  Summation stops on
+    a certified tail bound below 2^-(prec+8) relative.  The value comes back
+    unrounded at the working precision prec + 16, so callers round once.
+    Raises NonConvergent outside |q| < 1.
     """
-    if kind not in ("S", "S_tilde"):
-        raise ValueError("kind must be 'S' or 'S_tilde'")
-    with mp.workprec(prec + GUARD_BITS):
-        tv = mp.mpc(tau)
-        y = tv.imag
-        if y <= 0:
-            raise NonConvergent("tau must lie in the upper half-plane")
-        rho = genfunc.rho_crank(r) if kind == "S" else genfunc.rho_rank(r)
-        shift_coeff = mp.mpf(r) / 2 + mp.mpf(float(rho))
-        q = mp.e ** (2j * mp.pi * tv)
-        threshold = mp.mpf(2) ** (-(prec + 10))
+    if kind not in ("crank", "rank"):
+        raise ValueError("kind must be 'crank' or 'rank'")
+    if shift is None:
+        shift = genfunc.standard_shift(r)
+    with mp.workprec(prec + 16):
+        qv = mp.mpc(q)
+        absq = abs(qv)
+        if absq >= 1:
+            raise NonConvergent("|q| must be < 1")
+        eps = mp.mpf(2) ** (-(prec + 8))
+        # q^{e(n)} by recurrence: e(n+1) - e(n) = de grows by dde per step
+        d = r - shift
+        e, de, dde = (d, d + 1, 1) if kind == "crank" else (d + 1, d + 3, 2)
+        qe, step, lift = qv**e, qv**de, qv**dde
+        qn = mp.mpc(1)
         total = mp.mpc(0)
         n = 1
-        prev_mag = mp.inf
         while True:
-            if kind == "S":
-                expo = mp.mpf(n) * n / 2 + shift_coeff * n
-                term = (-1) ** (n + 1) * q**expo / (1 - q**n) ** r
-            else:
-                expo = mp.mpf(n) * n + shift_coeff * n
-                term = (-1) ** (n + 1) * q**expo / ((1 - q**n) ** r * (1 + q**n))
-            total += term
-            mag = abs(term)
-            if n * y >= 1 and mag < threshold * max(1, abs(total)) and mag <= prev_mag:
+            qn *= qv
+            den = (1 - qn) ** r if kind == "crank" else (1 - qn) ** r * (1 + qn)
+            total += qe / den if n % 2 == 1 else -qe / den
+            # certified tail: the next term bounds the remainder up to the
+            # geometric factor 1/(1 - |q|), absorbed into the 2x margin
+            bound = 2 * absq ** (e + de) / (1 - absq ** (n + 1)) ** (r + 1)
+            if bound < eps * max(1, abs(total)):
                 break
-            prev_mag = mag
-            n += 1
-            if n > 10_000_000:
-                raise NonConvergent("series did not meet the cutoff")
-        result = total
-    with mp.workprec(prec):
-        return +result
+            qe, step = qe * step, step * lift
+            e, de, n = e + de, de + dde, n + 1
+        return total * 2 if kind == "rank" else total
+
+
+def overpartition_numeric(q, prec: int = 256):
+    """The prefactor (-q)oo/(q)oo = 1/theta_4(q) at complex q, |q| < 1.
+
+    theta_4 = 1 + 2 sum (-1)^k q^{k^2}, with q^{(k+1)^2} = q^{k^2} q^{2k+1},
+    summed until |q|^{k^2} < 2^-bits.  By the product formula
+    |theta_4(q)| >= theta_4(|q|) >= e^{-pi^2/(4t)}, t = -log|q|, so
+    pi^2/(4t ln 2) + 8 guard bits above prec + 16 keep the quotient at full
+    relative precision as q -> 1.  The value comes back unrounded at that
+    working precision, so callers round once.  Raises NonConvergent outside
+    |q| < 1.
+    """
+    with mp.workprec(prec + 16):
+        qv = mp.mpc(q)
+        absq = abs(qv)
+        if absq >= 1:
+            raise NonConvergent("|q| must be < 1")
+        t = -mp.log(absq)
+    bits = prec + 16 + int(mp.ceil(mp.pi**2 / (4 * t * mp.ln2))) + 8
+    with mp.workprec(bits):
+        q2, odd, square, theta = qv * qv, qv, mp.mpc(1), mp.mpc(0)
+        for k in range(1, int(mp.sqrt(bits * mp.ln2 / t)) + 2):
+            square *= odd
+            odd *= q2
+            theta += square if k % 2 == 0 else -square
+        return 1 / (1 + 2 * theta)
 
 
 def expansion_residual(
@@ -455,8 +476,10 @@ def expansion_residual(
     """Normalized pole-expansion residual at tau = i/(4 sqrt N).
 
     Returns |S - c t^{-r} - d t^{-r+1}| * N^{1 - r/2} with t = -2 pi i tau
-    (= 2 pi y, real positive on the axis).  With the correct subleading
-    constant this stays bounded in N; with a wrong one it grows like sqrt N.
+    (= 2 pi y, real positive on the axis) and S the Lambert sum at
+    q = e^{-t}: S_r for crank, S~_r (half the rank sum) for rank.  With the
+    correct subleading constant this stays bounded in N; with a wrong one it
+    grows like sqrt N.
     """
     if N < 4:
         raise ValueError("N must be >= 4")
@@ -470,11 +493,10 @@ def expansion_residual(
     with mp.workprec(prec + GUARD_BITS):
         y = 1 / (4 * mp.sqrt(N))
         t = 2 * mp.pi * y
-        series_kind = "S" if kind == "crank" else "S_tilde"
-        S = s_series_eval(series_kind, r, mp.mpc(0, y), prec + GUARD_BITS)
+        S = s_series_eval(kind, r, mp.e ** (-t), prec + GUARD_BITS)
         c = dirichlet_eta(r, prec + GUARD_BITS)
         if kind == "rank":
-            c = c / 2
+            S, c = S / 2, c / 2  # S~_r is half the rank Lambert sum
         residual = abs(S - c * t ** (-r) - d * t ** (-r + 1))
         result = residual * mp.mpf(N) ** (1 - mp.mpf(r) / 2)
     with mp.workprec(prec):
@@ -573,10 +595,10 @@ def fit_subleading(
 
 
 def eta_quotient_check(tau, prec: int = 256) -> mp.mpf:
-    """|prod (1+q^k)/(1-q^k) / (sqrt(-i tau / 2) e^{pi i/(8 tau)}) - 1|.
+    """|(-q)oo/(q)oo / (sqrt(-i tau / 2) e^{pi i/(8 tau)}) - 1|, q = e^{2 pi i tau}.
 
     The quotient tends to 1 exponentially fast as tau -> 0 in the upper
-    half-plane: the product equals the inversion closed form up to
+    half-plane: the prefactor equals the inversion closed form up to
     exponentially small corrections, and the e^{pi i/(8 tau)} factor is what
     makes the two sides agree (dropping it is off by a huge factor).
     """
@@ -584,14 +606,8 @@ def eta_quotient_check(tau, prec: int = 256) -> mp.mpf:
         tv = mp.mpc(tau)
         if tv.imag <= 0:
             raise NonConvergent("tau must lie in the upper half-plane")
-        q = mp.e ** (2j * mp.pi * tv)
-        absq = abs(q)
-        kmax = int((prec + 16) * mp.log(2) / -mp.log(absq)) + 2
-        prod = mp.mpc(1)
-        for k in range(1, kmax + 1):
-            qk = q**k
-            prod *= (1 + qk) / (1 - qk)
+        pref = overpartition_numeric(mp.e ** (2j * mp.pi * tv), prec + GUARD_BITS)
         closed = mp.sqrt(-1j * tv / 2) * mp.e ** (1j * mp.pi / (8 * tv))
-        result = abs(prod / closed - 1)
+        result = abs(pref / closed - 1)
     with mp.workprec(prec):
         return +result

@@ -21,8 +21,14 @@ from dataclasses import dataclass
 import mpmath as mp
 
 from . import genfunc
-from .asympt import AsymptoticConstants, bessel_i, resolve_constants
-from .errors import NonConvergent, OversizeRequest, QuadratureFailure
+from .asympt import (
+    AsymptoticConstants,
+    bessel_i,
+    overpartition_numeric,
+    resolve_constants,
+    s_series_eval,
+)
+from .errors import OversizeRequest, QuadratureFailure
 
 __all__ = [
     "working_precision",
@@ -32,7 +38,6 @@ __all__ = [
     "minor_arc_value",
     "ArcReport",
     "arc_report",
-    "write_arc_reports",
     "p_segment",
     "bessel_pathway_check",
     "i1_main_terms_direct",
@@ -51,56 +56,17 @@ def working_precision(N: int, prec: int | None = None) -> int:
 
 
 def gf_numeric(kind: str, r: int, q, prec: int = 256, shift: int | None = None):
-    """Evaluate the full moment series (prefactor times Lambert sum) at complex q.
+    """Evaluate the full moment series at complex q, |q| < 1: the prefactor
+    `asympt.overpartition_numeric` (1/theta_4(q), with guard bits against its
+    cancellation as q -> 1) times the Lambert sum `asympt.s_series_eval`.
 
-    The prefactor (-q)oo/(q)oo is 1/theta_4(q), theta_4 = 1 + 2 sum (-1)^k q^{k^2}.
-    By the product formula |theta_4(q)| >= theta_4(|q|) >= e^{-pi^2/(4t)},
-    t = -log|q|, so pi^2/(4t ln 2) guard bits keep it at full relative
-    precision as q -> 1.  Powers of q are built by recurrence; each sum stops
-    once its tail drops below the working epsilon (the Lambert sum by a
-    certified bound).  Raises NonConvergent outside |q| < 1.
+    Both factors come back unrounded; their product is rounded once to prec.
+    Raises NonConvergent outside |q| < 1.
     """
-    if kind not in ("crank", "rank"):
-        raise ValueError("kind must be 'crank' or 'rank'")
-    if shift is None:
-        shift = genfunc.standard_shift(r)
-    with mp.workprec(prec + 16):
-        qv = mp.mpc(q)
-        absq = abs(qv)
-        if absq >= 1:
-            raise NonConvergent("|q| must be < 1")
-        eps = mp.mpf(2) ** (-(prec + 8))
-        # q^{e(n)} by recurrence: e(n+1) - e(n) = de grows by dde per step,
-        # de = n + r - s (crank) or 2n + 1 + r - s (rank)
-        d = r - shift
-        e, de, dde = (d, d + 1, 1) if kind == "crank" else (d + 1, d + 3, 2)
-        qe, step, lift = qv**e, qv**de, qv**dde
-        qn = mp.mpc(1)
-        total = mp.mpc(0)
-        n = 1
-        while True:
-            qn *= qv
-            den = (1 - qn) ** r if kind == "crank" else (1 - qn) ** r * (1 + qn)
-            total += qe / den if n % 2 == 1 else -qe / den
-            # certified tail: the next term bounds the remainder up to the
-            # geometric factor 1/(1 - |q|), absorbed into the 2x margin
-            bound = 2 * absq ** (e + de) / (1 - absq ** (n + 1)) ** (r + 1)
-            if bound < eps * max(1, abs(total)):
-                break
-            qe, step = qe * step, step * lift
-            e, de, n = e + de, de + dde, n + 1
-        t = -mp.log(absq)
-    bits = prec + 16 + int(mp.ceil(mp.pi**2 / (4 * t * mp.ln2))) + 8
-    with mp.workprec(bits):
-        # q^{(k+1)^2} = q^{k^2} q^{2k+1}, up to |q|^{k^2} < 2^-bits
-        q2, odd, square, theta = qv * qv, qv, mp.mpc(1), mp.mpc(0)
-        for k in range(1, int(mp.sqrt(bits * mp.ln2 / t)) + 2):
-            square *= odd
-            odd *= q2
-            theta += square if k % 2 == 0 else -square
-        result = total * (2 if kind == "rank" else 1) / (1 + 2 * theta)
+    total = s_series_eval(kind, r, q, prec, shift)
+    pref = overpartition_numeric(q, prec)
     with mp.workprec(prec):
-        return +result
+        return total * pref
 
 
 # ---------------------------------------------------------------------------
@@ -299,13 +265,6 @@ def arc_report(
             minor_abs_log=float(mp.log(max(abs(minor), mp.mpf(2) ** (-wp)))),
             minor_bound_ratio=float(abs(minor) / bound),
         )
-
-
-def write_arc_reports(reports, fp) -> None:
-    """One JSON object per line."""
-    for rep in reports:
-        fp.write(rep.to_json())
-        fp.write("\n")
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from typing import Sequence
 
 import mpmath as mp
 
@@ -24,30 +25,30 @@ from .series import overpartition_gf
 PREC_MIN, PREC_MAX = 64, 4096
 
 
-def _parse_range(text: str) -> list[int]:
-    """'A:B' inclusive, or a single integer."""
+def _parse_range(text: str) -> range:
+    """'A:B' inclusive, or a single integer; a range, so no list is built."""
     if ":" in text:
         a, b = text.split(":", 1)
         lo, hi = int(a), int(b)
         if hi < lo:
             raise argparse.ArgumentTypeError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+        return range(lo, hi + 1)
+    return range(int(text), int(text) + 1)
 
 
-def _at_least(values: list[int], least: int, name: str) -> list[int]:
+def _at_least(values: Sequence[int], least: int, name: str) -> Sequence[int]:
     low = min(values)
     if low < least:
         raise argparse.ArgumentTypeError(f"{name} must be >= {least}, got {low}")
     return values
 
 
-def _parse_orders(text: str) -> list[int]:
+def _parse_orders(text: str) -> Sequence[int]:
     """Range of moment orders, each r >= 1."""
     return _at_least(_parse_range(text), 1, "r")
 
 
-def _parse_indices(text: str) -> list[int]:
+def _parse_indices(text: str) -> Sequence[int]:
     """Range of coefficient indices, each N >= 0."""
     return _at_least(_parse_range(text), 0, "N")
 
@@ -125,10 +126,11 @@ def cmd_series(args) -> int:
 def cmd_ospt(args) -> int:
     nmax = max(args.N)
     pref = overpartition_gf(nmax)
+    indices = list(args.N)  # after the size guard; every order's rows share its ints
     rows = []
     for r in args.r:
         vals = moments.ospt_values(r, nmax, prefactor=pref)
-        for N in args.N:
+        for N in indices:
             v = vals[N]
             if N == 0:
                 verdict = "not-applicable"

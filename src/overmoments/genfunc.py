@@ -84,10 +84,7 @@ def crank_lambert_sum(r: int, trunc: int, shift: int | None = None) -> PowerSeri
     c = [0] * (trunc + 1)
     n = 1
     while True:
-        e2 = n * n + (2 * (r - shift) - 1) * n
-        if e2 % 2 != 0:
-            raise AssertionError(f"non-integral crank exponent at n={n}")
-        e = e2 // 2
+        e = (n * n + (2 * (r - shift) - 1) * n) // 2
         if shift == standard_shift(r) and (
             Fraction(n * n, 2) + (Fraction(r, 2) + rho_crank(r)) * n != e
         ):

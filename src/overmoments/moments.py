@@ -36,7 +36,6 @@ __all__ = [
     "BasisChange",
     "basis_change",
     "ospt",
-    "MomentTable",
     "symmetrized_moment_values",
     "positive_moment_values",
     "ospt_values",
@@ -132,20 +131,6 @@ def basis_change(r: int) -> BasisChange:
 def ospt(r: int, N: int, crank_table: StatTable, rank_table: StatTable) -> int:
     """Positive crank moment minus positive rank moment at (r, N)."""
     return positive_moment(crank_table, r, N) - positive_moment(rank_table, r, N)
-
-
-@dataclass
-class MomentTable:
-    """Moment values over a range of N, exported as kind,flavor,r,N,value."""
-
-    kind: Kind
-    flavor: Literal["positive_power", "positive_symmetrized"]
-    r: int
-    values: dict[int, int]
-
-    def to_csv(self, fp) -> None:
-        for N in sorted(self.values):
-            fp.write(f"{self.kind},{self.flavor},{self.r},{N},{self.values[N]}\n")
 
 
 # ---------------------------------------------------------------------------

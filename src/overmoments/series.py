@@ -16,7 +16,7 @@ from __future__ import annotations
 from math import comb
 from typing import Iterable, Sequence
 
-from .errors import NonUnitConstantTerm
+from .errors import NonUnitConstantTerm, OversizeRequest
 
 __all__ = [
     "PowerSeries",
@@ -25,6 +25,10 @@ __all__ = [
     "euler_product",
     "lambert_term",
 ]
+
+# pbar(n) has about pi sqrt(n) / ln 2 bits, so the table alone holds about
+# 2 pi trunc^{3/2} / (3 ln 2) bits: 34 MB at the cap, 12 GB at trunc = 10^7
+EXACT_TRUNC_CAP = 200_000
 
 
 def _kron_mul(a: Sequence[int], b: Sequence[int], trunc: int) -> list[int]:
@@ -160,11 +164,6 @@ class PowerSeries:
     def zero(trunc: int) -> "PowerSeries":
         return PowerSeries([0], trunc)
 
-    def dump(self, fp) -> None:
-        """Debug dump, one line per coefficient: index <tab> value."""
-        for i, c in enumerate(self._coeffs):
-            fp.write(f"{i}\t{c}\n")
-
 
 def pochhammer_q(sign: int, trunc: int) -> PowerSeries:
     """Infinite q-Pochhammer product, truncated.
@@ -213,9 +212,13 @@ def overpartition_gf(trunc: int) -> PowerSeries:
     Built from the sparse theta relation pbar * (1 + 2 sum_k (-1)^k q^{k^2}) = 1,
     i.e. pbar(n) = 2 sum_{k>=1} (-1)^{k+1} pbar(n - k^2), which costs
     O(trunc^{3/2}) big-int additions instead of a full series inversion.
+    Every exact moment path starts here, so a trunc above EXACT_TRUNC_CAP
+    raises OversizeRequest before anything is allocated.
     """
     if trunc < 0:
         raise ValueError("trunc must be >= 0")
+    if trunc > EXACT_TRUNC_CAP:
+        raise OversizeRequest(f"exact series capped at trunc={EXACT_TRUNC_CAP}, got {trunc}")
     c = [0] * (trunc + 1)
     c[0] = 1
     for n in range(1, trunc + 1):

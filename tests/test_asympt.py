@@ -143,36 +143,79 @@ def test_main_term_bessel_vs_moment_flavors_agree_at_large_N():
     assert gaps[1] < gaps[0] / 3
 
 
+def tau_series_oracle(kind, r, tau, prec):
+    """S_r (crank) or S~_r (rank, without the factor 2) summed in tau
+    coordinates, every power taken as q**expo, stopping once n Im(tau) >= 1
+    and a term falls below 2^-(prec+10) of the sum: the evaluator that
+    asympt.s_series_eval replaced."""
+    with mp.workprec(prec + asympt.GUARD_BITS):
+        tv = mp.mpc(tau)
+        rho = genfunc.rho_crank(r) if kind == "crank" else genfunc.rho_rank(r)
+        shift_coeff = mp.mpf(r) / 2 + mp.mpf(float(rho))
+        q = mp.e ** (2j * mp.pi * tv)
+        threshold = mp.mpf(2) ** (-(prec + 10))
+        total = mp.mpc(0)
+        n = 1
+        prev_mag = mp.inf
+        while True:
+            if kind == "crank":
+                expo = mp.mpf(n) * n / 2 + shift_coeff * n
+                term = (-1) ** (n + 1) * q**expo / (1 - q**n) ** r
+            else:
+                expo = mp.mpf(n) * n + shift_coeff * n
+                term = (-1) ** (n + 1) * q**expo / ((1 - q**n) ** r * (1 + q**n))
+            total += term
+            mag = abs(term)
+            if n * tv.imag >= 1 and mag < threshold * max(1, abs(total)) and mag <= prev_mag:
+                return total
+            prev_mag = mag
+            n += 1
+
+
 def test_s_series_eval_matches_series_core():
-    # at tau = i the sums are tame; compare against exact coefficients
+    # at q = e^{-2 pi} the sums are tame; compare against exact coefficients
     with mp.workprec(140):
         q = mp.e ** (-2 * mp.pi)
         for r in (1, 2):
-            inner = genfunc.crank_lambert_sum(r, 60)
-            ref = mp.fsum(inner[n] * q**n for n in range(61))
-            got = asympt.s_series_eval("S", r, mp.mpc(0, 1), 140)
-            assert abs(got - ref) < 1e-15
-            inner = genfunc.rank_lambert_sum(r, 60)
-            ref = mp.fsum(inner[n] * q**n for n in range(61))
-            got = asympt.s_series_eval("S_tilde", r, mp.mpc(0, 1), 140)
-            assert abs(2 * got - ref) < 1e-15  # rank series carries a factor 2
+            for kind, lambert in (
+                ("crank", genfunc.crank_lambert_sum),
+                ("rank", genfunc.rank_lambert_sum),  # the factor 2 included
+            ):
+                inner = lambert(r, 60)
+                ref = mp.fsum(inner[n] * q**n for n in range(61))
+                got = asympt.s_series_eval(kind, r, q, 140)
+                assert abs(got - ref) < 1e-15
 
 
 def test_s_series_small_q_limit():
     # far from the unit circle a single term dominates
     with mp.workprec(120):
-        tau = mp.mpc(0, 3)
-        q = mp.e ** (2j * mp.pi * tau)
-        S = asympt.s_series_eval("S", 2, tau, 120)
+        q = mp.e ** (-6 * mp.pi)
+        S = asympt.s_series_eval("crank", 2, q, 120)
         lead = q ** ((1 + (2 * 2 - 1)) // 2) / (1 - q) ** 2  # n=1 term, r=2
         assert abs(S / lead - 1) < 1e-6
 
 
 def test_s_series_rejects_lower_half_plane():
+    # tau = -i and tau = 1/2 map to q = e^{2 pi} and q = -1, outside |q| < 1
     with pytest.raises(NonConvergent):
-        asympt.s_series_eval("S", 2, mp.mpc(0, -1), 64)
+        asympt.s_series_eval("crank", 2, mp.e ** (2 * mp.pi), 64)
     with pytest.raises(NonConvergent):
-        asympt.s_series_eval("S_tilde", 2, mp.mpc(0.5, 0), 64)
+        asympt.s_series_eval("rank", 2, mp.mpc(-1, 0), 64)
+    with pytest.raises(NonConvergent):
+        asympt.overpartition_numeric(mp.mpc(0.8, 0.8), 64)
+
+
+@pytest.mark.parametrize("kind, r, factor", [("crank", 3, 1), ("rank", 4, 2)])
+def test_s_series_eval_matches_tau_oracle_at_fit_radius(kind, r, factor):
+    # the largest fit-grid point, N = 10^5, sits closest to q = 1
+    prec = 192 + asympt.GUARD_BITS
+    N = asympt.DEFAULT_FIT_GRID[-1]
+    with mp.workprec(prec):
+        y = 1 / (4 * mp.sqrt(N))
+        ref = factor * tau_series_oracle(kind, r, mp.mpc(0, y), prec)
+        got = asympt.s_series_eval(kind, r, mp.e ** (-2 * mp.pi * y), prec)
+        assert abs(got - ref) < mp.mpf(2) ** (-(prec - 20)) * abs(ref)
 
 
 def test_expansion_residual_selected_bounded():
@@ -264,6 +307,23 @@ def test_constants_manifest():
     assert man["d_rank_variant_tag"] == "expansion"
     assert man["precision_bits"] == 128
     assert man["delta_r_selected"] is not None
+
+
+def test_eta_quotient_check_matches_product_loop():
+    # oracle: the prefactor as prod (1+q^k)/(1-q^k), run to the working epsilon
+    prec = 256
+    wp = prec + asympt.GUARD_BITS + 16
+    tau = mp.mpc(0, mp.mpf(1) / 40)
+    with mp.workprec(wp):
+        q = mp.e ** (2j * mp.pi * tau)
+        pref, qk = mp.mpc(1), mp.mpc(1)
+        for _ in range(int(wp * mp.ln2 / -mp.log(abs(q))) + 2):
+            qk *= q
+            pref *= (1 + qk) / (1 - qk)
+        closed = mp.sqrt(-1j * tau / 2) * mp.e ** (1j * mp.pi / (8 * tau))
+        want = abs(pref / closed - 1)
+        got = asympt.eta_quotient_check(tau, prec)
+        assert abs(got - want) < mp.mpf(2) ** (-(prec - 20))
 
 
 def test_eta_quotient_check_decays():

@@ -182,8 +182,3 @@ def test_arc_report_roundtrip():
     assert payload["kind"] == "crank" and payload["N"] == 16
     assert payload["full_rel_err"] < 1e-8
     assert abs(payload["major_fraction"] - 1) < 0.2
-    import io
-
-    buf = io.StringIO()
-    circle.write_arc_reports([rep, rep], buf)
-    assert buf.getvalue().count("\n") == 2

@@ -147,6 +147,21 @@ def test_budget_guard_exit_3(tmp_path):
                 "--out", str(out)]) == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ospt", "--r", "1", "--N", "1:10000000"],
+        ["series", "--kind", "rank", "--r", "3", "--trunc", "200001"],
+        ["converge", "--flavor", "moment", "--r", "2", "--grid", "100,300000"],
+    ],
+)
+def test_exact_trunc_guard_exit_3(argv, tmp_path, capsys):
+    # ospt --N 1:10^7 used to start building 10^7 big integers
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 3
+    assert "capped at trunc=200000" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_verify_proposition_suite(tmp_path):
     out = tmp_path / "prop.json"
     assert run(["verify", "--suite", "proposition", "--out", str(out)]) == 0

@@ -1,6 +1,5 @@
 """Moment algebra: power moments, symmetrized moments, basis change, ospt."""
 
-import io
 from fractions import Fraction
 from math import factorial
 
@@ -170,10 +169,3 @@ def test_out_of_range():
         moments.positive_moment(CRANK, 0, 3)
     with pytest.raises(OutOfRange):
         moments.symmetrized_positive_moment(RANK, 2, -1)
-
-
-def test_moment_table_csv():
-    mt = moments.MomentTable("crank", "positive_power", 2, {1: 1, 2: 5})
-    buf = io.StringIO()
-    mt.to_csv(buf)
-    assert buf.getvalue() == "crank,positive_power,2,1,1\ncrank,positive_power,2,2,5\n"

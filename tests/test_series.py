@@ -1,14 +1,15 @@
 """Series core: exact arithmetic, classical product identities, inversion."""
 
-import io
 import random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from overmoments.errors import NonUnitConstantTerm
+from overmoments import genfunc, moments
+from overmoments.errors import NonUnitConstantTerm, OversizeRequest
 from overmoments.series import (
+    EXACT_TRUNC_CAP,
     PowerSeries,
     _kron_mul,
     euler_product,
@@ -187,6 +188,20 @@ def test_overpartition_gf_equals_pochhammer_quotient():
     assert gf == pochhammer_q(1, t) * pochhammer_q(-1, t).invert()
 
 
+def test_overpartition_gf_size_guard():
+    # every exact path starts with the prefactor, so each trips the guard
+    # before allocating anything
+    for build in (
+        overpartition_gf,
+        lambda trunc: genfunc.crank_binomial_series(3, trunc),
+        lambda trunc: moments.ospt_values(1, trunc),
+    ):
+        with pytest.raises(OversizeRequest):
+            build(EXACT_TRUNC_CAP + 1)
+    with pytest.raises(ValueError):
+        overpartition_gf(-1)
+
+
 def test_overpartition_gf_strictly_increasing():
     gf = overpartition_gf(300)
     for n in range(1, 300):
@@ -207,9 +222,3 @@ def test_lambert_term_alternating_divisor():
         * PowerSeries([1, 1], 10).invert()
     )
     assert lambert_term(1, 1, 2, 10, alternating_factor=True) == direct
-
-
-def test_dump_format():
-    buf = io.StringIO()
-    PowerSeries([5, -3, 0], 2).dump(buf)
-    assert buf.getvalue() == "0\t5\n1\t-3\n2\t0\n"
