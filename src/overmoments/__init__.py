@@ -3,7 +3,8 @@
 Exact layer: big-integer q-series (`series`, `genfunc`), a combinatorial
 enumeration oracle (`combinat`), and moment algebra (`moments`).  Numeric
 layer: asymptotic constants and residual checks (`asympt`) and circle-method
-coefficient recovery (`circle`).  The `cli` module drives batch jobs.
+coefficient recovery (`circle`).  The paper's checks are the suites of
+`checks`; the `cli` module drives batch jobs and runs those suites.
 """
 
 from .combinat import (
@@ -17,7 +18,6 @@ from .combinat import (
 from .errors import (
     Inconclusive,
     NonConvergent,
-    NonUnitConstantTerm,
     OutOfRange,
     OversizeRequest,
     OvermomentsError,
@@ -43,12 +43,7 @@ from .moments import (
     symmetrized_positive_moment,
     symmetrized_moment_values,
 )
-from .series import (
-    PowerSeries,
-    lambert_term,
-    overpartition_gf,
-    pochhammer_q,
-)
+from .series import PowerSeries, overpartition_gf
 
 __version__ = "0.1.0"
 
@@ -60,9 +55,7 @@ __all__ = [
     "rank",
     "residual_crank_weights",
     "PowerSeries",
-    "lambert_term",
     "overpartition_gf",
-    "pochhammer_q",
     "ZLaurentSeries",
     "crank_binomial_series",
     "crank_symmetrized_series",
@@ -79,7 +72,6 @@ __all__ = [
     "symmetrized_positive_moment",
     "symmetrized_moment_values",
     "OvermomentsError",
-    "NonUnitConstantTerm",
     "OversizeRequest",
     "OutOfRange",
     "NonConvergent",

@@ -50,7 +50,6 @@ __all__ = [
     "resolve_constants",
     "subleading_candidates",
     "bessel_i",
-    "bessel_i_series",
     "main_term",
     "s_series_eval",
     "overpartition_numeric",
@@ -327,20 +326,6 @@ def bessel_i(order, x, prec: int = 256) -> mp.mpf:
                 )
         previous = result
         guard *= 2
-
-
-def bessel_i_series(order, x, prec: int = 256, terms: int = 60) -> mp.mpf:
-    """Defining power series of I_order(x); the independent oracle for bessel_i."""
-    with mp.workprec(prec + GUARD_BITS):
-        xv = mp.mpf(x)
-        nu = mp.mpf(order)
-        half = xv / 2
-        total = mp.mpf(0)
-        for k in range(terms):
-            total += half ** (2 * k + nu) / (mp.factorial(k) * mp.gamma(k + nu + 1))
-        result = total
-    with mp.workprec(prec):
-        return +result
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,221 @@
+"""The paper's checks, as named suites of pass/fail results.
+
+`verify --suite S` writes the report of `SUITES[S]`, and the acceptance
+tests run the same suites, so each grid and each gate lives here once.  A
+suite takes the enumeration budget and the number of worker processes and
+returns a list of checks `{"name", "passed", "detail"}`:
+
+  oracle       exact series and two-variable series against enumeration
+  proposition  the generalized shift identity and the quoted sample expansions
+  residual     pole-expansion residuals, the constant identity, the prefactor
+  wright       circle-method coefficients against the exact ones
+"""
+
+from __future__ import annotations
+
+from concurrent.futures import ProcessPoolExecutor
+
+import mpmath as mp
+
+from . import asympt, circle, combinat, genfunc, moments
+from .series import overpartition_gf
+
+__all__ = ["BUDGET", "check", "oracle", "proposition", "residual", "wright", "SUITES"]
+
+# enumeration budget `verify` runs with unless --budget says otherwise
+BUDGET = 10_000_000
+
+
+def check(name: str, passed: bool, detail: str = "") -> dict:
+    return {"name": name, "passed": bool(passed), "detail": detail}
+
+
+def oracle(budget: int, workers: int) -> list[dict]:
+    nmax = 25
+    checks = []
+    tables = {}
+    for kind in ("rank", "crank"):
+        table = combinat.build_table(kind, nmax, budget=budget)
+        tables[kind] = table
+        pbar = overpartition_gf(nmax)
+        sums_ok = all(table.column_sum(n) == pbar[n] for n in range(nmax + 1))
+        checks.append(check(f"{kind}-column-sums", sums_ok))
+        checks.append(check(f"{kind}-symmetry", table.is_symmetric()))
+    for kind in ("rank", "crank"):
+        build = (
+            genfunc.rank_binomial_series
+            if kind == "rank"
+            else genfunc.crank_binomial_series
+        )
+        ok = True
+        for r in range(1, 7):
+            ser = build(r, nmax)
+            for n in range(nmax + 1):
+                if ser[n] != moments.symmetrized_positive_moment(tables[kind], r, n):
+                    ok = False
+        checks.append(check(f"{kind}-series-vs-enumeration", ok))
+    for kind in ("rank", "crank"):
+        zl = (
+            genfunc.rank_two_variable(nmax)
+            if kind == "rank"
+            else genfunc.crank_two_variable(nmax)
+        )
+        ok = all(zl.column(n) == tables[kind].column(n) for n in range(nmax + 1))
+        checks.append(check(f"{kind}-two-variable-vs-enumeration", ok))
+    return checks
+
+
+def proposition(budget: int, workers: int) -> list[dict]:
+    nmax = 16
+    checks = []
+    tables = {
+        kind: combinat.build_table(kind, nmax, budget=budget)
+        for kind in ("rank", "crank")
+    }
+    ok = True
+    for r in range(0, 7):
+        for shift in range(-1, max(r, 1)):
+            if r == 0 and shift != -1:
+                continue
+            cs = genfunc.crank_binomial_series(r, nmax, shift=shift)
+            rs = genfunc.rank_binomial_series(r, nmax, shift=shift)
+            for n in range(nmax + 1):
+                if cs[n] != moments.symmetrized_positive_moment(tables["crank"], r, n, shift):
+                    ok = False
+                if rs[n] != moments.symmetrized_positive_moment(tables["rank"], r, n, shift):
+                    ok = False
+    checks.append(check("generalized-shift-identity", ok))
+    sr3 = genfunc.rank_symmetrized_series(3, 7)
+    checks.append(
+        check(
+            "sample-expansion-rank-r3",
+            list(sr3.coeffs[3:8]) == [2, 8, 24, 60, 134],
+            "coefficients q^3..q^7",
+        )
+    )
+    sc4 = genfunc.crank_binomial_series(4, 7, shift=2)
+    checks.append(
+        check(
+            "sample-expansion-crank-r4-shift2",
+            list(sc4.coeffs[2:8]) == [1, 6, 22, 63, 159, 358],
+            "coefficients q^2..q^7",
+        )
+    )
+    pbar = overpartition_gf(30)
+    checks.append(
+        check(
+            "crank-two-variable-z1",
+            genfunc.crank_two_variable(30).eval_z1() == pbar,
+        )
+    )
+    checks.append(
+        check(
+            "rank-two-variable-z1",
+            genfunc.rank_two_variable(30).eval_z1() == pbar,
+        )
+    )
+    return checks
+
+
+def residual(budget: int, workers: int) -> list[dict]:
+    checks = []
+    for kind in ("crank", "rank"):
+        for r in range(3, 7):
+            fit = asympt.fit_subleading(kind, r)
+            res = [
+                float(asympt.expansion_residual(kind, r, N, prec=192))
+                for N in (100, 1000, 10000)
+            ]
+            checks.append(
+                check(
+                    f"{kind}-r{r}-residual-bounded",
+                    max(res) < 1.0,
+                    f"selected {fit.selected_tag}, residuals {res}",
+                )
+            )
+    with mp.workprec(256):
+        ok = True
+        for r in range(1, 9):
+            cs = asympt.resolve_constants(r, 256)
+            lhs = mp.factorial(r) * cs.c_tilde
+            rhs = cs.gamma * mp.pi * mp.sqrt(2)
+            if abs(lhs - rhs) > mp.mpf(10) ** (-60):
+                ok = False
+        checks.append(check("bessel-vs-moment-constant-identity", ok))
+    q20 = float(asympt.eta_quotient_check(mp.mpc(0, 0.05)))
+    q40 = float(asympt.eta_quotient_check(mp.mpc(0, 0.025)))
+    checks.append(
+        check(
+            "automorphic-prefactor-closed-form",
+            q20 < 1e-10 and q40 < q20 / 100,
+            f"at i/20: {q20:.3e}, at i/40: {q40:.3e}",
+        )
+    )
+    return checks
+
+
+def _wright_job(job) -> tuple:
+    kind, r, N = job
+    series = (
+        genfunc.crank_binomial_series(r, N)
+        if kind == "crank"
+        else genfunc.rank_binomial_series(r, N)
+    )
+    exact = series[N]
+    approx = circle.cauchy_coefficient(kind, r, N, tol=1e-8)
+    rel = float(abs(approx - exact) / exact) if exact else float(abs(approx))
+    return (kind, r, N, rel)
+
+
+def wright(budget: int, workers: int) -> list[dict]:
+    jobs = sorted(
+        (kind, r, N)
+        for kind in ("crank", "rank")
+        for r in (1, 2, 3, 4)
+        for N in (7, 25, 60)
+    )
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_wright_job, jobs))
+    else:
+        results = [_wright_job(j) for j in jobs]
+    checks = []
+    worst = 0.0
+    ok = True
+    for kind, r, N, rel in results:
+        worst = max(worst, rel)
+        if rel > 1e-8:
+            ok = False
+    checks.append(
+        check(
+            "cauchy-matches-exact",
+            ok,
+            f"{len(results)} coefficients, worst relative error {worst:.3e}",
+        )
+    )
+    fractions = [
+        float(circle.major_arc_coefficient("crank", 3, N, tol=1e-8))
+        / genfunc.crank_binomial_series(3, N)[N]
+        for N in (25, 49, 100)
+    ]
+    dist = [abs(f - 1) for f in fractions]
+    checks.append(
+        check(
+            "major-arc-fraction-approaches-1",
+            all(b < a for a, b in zip(dist, dist[1:])),
+            f"fractions {fractions}",
+        )
+    )
+    path = [float(circle.bessel_pathway_check(3, N)) for N in (25, 100)]
+    checks.append(
+        check("bessel-pathway-bounded", max(path) < 1.0, f"ratios {path}")
+    )
+    return checks
+
+
+SUITES = {
+    "oracle": oracle,
+    "proposition": proposition,
+    "residual": residual,
+    "wright": wright,
+}

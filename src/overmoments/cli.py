@@ -1,7 +1,8 @@
 """Batch command-line front end.
 
 Subcommands: series (exact coefficients), ospt (positivity table),
-converge (main-term ratio tables), verify (pass/fail check suites).
+converge (main-term ratio tables), verify (the pass/fail report of one
+suite of `checks`).  This module only parses, dispatches and writes.
 Outputs are deterministic: identical arguments produce byte-identical
 files.  Exit codes: 0 success, 1 check failure, 2 usage error, 3 resource
 guard tripped.
@@ -18,7 +19,7 @@ from typing import Sequence
 
 import mpmath as mp
 
-from . import asympt, circle, combinat, genfunc, moments
+from . import asympt, checks, genfunc, moments
 from .errors import OversizeRequest
 from .series import overpartition_gf
 
@@ -264,213 +265,10 @@ def cmd_converge(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _check(name: str, passed: bool, detail: str = "") -> dict:
-    return {"name": name, "passed": bool(passed), "detail": detail}
-
-
-def _suite_oracle(budget: int, workers: int) -> list[dict]:
-    nmax = 25
-    checks = []
-    tables = {}
-    for kind in ("rank", "crank"):
-        table = combinat.build_table(kind, nmax, budget=budget)
-        tables[kind] = table
-        pbar = overpartition_gf(nmax)
-        sums_ok = all(table.column_sum(n) == pbar[n] for n in range(nmax + 1))
-        checks.append(_check(f"{kind}-column-sums", sums_ok))
-        checks.append(_check(f"{kind}-symmetry", table.is_symmetric()))
-    for kind in ("rank", "crank"):
-        build = (
-            genfunc.rank_binomial_series
-            if kind == "rank"
-            else genfunc.crank_binomial_series
-        )
-        ok = True
-        for r in range(1, 7):
-            ser = build(r, nmax)
-            for n in range(nmax + 1):
-                if ser[n] != moments.symmetrized_positive_moment(tables[kind], r, n):
-                    ok = False
-        checks.append(_check(f"{kind}-series-vs-enumeration", ok))
-    for kind in ("rank", "crank"):
-        zl = (
-            genfunc.rank_two_variable(nmax)
-            if kind == "rank"
-            else genfunc.crank_two_variable(nmax)
-        )
-        ok = all(zl.column(n) == tables[kind].column(n) for n in range(nmax + 1))
-        checks.append(_check(f"{kind}-two-variable-vs-enumeration", ok))
-    return checks
-
-
-def _binom_sum(table, r: int, shift: int, n: int) -> int:
-    from math import comb
-
-    return sum(
-        comb(m + shift, r) * v for m, v in table.column(n).items() if m >= 1
-    )
-
-
-def _suite_proposition(budget: int, workers: int) -> list[dict]:
-    nmax = 16
-    checks = []
-    tables = {
-        kind: combinat.build_table(kind, nmax, budget=budget)
-        for kind in ("rank", "crank")
-    }
-    ok = True
-    for r in range(0, 7):
-        for shift in range(-1, max(r, 1)):
-            if r == 0 and shift != -1:
-                continue
-            cs = genfunc.crank_binomial_series(r, nmax, shift=shift)
-            rs = genfunc.rank_binomial_series(r, nmax, shift=shift)
-            for n in range(nmax + 1):
-                if cs[n] != _binom_sum(tables["crank"], r, shift, n):
-                    ok = False
-                if rs[n] != _binom_sum(tables["rank"], r, shift, n):
-                    ok = False
-    checks.append(_check("generalized-shift-identity", ok))
-    sr3 = genfunc.rank_symmetrized_series(3, 7)
-    checks.append(
-        _check(
-            "sample-expansion-rank-r3",
-            list(sr3.coeffs[3:8]) == [2, 8, 24, 60, 134],
-            "coefficients q^3..q^7",
-        )
-    )
-    sc4 = genfunc.crank_binomial_series(4, 7, shift=2)
-    checks.append(
-        _check(
-            "sample-expansion-crank-r4-shift2",
-            list(sc4.coeffs[2:8]) == [1, 6, 22, 63, 159, 358],
-            "coefficients q^2..q^7",
-        )
-    )
-    pbar = overpartition_gf(30)
-    checks.append(
-        _check(
-            "crank-two-variable-z1",
-            genfunc.crank_two_variable(30).eval_z1() == pbar,
-        )
-    )
-    checks.append(
-        _check(
-            "rank-two-variable-z1",
-            genfunc.rank_two_variable(30).eval_z1() == pbar,
-        )
-    )
-    return checks
-
-
-def _suite_residual(budget: int, workers: int) -> list[dict]:
-    checks = []
-    for kind in ("crank", "rank"):
-        for r in range(3, 7):
-            fit = asympt.fit_subleading(kind, r)
-            res = [
-                float(asympt.expansion_residual(kind, r, N, prec=192))
-                for N in (100, 1000, 10000)
-            ]
-            checks.append(
-                _check(
-                    f"{kind}-r{r}-residual-bounded",
-                    max(res) < 1.0,
-                    f"selected {fit.selected_tag}, residuals {res}",
-                )
-            )
-    with mp.workprec(256):
-        ok = True
-        for r in range(1, 9):
-            cs = asympt.resolve_constants(r, 256)
-            lhs = mp.factorial(r) * cs.c_tilde
-            rhs = cs.gamma * mp.pi * mp.sqrt(2)
-            if abs(lhs - rhs) > mp.mpf(10) ** (-60):
-                ok = False
-        checks.append(_check("bessel-vs-moment-constant-identity", ok))
-    q20 = float(asympt.eta_quotient_check(mp.mpc(0, 0.05)))
-    q40 = float(asympt.eta_quotient_check(mp.mpc(0, 0.025)))
-    checks.append(
-        _check(
-            "automorphic-prefactor-closed-form",
-            q20 < 1e-10 and q40 < q20 / 100,
-            f"at i/20: {q20:.3e}, at i/40: {q40:.3e}",
-        )
-    )
-    return checks
-
-
-def _wright_job(job) -> tuple:
-    kind, r, N = job
-    series = (
-        genfunc.crank_binomial_series(r, N)
-        if kind == "crank"
-        else genfunc.rank_binomial_series(r, N)
-    )
-    exact = series[N]
-    approx = circle.cauchy_coefficient(kind, r, N, tol=1e-8)
-    rel = float(abs(approx - exact) / exact) if exact else float(abs(approx))
-    return (kind, r, N, rel)
-
-
-def _suite_wright(budget: int, workers: int) -> list[dict]:
-    jobs = sorted(
-        (kind, r, N)
-        for kind in ("crank", "rank")
-        for r in (1, 2, 3, 4)
-        for N in (7, 25, 60)
-    )
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_wright_job, jobs))
-    else:
-        results = [_wright_job(j) for j in jobs]
-    checks = []
-    worst = 0.0
-    ok = True
-    for kind, r, N, rel in results:
-        worst = max(worst, rel)
-        if rel > 1e-8:
-            ok = False
-    checks.append(
-        _check(
-            "cauchy-matches-exact",
-            ok,
-            f"{len(results)} coefficients, worst relative error {worst:.3e}",
-        )
-    )
-    fractions = [
-        float(circle.major_arc_coefficient("crank", 3, N, tol=1e-8))
-        / genfunc.crank_binomial_series(3, N)[N]
-        for N in (25, 49, 100)
-    ]
-    dist = [abs(f - 1) for f in fractions]
-    checks.append(
-        _check(
-            "major-arc-fraction-approaches-1",
-            all(b < a for a, b in zip(dist, dist[1:])),
-            f"fractions {fractions}",
-        )
-    )
-    path = [float(circle.bessel_pathway_check(3, N)) for N in (25, 100)]
-    checks.append(
-        _check("bessel-pathway-bounded", max(path) < 1.0, f"ratios {path}")
-    )
-    return checks
-
-
-_SUITES = {
-    "oracle": _suite_oracle,
-    "proposition": _suite_proposition,
-    "residual": _suite_residual,
-    "wright": _suite_wright,
-}
-
-
 def cmd_verify(args) -> int:
-    checks = _SUITES[args.suite](args.budget, args.workers)
-    passed = all(c["passed"] for c in checks)
-    report = {"suite": args.suite, "passed": passed, "checks": checks}
+    results = checks.SUITES[args.suite](args.budget, args.workers)
+    passed = all(c["passed"] for c in results)
+    report = {"suite": args.suite, "passed": passed, "checks": results}
     fp, close = _open_out(args.out)
     try:
         json.dump(report, fp, sort_keys=True, indent=2)
@@ -523,9 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_converge)
 
     p = sub.add_parser("verify", help="run a named check suite")
-    p.add_argument("--suite", choices=sorted(_SUITES), required=True)
+    p.add_argument("--suite", choices=sorted(checks.SUITES), required=True)
     p.add_argument("--workers", type=_parse_workers, default=1)
-    p.add_argument("--budget", type=int, default=10_000_000)
+    p.add_argument("--budget", type=int, default=checks.BUDGET)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
 

@@ -5,10 +5,6 @@ class OvermomentsError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NonUnitConstantTerm(OvermomentsError):
-    """Series inversion requires constant coefficient +1 or -1."""
-
-
 class OversizeRequest(OvermomentsError):
     """A resource guard tripped (enumeration budget, quadrature size cap)."""
 

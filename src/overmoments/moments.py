@@ -44,9 +44,9 @@ __all__ = [
 Kind = Literal["rank", "crank"]
 
 
-def _check_args(table: StatTable, r: int, N: int) -> None:
-    if r < 1:
-        raise OutOfRange(f"moment order r={r} must be >= 1")
+def _check_args(table: StatTable, r: int, N: int, least: int = 1) -> None:
+    if r < least:
+        raise OutOfRange(f"moment order r={r} must be >= {least}")
     if not 0 <= N <= table.nmax:
         raise OutOfRange(f"N={N} outside table range 0..{table.nmax}")
 
@@ -60,8 +60,9 @@ def positive_moment(table: StatTable, r: int, N: int) -> int:
 def symmetrized_positive_moment(
     table: StatTable, r: int, N: int, shift: int | None = None
 ) -> int:
-    """sum_{m>=1} binom(m+shift, r) T(m, N); shift defaults to floor((r-1)/2)."""
-    _check_args(table, r, N)
+    """sum_{m>=1} binom(m+shift, r) T(m, N) for r >= 0; shift defaults to
+    floor((r-1)/2), which is -1 at r = 0."""
+    _check_args(table, r, N, least=0)
     if shift is None:
         shift = genfunc.standard_shift(r)
     return sum(

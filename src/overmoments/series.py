@@ -13,18 +13,11 @@ native big ints instead of an O(n^2) Python loop.
 
 from __future__ import annotations
 
-from math import comb
 from typing import Iterable, Sequence
 
-from .errors import NonUnitConstantTerm, OversizeRequest
+from .errors import OversizeRequest
 
-__all__ = [
-    "PowerSeries",
-    "pochhammer_q",
-    "overpartition_gf",
-    "euler_product",
-    "lambert_term",
-]
+__all__ = ["PowerSeries", "overpartition_gf", "euler_product"]
 
 # pbar(n) has about pi sqrt(n) / ln 2 bits, so the table alone holds about
 # 2 pi trunc^{3/2} / (3 ln 2) bits: 34 MB at the cap, 12 GB at trunc = 10^7
@@ -67,21 +60,6 @@ def _kron_mul(a: Sequence[int], b: Sequence[int], trunc: int) -> list[int]:
         int.from_bytes(data[i * wbytes : (i + 1) * wbytes], "little") - half
         for i in range(slots)
     ]
-
-
-def _invert_list(a: Sequence[int], trunc: int) -> list[int]:
-    """Newton iteration for 1/a mod q^{trunc+1}; requires a[0] in {1, -1}."""
-    inv = [a[0]]
-    known = 0  # exact through q^known
-    while known < trunc:
-        known = min(2 * known + 1, trunc)
-        head = list(a[: known + 1])
-        t = _kron_mul(inv, head, known)
-        t[0] = 2 - t[0]
-        for i in range(1, known + 1):
-            t[i] = -t[i]
-        inv = _kron_mul(inv, t, known)
-    return inv
 
 
 class PowerSeries:
@@ -146,14 +124,6 @@ class PowerSeries:
     def scale(self, k: int) -> "PowerSeries":
         return PowerSeries([k * c for c in self._coeffs])
 
-    def invert(self) -> "PowerSeries":
-        """Multiplicative inverse up to trunc; integral since |a_0| = 1."""
-        if self._coeffs[0] not in (1, -1):
-            raise NonUnitConstantTerm(
-                f"constant term {self._coeffs[0]} is not a unit"
-            )
-        return PowerSeries(_invert_list(self._coeffs, self.trunc))
-
     # -- convenience -------------------------------------------------------
 
     @staticmethod
@@ -163,26 +133,6 @@ class PowerSeries:
     @staticmethod
     def zero(trunc: int) -> "PowerSeries":
         return PowerSeries([0], trunc)
-
-
-def pochhammer_q(sign: int, trunc: int) -> PowerSeries:
-    """Infinite q-Pochhammer product, truncated.
-
-    sign=-1 gives prod_{k>=1} (1 - q^k), sign=+1 gives prod_{k>=1} (1 + q^k).
-    Factors with k > trunc cannot touch coefficients <= trunc, so the product
-    stops there.
-    """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if trunc < 0:
-        raise ValueError("trunc must be >= 0")
-    c = [0] * (trunc + 1)
-    c[0] = 1
-    for k in range(1, trunc + 1):
-        # multiply in place by (1 + sign*q^k); descending i keeps old values
-        for i in range(trunc, k - 1, -1):
-            c[i] += sign * c[i - k]
-    return PowerSeries(c)
 
 
 def euler_product(trunc: int, step: int = 1) -> PowerSeries:
@@ -232,49 +182,3 @@ def overpartition_gf(trunc: int) -> PowerSeries:
             k += 1
         c[n] = 2 * acc
     return PowerSeries(c)
-
-
-def lambert_term(
-    n: int,
-    r: int,
-    exponent: int,
-    trunc: int,
-    alternating_factor: bool = False,
-) -> PowerSeries:
-    """One term of a Lambert-type sum: q^exponent / (1 - q^n)^r.
-
-    With alternating_factor=True an extra 1/(1 + q^n) is folded in; its
-    coefficients follow the prefix recurrence d_k = binom(k+r-1, r-1) - d_{k-1}.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    if exponent < 0:
-        raise ValueError("exponent must be >= 0")
-    c = [0] * (trunc + 1)
-    k = 0
-    prev = 0
-    while exponent + k * n <= trunc:
-        if r == 0:
-            base = 1 if k == 0 else 0
-        else:
-            base = comb(k + r - 1, r - 1)
-        val = base - prev if alternating_factor else base
-        c[exponent + k * n] = val
-        if alternating_factor:
-            prev = val
-        k += 1
-    return PowerSeries(c)
-
-
-def pentagonal_support(limit: int) -> set[int]:
-    """Generalized pentagonal numbers k(3k-1)/2, |k| >= 0, up to limit."""
-    out = {0}
-    k = 1
-    while k * (3 * k - 1) // 2 <= limit:
-        out.add(k * (3 * k - 1) // 2)
-        if k * (3 * k + 1) // 2 <= limit:
-            out.add(k * (3 * k + 1) // 2)
-        k += 1
-    return out

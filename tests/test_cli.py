@@ -3,6 +3,9 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +13,14 @@ from overmoments.cli import main
 
 
 CPUS = os.cpu_count() or 1
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# SHA-256 of `verify --suite S` reports with default flags, recorded while
+# the suites still lived in the cli module
+VERIFY_DIGESTS = {
+    "proposition": "c3d8a0db18082dcb03aa841da3581c9b68c7f30938124cc803b730b900e09c94",
+    "oracle": "1ea0c023384348200c9ea3222f82de96e06a06c867f5b74588fbc27bdb8ac614",
+}
 
 
 def run(args):
@@ -188,11 +199,29 @@ def test_workers_do_not_change_output(tmp_path):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
+@pytest.mark.parametrize("suite", sorted(VERIFY_DIGESTS))
+def test_verify_report_is_byte_identical(suite, tmp_path):
+    out = tmp_path / f"{suite}.json"
+    assert run(["verify", "--suite", suite, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_DIGESTS[suite]
+
+
+def test_module_entry_point_under_optimize(tmp_path):
+    # python -O strips asserts: the checks must hold without them
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "overmoments", "verify", "--suite", "proposition"],
+        cwd=tmp_path, env=env, capture_output=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert hashlib.sha256(proc.stdout).hexdigest() == VERIFY_DIGESTS["proposition"]
+
+
 def test_failed_check_exits_1(tmp_path, monkeypatch):
-    from overmoments import cli
+    from overmoments import checks
 
     monkeypatch.setitem(
-        cli._SUITES, "oracle", lambda budget, workers: [cli._check("forced", False)]
+        checks.SUITES, "oracle", lambda budget, workers: [checks.check("forced", False)]
     )
     out = tmp_path / "fail.json"
     assert run(["verify", "--suite", "oracle", "--out", str(out)]) == 1

@@ -1,22 +1,14 @@
-"""Generating-function engine against the enumeration oracle."""
+"""Generating-function engine: shifts, sample expansions, Lambert sums and
+the two-variable series.  The comparisons against enumeration are the
+oracle and proposition suites of `overmoments.checks`, run by the
+acceptance tests A1 and A2."""
 
 from fractions import Fraction
-from math import comb
 
 import pytest
 
+from oracles import lambert_term
 from overmoments import genfunc
-from overmoments.combinat import build_table
-from overmoments.series import overpartition_gf
-
-NMAX = 12
-TABLES = {kind: build_table(kind, NMAX) for kind in ("rank", "crank")}
-
-
-def binom_sum(kind, r, shift, n):
-    return sum(
-        comb(m + shift, r) * v for m, v in TABLES[kind].column(n).items() if m >= 1
-    )
 
 
 def test_rho_values():
@@ -46,28 +38,6 @@ def test_quoted_sample_expansions():
     assert list(sc4.coeffs[3:]) == [1, 6, 22, 64, 160]
 
 
-def test_standard_series_match_oracle():
-    for r in range(1, 7):
-        cs = genfunc.crank_symmetrized_series(r, NMAX)
-        rs = genfunc.rank_symmetrized_series(r, NMAX)
-        s = genfunc.standard_shift(r)
-        for n in range(NMAX + 1):
-            assert cs[n] == binom_sum("crank", r, s, n)
-            assert rs[n] == binom_sum("rank", r, s, n)
-
-
-def test_generalized_shifts_match_oracle():
-    for r in range(0, 6):
-        for shift in range(-1, max(r, 1)):
-            if r == 0 and shift != -1:
-                continue
-            cs = genfunc.crank_binomial_series(r, 10, shift=shift)
-            rs = genfunc.rank_binomial_series(r, 10, shift=shift)
-            for n in range(11):
-                assert cs[n] == binom_sum("crank", r, shift, n)
-                assert rs[n] == binom_sum("rank", r, shift, n)
-
-
 def test_shift_domain_is_validated():
     with pytest.raises(ValueError):
         genfunc.crank_binomial_series(3, 5, shift=3)
@@ -91,23 +61,7 @@ def test_two_variable_z_symmetry_and_degree():
             assert zl.max_z_degree(n) <= n
 
 
-def test_two_variable_z1_is_overpartition_gf():
-    gf = overpartition_gf(30)
-    assert genfunc.crank_two_variable(30).eval_z1() == gf
-    assert genfunc.rank_two_variable(30).eval_z1() == gf
-
-
-def test_two_variable_columns_match_oracle():
-    crank = genfunc.crank_two_variable(NMAX)
-    rankzl = genfunc.rank_two_variable(NMAX)
-    for n in range(NMAX + 1):
-        assert crank.column(n) == TABLES["crank"].column(n)
-        assert rankzl.column(n) == TABLES["rank"].column(n)
-
-
 def test_lambert_sums_compose_from_single_terms():
-    from overmoments.series import lambert_term
-
     # crank inner sum for r=1: q/(1-q) - q^3/(1-q^2) + q^6/(1-q^3) - ...
     expected = (
         lambert_term(1, 1, 1, 8)

@@ -100,11 +100,17 @@ def test_power_moment_from_symmetrized_via_basis_change():
 
 def test_series_backed_values_match_tables():
     for kind, table in (("crank", CRANK), ("rank", RANK)):
-        for r in range(1, 7):
+        for r in range(0, 7):
             sym = moments.symmetrized_moment_values(kind, r, NMAX)
-            pow_ = moments.positive_moment_values(kind, r, NMAX)
             for n in range(NMAX + 1):
                 assert sym[n] == moments.symmetrized_positive_moment(table, r, n)
+            if r == 0:
+                # the shift -1 series counts positive values; no power moment
+                with pytest.raises(OutOfRange):
+                    moments.positive_moment(table, 0, NMAX)
+                continue
+            pow_ = moments.positive_moment_values(kind, r, NMAX)
+            for n in range(NMAX + 1):
                 assert pow_[n] == moments.positive_moment(table, r, n)
 
 
