@@ -8,11 +8,11 @@ coefficient for coefficient.
 
 from overmoments import (
     build_table,
-    crank_symmetrized_series,
+    crank_binomial_series,
     enumerate_overpartitions,
     overpartition_gf,
     rank,
-    rank_symmetrized_series,
+    rank_binomial_series,
     residual_crank_weights,
 )
 
@@ -35,13 +35,11 @@ print("crank column at n=1:", crank_table.column(1), " (the weighted value at 1)
 
 # --- moment generating series ----------------------------------------------
 
-print("\nsymmetrized rank series, order 3:", rank_symmetrized_series(3, 10).coeffs)
-print("symmetrized crank series, order 3:", crank_symmetrized_series(3, 10).coeffs)
+print("\nsymmetrized rank series, order 3:", rank_binomial_series(3, 10).coeffs)
+print("symmetrized crank series, order 3:", crank_binomial_series(3, 10).coeffs)
 
 # the two quoted sample expansions and their resolved identities
-from overmoments import crank_binomial_series
-
 print("\nquoted expansion 2q^3+8q^4+...  = rank series r=3:",
-      rank_symmetrized_series(3, 7).coeffs[3:])
+      rank_binomial_series(3, 7).coeffs[3:])
 print("quoted expansion q^2+6q^3+...   = crank series r=4 with shift 2:",
       crank_binomial_series(4, 7, shift=2).coeffs[2:])

@@ -27,10 +27,8 @@ from .errors import (
 from .genfunc import (
     ZLaurentSeries,
     crank_binomial_series,
-    crank_symmetrized_series,
     crank_two_variable,
     rank_binomial_series,
-    rank_symmetrized_series,
     rank_two_variable,
 )
 from .moments import (
@@ -58,10 +56,8 @@ __all__ = [
     "overpartition_gf",
     "ZLaurentSeries",
     "crank_binomial_series",
-    "crank_symmetrized_series",
     "crank_two_variable",
     "rank_binomial_series",
-    "rank_symmetrized_series",
     "rank_two_variable",
     "BasisChange",
     "basis_change",

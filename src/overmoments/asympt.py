@@ -70,13 +70,17 @@ DEFAULT_FIT_GRID = (100, 1000, 10000, 100000)
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=128)
 def dirichlet_eta(s, prec: int = 256) -> mp.mpf:
     """eta(s) = sum_{n>=1} (-1)^{n+1} n^{-s} by Cohen-Rodriguez Villegas-Zagier
     acceleration of the alternating series.
 
     The acceleration treats the divergent cases (s <= 0) correctly, agreeing
     with the entire continuation (eta(0) = 1/2, eta(-1) = 1/4), and hits the
-    alternating harmonic limit ln 2 at s = 1 with no special-casing.
+    alternating harmonic limit ln 2 at s = 1 with no special-casing.  Cached
+    on (s, prec): the result is an immutable mpf that depends on nothing
+    else, and the constant fits ask for a few dozen distinct values
+    thousands of times.
     """
     with mp.workprec(prec + GUARD_BITS):
         sv = mp.mpf(s) if not isinstance(s, mp.mpf) else s

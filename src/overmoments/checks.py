@@ -85,7 +85,7 @@ def proposition(budget: int, workers: int) -> list[dict]:
                 if rs[n] != moments.symmetrized_positive_moment(tables["rank"], r, n, shift):
                     ok = False
     checks.append(check("generalized-shift-identity", ok))
-    sr3 = genfunc.rank_symmetrized_series(3, 7)
+    sr3 = genfunc.rank_binomial_series(3, 7)
     checks.append(
         check(
             "sample-expansion-rank-r3",

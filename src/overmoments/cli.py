@@ -21,7 +21,7 @@ import mpmath as mp
 
 from . import asympt, checks, genfunc, moments
 from .errors import OversizeRequest
-from .series import overpartition_gf
+from .series import check_trunc
 
 PREC_MIN, PREC_MAX = 64, 4096
 
@@ -126,11 +126,11 @@ def cmd_series(args) -> int:
 
 def cmd_ospt(args) -> int:
     nmax = max(args.N)
-    pref = overpartition_gf(nmax)
+    check_trunc(nmax)
     indices = list(args.N)  # after the size guard; every order's rows share its ints
     rows = []
     for r in args.r:
-        vals = moments.ospt_values(r, nmax, prefactor=pref)
+        vals = moments.ospt_values(r, nmax)
         for N in indices:
             v = vals[N]
             if N == 0:
@@ -195,13 +195,12 @@ def _convergence_rows(
     flavor: str, kind: str, r: int, grid: list[int], prec: int, workers: int = 1
 ):
     nmax = max(grid)
-    pref = overpartition_gf(nmax)
     if flavor == "moment":
-        exact_vals = moments.positive_moment_values(kind, r, nmax, prefactor=pref)
+        exact_vals = moments.positive_moment_values(kind, r, nmax)
     elif flavor == "difference":
-        exact_vals = moments.ospt_values(r, nmax, prefactor=pref)
+        exact_vals = moments.ospt_values(r, nmax)
     else:
-        exact_vals = moments.symmetrized_moment_values(kind, r, nmax, prefactor=pref)
+        exact_vals = moments.symmetrized_moment_values(kind, r, nmax)
     jobs = []
     for N in grid:
         exact = exact_vals[N]

@@ -10,7 +10,8 @@ The standard symmetrized series use s = floor((r-1)/2); with that shift the
 crank exponent is n^2/2 + (r/2 + rho_C) n and the rank exponent is
 n^2 + (r/2 + rho_R) n, where rho_C(r) = 0 (r odd) or 1/2, and
 rho_R(r) = 1/2 (r odd) or 1.  Both exponents are checked against these
-forms at construction.
+forms at construction.  The prefactor (-q)oo/(q)oo is 1/theta_4(q), so each
+series is its Lambert sum divided by theta_4 (`series.divide_by_theta4`).
 
 Every identity here is cross-checked against enumeration in the test suite;
 the shift parameter exists because two widely quoted sample expansions
@@ -35,7 +36,7 @@ import hashlib
 from fractions import Fraction
 
 from .errors import OutOfRange
-from .series import PowerSeries, euler_product, overpartition_gf
+from .series import PowerSeries, check_trunc, divide_by_theta4, euler_product
 
 __all__ = [
     "rho_crank",
@@ -45,8 +46,6 @@ __all__ = [
     "rank_lambert_sum",
     "crank_binomial_series",
     "rank_binomial_series",
-    "crank_symmetrized_series",
-    "rank_symmetrized_series",
     "ZLaurentSeries",
     "crank_two_variable",
     "rank_two_variable",
@@ -78,6 +77,7 @@ def _check_order_shift(r: int, shift: int) -> None:
 
 def crank_lambert_sum(r: int, trunc: int, shift: int | None = None) -> PowerSeries:
     """Inner sum of the crank series (no overpartition prefactor)."""
+    check_trunc(trunc)
     if shift is None:
         shift = standard_shift(r)
     _check_order_shift(r, shift)
@@ -108,6 +108,7 @@ def crank_lambert_sum(r: int, trunc: int, shift: int | None = None) -> PowerSeri
 
 def rank_lambert_sum(r: int, trunc: int, shift: int | None = None) -> PowerSeries:
     """Inner sum of the rank series, including the factor 2."""
+    check_trunc(trunc)
     if shift is None:
         shift = standard_shift(r)
     _check_order_shift(r, shift)
@@ -136,38 +137,16 @@ def rank_lambert_sum(r: int, trunc: int, shift: int | None = None) -> PowerSerie
     return PowerSeries(c)
 
 
-def crank_binomial_series(
-    r: int, trunc: int, shift: int | None = None, prefactor: PowerSeries | None = None
-) -> PowerSeries:
+def crank_binomial_series(r: int, trunc: int, shift: int | None = None) -> PowerSeries:
     """Series whose q^n coefficient is sum_{m>=1} binom(m+shift, r) M(m, n),
     M counting overpartitions of n by residual crank."""
-    if prefactor is None:
-        prefactor = overpartition_gf(trunc)
-    return prefactor * crank_lambert_sum(r, trunc, shift)
+    return PowerSeries(divide_by_theta4(crank_lambert_sum(r, trunc, shift).coeffs, trunc))
 
 
-def rank_binomial_series(
-    r: int, trunc: int, shift: int | None = None, prefactor: PowerSeries | None = None
-) -> PowerSeries:
+def rank_binomial_series(r: int, trunc: int, shift: int | None = None) -> PowerSeries:
     """Series whose q^n coefficient is sum_{m>=1} binom(m+shift, r) N(m, n),
     N counting overpartitions of n by rank."""
-    if prefactor is None:
-        prefactor = overpartition_gf(trunc)
-    return prefactor * rank_lambert_sum(r, trunc, shift)
-
-
-def crank_symmetrized_series(r: int, trunc: int) -> PowerSeries:
-    """Positive symmetrized crank moment series (standard shift)."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    return crank_binomial_series(r, trunc)
-
-
-def rank_symmetrized_series(r: int, trunc: int) -> PowerSeries:
-    """Positive symmetrized rank moment series (standard shift)."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    return rank_binomial_series(r, trunc)
+    return PowerSeries(divide_by_theta4(rank_lambert_sum(r, trunc, shift).coeffs, trunc))
 
 
 class ZLaurentSeries:

@@ -11,11 +11,12 @@ B_l have degree l and leading coefficient 1/l!, so the system is triangular
 and the a_l unique).  Small-N values are checked against enumeration;
 large-N values come from the generating series exclusively.
 
-Every symmetrized series is the prefactor (-q)oo/(q)oo times a Lambert sum,
-so the power moments are computed fused: with D the least common
-denominator of the a_l, the integer weights D r! and D a_l combine the
-Lambert sums (crank minus rank for ospt) as plain integers, one multiply by
-the prefactor follows, and every coefficient is divided exactly by D.
+Every symmetrized series is a Lambert sum divided by theta_4(q), the
+reciprocal of the prefactor (-q)oo/(q)oo, so the power moments are
+computed fused: with D the least common denominator of the a_l, the
+integer weights D r! and D a_l combine the Lambert sums (crank minus rank
+for ospt) as plain integers, every coefficient is divided exactly by D,
+and one division by theta_4 follows.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Literal
 from . import genfunc
 from .combinat import StatTable
 from .errors import OutOfRange
-from .series import PowerSeries, overpartition_gf
+from .series import check_trunc, divide_by_theta4
 
 __all__ = [
     "positive_moment",
@@ -139,33 +140,28 @@ def ospt(r: int, N: int, crank_table: StatTable, rank_table: StatTable) -> int:
 # ---------------------------------------------------------------------------
 
 
-def symmetrized_moment_values(
-    kind: Kind, r: int, trunc: int, prefactor: PowerSeries | None = None
-) -> list[int]:
+def symmetrized_moment_values(kind: Kind, r: int, trunc: int) -> list[int]:
     """Symmetrized positive moments for all N <= trunc, from the q-series."""
-    if prefactor is None:
-        prefactor = overpartition_gf(trunc)
     if kind == "crank":
-        return list(genfunc.crank_binomial_series(r, trunc, prefactor=prefactor).coeffs)
+        return list(genfunc.crank_binomial_series(r, trunc).coeffs)
     if kind == "rank":
-        return list(genfunc.rank_binomial_series(r, trunc, prefactor=prefactor).coeffs)
+        return list(genfunc.rank_binomial_series(r, trunc).coeffs)
     raise ValueError("kind must be 'rank' or 'crank'")
 
 
-def _fused_values(
-    r: int, trunc: int, prefactor: PowerSeries | None, lamberts: dict
-) -> list[int]:
-    """Coefficients of prefactor * sum_l a_l sum_f sign_f f(l), with a_r = r!.
+def _fused_values(r: int, trunc: int, lamberts: dict) -> list[int]:
+    """Coefficients of sum_l a_l sum_f sign_f f(l) / theta_4, with a_r = r!.
 
     `lamberts` maps each Lambert-sum function f to its sign.  The weights a_l
     are scaled by their common denominator D, the Lambert sums are combined
-    as integers, and the single product is divided back by D; a nonzero
+    as integers and divided back by D, and the quotient is divided by
+    theta_4.  theta_4 is a unit with an integral inverse, so D divides the
+    combination exactly when it divides the final series; a nonzero
     remainder means the basis change is wrong and raises.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    if prefactor is None:
-        prefactor = overpartition_gf(trunc)
+    check_trunc(trunc)
     weights = (*basis_change(r).a, Fraction(factorial(r)))
     D = lcm(*(w.denominator for w in weights))
     total = [0] * (trunc + 1)
@@ -176,28 +172,24 @@ def _fused_values(
             weight = sign * int(w * D)
             for n, c in enumerate(lambert(l, trunc).coeffs):
                 total[n] += weight * c
-    values = []
-    for n, c in enumerate((prefactor * PowerSeries(total)).coeffs):
-        value, rest = divmod(c, D)
+    for n, c in enumerate(total):
+        total[n], rest = divmod(c, D)
         if rest:
             raise ArithmeticError(f"coefficient of q^{n} is not divisible by {D}")
-        values.append(value)
-    return values
+    return divide_by_theta4(total, trunc)
 
 
-def positive_moment_values(
-    kind: Kind, r: int, trunc: int, prefactor: PowerSeries | None = None
-) -> list[int]:
+def positive_moment_values(kind: Kind, r: int, trunc: int) -> list[int]:
     """Positive power moments for all N <= trunc via the fused basis change."""
     if kind == "crank":
-        return _fused_values(r, trunc, prefactor, {genfunc.crank_lambert_sum: 1})
+        return _fused_values(r, trunc, {genfunc.crank_lambert_sum: 1})
     if kind == "rank":
-        return _fused_values(r, trunc, prefactor, {genfunc.rank_lambert_sum: 1})
+        return _fused_values(r, trunc, {genfunc.rank_lambert_sum: 1})
     raise ValueError("kind must be 'rank' or 'crank'")
 
 
-def ospt_values(r: int, trunc: int, prefactor: PowerSeries | None = None) -> list[int]:
+def ospt_values(r: int, trunc: int) -> list[int]:
     """ospt_r(N) = crank minus rank positive moment, for all N <= trunc."""
     return _fused_values(
-        r, trunc, prefactor, {genfunc.crank_lambert_sum: 1, genfunc.rank_lambert_sum: -1}
+        r, trunc, {genfunc.crank_lambert_sum: 1, genfunc.rank_lambert_sum: -1}
     )

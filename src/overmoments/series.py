@@ -1,65 +1,29 @@
 """Dense truncated power series in q with exact integer coefficients.
 
-A series is exact through q^trunc and carries nothing beyond: every
-arithmetic operation truncates eagerly to the shorter operand, so a
+A series is exact through q^trunc and carries nothing beyond, so a
 coefficient you can read is always the true coefficient.  Coefficients are
 Python ints, hence arbitrary precision from the start (overpartition counts
 pass 2^63 near n = 160).
 
-Multiplication packs signed coefficients into a single big integer
-(Kronecker substitution), so each product is one multiply on CPython's
-native big ints instead of an O(n^2) Python loop.
+Every exact moment series is a Lambert sum times the overpartition
+prefactor (-q)oo/(q)oo, which equals 1/theta_4(q).  theta_4 has only
+sqrt(trunc) nonzero coefficients, so the prefactor is applied by dividing
+by theta_4 (`divide_by_theta4`, a sparse recurrence) and no dense product
+is ever formed.
 """
 
 from __future__ import annotations
 
+from math import isqrt
 from typing import Iterable, Sequence
 
 from .errors import OversizeRequest
 
-__all__ = ["PowerSeries", "overpartition_gf", "euler_product"]
+__all__ = ["PowerSeries", "check_trunc", "divide_by_theta4", "overpartition_gf", "euler_product"]
 
 # pbar(n) has about pi sqrt(n) / ln 2 bits, so the table alone holds about
 # 2 pi trunc^{3/2} / (3 ln 2) bits: 34 MB at the cap, 12 GB at trunc = 10^7
 EXACT_TRUNC_CAP = 200_000
-
-
-def _kron_mul(a: Sequence[int], b: Sequence[int], trunc: int) -> list[int]:
-    """Product of integer coefficient lists, truncated at `trunc`.
-
-    One signed big-int multiply (Kronecker substitution): each operand packs
-    as sum_i a_i 2^(w i) with signed a_i, so the product packs the signed
-    convolution coefficients c_k.  The slot width w is sized so that
-    |c_k| < 2^(w-1); adding 2^(w-1) to every slot of the low trunc+1 slots
-    makes each one a digit in [0, 2^w) with no borrow between neighbours,
-    and unpacking subtracts that bias again.
-    """
-    a = a[: trunc + 1]
-    b = b[: trunc + 1]
-    maxa = max(map(abs, a), default=0)
-    maxb = max(map(abs, b), default=0)
-    slots = trunc + 1
-    if maxa == 0 or maxb == 0:
-        return [0] * slots
-    # one spare bit for the sign, rounded up to whole bytes
-    wbytes = (maxa * maxb * min(len(a), len(b))).bit_length() // 8 + 1
-    half = 1 << (8 * wbytes - 1)
-    half_slot = half.to_bytes(wbytes, "little")
-
-    def bias(n: int) -> int:
-        return int.from_bytes(half_slot * n, "little")
-
-    def pack(coeffs: Sequence[int]) -> int:
-        # |c| <= max(maxa, maxb) < half, so every biased slot is a digit
-        data = b"".join((c + half).to_bytes(wbytes, "little") for c in coeffs)
-        return int.from_bytes(data, "little") - bias(len(coeffs))
-
-    biased = (pack(a) * pack(b) + bias(slots)) & ((1 << (8 * wbytes * slots)) - 1)
-    data = biased.to_bytes(wbytes * slots, "little")
-    return [
-        int.from_bytes(data[i * wbytes : (i + 1) * wbytes], "little") - half
-        for i in range(slots)
-    ]
 
 
 class PowerSeries:
@@ -67,15 +31,10 @@ class PowerSeries:
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Iterable[int], trunc: int | None = None):
-        c = list(coeffs)
-        if trunc is not None:
-            if trunc < 0:
-                raise ValueError("trunc must be >= 0")
-            c = c[: trunc + 1] + [0] * (trunc + 1 - len(c))
-        elif not c:
-            raise ValueError("empty coefficient list needs an explicit trunc")
-        self._coeffs = tuple(c)
+    def __init__(self, coeffs: Iterable[int]):
+        self._coeffs = tuple(coeffs)
+        if not self._coeffs:
+            raise ValueError("a series needs at least its constant coefficient")
 
     # -- basic protocol ---------------------------------------------------
 
@@ -104,36 +63,6 @@ class PowerSeries:
         tail = ", ..." if len(self._coeffs) > 8 else ""
         return f"PowerSeries([{head}{tail}], trunc={self.trunc})"
 
-    # -- ring operations (result trunc = min of operand truncs) -----------
-
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        t = min(self.trunc, other.trunc)
-        return PowerSeries([self[i] + other[i] for i in range(t + 1)])
-
-    def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        t = min(self.trunc, other.trunc)
-        return PowerSeries([self[i] - other[i] for i in range(t + 1)])
-
-    def __neg__(self) -> "PowerSeries":
-        return PowerSeries([-c for c in self._coeffs])
-
-    def __mul__(self, other: "PowerSeries") -> "PowerSeries":
-        t = min(self.trunc, other.trunc)
-        return PowerSeries(_kron_mul(self._coeffs, other._coeffs, t))
-
-    def scale(self, k: int) -> "PowerSeries":
-        return PowerSeries([k * c for c in self._coeffs])
-
-    # -- convenience -------------------------------------------------------
-
-    @staticmethod
-    def one(trunc: int) -> "PowerSeries":
-        return PowerSeries([1], trunc)
-
-    @staticmethod
-    def zero(trunc: int) -> "PowerSeries":
-        return PowerSeries([0], trunc)
-
 
 def euler_product(trunc: int, step: int = 1) -> PowerSeries:
     """(q^step; q^step)_infinity via the pentagonal number theorem.
@@ -156,29 +85,44 @@ def euler_product(trunc: int, step: int = 1) -> PowerSeries:
     return PowerSeries(c)
 
 
-def overpartition_gf(trunc: int) -> PowerSeries:
-    """Overpartition counting series (-q)_inf / (q)_inf = sum pbar(n) q^n.
-
-    Built from the sparse theta relation pbar * (1 + 2 sum_k (-1)^k q^{k^2}) = 1,
-    i.e. pbar(n) = 2 sum_{k>=1} (-1)^{k+1} pbar(n - k^2), which costs
-    O(trunc^{3/2}) big-int additions instead of a full series inversion.
-    Every exact moment path starts here, so a trunc above EXACT_TRUNC_CAP
-    raises OversizeRequest before anything is allocated.
-    """
+def check_trunc(trunc: int) -> None:
+    """Refuse a truncation before anything is allocated: ValueError below 0,
+    OversizeRequest above EXACT_TRUNC_CAP.  Every exact entry point calls it
+    first."""
     if trunc < 0:
         raise ValueError("trunc must be >= 0")
     if trunc > EXACT_TRUNC_CAP:
         raise OversizeRequest(f"exact series capped at trunc={EXACT_TRUNC_CAP}, got {trunc}")
-    c = [0] * (trunc + 1)
-    c[0] = 1
-    for n in range(1, trunc + 1):
-        acc = 0
-        k = 1
-        while k * k <= n:
-            if k % 2:
-                acc += c[n - k * k]
-            else:
-                acc -= c[n - k * k]
-            k += 1
-        c[n] = 2 * acc
-    return PowerSeries(c)
+
+
+def divide_by_theta4(coeffs: Sequence[int], trunc: int) -> list[int]:
+    """Coefficients of c(q) / theta_4(q) through q^trunc, for integer c.
+
+    theta_4 = 1 + 2 sum_{k>=1} (-1)^k q^{k^2} has constant term 1, so the
+    quotient y is integral and follows the sparse recurrence
+    y[n] = c[n] + 2 (sum_{k odd} y[n - k^2] - sum_{k even} y[n - k^2]):
+    O(trunc^{3/2}) big-int additions.  Between consecutive squares the set
+    of k with k^2 <= n is fixed, so the odd and even square lists are cut
+    once per block instead of tested per step.
+    """
+    check_trunc(trunc)
+    y = list(coeffs[: trunc + 1]) + [0] * (trunc + 1 - len(coeffs))
+    root = isqrt(trunc)
+    odd = [k * k for k in range(1, root + 1, 2)]
+    even = [k * k for k in range(2, root + 1, 2)]
+    for k in range(1, root + 1):
+        odd_k, even_k = odd[: (k + 1) // 2], even[: k // 2]
+        for n in range(k * k, min((k + 1) ** 2, trunc + 1)):
+            acc = 0
+            for s in odd_k:
+                acc += y[n - s]
+            for s in even_k:
+                acc -= y[n - s]
+            y[n] += 2 * acc
+    return y
+
+
+def overpartition_gf(trunc: int) -> PowerSeries:
+    """Overpartition counting series (-q)_inf / (q)_inf = 1 / theta_4(q)
+    = sum pbar(n) q^n, so pbar(n) = 2 sum_{k>=1} (-1)^{k+1} pbar(n - k^2)."""
+    return PowerSeries(divide_by_theta4([1], trunc))

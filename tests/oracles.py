@@ -1,45 +1,105 @@
 """Test-only oracles: independent constructions the production code is
-checked against, kept out of the package because nothing in it calls them."""
+checked against, kept out of the package because nothing in it calls them.
+Series here are plain lists of integer coefficients."""
 
-from math import comb
+from math import comb, isqrt
+from typing import Sequence
 
 import mpmath as mp
 
 from overmoments.asympt import GUARD_BITS
-from overmoments.series import PowerSeries, _kron_mul
 
 
-def invert(a: PowerSeries) -> PowerSeries:
-    """Multiplicative inverse through q^trunc by Newton iteration; integral
-    since the constant term must be +1 or -1 (ValueError otherwise)."""
+def _kron_mul(a: Sequence[int], b: Sequence[int], trunc: int) -> list[int]:
+    """Product of integer coefficient lists, truncated at `trunc`.
+
+    One signed big-int multiply (Kronecker substitution): each operand packs
+    as sum_i a_i 2^(w i) with signed a_i, so the product packs the signed
+    convolution coefficients c_k.  The slot width w is sized so that
+    |c_k| < 2^(w-1); adding 2^(w-1) to every slot of the low trunc+1 slots
+    makes each one a digit in [0, 2^w) with no borrow between neighbours,
+    and unpacking subtracts that bias again.
+    """
+    a = a[: trunc + 1]
+    b = b[: trunc + 1]
+    maxa = max(map(abs, a), default=0)
+    maxb = max(map(abs, b), default=0)
+    slots = trunc + 1
+    if maxa == 0 or maxb == 0:
+        return [0] * slots
+    # one spare bit for the sign, rounded up to whole bytes
+    wbytes = (maxa * maxb * min(len(a), len(b))).bit_length() // 8 + 1
+    half = 1 << (8 * wbytes - 1)
+    half_slot = half.to_bytes(wbytes, "little")
+
+    def bias(n: int) -> int:
+        return int.from_bytes(half_slot * n, "little")
+
+    def pack(coeffs: Sequence[int]) -> int:
+        # |c| <= max(maxa, maxb) < half, so every biased slot is a digit
+        data = b"".join((c + half).to_bytes(wbytes, "little") for c in coeffs)
+        return int.from_bytes(data, "little") - bias(len(coeffs))
+
+    biased = (pack(a) * pack(b) + bias(slots)) & ((1 << (8 * wbytes * slots)) - 1)
+    data = biased.to_bytes(wbytes * slots, "little")
+    return [
+        int.from_bytes(data[i * wbytes : (i + 1) * wbytes], "little") - half
+        for i in range(slots)
+    ]
+
+
+def mul(*factors: Sequence[int]) -> list[int]:
+    """Product of coefficient lists, exact through the shortest factor."""
+    trunc = min(map(len, factors)) - 1
+    product = list(factors[0][: trunc + 1])
+    for f in factors[1:]:
+        product = _kron_mul(product, f, trunc)
+    return product
+
+
+def one(trunc: int) -> list[int]:
+    return [1] + [0] * trunc
+
+
+def invert(a: Sequence[int]) -> list[int]:
+    """Multiplicative inverse through q^(len(a) - 1) by Newton iteration;
+    integral since the constant term must be +1 or -1 (ValueError otherwise)."""
     if a[0] not in (1, -1):
         raise ValueError(f"constant term {a[0]} is not a unit")
+    trunc = len(a) - 1
     inv = [a[0]]
     known = 0  # exact through q^known
-    while known < a.trunc:
-        known = min(2 * known + 1, a.trunc)
-        t = _kron_mul(inv, a.coeffs[: known + 1], known)
+    while known < trunc:
+        known = min(2 * known + 1, trunc)
+        t = _kron_mul(inv, a[: known + 1], known)
         t[0] = 2 - t[0]
         for i in range(1, known + 1):
             t[i] = -t[i]
         inv = _kron_mul(inv, t, known)
-    return PowerSeries(inv)
+    return inv
 
 
-def pochhammer_q(sign: int, trunc: int) -> PowerSeries:
+def theta4(trunc: int) -> list[int]:
+    """theta_4(q) = 1 + 2 sum_{k>=1} (-1)^k q^{k^2} through q^trunc."""
+    c = one(trunc)
+    for k in range(1, isqrt(trunc) + 1):
+        c[k * k] = 2 * (-1) ** k
+    return c
+
+
+def pochhammer_q(sign: int, trunc: int) -> list[int]:
     """Infinite q-Pochhammer product, truncated.
 
     sign=-1 gives prod_{k>=1} (1 - q^k), sign=+1 gives prod_{k>=1} (1 + q^k).
     Factors with k > trunc cannot touch coefficients <= trunc, so the product
     stops there.
     """
-    c = [0] * (trunc + 1)
-    c[0] = 1
+    c = one(trunc)
     for k in range(1, trunc + 1):
         # multiply in place by (1 + sign*q^k); descending i keeps old values
         for i in range(trunc, k - 1, -1):
             c[i] += sign * c[i - k]
-    return PowerSeries(c)
+    return c
 
 
 def lambert_term(
@@ -48,7 +108,7 @@ def lambert_term(
     exponent: int,
     trunc: int,
     alternating_factor: bool = False,
-) -> PowerSeries:
+) -> list[int]:
     """One term of a Lambert-type sum: q^exponent / (1 - q^n)^r.
 
     With alternating_factor=True an extra 1/(1 + q^n) is folded in; its
@@ -67,7 +127,7 @@ def lambert_term(
         if alternating_factor:
             prev = val
         k += 1
-    return PowerSeries(c)
+    return c
 
 
 def pentagonal_support(limit: int) -> set[int]:

@@ -43,7 +43,7 @@ def test_series_json_manifest(tmp_path):
     run(["series", "--kind", "rank", "--r", "3", "--trunc", "7",
          "--format", "json", "--out", str(out)])
     payload = json.loads(out.read_text())
-    ser = genfunc.rank_symmetrized_series(3, 7)
+    ser = genfunc.rank_binomial_series(3, 7)
     manifest = genfunc.series_manifest("rank", 3, 7, ser)
     assert payload["checksum"] == manifest["checksum"]
     assert payload["coefficients"] == [str(c) for c in ser.coeffs]
@@ -64,7 +64,7 @@ def test_outputs_are_deterministic(tmp_path):
     run(argv + ["--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
     manifest = genfunc.series_manifest(
-        "crank", 5, 200, genfunc.crank_symmetrized_series(5, 200)
+        "crank", 5, 200, genfunc.crank_binomial_series(5, 200)
     )
     assert json.loads(a.read_text())["checksum"] == manifest["checksum"]
     a2, b2 = tmp_path / "a2.csv", tmp_path / "b2.csv"

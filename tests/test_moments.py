@@ -8,7 +8,6 @@ import pytest
 from overmoments import moments
 from overmoments.combinat import build_table
 from overmoments.errors import OutOfRange
-from overmoments.series import overpartition_gf
 
 NMAX = 15
 CRANK = build_table("crank", NMAX)
@@ -116,11 +115,10 @@ def test_series_backed_values_match_tables():
 
 def test_fused_values_match_fraction_basis_change():
     # independent oracle: Fraction-weighted sums of the symmetrized series,
-    # one prefactor product per order and kind
+    # one theta_4 division per order and kind
     trunc = 600
-    pref = overpartition_gf(trunc)
     sym = {
-        (kind, l): moments.symmetrized_moment_values(kind, l, trunc, prefactor=pref)
+        (kind, l): moments.symmetrized_moment_values(kind, l, trunc)
         for kind in ("crank", "rank")
         for l in range(1, 7)
     }
@@ -136,9 +134,9 @@ def test_fused_values_match_fraction_basis_change():
                 acc = sum((w * sym[(kind, l)][n] for w, l in weights), Fraction(0))
                 assert acc.denominator == 1
                 vals.append(acc.numerator)
-            assert moments.positive_moment_values(kind, r, trunc, prefactor=pref) == vals
+            assert moments.positive_moment_values(kind, r, trunc) == vals
             power[kind] = vals
-        assert moments.ospt_values(r, trunc, prefactor=pref) == [
+        assert moments.ospt_values(r, trunc) == [
             c - k for c, k in zip(power["crank"], power["rank"])
         ]
 
