@@ -6,6 +6,12 @@ arc is |x| <= y, where the integrand carries essentially all of the
 coefficient; the minor arc |x| in [y, 1/2] is exponentially smaller
 (~ e^{3 pi sqrt N / 4} against e^{pi sqrt N}).
 
+On the full circle the integrand is periodic and analytic, so the
+trapezoidal rule converges geometrically; `cauchy_coefficient` takes the
+smallest M whose aliasing bound, certified by the nonnegative coefficients,
+is below tol/4 of the result.  The arcs are not periodic and use adaptive
+Gauss-Legendre quadrature.
+
 Working precision is at least pi sqrt(N)/ln 2 + 64 bits so that
 exponential-scale cancellation between arcs cannot swamp a result.
 Integrands are conjugate-symmetric in x, so every integral runs over the
@@ -47,6 +53,7 @@ __all__ = [
 FULL_CIRCLE_N_CAP = 200
 MAJOR_ARC_N_CAP = 10_000
 MIN_TOL = 1e-8
+TRAPEZOID_M_CAP = 1 << 14
 
 
 def working_precision(N: int, prec: int | None = None) -> int:
@@ -138,25 +145,20 @@ def _geometric_panels(a, b, start_width):
 
 
 def _circle_integral(kind, r, N, x_lo, x_hi, tol, prec, shift) -> mp.mpf:
-    """2 Re integral of F(q(x)) e^{-2 pi i N x} over [x_lo, x_hi], times the
-    Cauchy kernel.  The circle radius is set from max(N, 1) so the N=0
-    coefficient integrates on a sane circle."""
-    radius_n = max(N, 1)
-    wp = working_precision(radius_n, prec)
+    """2 Re integral of F(q(x)) e^{-2 pi i N x} over the arc [x_lo, x_hi],
+    which lies on one side of y = 1/(4 sqrt N), times the Cauchy kernel."""
+    wp = working_precision(N, prec)
     with mp.workprec(wp):
-        rho = mp.e ** (-mp.pi / (2 * mp.sqrt(radius_n)))
+        rho = mp.e ** (-mp.pi / (2 * mp.sqrt(N)))
 
         def integrand(x):
             qx = rho * mp.e ** (2j * mp.pi * x)
             val = gf_numeric(kind, r, qx, wp, shift=shift)
             return 2 * (val * mp.e ** (-2j * mp.pi * N * x)).real
 
-        y = float(1 / (4 * mp.sqrt(radius_n)))
-        if x_hi <= y or x_lo >= y:
-            panels = _geometric_panels(x_lo, x_hi, max((x_hi - x_lo) / 8, y / 4))
-        else:
-            panels = _geometric_panels(x_lo, y, y / 4) + _geometric_panels(y, x_hi, y)
-        kernel = mp.e ** (N * mp.pi / (2 * mp.sqrt(radius_n)))
+        y = float(1 / (4 * mp.sqrt(N)))
+        panels = _geometric_panels(x_lo, x_hi, max((x_hi - x_lo) / 8, y / 4))
+        kernel = mp.e ** (N * mp.pi / (2 * mp.sqrt(N)))
         # coefficients are integers: anything below tol in coefficient space
         # counts as zero, so the integral-space floor is tol / kernel
         value = _adaptive_quad(
@@ -165,6 +167,89 @@ def _circle_integral(kind, r, N, x_lo, x_hi, tol, prec, shift) -> mp.mpf:
         result = value * kernel
     with mp.workprec(wp):
         return +result
+
+
+# ---------------------------------------------------------------------------
+# The full circle: trapezoidal rule with a certified aliasing bound.
+# ---------------------------------------------------------------------------
+
+
+def _circle_samples(kind, r, M, rho, wp, shift) -> list:
+    """F(rho e^{2 pi i j/M}) for j = 0..M/2; the other half are conjugates."""
+    return [
+        gf_numeric(kind, r, rho * mp.expjpi(mp.mpf(2 * j) / M), wp, shift=shift)
+        for j in range(M // 2 + 1)
+    ]
+
+
+def _trapezoid_coefficient(kind, r, N, tol, prec=None, shift=None) -> tuple:
+    """The coefficient a_N by the M-point trapezoidal rule on |q| = rho =
+    e^{-pi/(2 sqrt max(N, 1))}; returns (value, bound, M) with
+    0 <= value - a_N <= bound <= (tol/4) max(value - bound, 1).
+
+    The rule gives T_M = sum_{k >= 0} a_{N+kM} rho^{kM} for M > N.  The bound
+    rests on every coefficient a_m being >= 0, which holds because the
+    weights binom(m+s, r) are >= 0 for m >= 1 and s >= -1: then
+    a_m <= F(rho') rho'^{-m} for any rho < rho' < 1, and the aliasing error
+    T_M - a_N is at most B(M) = F(rho') rho'^{-N} x/(1-x), x = (rho/rho')^M,
+    with rho' = e^{-pi/(2 sqrt(N+M))}: one real evaluation.  The max(., 1)
+    is the integer floor, so a zero coefficient passes at B <= tol/4.
+    """
+    n = max(N, 1)
+    wp = working_precision(n, prec)
+    with mp.workprec(wp):
+        rho = mp.e ** (-mp.pi / (2 * mp.sqrt(n)))
+        quarter = mp.mpf(tol) / 4
+
+        def bound(M):
+            outer = mp.e ** (-mp.pi / (2 * mp.sqrt(N + M)))
+            x = (rho / outer) ** M
+            peak = gf_numeric(kind, r, outer, wp, shift=shift).real
+            return peak * outer ** (-N) * x / (1 - x)
+
+        def smallest_m(target, lo):
+            # B(M) falls as M grows: double past the target, then bisect
+            # over even M
+            b = bound(lo)
+            if b <= target:
+                return lo, b
+            hi = lo
+            while b > target:
+                lo, hi = hi, 2 * hi
+                if hi > TRAPEZOID_M_CAP:
+                    raise QuadratureFailure(
+                        f"trapezoidal rule needs more than {TRAPEZOID_M_CAP} points"
+                    )
+                b = bound(hi)
+            while hi - lo > 2:
+                mid = (lo + hi) // 4 * 2
+                b_mid = bound(mid)
+                if b_mid <= target:
+                    hi, b = mid, b_mid
+                else:
+                    lo = mid
+            return hi, b
+
+        # F(rho) rho^{-N} >= a_N, and the saddle point puts a_N near it over
+        # 2 sqrt(2) n^{3/4}: pick M against that estimate with room to
+        # spare, so that the certificate below passes at the first M
+        upper = gf_numeric(kind, r, rho, wp, shift=shift).real * rho ** (-N)
+        target = quarter * upper / (4 * mp.mpf(n) ** (mp.mpf(3) / 4))
+        M = N + 2 - N % 2  # the smallest even M > N
+        while True:
+            M, b = smallest_m(target, M)
+            samples = _circle_samples(kind, r, M, rho, wp, shift)
+            total = mp.mpf(0)
+            for j, f in enumerate(samples):
+                term = (f * mp.expjpi(-mp.mpf(2 * (N * j % M)) / M)).real
+                total += term if 0 < j < M // 2 else term / 2
+            value = 2 * total / M * rho ** (-N)
+            floor = max(value - b, 1)
+            if b <= quarter * floor:
+                break
+            target = quarter * floor
+    with mp.workprec(wp):
+        return +value, +b, M
 
 
 def _check_tol(tol) -> None:
@@ -176,14 +261,15 @@ def cauchy_coefficient(
     kind: str, r: int, N: int, tol: float = MIN_TOL, prec: int | None = None,
     shift: int | None = None,
 ) -> mp.mpf:
-    """Full-circle Cauchy integral; equals the exact integer coefficient up
-    to quadrature error."""
+    """Full-circle Cauchy integral by the trapezoidal rule; within tol of the
+    exact integer coefficient, relative (absolute when it is zero).  Raises
+    QuadratureFailure past TRAPEZOID_M_CAP points."""
     _check_tol(tol)
     if N > FULL_CIRCLE_N_CAP:
         raise OversizeRequest(f"full-circle quadrature capped at N={FULL_CIRCLE_N_CAP}")
     if N < 0:
         raise ValueError("N must be >= 0")
-    return _circle_integral(kind, r, N, 0.0, 0.5, tol, prec, shift)
+    return _trapezoid_coefficient(kind, r, N, tol, prec, shift)[0]
 
 
 def major_arc_coefficient(

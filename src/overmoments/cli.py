@@ -20,7 +20,7 @@ from typing import Sequence
 import mpmath as mp
 
 from . import asympt, checks, genfunc, moments
-from .errors import OversizeRequest
+from .errors import OversizeRequest, QuadratureFailure
 from .series import check_trunc
 
 PREC_MIN, PREC_MAX = 64, 4096
@@ -337,7 +337,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         # the library's argument validation: a usage error, not a traceback
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
-    except OversizeRequest as exc:
+    except (OversizeRequest, QuadratureFailure) as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return 3
 

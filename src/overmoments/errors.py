@@ -22,7 +22,7 @@ class PrecisionLoss(OvermomentsError):
 
 
 class QuadratureFailure(OvermomentsError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """A quadrature hit its size cap before reaching the requested tolerance."""
 
 
 class Inconclusive(OvermomentsError):

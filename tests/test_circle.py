@@ -116,6 +116,44 @@ def test_cauchy_coefficient_matches_series_midrange():
     assert abs(got - exact) / exact < 1e-8
 
 
+@pytest.mark.parametrize("kind, r, N", [("crank", 3, 60), ("rank", 4, 25), ("crank", 1, 7)])
+def test_trapezoid_bound_certifies_the_error(kind, r, N):
+    builder = genfunc.crank_binomial_series if kind == "crank" else genfunc.rank_binomial_series
+    exact = builder(r, N)[N]
+    value, bound, M = circle._trapezoid_coefficient(kind, r, N, 1e-8)
+    assert M > N
+    assert abs(value - exact) <= bound <= mp.mpf(1e-8) / 4 * exact
+
+
+def test_trapezoid_samples_recover_every_coefficient(monkeypatch):
+    # E_n <= B for every n <= N, so one sample set with B < 1/4 rounds to
+    # every coefficient up to N
+    recorded = []
+    samples_of = circle._circle_samples
+
+    def record(*args):
+        recorded.append(samples_of(*args))
+        return recorded[-1]
+
+    monkeypatch.setattr(circle, "_circle_samples", record)
+    N = 60
+    value, bound, M = circle._trapezoid_coefficient("crank", 3, N, 1e-11)
+    assert bound < mp.mpf(1) / 4
+    samples = recorded[-1]
+    assert len(samples) == M // 2 + 1
+    with mp.workprec(circle.working_precision(N)):
+        rho = mp.e ** (-mp.pi / (2 * mp.sqrt(N)))
+        recovered = []
+        for n in range(N + 1):
+            total = mp.mpf(0)
+            for j, f in enumerate(samples):
+                term = (f * mp.expjpi(-mp.mpf(2 * (n * j % M)) / M)).real
+                total += term if 0 < j < M // 2 else term / 2
+            recovered.append(int(mp.nint(2 * total / M * rho ** (-n))))
+    assert recovered == list(genfunc.crank_binomial_series(3, N).coeffs)
+    assert recovered[N] == int(mp.nint(value))
+
+
 def test_major_arc_dominates_and_minor_bound_stable():
     fractions = []
     ratios = []

@@ -226,3 +226,16 @@ def test_failed_check_exits_1(tmp_path, monkeypatch):
     out = tmp_path / "fail.json"
     assert run(["verify", "--suite", "oracle", "--out", str(out)]) == 1
     assert json.loads(out.read_text())["passed"] is False
+
+
+def test_quadrature_failure_exits_3(tmp_path, monkeypatch, capsys):
+    from overmoments import circle
+    from overmoments.errors import QuadratureFailure
+
+    def fail(*args):
+        raise QuadratureFailure("forced")
+
+    monkeypatch.setattr(circle, "_trapezoid_coefficient", fail)
+    out = tmp_path / "wright.json"
+    assert run(["verify", "--suite", "wright", "--out", str(out)]) == 3
+    assert "resource guard: forced" in capsys.readouterr().err

@@ -26,6 +26,15 @@ def test_constant_coefficient_vanishes():
         assert genfunc.rank_binomial_series(r, 6)[0] == 0
 
 
+def test_every_coefficient_is_nonnegative():
+    # the circle method's aliasing bound rests on a_m >= 0 for every m;
+    # the weights binom(m + s, r) are >= 0 for m >= 1 and s >= -1
+    for r in range(0, 7):
+        for shift in range(-1, max(r, 0)):
+            for build in (genfunc.crank_binomial_series, genfunc.rank_binomial_series):
+                assert min(build(r, 3000, shift=shift).coeffs) >= 0, (build, r, shift)
+
+
 def test_quoted_sample_expansions():
     # identified against the oracle: the first is the rank series of order 3,
     # the second the crank series of order 4 with binomial shift 2
