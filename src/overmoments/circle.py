@@ -210,10 +210,7 @@ def _trapezoid_coefficient(kind, r, N, tol, prec=None, shift=None) -> tuple:
         def smallest_m(target, lo):
             # B(M) falls as M grows: double past the target, then bisect
             # over even M
-            b = bound(lo)
-            if b <= target:
-                return lo, b
-            hi = lo
+            hi, b = lo, bound(lo)
             while b > target:
                 lo, hi = hi, 2 * hi
                 if hi > TRAPEZOID_M_CAP:
