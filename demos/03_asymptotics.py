@@ -48,8 +48,8 @@ for N in grid:
 # --- the pole expansion itself ------------------------------------------------
 
 print("\nnormalized pole-expansion residuals (bounded in N):")
-for N in (100, 1000, 10000):
-    res = asympt.expansion_residual("crank", 4, N, prec=160)
+fit = asympt.fit_subleading("crank", 4)
+for N, res in zip(fit.grid[:3], fit.residuals[fit.selected_tag]):
     print(f"  N={N:6d}  residual {mp.nstr(res, 6)}")
 
 print("\nautomorphic prefactor vs closed form (quotient - 1):")

@@ -1,4 +1,5 @@
-"""High-precision asymptotic constants, main terms, and residual checks.
+"""High-precision asymptotic constants, the subleading-constant fit, and main
+terms.
 
 Everything numeric runs on mpmath under an explicit working precision in
 bits (requested precision plus guard bits); callers pass `prec`, values come
@@ -10,8 +11,8 @@ The two q-series behind every numeric check have their only numeric
 evaluators here: `s_series_eval` (the crank and rank Lambert sums) and
 `overpartition_numeric` (the prefactor (-q)oo/(q)oo as 1/theta_4(q)).  Both
 return unrounded at their working precision, so each caller rounds once:
-the pole-expansion residual, the automorphic prefactor check, and the
-circle method's integrand `circle.gf_numeric`.
+the fit's pole-expansion residuals, the automorphic prefactor check, and
+the circle method's integrand `circle.gf_numeric`.
 
 Constants, for order r >= 1, with eta the alternating zeta:
 
@@ -25,16 +26,19 @@ Constants, for order r >= 1, with eta the alternating zeta:
                                 d~'_r = 2 d'_r pi^{-r+2} 2^{r-7/2} (rank)
 
 The subleading constants admit several circulating closed forms that do not
-agree with each other, so every candidate reading is carried until
-`fit_subleading` selects the one the numerics support: a wrong constant
-makes the normalized pole-expansion residual grow like sqrt(N), the right
-one keeps it bounded.
+agree with each other.  `fit_subleading` scores every candidate reading on
+one grid (DEFAULT_FIT_GRID) at one precision (FIT_PREC) and selects the one
+the numerics support: a wrong constant makes the normalized pole-expansion
+residual grow like sqrt(N), the right one keeps it bounded.  Each grid point
+costs one Lambert sum, shared by all candidates.  `resolve_constants` builds
+the frozen bundle of selected constants at the caller's precision.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Literal
 
 import mpmath as mp
@@ -46,14 +50,12 @@ __all__ = [
     "dirichlet_eta",
     "log_integer",
     "AsymptoticConstants",
-    "constants",
     "resolve_constants",
     "subleading_candidates",
     "bessel_i",
     "main_term",
     "s_series_eval",
     "overpartition_numeric",
-    "expansion_residual",
     "FitResult",
     "fit_subleading",
     "eta_quotient_check",
@@ -63,6 +65,7 @@ GUARD_BITS = 32
 
 Kind = Literal["crank", "rank"]
 DEFAULT_FIT_GRID = (100, 1000, 10000, 100000)
+FIT_PREC = 192
 
 
 # ---------------------------------------------------------------------------
@@ -79,8 +82,8 @@ def dirichlet_eta(s, prec: int = 256) -> mp.mpf:
     with the entire continuation (eta(0) = 1/2, eta(-1) = 1/4), and hits the
     alternating harmonic limit ln 2 at s = 1 with no special-casing.  Cached
     on (s, prec): the result is an immutable mpf that depends on nothing
-    else, and the constant fits ask for a few dozen distinct values
-    thousands of times.
+    else, and the fits and constant bundles ask for each of about twenty
+    distinct values about ten times.
     """
     with mp.workprec(prec + GUARD_BITS):
         sv = mp.mpf(s) if not isinstance(s, mp.mpf) else s
@@ -163,30 +166,19 @@ def subleading_candidates(kind: Kind, r: int, prec: int = 256) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class AsymptoticConstants:
-    """All main-term constants for one order r, with candidate bookkeeping."""
+    """All main-term constants for one order r, with the subleading ones as
+    selected by `fit_subleading`.  Built only by `resolve_constants`."""
 
     r: int
     precision_bits: int
     c: mp.mpf
     gamma: mp.mpf
-    d_crank_candidates: dict = field(repr=False)
-    d_rank_candidates: dict = field(repr=False)
-    d_crank_tag: str | None = None
-    d_rank_tag: str | None = None
-
-    @property
-    def d_crank(self) -> mp.mpf:
-        if self.d_crank_tag is None:
-            raise ValueError("crank subleading constant not selected yet")
-        return self.d_crank_candidates[self.d_crank_tag]
-
-    @property
-    def d_rank(self) -> mp.mpf:
-        if self.d_rank_tag is None:
-            raise ValueError("rank subleading constant not selected yet")
-        return self.d_rank_candidates[self.d_rank_tag]
+    d_crank: mp.mpf
+    d_rank: mp.mpf
+    d_crank_tag: str
+    d_rank_tag: str
 
     @property
     def c_tilde(self) -> mp.mpf:
@@ -214,29 +206,15 @@ class AsymptoticConstants:
                 * (self.d_crank - 2 * self.d_rank)
             )
 
-    def manifest(self) -> dict:
-        return {
-            "r": self.r,
-            "c_r": mp.nstr(self.c, 30),
-            "d_r_selected": mp.nstr(self.d_crank, 30) if self.d_crank_tag else None,
-            "d_r_variant_tag": self.d_crank_tag,
-            "d_rank_selected": mp.nstr(self.d_rank, 30) if self.d_rank_tag else None,
-            "d_rank_variant_tag": self.d_rank_tag,
-            "gamma_r": mp.nstr(self.gamma, 30),
-            "delta_r_selected": (
-                mp.nstr(self.delta, 30)
-                if self.d_crank_tag and self.d_rank_tag
-                else None
-            ),
-            "precision_bits": self.precision_bits,
-        }
 
-
-def constants(r: int, prec: int = 256) -> AsymptoticConstants:
-    """Evaluate every constant for order r; subleading variants are carried
-    as candidates until `fit_subleading` (or `resolve_constants`) selects."""
+@lru_cache(maxsize=None)
+def resolve_constants(r: int, prec: int = 256) -> AsymptoticConstants:
+    """Every constant for order r at precision prec, with both subleading
+    readings selected by `fit_subleading` and evaluated at prec."""
     if r < 1:
         raise ValueError("r must be >= 1")
+    crank_tag = fit_subleading("crank", r).selected_tag
+    rank_tag = fit_subleading("rank", r).selected_tag
     with mp.workprec(prec + GUARD_BITS):
         c = dirichlet_eta(r, prec + GUARD_BITS)
         gamma = mp.factorial(r) * c * mp.pi ** (-r) * mp.mpf(2) ** (r - 3)
@@ -246,20 +224,11 @@ def constants(r: int, prec: int = 256) -> AsymptoticConstants:
             precision_bits=prec,
             c=+c,
             gamma=+gamma,
-            d_crank_candidates=subleading_candidates("crank", r, prec),
-            d_rank_candidates=subleading_candidates("rank", r, prec),
+            d_crank=subleading_candidates("crank", r, prec)[crank_tag],
+            d_rank=subleading_candidates("rank", r, prec)[rank_tag],
+            d_crank_tag=crank_tag,
+            d_rank_tag=rank_tag,
         )
-
-
-@lru_cache(maxsize=None)
-def resolve_constants(
-    r: int, prec: int = 256, fit_grid: tuple[int, ...] = DEFAULT_FIT_GRID
-) -> AsymptoticConstants:
-    """Constants with both subleading variants selected by residual fit."""
-    cs = constants(r, prec)
-    cs.d_crank_tag = fit_subleading("crank", r, fit_grid, prec=min(prec, 256)).selected_tag
-    cs.d_rank_tag = fit_subleading("rank", r, fit_grid, prec=min(prec, 256)).selected_tag
-    return cs
 
 
 # ---------------------------------------------------------------------------
@@ -455,46 +424,36 @@ def overpartition_numeric(q, prec: int = 256):
         return 1 / (1 + 2 * theta)
 
 
-def expansion_residual(
-    kind: Kind,
-    r: int,
-    N: int,
-    prec: int = 256,
-    variant: str | None = None,
-) -> mp.mpf:
-    """Normalized pole-expansion residual at tau = i/(4 sqrt N).
-
-    Returns |S - c t^{-r} - d t^{-r+1}| * N^{1 - r/2} with t = -2 pi i tau
-    (= 2 pi y, real positive on the axis) and S the Lambert sum at
-    q = e^{-t}: S_r for crank, S~_r (half the rank sum) for rank.  With the
-    correct subleading constant this stays bounded in N; with a wrong one it
-    grows like sqrt N.
-    """
-    if N < 4:
-        raise ValueError("N must be >= 4")
-    if kind not in ("crank", "rank"):
-        raise ValueError("kind must be 'crank' or 'rank'")
-    if variant is None:
-        variant = fit_subleading(kind, r, DEFAULT_FIT_GRID, prec=min(prec, 256)).selected_tag
-    d = subleading_candidates(kind, r, prec)[variant]
-    if d is None:
-        raise ValueError(f"variant {variant!r} is undefined for r={r}")
-    with mp.workprec(prec + GUARD_BITS):
-        y = 1 / (4 * mp.sqrt(N))
-        t = 2 * mp.pi * y
-        S = s_series_eval(kind, r, mp.e ** (-t), prec + GUARD_BITS)
-        c = dirichlet_eta(r, prec + GUARD_BITS)
-        if kind == "rank":
-            S, c = S / 2, c / 2  # S~_r is half the rank Lambert sum
-        residual = abs(S - c * t ** (-r) - d * t ** (-r + 1))
-        result = residual * mp.mpf(N) ** (1 - mp.mpf(r) / 2)
-    with mp.workprec(prec):
-        return +result
-
-
 # ---------------------------------------------------------------------------
 # Candidate selection.
 # ---------------------------------------------------------------------------
+
+
+def _pole_expansion_points(kind: Kind, r: int) -> list[tuple]:
+    """(S - c t^{-r}, t^{-r+1}, N^{1-r/2}) at each point of DEFAULT_FIT_GRID,
+    unrounded at FIT_PREC + GUARD_BITS.
+
+    Here t = -2 pi i tau = 2 pi y at tau = i y, y = 1/(4 sqrt N), and S is
+    the Lambert sum at q = e^{-t}: S_r for crank, S~_r (half the rank sum)
+    for rank.  A candidate d then has the normalized pole-expansion residual
+    |S - c t^{-r} - d t^{-r+1}| N^{1-r/2} = |rem - d tpow| scale, so one
+    Lambert sum per point serves every candidate.
+    """
+    wp = FIT_PREC + GUARD_BITS
+    points = []
+    with mp.workprec(wp):
+        c = dirichlet_eta(r, wp)
+        if kind == "rank":
+            c = c / 2
+        for N in DEFAULT_FIT_GRID:
+            y = 1 / (4 * mp.sqrt(N))
+            t = 2 * mp.pi * y
+            S = s_series_eval(kind, r, mp.e ** (-t), wp)
+            if kind == "rank":
+                S = S / 2
+            scale = mp.mpf(N) ** (1 - mp.mpf(r) / 2)
+            points.append((S - c * t ** (-r), t ** (-r + 1), scale))
+    return points
 
 
 @dataclass(frozen=True)
@@ -502,10 +461,9 @@ class FitResult:
     kind: str
     r: int
     grid: tuple[int, ...]
-    slopes: dict
-    residuals: dict
+    slopes: MappingProxyType
+    residuals: MappingProxyType
     selected_tag: str
-    selected_value: mp.mpf
     coincident_tags: tuple[str, ...]
 
 
@@ -514,51 +472,52 @@ _PREFERENCE = ("eta", "expansion", "zeta_shifted", "swapped_eta")
 
 
 @lru_cache(maxsize=None)
-def fit_subleading(
-    kind: Kind, r: int, Ns: tuple[int, ...] = DEFAULT_FIT_GRID, prec: int = 192
-) -> FitResult:
-    """Select the subleading-constant variant whose normalized residual does
-    not grow along a geometric N-grid.
+def fit_subleading(kind: Kind, r: int) -> FitResult:
+    """Select the subleading-constant variant whose normalized pole-expansion
+    residual does not grow along DEFAULT_FIT_GRID.  Everything runs at
+    FIT_PREC whatever the caller's working precision, so the cached result
+    does not depend on which caller comes first.
 
-    The growth score is the steepest log-log slope between consecutive grid
-    points; a correct constant scores near 0, a wrong one approaches 1/2 (its
-    residual grows like sqrt N once the spurious term dominates).  Candidates
-    with identical values are grouped (they are the same constant written two
-    ways).  Raises Inconclusive when zero or more than one distinct value
-    survives the boundedness cut.
+    With the correct constant the residual stays bounded in N; with a wrong
+    one it grows like sqrt N.  The growth score is the steepest log-log slope
+    between consecutive grid points: a correct constant scores near 0, a
+    wrong one approaches 1/2.  Candidates with identical values are grouped
+    (they are the same constant written two ways).  Raises Inconclusive when
+    zero or more than one distinct value survives the boundedness cut.
+    `residuals` maps each defined tag to its residuals on the grid, rounded
+    to FIT_PREC.
     """
-    if len(Ns) < 3:
-        raise ValueError("need at least 3 grid points")
-    if any(b <= a for a, b in zip(Ns, Ns[1:])):
-        raise ValueError("grid must be strictly increasing")
-    cands = subleading_candidates(kind, r, prec)
+    cands = subleading_candidates(kind, r, FIT_PREC)
+    points = _pole_expansion_points(kind, r)
     slopes: dict[str, float] = {}
     residuals: dict[str, tuple] = {}
-    floor = mp.mpf(10) ** (-prec // 4)
-    for tag, value in cands.items():
-        if value is None:
-            continue
-        res = tuple(
-            expansion_residual(kind, r, N, prec=prec, variant=tag) for N in Ns
-        )
-        residuals[tag] = res
-        slopes[tag] = max(
-            float(
-                mp.log(max(res[i + 1], floor) / max(res[i], floor))
-                / mp.log(mp.mpf(Ns[i + 1]) / Ns[i])
+    Ns = DEFAULT_FIT_GRID
+    with mp.workprec(FIT_PREC):
+        floor = mp.mpf(10) ** (-FIT_PREC // 4)
+        for tag, d in cands.items():
+            if d is None:
+                continue
+            with mp.workprec(FIT_PREC + GUARD_BITS):
+                res = [abs(rem - d * tpow) * scale for rem, tpow, scale in points]
+            res = tuple(+v for v in res)
+            residuals[tag] = res
+            slopes[tag] = max(
+                float(
+                    mp.log(max(res[i + 1], floor) / max(res[i], floor))
+                    / mp.log(mp.mpf(Ns[i + 1]) / Ns[i])
+                )
+                for i in range(len(Ns) - 1)
             )
-            for i in range(len(Ns) - 1)
-        )
-    bounded = [tag for tag, sl in slopes.items() if sl < _BOUNDED_SLOPE]
-    # group by numeric value: coincident readings are one candidate
-    groups: list[list[str]] = []
-    for tag in bounded:
-        for grp in groups:
-            if mp.almosteq(cands[tag], cands[grp[0]], rel_eps=mp.mpf(2) ** (-prec // 2)):
-                grp.append(tag)
-                break
-        else:
-            groups.append([tag])
+        bounded = [tag for tag, sl in slopes.items() if sl < _BOUNDED_SLOPE]
+        # group by numeric value: coincident readings are one candidate
+        groups: list[list[str]] = []
+        for tag in bounded:
+            for grp in groups:
+                if mp.almosteq(cands[tag], cands[grp[0]], rel_eps=mp.mpf(2) ** (-FIT_PREC // 2)):
+                    grp.append(tag)
+                    break
+            else:
+                groups.append([tag])
     if len(groups) != 1:
         raise Inconclusive(
             f"{kind} r={r}: {len(groups)} distinct bounded candidates "
@@ -569,11 +528,10 @@ def fit_subleading(
     return FitResult(
         kind=kind,
         r=r,
-        grid=tuple(Ns),
-        slopes=slopes,
-        residuals=residuals,
+        grid=Ns,
+        slopes=MappingProxyType(slopes),
+        residuals=MappingProxyType(residuals),
         selected_tag=tag,
-        selected_value=cands[tag],
         coincident_tags=tuple(grp),
     )
 

@@ -425,8 +425,10 @@ def i1_main_terms_bessel(
 ) -> mp.mpf:
     """Same integral after v = 1 - i u: an exact combination of P-segments,
 
-        c_r pi^{-r+1} 2^{r-5/2} N^{r/2-3/4} P_{-r+1/2}
-      + d_r pi^{-r+2} 2^{r-7/2} N^{r/2-5/4} P_{-r+3/2}.
+        c~_r N^{r/2-3/4} P_{-r+1/2} + d~_r N^{r/2-5/4} P_{-r+3/2},
+
+    with c~_r = c_r pi^{-r+1} 2^{r-5/2} and d~_r = d_r pi^{-r+2} 2^{r-7/2}
+    (`AsymptoticConstants.c_tilde` and `d_tilde`).
     """
     if consts is None:
         consts = resolve_constants(r, working_precision(N, prec))
@@ -434,16 +436,12 @@ def i1_main_terms_bessel(
     with mp.workprec(wp):
         nv = mp.mpf(N)
         lead = (
-            consts.c
-            * mp.pi ** (-r + 1)
-            * mp.mpf(2) ** (r - mp.mpf(5) / 2)
+            consts.c_tilde
             * nv ** (mp.mpf(r) / 2 - mp.mpf(3) / 4)
             * p_segment(mp.mpf(1) / 2 - r, N, wp, tol)
         )
         sub = (
-            consts.d_crank
-            * mp.pi ** (-r + 2)
-            * mp.mpf(2) ** (r - mp.mpf(7) / 2)
+            consts.d_tilde
             * nv ** (mp.mpf(r) / 2 - mp.mpf(5) / 4)
             * p_segment(mp.mpf(3) / 2 - r, N, wp, tol)
         )

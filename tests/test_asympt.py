@@ -1,5 +1,6 @@
 """Asymptotic layer: eta, constants, Bessel, pole residuals, variant fits."""
 
+import dataclasses
 import math
 import random
 
@@ -38,14 +39,14 @@ def test_eta_against_zeta_factor():
 
 
 def test_constants_small_r():
-    cs2 = asympt.constants(2, 160)
+    cs2 = asympt.resolve_constants(2, 160)
     with mp.workprec(160):
         assert abs(cs2.c - mp.pi**2 / 12) < mp.mpf(2) ** -150
-    cs1 = asympt.constants(1, 160)
+    cs1 = asympt.resolve_constants(1, 160)
     with mp.workprec(160):
         assert abs(cs1.gamma - mp.log(2) / (4 * mp.pi)) < mp.mpf(2) ** -150
     for r in range(1, 9):
-        assert asympt.constants(r, 96).c > 0
+        assert asympt.resolve_constants(r, 96).c > 0
 
 
 def test_bessel_half_integer_seeds():
@@ -211,12 +212,11 @@ def test_s_series_eval_matches_tau_oracle_at_fit_radius(kind, r, factor):
 
 
 def test_expansion_residual_wrong_variant_grows():
-    lo = asympt.expansion_residual("crank", 4, 100, prec=192, variant="zeta_shifted")
-    hi = asympt.expansion_residual("crank", 4, 10000, prec=192, variant="zeta_shifted")
-    assert hi > 4 * lo  # sqrt(N) growth across two decades
-    lo = asympt.expansion_residual("rank", 3, 100, prec=192, variant="swapped_eta")
-    hi = asympt.expansion_residual("rank", 3, 10000, prec=192, variant="swapped_eta")
-    assert hi > 4 * lo
+    # grid points 0 and 2 are N = 100 and N = 10^4
+    res = asympt.fit_subleading("crank", 4).residuals["zeta_shifted"]
+    assert res[2] > 4 * res[0]  # sqrt(N) growth across two decades
+    res = asympt.fit_subleading("rank", 3).residuals["swapped_eta"]
+    assert res[2] > 4 * res[0]
 
 
 def test_fit_selects_the_bounded_variant():
@@ -234,25 +234,52 @@ def test_fit_degenerate_odd_crank_candidates_coincide():
     assert set(fit3.coincident_tags) == {"zeta_shifted", "eta"}
 
 
-def test_fit_requires_three_points():
-    with pytest.raises(ValueError):
-        asympt.fit_subleading("crank", 3, (100, 1000))
-
-
 def test_fit_inconclusive_when_candidates_indistinguishable(monkeypatch):
-    # force two distinct candidate values whose residuals are both flat
-    monkeypatch.setattr(
-        asympt,
-        "subleading_candidates",
-        lambda kind, r, prec=256: {"a": mp.mpf(1), "b": mp.mpf(2)},
-    )
-    monkeypatch.setattr(
-        asympt, "expansion_residual", lambda *args, **kw: mp.mpf("0.05")
-    )
+    # the true constant and a copy a relative 1e-20 away: both residuals stay
+    # bounded, yet the two values are distinct at the fit precision
+    true_candidates = asympt.subleading_candidates
+
+    def near_pair(kind, r, prec=256):
+        d = true_candidates(kind, r, prec)["eta"]
+        with mp.workprec(prec):
+            return {"eta": d, "expansion": d * (1 + mp.mpf(10) ** -20)}
+
+    monkeypatch.setattr(asympt, "subleading_candidates", near_pair)
     asympt.fit_subleading.cache_clear()
-    with pytest.raises(Inconclusive):
-        asympt.fit_subleading("crank", 3, (100, 1000, 10000))
+    try:
+        with pytest.raises(Inconclusive):
+            asympt.fit_subleading("crank", 3)
+    finally:
+        asympt.fit_subleading.cache_clear()
+
+
+def test_fit_sums_each_grid_point_once(monkeypatch):
+    calls = []
+    s_series_eval = asympt.s_series_eval
+
+    def counting(*args, **kw):
+        calls.append(args)
+        return s_series_eval(*args, **kw)
+
+    monkeypatch.setattr(asympt, "s_series_eval", counting)
     asympt.fit_subleading.cache_clear()
+    asympt.fit_subleading("rank", 3)
+    assert len(calls) == len(asympt.DEFAULT_FIT_GRID)
+
+
+def test_fit_result_is_read_only():
+    fit = asympt.fit_subleading("rank", 3)
+    with pytest.raises(TypeError):
+        fit.residuals["expansion"] = fit.residuals["eta"]
+    with pytest.raises(TypeError):
+        fit.slopes["expansion"] = 0.0
+
+
+def test_constants_are_frozen():
+    cs = asympt.resolve_constants(3, 128)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cs.d_crank_tag = "zeta_shifted"
+    assert asympt.resolve_constants(3, 128).d_crank_tag == "eta"
 
 
 def test_zeta_shifted_variant_undefined_at_r2():
@@ -280,15 +307,6 @@ def test_delta_values():
             )
             assert abs(csr.delta - want) < mp.mpf(2) ** -130
             assert csr.delta > 0
-
-
-def test_constants_manifest():
-    man = asympt.resolve_constants(3, 128).manifest()
-    assert man["r"] == 3
-    assert man["d_r_variant_tag"] == "eta"
-    assert man["d_rank_variant_tag"] == "expansion"
-    assert man["precision_bits"] == 128
-    assert man["delta_r_selected"] is not None
 
 
 def test_eta_quotient_check_matches_product_loop():

@@ -15,11 +15,21 @@ from overmoments.cli import main
 CPUS = os.cpu_count() or 1
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# SHA-256 of `verify --suite S` reports with default flags, recorded while
-# the suites still lived in the cli module
+# SHA-256 of `verify --suite S` reports with default flags; proposition and
+# oracle recorded while the suites still lived in the cli module, residual
+# while the fit still summed each Lambert series once per candidate
 VERIFY_DIGESTS = {
     "proposition": "c3d8a0db18082dcb03aa841da3581c9b68c7f30938124cc803b730b900e09c94",
     "oracle": "1ea0c023384348200c9ea3222f82de96e06a06c867f5b74588fbc27bdb8ac614",
+    "residual": "d60c954d363e47d77410c38dec5f21ca5ddf77fda9d49ab9b3a08263afb588f3",
+}
+
+# SHA-256 of `converge --flavor F --kind crank --r 3 --grid 100,400,1600`
+# (csv, default --prec), recorded while the subleading fit still ran at the
+# caller's precision
+CONVERGE_DIGESTS = {
+    "difference": "ba9f4c83a63d218650ad7071ed35ad76f81cb496d635746aff4f4e0bc74fb66c",
+    "symmetrized": "e3bfa7849085de3c944de9b145d0b68a2c00d60495a84fd098b3192f4bfbdd8f",
 }
 
 
@@ -204,6 +214,14 @@ def test_verify_report_is_byte_identical(suite, tmp_path):
     out = tmp_path / f"{suite}.json"
     assert run(["verify", "--suite", suite, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_DIGESTS[suite]
+
+
+@pytest.mark.parametrize("flavor", sorted(CONVERGE_DIGESTS))
+def test_converge_table_is_byte_identical(flavor, tmp_path):
+    out = tmp_path / f"{flavor}.csv"
+    assert run(["converge", "--flavor", flavor, "--kind", "crank", "--r", "3",
+                "--grid", "100,400,1600", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CONVERGE_DIGESTS[flavor]
 
 
 def test_module_entry_point_under_optimize(tmp_path):
