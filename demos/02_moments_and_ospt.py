@@ -1,22 +1,20 @@
-"""Positive moments, the binomial basis change, and ospt positivity.
+"""Positive moments, their Lambert-sum weights, and ospt positivity.
 
-The r-th positive moment (sum of m^r over positive statistic values) is an
-exact integer linear combination of symmetrized moments; the combination
-coefficients come from expressing m^r in the binomial basis.  The crank
+The r-th positive moment (sum of m^r over positive statistic values) is the
+same weighted Lambert sum as every symmetrized moment, with the integer
+weight m^r - (m-1)^r on the term that carries statistic value m.  The crank
 moments dominate the rank moments, and their difference (the ospt function)
 stays strictly positive.
 """
 
-from overmoments import basis_change, build_table, ospt_values, positive_moment
+from overmoments import build_table, ospt_values, positive_moment
 from overmoments.moments import positive_moment_values
 
-# --- basis change -----------------------------------------------------------
+# --- Lambert-sum weights ----------------------------------------------------
 
 for r in range(1, 7):
-    bc = basis_change(r)
-    terms = " + ".join(f"{a} B_{l}(m)" for l, a in enumerate(bc.a) if a)
-    rhs = f"{r}! B_{r}(m)" + (f" + {terms}" if terms else "")
-    print(f"m^{r} = {rhs}")
+    steps = [m**r - (m - 1) ** r for m in range(1, 7)]
+    print(f"m^{r} - (m-1)^{r}, m=1..6:", steps)
 
 # --- exact moments, small N from tables, large N from series ----------------
 

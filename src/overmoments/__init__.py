@@ -32,8 +32,6 @@ from .genfunc import (
     rank_two_variable,
 )
 from .moments import (
-    BasisChange,
-    basis_change,
     ospt,
     ospt_values,
     positive_moment,
@@ -59,8 +57,6 @@ __all__ = [
     "crank_two_variable",
     "rank_binomial_series",
     "rank_two_variable",
-    "BasisChange",
-    "basis_change",
     "ospt",
     "ospt_values",
     "positive_moment",

@@ -37,6 +37,7 @@ the frozen bundle of selected constants at the caller's precision.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Literal
@@ -58,6 +59,8 @@ __all__ = [
     "overpartition_numeric",
     "FitResult",
     "fit_subleading",
+    "rho_crank",
+    "rho_rank",
     "eta_quotient_check",
 ]
 
@@ -117,6 +120,18 @@ def log_integer(value: int, prec: int = 256) -> mp.mpf:
 # ---------------------------------------------------------------------------
 
 
+def rho_crank(r: int) -> Fraction:
+    """0 if r is odd, 1/2 otherwise: with the standard shift the n-th crank
+    Lambert term starts at q^{n^2/2 + (r/2 + rho_crank(r)) n}."""
+    return Fraction(0) if r % 2 == 1 else Fraction(1, 2)
+
+
+def rho_rank(r: int) -> Fraction:
+    """1/2 if r is odd, 1 otherwise: with the standard shift the n-th rank
+    Lambert term starts at q^{n^2 + (r/2 + rho_rank(r)) n}."""
+    return Fraction(1, 2) if r % 2 == 1 else Fraction(1)
+
+
 def subleading_candidates(kind: Kind, r: int, prec: int = 256) -> dict:
     """Candidate values for the pole-expansion subleading constant.
 
@@ -142,14 +157,14 @@ def subleading_candidates(kind: Kind, r: int, prec: int = 256) -> dict:
 
         out: dict[str, mp.mpf | None] = {}
         if kind == "crank":
-            rho = mp.mpf(float(genfunc.rho_crank(r)))
+            rho = mp.mpf(float(rho_crank(r)))
             lit = zeta_form(r - 1, 1 - r)
             out["zeta_shifted"] = (
                 None if lit is None and rho != 0 else -(eta(r - 2) / 2 + rho * (lit or 0))
             )
             out["eta"] = -(eta(r - 2) / 2 + rho * eta(r - 1))
         elif kind == "rank":
-            rho = mp.mpf(float(genfunc.rho_rank(r)))
+            rho = mp.mpf(float(rho_rank(r)))
             lit = zeta_form(r - 1, 1 - r)
             out["zeta_shifted"] = None if lit is None else -(eta(r - 2) + rho / 2 * lit)
             out["eta"] = -(eta(r - 2) + rho / 2 * eta(r - 1))
@@ -358,9 +373,11 @@ def main_term(
 def s_series_eval(kind: Kind, r: int, q, prec: int = 256, shift: int | None = None):
     """Lambert sum of the crank or rank moment series at complex q, |q| < 1.
 
-    The same sum as `genfunc.crank_lambert_sum` / `rank_lambert_sum` (the rank
-    sum carries the factor 2), with binomial shift s defaulting to the
-    standard one.  Powers of q are built by recurrence: the exponent e(n)
+    The same sum as `genfunc.lambert_sum` under the weight binom(m+s, r), in
+    its summed form q^{e(n)} / (1-q^n)^r (times 1/(1+q^n) and 2 for the
+    rank), with binomial shift s defaulting to the standard one.  The
+    exponent is e(n) = (n^2 + (2(r-s)-1)n)/2 (crank) or n^2 + (r-s)n
+    (rank), and powers of q are built by recurrence: e(n)
     steps by n + r - s (crank) or 2n + 1 + r - s (rank).  Summation stops on
     a certified tail bound below 2^-(prec+8) relative.  The value comes back
     unrounded at the working precision prec + 16, so callers round once.

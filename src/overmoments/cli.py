@@ -59,6 +59,11 @@ def _parse_order(text: str) -> int:
     return _at_least([int(text)], 1, "r")[0]
 
 
+def _parse_budget(text: str) -> int:
+    """Enumeration budget >= 0."""
+    return _at_least([int(text)], 0, "budget")[0]
+
+
 def _parse_grid(text: str) -> list[int]:
     vals = [int(v) for v in text.split(",") if v]
     if not vals:
@@ -322,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a named check suite")
     p.add_argument("--suite", choices=sorted(checks.SUITES), required=True)
     p.add_argument("--workers", type=_parse_workers, default=1)
-    p.add_argument("--budget", type=int, default=checks.BUDGET)
+    p.add_argument("--budget", type=_parse_budget, default=checks.BUDGET)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
 

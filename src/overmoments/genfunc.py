@@ -1,17 +1,23 @@
 """Exact q-expansions of the moment generating series.
 
-Two production families, one per statistic.  For order r >= 1 and binomial
-shift s (weight binom(m+s, r) on the count at statistic value m >= 1):
+One production loop, `lambert_sum`, serves both statistics and every
+weight.  The z^m coefficient (m >= 1) of the Lambert part of the crank
+series is sum_{n>=1} (-1)^{n+1} q^{E(n)} (q^{nm} - q^{n(m+1)}) with
+E(n) = n(n-1)/2; the rank one has E(n) = n^2, an extra 1/(1+q^n) and a
+factor 2.  So for any weight w with w(0) := 0 the sum over m telescopes:
+
+  sum_{m>=1} w(m) [z^m] = sum_{n>=1} (-1)^{n+1} q^{E(n)} sum_{m>=1} (w(m) - w(m-1)) q^{nm}
+
+With w(m) = binom(m+s, r), order r >= 0 and binomial shift s, this is the
+symmetrized series of order r:
 
   crank:  (-q)oo/(q)oo * sum_{n>=1} (-1)^{n+1} q^{(n^2+(2(r-s)-1)n)/2} / (1-q^n)^r
   rank: 2*(-q)oo/(q)oo * sum_{n>=1} (-1)^{n+1} q^{n^2+(r-s)n} / ((1+q^n)(1-q^n)^r)
 
-The standard symmetrized series use s = floor((r-1)/2); with that shift the
-crank exponent is n^2/2 + (r/2 + rho_C) n and the rank exponent is
-n^2 + (r/2 + rho_R) n, where rho_C(r) = 0 (r odd) or 1/2, and
-rho_R(r) = 1/2 (r odd) or 1.  Both exponents are checked against these
-forms at construction.  The prefactor (-q)oo/(q)oo is 1/theta_4(q), so each
-series is its Lambert sum divided by theta_4 (`series.divide_by_theta4`).
+and with w(m) = m^r it is the positive power moment (`moments`).  The
+standard symmetrized series use s = floor((r-1)/2).  The prefactor
+(-q)oo/(q)oo is 1/theta_4(q), so each series is its Lambert sum divided by
+theta_4 (`series.divide_by_theta4`).
 
 Every identity here is cross-checked against enumeration in the test suite;
 the shift parameter exists because two widely quoted sample expansions
@@ -33,17 +39,17 @@ z-truncation policy is needed).
 from __future__ import annotations
 
 import hashlib
-from fractions import Fraction
+from itertools import accumulate, count
+from math import comb
+from operator import add, sub
+from typing import Callable
 
 from .errors import OutOfRange
 from .series import PowerSeries, check_trunc, divide_by_theta4, euler_product
 
 __all__ = [
-    "rho_crank",
-    "rho_rank",
     "standard_shift",
-    "crank_lambert_sum",
-    "rank_lambert_sum",
+    "lambert_sum",
     "crank_binomial_series",
     "rank_binomial_series",
     "ZLaurentSeries",
@@ -53,100 +59,60 @@ __all__ = [
 ]
 
 
-def rho_crank(r: int) -> Fraction:
-    """0 if r is odd, 1/2 otherwise."""
-    return Fraction(0) if r % 2 == 1 else Fraction(1, 2)
-
-
-def rho_rank(r: int) -> Fraction:
-    """1/2 if r is odd, 1 otherwise."""
-    return Fraction(1, 2) if r % 2 == 1 else Fraction(1)
-
-
 def standard_shift(r: int) -> int:
     """Binomial shift floor((r-1)/2) used by the symmetrized moments."""
     return (r - 1) // 2 if r >= 1 else -1
 
 
-def _check_order_shift(r: int, shift: int) -> None:
+def lambert_sum(kind: str, weight: Callable[[int], int], trunc: int) -> list[int]:
+    """sum_{m>=1} weight(m) [z^m] of the crank or rank Lambert part, through
+    q^trunc: no overpartition prefactor, the rank sum including its factor 2.
+
+    weight(m) - weight(m-1), with weight(0) := 0, goes on q^{E(n)+nm} with
+    sign (-1)^{n+1}, the rank's factor 2 folded into these steps; for the
+    rank each n-progression is then divided by 1 + q^n through the prefix
+    recurrence d_m = step_m - d_{m-1}.  weight is called once per m <= trunc.
+    """
+    check_trunc(trunc)
+    if kind not in ("crank", "rank"):
+        raise ValueError("kind must be 'crank' or 'rank'")
+    scale = 1 if kind == "crank" else 2
+    steps, prev = [0] * (trunc + 1), 0
+    for m in range(1, trunc + 1):
+        w = weight(m)
+        steps[m], prev = scale * (w - prev), w
+    c = [0] * (trunc + 1)
+    for n in count(1):
+        e = n * (n - 1) // 2 if kind == "crank" else n * n
+        if e + n > trunc:
+            return c
+        terms = steps[1 : (trunc - e) // n + 1]
+        if kind == "rank":
+            terms = accumulate(terms, lambda d, step: step - d)
+        c[e + n :: n] = map(add if n % 2 else sub, c[e + n :: n], terms)
+
+
+def _binomial(r: int, shift: int | None) -> Callable[[int], int]:
+    """Weight binom(m+shift, r), shift defaulting to the standard one."""
+    if shift is None:
+        shift = standard_shift(r)
     if r < 0:
         raise ValueError("order r must be >= 0")
     if not -1 <= shift <= max(r - 1, -1):
         raise ValueError(f"shift {shift} outside supported range -1..{r - 1}")
-
-
-def crank_lambert_sum(r: int, trunc: int, shift: int | None = None) -> PowerSeries:
-    """Inner sum of the crank series (no overpartition prefactor)."""
-    check_trunc(trunc)
-    if shift is None:
-        shift = standard_shift(r)
-    _check_order_shift(r, shift)
-    c = [0] * (trunc + 1)
-    n = 1
-    while True:
-        e = (n * n + (2 * (r - shift) - 1) * n) // 2
-        if shift == standard_shift(r) and (
-            Fraction(n * n, 2) + (Fraction(r, 2) + rho_crank(r)) * n != e
-        ):
-            raise ArithmeticError(f"crank exponent at n={n} disagrees with rho_crank({r})")
-        if e > trunc:
-            break
-        sign = 1 if n % 2 == 1 else -1
-        # q^e / (1-q^n)^r expanded termwise
-        k = 0
-        binom = 1 if r >= 1 else None
-        while e + k * n <= trunc:
-            if r == 0:
-                c[e] += sign
-                break
-            c[e + k * n] += sign * binom
-            binom = binom * (k + r) // (k + 1)
-            k += 1
-        n += 1
-    return PowerSeries(c)
-
-
-def rank_lambert_sum(r: int, trunc: int, shift: int | None = None) -> PowerSeries:
-    """Inner sum of the rank series, including the factor 2."""
-    check_trunc(trunc)
-    if shift is None:
-        shift = standard_shift(r)
-    _check_order_shift(r, shift)
-    c = [0] * (trunc + 1)
-    n = 1
-    while True:
-        e = n * n + (r - shift) * n
-        if shift == standard_shift(r) and n * n + (Fraction(r, 2) + rho_rank(r)) * n != e:
-            raise ArithmeticError(f"rank exponent at n={n} disagrees with rho_rank({r})")
-        if e > trunc:
-            break
-        sign = 2 if n % 2 == 1 else -2
-        # q^e / ((1+q^n)(1-q^n)^r): prefix recurrence d_k = C(k+r-1,r-1) - d_{k-1}
-        k = 0
-        prev = 0
-        binom = 1 if r >= 1 else None
-        while e + k * n <= trunc:
-            base = (1 if k == 0 else 0) if r == 0 else binom
-            d = base - prev
-            c[e + k * n] += sign * d
-            prev = d
-            if r >= 1:
-                binom = binom * (k + r) // (k + 1)
-            k += 1
-        n += 1
-    return PowerSeries(c)
+    return lambda m: comb(m + shift, r)
 
 
 def crank_binomial_series(r: int, trunc: int, shift: int | None = None) -> PowerSeries:
     """Series whose q^n coefficient is sum_{m>=1} binom(m+shift, r) M(m, n),
     M counting overpartitions of n by residual crank."""
-    return PowerSeries(divide_by_theta4(crank_lambert_sum(r, trunc, shift).coeffs, trunc))
+    return PowerSeries(divide_by_theta4(lambert_sum("crank", _binomial(r, shift), trunc), trunc))
 
 
 def rank_binomial_series(r: int, trunc: int, shift: int | None = None) -> PowerSeries:
     """Series whose q^n coefficient is sum_{m>=1} binom(m+shift, r) N(m, n),
     N counting overpartitions of n by rank."""
-    return PowerSeries(divide_by_theta4(rank_lambert_sum(r, trunc, shift).coeffs, trunc))
+    return PowerSeries(divide_by_theta4(lambert_sum("rank", _binomial(r, shift), trunc), trunc))
 
 
 class ZLaurentSeries:

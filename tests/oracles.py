@@ -2,12 +2,15 @@
 checked against, kept out of the package because nothing in it calls them.
 Series here are plain lists of integer coefficients."""
 
-from math import comb, isqrt
+from dataclasses import dataclass
+from fractions import Fraction
+from math import comb, factorial, isqrt
 from typing import Sequence
 
 import mpmath as mp
 
 from overmoments.asympt import GUARD_BITS
+from overmoments.genfunc import standard_shift
 
 
 def _kron_mul(a: Sequence[int], b: Sequence[int], trunc: int) -> list[int]:
@@ -155,3 +158,60 @@ def bessel_i_series(order, x, prec: int = 256, terms: int = 60) -> mp.mpf:
         result = total
     with mp.workprec(prec):
         return +result
+
+
+def _basis_polynomial(l: int) -> list[Fraction]:
+    """Coefficients (ascending in m) of B_l(m) = binom(m + floor((l-1)/2), l)."""
+    s = standard_shift(l)
+    poly = [Fraction(1)]
+    for j in range(l):
+        # multiply by (m + s - j)
+        shifted = [Fraction(0)] + poly
+        poly = [
+            shifted[i] + Fraction(s - j) * (poly[i] if i < len(poly) else 0)
+            for i in range(len(shifted))
+        ]
+    f = Fraction(factorial(l))
+    return [c / f for c in poly]
+
+
+@dataclass(frozen=True)
+class BasisChange:
+    """Coefficients a_0..a_{r-1} of m^r = r! B_r(m) + sum_l a_l B_l(m)."""
+
+    r: int
+    a: tuple[Fraction, ...]
+
+    def holds_at(self, m: int) -> bool:
+        lhs = Fraction(m) ** self.r
+        rhs = factorial(self.r) * Fraction(comb(m + standard_shift(self.r), self.r))
+        for l in range(self.r):
+            if self.a[l]:
+                rhs += self.a[l] * comb(m + standard_shift(l), l)
+        return lhs == rhs
+
+
+def basis_change(r: int) -> BasisChange:
+    """Solve the triangular system expressing m^r in the basis {B_l}_{l<=r}
+    (B_l has degree l and leading coefficient 1/l!, so the a_l are unique):
+    the power moments as rational combinations of symmetrized ones."""
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    remainder = [Fraction(0)] * (r + 1)
+    remainder[r] = Fraction(1)
+    coeffs = [Fraction(0)] * (r + 1)
+    for l in range(r, -1, -1):
+        B = _basis_polynomial(l)
+        c = remainder[l] / B[l]
+        coeffs[l] = c
+        for i in range(l + 1):
+            remainder[i] -= c * B[i]
+    if any(remainder):
+        raise ArithmeticError(f"basis change for r={r} left a remainder")
+    if coeffs[r] != factorial(r):
+        raise ArithmeticError(f"leading basis coefficient {coeffs[r]} is not {r}!")
+    bc = BasisChange(r, tuple(coeffs[:r]))
+    for m in range(1, r + 2):
+        if not bc.holds_at(m):
+            raise ArithmeticError(f"basis identity fails at m={m}")
+    return bc

@@ -143,7 +143,7 @@ def tau_series_oracle(kind, r, tau, prec):
     asympt.s_series_eval replaced."""
     with mp.workprec(prec + asympt.GUARD_BITS):
         tv = mp.mpc(tau)
-        rho = genfunc.rho_crank(r) if kind == "crank" else genfunc.rho_rank(r)
+        rho = asympt.rho_crank(r) if kind == "crank" else asympt.rho_rank(r)
         shift_coeff = mp.mpf(r) / 2 + mp.mpf(float(rho))
         q = mp.e ** (2j * mp.pi * tv)
         threshold = mp.mpf(2) ** (-(prec + 10))
@@ -170,11 +170,9 @@ def test_s_series_eval_matches_series_core():
     with mp.workprec(140):
         q = mp.e ** (-2 * mp.pi)
         for r in (1, 2):
-            for kind, lambert in (
-                ("crank", genfunc.crank_lambert_sum),
-                ("rank", genfunc.rank_lambert_sum),  # the factor 2 included
-            ):
-                inner = lambert(r, 60)
+            shift = genfunc.standard_shift(r)
+            for kind in ("crank", "rank"):  # the rank sum includes the factor 2
+                inner = genfunc.lambert_sum(kind, lambda m: math.comb(m + shift, r), 60)
                 ref = mp.fsum(inner[n] * q**n for n in range(61))
                 got = asympt.s_series_eval(kind, r, q, 140)
                 assert abs(got - ref) < 1e-15

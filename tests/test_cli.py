@@ -24,12 +24,15 @@ VERIFY_DIGESTS = {
     "residual": "d60c954d363e47d77410c38dec5f21ca5ddf77fda9d49ab9b3a08263afb588f3",
 }
 
-# SHA-256 of `converge --flavor F --kind crank --r 3 --grid 100,400,1600`
-# (csv, default --prec), recorded while the subleading fit still ran at the
-# caller's precision
+# SHA-256 of `converge --flavor F --kind K --r 3 --grid 100,400,1600` (csv,
+# default --prec); difference and symmetrized recorded while the subleading
+# fit still ran at the caller's precision, moment while the power moments
+# still went through the rational basis change
 CONVERGE_DIGESTS = {
-    "difference": "ba9f4c83a63d218650ad7071ed35ad76f81cb496d635746aff4f4e0bc74fb66c",
-    "symmetrized": "e3bfa7849085de3c944de9b145d0b68a2c00d60495a84fd098b3192f4bfbdd8f",
+    ("difference", "crank"): "ba9f4c83a63d218650ad7071ed35ad76f81cb496d635746aff4f4e0bc74fb66c",
+    ("moment", "crank"): "141b1470c3faba6d132d1d08d6961079e0cddfe1edc4980a369cfbd6c172f574",
+    ("moment", "rank"): "bf3261be02e8baf811c24bf3c364917699f652914ead3763c82b44d621b63b0e",
+    ("symmetrized", "crank"): "e3bfa7849085de3c944de9b145d0b68a2c00d60495a84fd098b3192f4bfbdd8f",
 }
 
 
@@ -141,12 +144,14 @@ def test_usage_errors_exit_2():
          f"workers must be in 1..{CPUS}, got 0"),
         (["verify", "--suite", "oracle", "--workers", str(CPUS + 1)],
          f"workers must be in 1..{CPUS}, got {CPUS + 1}"),
+        (["verify", "--suite", "oracle", "--budget", "-1"], "budget must be >= 0, got -1"),
     ],
 )
 def test_out_of_range_arguments_exit_2(argv, message, capsys):
     # negative N used to index the value list from its end; r < 1 and the
     # library's ValueErrors used to escape as a traceback with exit 1;
-    # --workers 0 used to run serially without a word
+    # --workers 0 used to run serially without a word; --budget -1 used to
+    # trip the enumeration guard with exit 3
     with pytest.raises(SystemExit) as exc:
         run(argv)
     assert exc.value.code == 2
@@ -216,12 +221,12 @@ def test_verify_report_is_byte_identical(suite, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_DIGESTS[suite]
 
 
-@pytest.mark.parametrize("flavor", sorted(CONVERGE_DIGESTS))
-def test_converge_table_is_byte_identical(flavor, tmp_path):
-    out = tmp_path / f"{flavor}.csv"
-    assert run(["converge", "--flavor", flavor, "--kind", "crank", "--r", "3",
+@pytest.mark.parametrize("flavor, kind", sorted(CONVERGE_DIGESTS))
+def test_converge_table_is_byte_identical(flavor, kind, tmp_path):
+    out = tmp_path / f"{flavor}-{kind}.csv"
+    assert run(["converge", "--flavor", flavor, "--kind", kind, "--r", "3",
                 "--grid", "100,400,1600", "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == CONVERGE_DIGESTS[flavor]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CONVERGE_DIGESTS[flavor, kind]
 
 
 def test_module_entry_point_under_optimize(tmp_path):

@@ -4,16 +4,33 @@ oracle and proposition suites of `overmoments.checks`, run by the
 acceptance tests A1 and A2."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from oracles import lambert_term
-from overmoments import genfunc
+from overmoments import asympt, genfunc
+
+
+def _binomial(r, shift):
+    return lambda m: comb(m + shift, r)
 
 
 def test_rho_values():
-    assert genfunc.rho_crank(3) == 0 and genfunc.rho_crank(4) == Fraction(1, 2)
-    assert genfunc.rho_rank(3) == Fraction(1, 2) and genfunc.rho_rank(4) == 1
+    assert asympt.rho_crank(3) == 0 and asympt.rho_crank(4) == Fraction(1, 2)
+    assert asympt.rho_rank(3) == Fraction(1, 2) and asympt.rho_rank(4) == 1
+
+
+@pytest.mark.parametrize("kind", ["crank", "rank"])
+def test_standard_shift_exponent_matches_rho(kind):
+    # the n-th term starts at q^{E(n) + (r/2 + rho) n}, E(n) = n^2/2 (crank)
+    # or n^2 (rank); the coefficient of n is the same for every n, so the
+    # lowest exponent of the whole sum, which only n = 1 reaches, pins it
+    base, rho = (Fraction(1, 2), asympt.rho_crank) if kind == "crank" else (1, asympt.rho_rank)
+    for r in range(1, 9):
+        sums = genfunc.lambert_sum(kind, _binomial(r, genfunc.standard_shift(r)), 20)
+        lowest = next(n for n, c in enumerate(sums) if c)
+        assert lowest == base + Fraction(r, 2) + rho(r), (kind, r)
 
 
 def test_standard_shift():
@@ -78,7 +95,7 @@ def test_lambert_sums_compose_from_single_terms():
             lambert_term(1, 1, 1, 8), lambert_term(2, 1, 3, 8), lambert_term(3, 1, 6, 8)
         )
     ]
-    assert list(genfunc.crank_lambert_sum(1, 8).coeffs) == expected
+    assert genfunc.lambert_sum("crank", _binomial(1, 0), 8) == expected
     # rank inner sum for r=1: 2[q^2/((1+q)(1-q)) - q^6/((1+q^2)(1-q^2)) + ...]
     expected = [
         2 * (a - b)
@@ -87,7 +104,11 @@ def test_lambert_sums_compose_from_single_terms():
             lambert_term(2, 1, 6, 8, alternating_factor=True),
         )
     ]
-    assert list(genfunc.rank_lambert_sum(1, 8).coeffs) == expected
+    assert genfunc.lambert_sum("rank", _binomial(1, 0), 8) == expected
+    # the weight m^2 puts 2m - 1 on q^{E(n)+nm}: n=1 gives 1, 3, 5, ... from
+    # q^1, n=2 subtracts 1, 3, 5 at q^3, q^5, q^7, n=3 adds 1 at q^6
+    expected = [0, 1, 3, 4, 7, 6, 12, 8, 15]
+    assert genfunc.lambert_sum("crank", lambda m: m * m, 8) == expected
 
 
 def test_manifest_checksum_is_deterministic():
@@ -110,13 +131,3 @@ def test_export_helpers():
     assert manifest["kind"] == "crank" and manifest["r"] == 2 and manifest["trunc"] == 4
     lines = "\n".join(str(c) for c in ser.coeffs)
     assert manifest["checksum"] == hashlib.sha256(lines.encode()).hexdigest()
-
-
-@pytest.mark.parametrize(
-    "name, build", [("rho_crank", genfunc.crank_lambert_sum), ("rho_rank", genfunc.rank_lambert_sum)]
-)
-def test_rho_exponent_mismatch_raises(name, build, monkeypatch):
-    # an explicit raise, so the invariant holds under python -O as well
-    monkeypatch.setattr(genfunc, name, lambda r: Fraction(1, 3))
-    with pytest.raises(ArithmeticError):
-        build(3, 10)

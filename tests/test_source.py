@@ -1,7 +1,9 @@
 """Source-level invariants of the package."""
 
 import ast
+import importlib
 import pathlib
+import pkgutil
 
 import overmoments
 
@@ -19,3 +21,19 @@ def test_no_assert_in_src():
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def test_every_exported_name_resolves():
+    # a stale __all__ entry fails only at `from module import *` time
+    modules = [overmoments] + [
+        importlib.import_module(f"overmoments.{info.name}")
+        for info in pkgutil.iter_modules([str(SRC)])
+        if info.name != "__main__"  # importing it runs the command line
+    ]
+    missing = [
+        f"{mod.__name__}.{name}"
+        for mod in modules
+        for name in getattr(mod, "__all__", ())
+        if not hasattr(mod, name)
+    ]
+    assert not missing, missing
