@@ -21,7 +21,6 @@ from .errors import (
     OutOfRange,
     OversizeRequest,
     OvermomentsError,
-    PrecisionLoss,
     QuadratureFailure,
 )
 from .genfunc import (
@@ -67,7 +66,6 @@ __all__ = [
     "OversizeRequest",
     "OutOfRange",
     "NonConvergent",
-    "PrecisionLoss",
     "QuadratureFailure",
     "Inconclusive",
 ]

@@ -14,7 +14,8 @@ return unrounded at their working precision, so each caller rounds once:
 the fit's pole-expansion residuals, the automorphic prefactor check, and
 the circle method's integrand `circle.gf_numeric`.
 
-Constants, for order r >= 1, with eta the alternating zeta:
+Constants, for order r >= 1, with eta the alternating zeta (mpmath's
+`altzeta`; the Bessel-form main term takes I_{r-3/2} from `besseli`):
 
   leading pole coefficient      c_r  = eta(r)
   crank subleading              d_r  = one of two candidate readings
@@ -31,29 +32,28 @@ one grid (DEFAULT_FIT_GRID) at one precision (FIT_PREC) and selects the one
 the numerics support: a wrong constant makes the normalized pole-expansion
 residual grow like sqrt(N), the right one keeps it bounded.  Each grid point
 costs one Lambert sum, shared by all candidates.  `resolve_constants` builds
-the frozen bundle of selected constants at the caller's precision.
+the frozen bundle of constants at the caller's precision; the subleading
+ones are fitted when first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Literal
 
 import mpmath as mp
 
 from . import genfunc
-from .errors import Inconclusive, NonConvergent, PrecisionLoss
+from .errors import Inconclusive, NonConvergent
 
 __all__ = [
-    "dirichlet_eta",
     "log_integer",
     "AsymptoticConstants",
     "resolve_constants",
     "subleading_candidates",
-    "bessel_i",
     "main_term",
     "s_series_eval",
     "overpartition_numeric",
@@ -69,40 +69,6 @@ GUARD_BITS = 32
 Kind = Literal["crank", "rank"]
 DEFAULT_FIT_GRID = (100, 1000, 10000, 100000)
 FIT_PREC = 192
-
-
-# ---------------------------------------------------------------------------
-# Dirichlet eta (alternating zeta), entire in s.
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=128)
-def dirichlet_eta(s, prec: int = 256) -> mp.mpf:
-    """eta(s) = sum_{n>=1} (-1)^{n+1} n^{-s} by Cohen-Rodriguez Villegas-Zagier
-    acceleration of the alternating series.
-
-    The acceleration treats the divergent cases (s <= 0) correctly, agreeing
-    with the entire continuation (eta(0) = 1/2, eta(-1) = 1/4), and hits the
-    alternating harmonic limit ln 2 at s = 1 with no special-casing.  Cached
-    on (s, prec): the result is an immutable mpf that depends on nothing
-    else, and the fits and constant bundles ask for each of about twenty
-    distinct values about ten times.
-    """
-    with mp.workprec(prec + GUARD_BITS):
-        sv = mp.mpf(s) if not isinstance(s, mp.mpf) else s
-        n = int(0.40 * (prec + GUARD_BITS)) + 12
-        d = (3 + 2 * mp.sqrt(2)) ** n
-        d = (d + 1 / d) / 2
-        b = mp.mpf(-1)
-        c = -d
-        total = mp.mpf(0)
-        for k in range(n):
-            c = b - c
-            total += c * mp.mpf(k + 1) ** (-sv)
-            b = b * (k + n) * (k - n) / ((k + mp.mpf(1) / 2) * (k + 1))
-        result = total / d
-    with mp.workprec(prec):
-        return +result
 
 
 def log_integer(value: int, prec: int = 256) -> mp.mpf:
@@ -144,10 +110,8 @@ def subleading_candidates(kind: Kind, r: int, prec: int = 256) -> dict:
     maps to None when its formula hits the zeta pole at argument 1; that
     reading is excluded rather than patched.
     """
+    eta = mp.altzeta
     with mp.workprec(prec + GUARD_BITS):
-
-        def eta(x):
-            return dirichlet_eta(x, prec + GUARD_BITS)
 
         def zeta_form(arg, expo):
             # zeta(arg) * (1 - 2^expo); equals eta(arg) only when expo = 1 - arg
@@ -183,17 +147,30 @@ def subleading_candidates(kind: Kind, r: int, prec: int = 256) -> dict:
 
 @dataclass(frozen=True)
 class AsymptoticConstants:
-    """All main-term constants for one order r, with the subleading ones as
-    selected by `fit_subleading`.  Built only by `resolve_constants`."""
+    """All main-term constants for one order r.  Built only by
+    `resolve_constants`.  The subleading ones run `fit_subleading` on first
+    read, so a caller that needs only c, gamma or c~ never fits."""
 
     r: int
     precision_bits: int
     c: mp.mpf
     gamma: mp.mpf
-    d_crank: mp.mpf
-    d_rank: mp.mpf
-    d_crank_tag: str
-    d_rank_tag: str
+
+    @cached_property
+    def d_crank_tag(self) -> str:
+        return fit_subleading("crank", self.r).selected_tag
+
+    @cached_property
+    def d_rank_tag(self) -> str:
+        return fit_subleading("rank", self.r).selected_tag
+
+    @cached_property
+    def d_crank(self) -> mp.mpf:
+        return subleading_candidates("crank", self.r, self.precision_bits)[self.d_crank_tag]
+
+    @cached_property
+    def d_rank(self) -> mp.mpf:
+        return subleading_candidates("rank", self.r, self.precision_bits)[self.d_rank_tag]
 
     @property
     def c_tilde(self) -> mp.mpf:
@@ -224,96 +201,15 @@ class AsymptoticConstants:
 
 @lru_cache(maxsize=None)
 def resolve_constants(r: int, prec: int = 256) -> AsymptoticConstants:
-    """Every constant for order r at precision prec, with both subleading
-    readings selected by `fit_subleading` and evaluated at prec."""
+    """Every constant for order r at precision prec; the subleading readings
+    are selected by `fit_subleading` and evaluated at prec when first read."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    crank_tag = fit_subleading("crank", r).selected_tag
-    rank_tag = fit_subleading("rank", r).selected_tag
     with mp.workprec(prec + GUARD_BITS):
-        c = dirichlet_eta(r, prec + GUARD_BITS)
+        c = mp.altzeta(r)
         gamma = mp.factorial(r) * c * mp.pi ** (-r) * mp.mpf(2) ** (r - 3)
     with mp.workprec(prec):
-        return AsymptoticConstants(
-            r=r,
-            precision_bits=prec,
-            c=+c,
-            gamma=+gamma,
-            d_crank=subleading_candidates("crank", r, prec)[crank_tag],
-            d_rank=subleading_candidates("rank", r, prec)[rank_tag],
-            d_crank_tag=crank_tag,
-            d_rank_tag=rank_tag,
-        )
-
-
-# ---------------------------------------------------------------------------
-# Modified Bessel function of the first kind, half-integer order.
-# ---------------------------------------------------------------------------
-
-
-def _twice_order(order) -> int:
-    k2 = mp.mpf(order) * 2
-    if k2 != int(k2) or int(k2) % 2 == 0:
-        raise ValueError(f"order {order} is not a half-integer")
-    return int(k2)
-
-
-def bessel_i(order, x, prec: int = 256) -> mp.mpf:
-    """I_order(x) for half-integer order and x > 0.
-
-    Seeded at I_{1/2} = sqrt(2/(pi x)) sinh x and I_{-1/2} = sqrt(2/(pi x))
-    cosh x, then walked by I_{s+1} = I_{s-1} - (2s/x) I_s (or downward by
-    I_{s-1} = I_{s+1} + (2s/x) I_s).  The upward walk is the unstable
-    direction when x << order: roundoff feeds the exponentially growing
-    companion solution.  Cancellation is therefore detected by recomputing
-    at escalating precision until two consecutive runs agree to the
-    requested precision; PrecisionLoss is raised if the 4096-bit working
-    cap is reached without agreement.
-    """
-    k2 = _twice_order(order)
-    if mp.mpf(x) <= 0:
-        raise ValueError("x must be positive")
-
-    def walk(working: int):
-        with mp.workprec(working):
-            xv = mp.mpf(x)
-            pref = mp.sqrt(2 / (mp.pi * xv))
-            i_minus = pref * mp.cosh(xv)  # order -1/2
-            i_plus = pref * mp.sinh(xv)  # order +1/2
-            if k2 > 0:
-                lo, hi = i_minus, i_plus  # orders s-1, s with s = 1/2
-                s = mp.mpf(1) / 2
-                for _ in range((k2 - 1) // 2):
-                    lo, hi = hi, lo - (2 * s / xv) * hi
-                    s += 1
-                return hi
-            hi, lo = i_plus, i_minus  # orders s+1, s with s = -1/2
-            s = -mp.mpf(1) / 2
-            for _ in range((-k2 - 1) // 2):
-                hi, lo = lo, hi + (2 * s / xv) * lo
-                s -= 1
-            return lo
-
-    guard = 64
-    previous = None
-    while True:
-        working = min(prec + guard, 4096)
-        result = walk(working)
-        if previous is not None:
-            with mp.workprec(working):
-                agree = result == previous or (
-                    result != 0
-                    and abs(result - previous) / abs(result) < mp.mpf(2) ** (-(prec + 8))
-                )
-            if agree:
-                with mp.workprec(prec):
-                    return +result
-            if working == 4096:
-                raise PrecisionLoss(
-                    f"I_{order}({x}) disagrees at the 4096-bit working cap"
-                )
-        previous = result
-        guard *= 2
+        return AsymptoticConstants(r=r, precision_bits=prec, c=+c, gamma=+gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +253,7 @@ def main_term(
             result = (
                 mp.log(consts.c_tilde)
                 + (mp.mpf(r) / 2 - mp.mpf(3) / 4) * mp.log(nv)
-                + mp.log(bessel_i(mp.mpf(r) - mp.mpf(3) / 2, arg, prec + GUARD_BITS))
+                + mp.log(mp.besseli(mp.mpf(r) - mp.mpf(3) / 2, arg))
             )
         else:
             raise ValueError(f"unknown flavor {flavor!r}")
@@ -459,7 +355,7 @@ def _pole_expansion_points(kind: Kind, r: int) -> list[tuple]:
     wp = FIT_PREC + GUARD_BITS
     points = []
     with mp.workprec(wp):
-        c = dirichlet_eta(r, wp)
+        c = mp.altzeta(r)
         if kind == "rank":
             c = c / 2
         for N in DEFAULT_FIT_GRID:

@@ -29,7 +29,6 @@ import mpmath as mp
 from . import genfunc
 from .asympt import (
     AsymptoticConstants,
-    bessel_i,
     overpartition_numeric,
     resolve_constants,
     s_series_eval,
@@ -382,7 +381,7 @@ def bessel_pathway_check(r: int, N: int, prec: int | None = None, tol: float = 1
     s = mp.mpf(1) / 2 - r
     P = p_segment(s, N, wp, tol)
     with mp.workprec(wp):
-        I = bessel_i(-s - 1, mp.pi * mp.sqrt(N), wp)
+        I = mp.besseli(-s - 1, mp.pi * mp.sqrt(N))
         result = abs(P - I) / mp.e ** (3 * mp.pi * mp.sqrt(N) / 4)
     with mp.workprec(wp):
         return +result

@@ -15,12 +15,13 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from typing import Sequence
 
 import mpmath as mp
 
 from . import asympt, checks, genfunc, moments
-from .errors import OversizeRequest, QuadratureFailure
+from .errors import Inconclusive, OversizeRequest, QuadratureFailure
 from .series import check_trunc
 
 PREC_MIN, PREC_MAX = 64, 4096
@@ -88,10 +89,14 @@ def _check_prec(value: str) -> int:
     return prec
 
 
-def _open_out(path: str | None):
+@contextmanager
+def _output(path: str | None):
+    """sys.stdout for None or "-", else the file at path, closed on exit."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w"), True
+        yield sys.stdout
+    else:
+        with open(path, "w") as fp:
+            yield fp
 
 
 # ---------------------------------------------------------------------------
@@ -105,8 +110,7 @@ def cmd_series(args) -> int:
     else:
         ser = genfunc.rank_binomial_series(args.r, args.trunc, shift=args.shift)
     manifest = genfunc.series_manifest(args.kind, args.r, args.trunc, ser)
-    fp, close = _open_out(args.out)
-    try:
+    with _output(args.out) as fp:
         if args.format == "csv":
             fp.write("n,coefficient\n")
             for n, c in enumerate(ser.coeffs):
@@ -118,9 +122,6 @@ def cmd_series(args) -> int:
                 sort_keys=True,
             )
             fp.write("\n")
-    finally:
-        if close:
-            fp.close()
     return 0
 
 
@@ -147,8 +148,7 @@ def cmd_ospt(args) -> int:
             else:
                 verdict = "negative"
             rows.append((r, N, v, verdict))
-    fp, close = _open_out(args.out)
-    try:
+    with _output(args.out) as fp:
         if args.format == "csv":
             fp.write("r,N,ospt,verdict\n")
             for r, N, v, verdict in rows:
@@ -163,9 +163,6 @@ def cmd_ospt(args) -> int:
                 sort_keys=True,
             )
             fp.write("\n")
-    finally:
-        if close:
-            fp.close()
     return 0
 
 
@@ -232,8 +229,7 @@ def cmd_converge(args) -> int:
         args.flavor, args.kind, args.r, args.grid, args.prec, args.workers
     )
     verdict = _monotone_verdict(rows)
-    fp, close = _open_out(args.out)
-    try:
+    with _output(args.out) as fp:
         if args.format == "csv":
             fp.write("N,log_exact,log_main,ratio,residual\n")
             for row in rows:
@@ -258,9 +254,6 @@ def cmd_converge(args) -> int:
                 sort_keys=True,
             )
             fp.write("\n")
-    finally:
-        if close:
-            fp.close()
     return 0
 
 
@@ -273,13 +266,9 @@ def cmd_verify(args) -> int:
     results = checks.SUITES[args.suite](args.budget, args.workers)
     passed = all(c["passed"] for c in results)
     report = {"suite": args.suite, "passed": passed, "checks": results}
-    fp, close = _open_out(args.out)
-    try:
+    with _output(args.out) as fp:
         json.dump(report, fp, sort_keys=True, indent=2)
         fp.write("\n")
-    finally:
-        if close:
-            fp.close()
     return 0 if passed else 1
 
 
@@ -345,6 +334,9 @@ def main(argv=None) -> int:
     except (OversizeRequest, QuadratureFailure) as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return 3
+    except Inconclusive as exc:
+        print(f"inconclusive: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

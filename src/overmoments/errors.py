@@ -17,10 +17,6 @@ class NonConvergent(OvermomentsError):
     """Numeric evaluation requested outside the domain of convergence."""
 
 
-class PrecisionLoss(OvermomentsError):
-    """Cancellation exceeded the available guard precision."""
-
-
 class QuadratureFailure(OvermomentsError):
     """A quadrature hit its size cap before reaching the requested tolerance."""
 

@@ -146,8 +146,8 @@ def pentagonal_support(limit: int) -> set[int]:
 
 
 def bessel_i_series(order, x, prec: int = 256, terms: int = 60) -> mp.mpf:
-    """Defining power series of I_order(x); the independent oracle for
-    asympt.bessel_i."""
+    """Defining power series of I_order(x); the independent oracle for the
+    Bessel factor of asympt.main_term's symmetrized_bessel flavor."""
     with mp.workprec(prec + GUARD_BITS):
         xv = mp.mpf(x)
         nu = mp.mpf(order)

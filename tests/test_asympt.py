@@ -1,41 +1,39 @@
-"""Asymptotic layer: eta, constants, Bessel, pole residuals, variant fits."""
+"""Asymptotic layer: constants, main terms, pole residuals, variant fits."""
 
 import dataclasses
 import math
-import random
 
 import mpmath as mp
 import pytest
 
 from oracles import bessel_i_series
 from overmoments import asympt, genfunc
-from overmoments.errors import Inconclusive, NonConvergent, PrecisionLoss
+from overmoments.errors import Inconclusive, NonConvergent
 
 
 def test_eta_classical_values():
+    # c_r = eta(r): ln 2 at r = 1, pi^2/12 at r = 2
     with mp.workprec(200):
-        assert abs(asympt.dirichlet_eta(1, 200) - mp.log(2)) < mp.mpf(2) ** -190
-        assert abs(asympt.dirichlet_eta(0, 200) - mp.mpf(1) / 2) < mp.mpf(2) ** -190
-        assert abs(asympt.dirichlet_eta(-1, 200) - mp.mpf(1) / 4) < mp.mpf(2) ** -190
-        assert abs(asympt.dirichlet_eta(2, 200) - mp.pi**2 / 12) < mp.mpf(2) ** -190
+        assert abs(asympt.resolve_constants(1, 200).c - mp.log(2)) < mp.mpf(2) ** -190
+        assert abs(asympt.resolve_constants(2, 200).c - mp.pi**2 / 12) < mp.mpf(2) ** -190
 
 
 def test_eta_matches_brute_averaged_partial_sums():
-    # oracle: direct alternating sum to 10^5 terms, averaging the last two
-    # partial sums to kill the leading tail term
+    # oracle for c_3 = eta(3): direct alternating sum to 10^5 terms,
+    # averaging the last two partial sums to kill the leading tail term
     n_terms = 100_000
     terms = [(-1) ** (n + 1) / n**3 for n in range(1, n_terms + 2)]
     s_n = math.fsum(terms[:-1])
     s_n1 = math.fsum(terms)
     oracle = (s_n + s_n1) / 2
-    assert abs(float(asympt.dirichlet_eta(3, 64)) - oracle) < 1e-12
+    assert abs(float(asympt.resolve_constants(3, 64).c) - oracle) < 1e-12
 
 
 def test_eta_against_zeta_factor():
     with mp.workprec(120):
         for s in (2, 3, 4, 6):
             ref = (1 - mp.mpf(2) ** (1 - s)) * mp.zeta(s)
-            assert abs(asympt.dirichlet_eta(s, 120) - ref) < 1e-15
+            assert abs(asympt.resolve_constants(s, 120).c - ref) < 1e-15
 
 
 def test_constants_small_r():
@@ -49,57 +47,18 @@ def test_constants_small_r():
         assert asympt.resolve_constants(r, 96).c > 0
 
 
-def test_bessel_half_integer_seeds():
-    with mp.workprec(150):
-        x = mp.mpf(1)
-        want = mp.sqrt(2 / mp.pi) * mp.sinh(1)
-        assert abs(asympt.bessel_i(mp.mpf(1) / 2, x, 150) - want) < mp.mpf(2) ** -140
-        want = mp.sqrt(2 / mp.pi) * mp.cosh(1)
-        assert abs(asympt.bessel_i(-mp.mpf(1) / 2, x, 150) - want) < mp.mpf(2) ** -140
-
-
 def test_bessel_matches_power_series():
-    val = asympt.bessel_i(mp.mpf(3) / 2, 10, 200)
-    ref = bessel_i_series(mp.mpf(3) / 2, 10, 200, terms=40)
-    with mp.workprec(200):
-        assert abs(val - ref) / ref < mp.mpf(10) ** -20
-
-
-def test_bessel_recurrence_property():
-    rng = random.Random(42)
-    for _ in range(20):
-        k = rng.randint(-3, 4)
-        s = k + mp.mpf(1) / 2
-        x = mp.mpf(rng.uniform(0.5, 50))
-        with mp.workprec(220):
-            lhs = asympt.bessel_i(s - 1, x, 220) - asympt.bessel_i(s + 1, x, 220)
-            rhs = (2 * s / x) * asympt.bessel_i(s, x, 220)
-            scale = max(abs(lhs), abs(rhs), mp.mpf(1))
-            assert abs(lhs - rhs) / scale < mp.mpf(2) ** -180
-
-
-def test_bessel_against_mpmath():
-    with mp.workprec(200):
-        for order in (mp.mpf(5) / 2, -mp.mpf(3) / 2):
-            mine = asympt.bessel_i(order, 17, 200)
-            ref = mp.besseli(order, 17)
-            assert abs(mine - ref) / abs(ref) < mp.mpf(2) ** -180
-
-
-def test_bessel_rejects_non_half_integer():
-    with pytest.raises(ValueError):
-        asympt.bessel_i(1, 2.0, 64)
-
-
-def test_bessel_precision_escalation_and_loss():
-    # tiny x with high order: upward recurrence cancels catastrophically;
-    # escalation covers moderate cases, the cap turns extreme ones into errors
-    v = asympt.bessel_i(mp.mpf(41) / 2, mp.mpf(1) / 1000, 64)
-    ref = bessel_i_series(mp.mpf(41) / 2, mp.mpf(1) / 1000, 64, terms=30)
-    with mp.workprec(64):
-        assert abs(v - ref) / ref < mp.mpf(2) ** -40
-    with pytest.raises(PrecisionLoss):
-        asympt.bessel_i(mp.mpf(301) / 2, mp.mpf(1) / 10**8, 256)
+    # log c~_r + (r/2 - 3/4) log N + log I_{r-3/2}(pi sqrt N), the Bessel
+    # factor summed from its defining power series
+    N = 10
+    for r in (1, 3, 6):
+        with mp.workprec(200):
+            c_tilde = asympt.resolve_constants(r, 200).c_tilde
+            bessel = bessel_i_series(r - mp.mpf(3) / 2, mp.pi * mp.sqrt(N), 200, terms=80)
+            want = mp.log(c_tilde) + (mp.mpf(r) / 2 - mp.mpf(3) / 4) * mp.log(N) + mp.log(bessel)
+        for kind in ("crank", "rank"):
+            got = asympt.main_term(kind, "symmetrized_bessel", r, N, 200)
+            assert abs(got - want) < mp.mpf(2) ** -180
 
 
 def test_main_term_moment_is_plugin():
@@ -273,6 +232,26 @@ def test_fit_result_is_read_only():
         fit.slopes["expansion"] = 0.0
 
 
+def test_constants_fit_only_when_subleading_is_read(monkeypatch):
+    # c, gamma and c~ need no fit: the moment and symmetrized flavors work
+    # for orders whose subleading fit is inconclusive
+    calls = []
+    s_series_eval = asympt.s_series_eval
+
+    def counting(*args, **kw):
+        calls.append(args)
+        return s_series_eval(*args, **kw)
+
+    monkeypatch.setattr(asympt, "s_series_eval", counting)
+    asympt.resolve_constants.cache_clear()
+    asympt.fit_subleading.cache_clear()
+    cs = asympt.resolve_constants(1, 256)
+    assert cs.gamma > 0 and cs.c_tilde > 0
+    assert calls == []
+    cs.d_crank
+    assert len(calls) == len(asympt.DEFAULT_FIT_GRID)
+
+
 def test_constants_are_frozen():
     cs = asympt.resolve_constants(3, 128)
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -301,7 +280,7 @@ def test_delta_values():
                 mp.factorial(r)
                 * mp.pi ** (-r + 1)
                 * mp.mpf(2) ** (r - 5)
-                * asympt.dirichlet_eta(r - 2, 160)
+                * mp.altzeta(r - 2)
             )
             assert abs(csr.delta - want) < mp.mpf(2) ** -130
             assert csr.delta > 0

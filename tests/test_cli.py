@@ -27,12 +27,14 @@ VERIFY_DIGESTS = {
 # SHA-256 of `converge --flavor F --kind K --r 3 --grid 100,400,1600` (csv,
 # default --prec); difference and symmetrized recorded while the subleading
 # fit still ran at the caller's precision, moment while the power moments
-# still went through the rational basis change
+# still went through the rational basis change, symmetrized rank while the
+# Bessel factor still came from a hand-rolled recurrence
 CONVERGE_DIGESTS = {
     ("difference", "crank"): "ba9f4c83a63d218650ad7071ed35ad76f81cb496d635746aff4f4e0bc74fb66c",
     ("moment", "crank"): "141b1470c3faba6d132d1d08d6961079e0cddfe1edc4980a369cfbd6c172f574",
     ("moment", "rank"): "bf3261be02e8baf811c24bf3c364917699f652914ead3763c82b44d621b63b0e",
     ("symmetrized", "crank"): "e3bfa7849085de3c944de9b145d0b68a2c00d60495a84fd098b3192f4bfbdd8f",
+    ("symmetrized", "rank"): "7eb9b6abd008c49cdc6436312a79ac5ab663877bcdd46b5b8ef58e47ba05e222",
 }
 
 
@@ -227,6 +229,25 @@ def test_converge_table_is_byte_identical(flavor, kind, tmp_path):
     assert run(["converge", "--flavor", flavor, "--kind", kind, "--r", "3",
                 "--grid", "100,400,1600", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == CONVERGE_DIGESTS[flavor, kind]
+
+
+@pytest.mark.parametrize("flavor", ["moment", "symmetrized"])
+def test_converge_needs_no_subleading_fit(flavor, tmp_path):
+    # the rank r = 9 subleading fit is inconclusive; these flavors never read it
+    out = tmp_path / f"{flavor}.csv"
+    assert run(["converge", "--flavor", flavor, "--r", "9", "--grid", "100,400",
+                "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 5
+
+
+def test_inconclusive_fit_exits_1(tmp_path, capsys):
+    # the difference main term needs the rank r = 9 subleading constant
+    out = tmp_path / "d.csv"
+    assert run(["converge", "--flavor", "difference", "--r", "9", "--grid", "100",
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("inconclusive: rank r=9:")
+    assert not out.exists()
 
 
 def test_module_entry_point_under_optimize(tmp_path):

@@ -37,3 +37,17 @@ def test_every_exported_name_resolves():
         if not hasattr(mod, name)
     ]
     assert not missing, missing
+
+
+def test_every_error_type_is_raised():
+    # an error class that nothing raises is dead API
+    errors = ast.parse((SRC / "errors.py").read_text())
+    defined = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    raised = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    assert defined - raised == {"OvermomentsError"}
