@@ -1,26 +1,30 @@
 """Numerical Wright circle method: coefficient recovery by Cauchy integral.
 
-The integration circle is |q| = e^{-pi/(2 sqrt N)}, i.e. tau = x + i y with
-y = 1/(4 sqrt N); the Cauchy kernel contributes e^{pi sqrt N / 2}.  The major
-arc is |x| <= y, where the integrand carries essentially all of the
-coefficient; the minor arc |x| in [y, 1/2] is exponentially smaller
-(~ e^{3 pi sqrt N / 4} against e^{pi sqrt N}).
+The integration circle is |q| = rho = e^{-pi/(2 sqrt N)}, i.e. tau = x + i y
+with y = 1/(4 sqrt N); the Cauchy kernel contributes rho^{-N} =
+e^{pi sqrt N / 2}.  The major arc is |x| <= y, where the integrand carries
+essentially all of the coefficient; the minor arc |x| in [y, 1/2] is
+exponentially smaller (~ e^{3 pi sqrt N / 4} against e^{pi sqrt N}).
+
+Every coefficient a_m of the moment series is >= 0, so a_m <= F(rho')
+rho'^{-m} for any rho < rho' < 1: one real evaluation of the series bounds
+every coefficient past a point, and both truncations below are certified
+that way.
 
 On the full circle the integrand is periodic and analytic, so the
 trapezoidal rule converges geometrically; `cauchy_coefficient` takes the
-smallest M whose aliasing bound, certified by the nonnegative coefficients,
-is below tol/4 of the result.  The arcs are not periodic and use adaptive
-Gauss-Legendre quadrature.
+smallest M whose aliasing bound is below tol/4 of the result.  On the
+circle the integrand is sum_m a_m rho^{m-N} e^{2 pi i (m-N) x}, so the
+major arc integrates exactly, term by term, to a sinc sum over the exact
+coefficients; `major_arc_coefficient` truncates it where the tail bound
+falls below tol/4, and the minor arc is a_N minus the major arc.
 
 Working precision is at least pi sqrt(N)/ln 2 + 64 bits so that
 exponential-scale cancellation between arcs cannot swamp a result.
-Integrands are conjugate-symmetric in x, so every integral runs over the
-positive half at twice the real part.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 from dataclasses import dataclass
 
@@ -34,6 +38,7 @@ from .asympt import (
     s_series_eval,
 )
 from .errors import OversizeRequest, QuadratureFailure
+from .series import EXACT_TRUNC_CAP
 
 __all__ = [
     "working_precision",
@@ -75,97 +80,25 @@ def gf_numeric(kind: str, r: int, q, prec: int = 256, shift: int | None = None):
         return total * pref
 
 
-# ---------------------------------------------------------------------------
-# Adaptive quadrature on a real interval (Gauss-Legendre with bisection).
-# ---------------------------------------------------------------------------
-
-
-def _adaptive_quad(
-    f,
-    panels: list[tuple[float, float]],
-    rel_tol,
-    prec: int,
-    max_panels: int = 2000,
-    abs_floor=None,
-) -> mp.mpf:
-    """Integrate a real-valued integrand over seeded panels, bisecting the
-    panel with the worst error estimate until the total estimate is below
-    rel_tol relative to the running value.
-
-    abs_floor sets the magnitude below which the result counts as zero, so a
-    vanishing integral does not demand ever-finer refinement.
-    """
-    with mp.workprec(prec):
-        if abs_floor is None:
-            abs_floor = mp.mpf(2) ** (-prec)
-        heap = []
-        total_val = mp.mpf(0)
-        total_err = mp.mpf(0)
-        counter = 0
-        for a, b in panels:
-            v, e = mp.quad(f, [mp.mpf(a), mp.mpf(b)], error=True, maxdegree=5)
-            heapq.heappush(heap, (-float(mp.log(e + mp.mpf(2) ** (-prec), 2)), counter, a, b, v, e))
-            counter += 1
-            total_val += v
-            total_err += e
-        n_panels = len(heap)
-        while total_err > rel_tol * max(abs(total_val), mp.mpf(abs_floor)):
-            if n_panels >= max_panels:
-                raise QuadratureFailure(
-                    f"refinement stalled at {n_panels} panels, err {mp.nstr(total_err, 5)}"
-                )
-            _, _, a, b, v, e = heapq.heappop(heap)
-            total_val -= v
-            total_err -= e
-            mid = (a + b) / 2
-            for lo, hi in ((a, mid), (mid, b)):
-                v2, e2 = mp.quad(f, [mp.mpf(lo), mp.mpf(hi)], error=True, maxdegree=5)
-                heapq.heappush(
-                    heap, (-float(mp.log(e2 + mp.mpf(2) ** (-prec), 2)), counter, lo, hi, v2, e2)
-                )
-                counter += 1
-                total_val += v2
-                total_err += e2
-            n_panels += 1
-        return total_val
-
-
-def _geometric_panels(a, b, start_width):
-    """Panels [a, a+w], [a+w, a+5w], ... widening by 4x out to b."""
-    panels = []
-    lo = a
-    w = start_width
-    while lo + w < b:
-        panels.append((lo, lo + w))
-        lo += w
-        w *= 4
-    panels.append((lo, b))
-    return panels
-
-
-def _circle_integral(kind, r, N, x_lo, x_hi, tol, prec, shift) -> mp.mpf:
-    """2 Re integral of F(q(x)) e^{-2 pi i N x} over the arc [x_lo, x_hi],
-    which lies on one side of y = 1/(4 sqrt N), times the Cauchy kernel."""
-    wp = working_precision(N, prec)
-    with mp.workprec(wp):
-        rho = mp.e ** (-mp.pi / (2 * mp.sqrt(N)))
-
-        def integrand(x):
-            qx = rho * mp.e ** (2j * mp.pi * x)
-            val = gf_numeric(kind, r, qx, wp, shift=shift)
-            return 2 * (val * mp.e ** (-2j * mp.pi * N * x)).real
-
-        y = float(1 / (4 * mp.sqrt(N)))
-        panels = _geometric_panels(x_lo, x_hi, max((x_hi - x_lo) / 8, y / 4))
-        kernel = mp.e ** (N * mp.pi / (2 * mp.sqrt(N)))
-        # coefficients are integers: anything below tol in coefficient space
-        # counts as zero, so the integral-space floor is tol / kernel
-        value = _adaptive_quad(
-            integrand, panels, mp.mpf(tol) / 4, wp, abs_floor=mp.mpf(tol) / kernel
-        )
-        result = value * kernel
-    with mp.workprec(wp):
-        return +result
+def _smallest_passing(bound, target, lo, step, cap, failure) -> tuple:
+    """(n, bound(n)) for the smallest multiple n >= lo of step with
+    bound(n) <= target, for a bound that falls as n grows: double past the
+    target, then bisect.  lo must be a multiple of step.  Raises
+    QuadratureFailure(failure) past cap."""
+    hi, b = lo, bound(lo)
+    while b > target:
+        lo, hi = hi, 2 * hi
+        if hi > cap:
+            raise QuadratureFailure(failure)
+        b = bound(hi)
+    while hi - lo > step:
+        mid = (lo + hi) // (2 * step) * step
+        b_mid = bound(mid)
+        if b_mid <= target:
+            hi, b = mid, b_mid
+        else:
+            lo = mid
+    return hi, b
 
 
 # ---------------------------------------------------------------------------
@@ -206,26 +139,6 @@ def _trapezoid_coefficient(kind, r, N, tol, prec=None, shift=None) -> tuple:
             peak = gf_numeric(kind, r, outer, wp, shift=shift).real
             return peak * outer ** (-N) * x / (1 - x)
 
-        def smallest_m(target, lo):
-            # B(M) falls as M grows: double past the target, then bisect
-            # over even M
-            hi, b = lo, bound(lo)
-            while b > target:
-                lo, hi = hi, 2 * hi
-                if hi > TRAPEZOID_M_CAP:
-                    raise QuadratureFailure(
-                        f"trapezoidal rule needs more than {TRAPEZOID_M_CAP} points"
-                    )
-                b = bound(hi)
-            while hi - lo > 2:
-                mid = (lo + hi) // 4 * 2
-                b_mid = bound(mid)
-                if b_mid <= target:
-                    hi, b = mid, b_mid
-                else:
-                    lo = mid
-            return hi, b
-
         # F(rho) rho^{-N} >= a_N, and the saddle point puts a_N near it over
         # 2 sqrt(2) n^{3/4}: pick M against that estimate with room to
         # spare, so that the certificate below passes at the first M
@@ -233,7 +146,10 @@ def _trapezoid_coefficient(kind, r, N, tol, prec=None, shift=None) -> tuple:
         target = quarter * upper / (4 * mp.mpf(n) ** (mp.mpf(3) / 4))
         M = N + 2 - N % 2  # the smallest even M > N
         while True:
-            M, b = smallest_m(target, M)
+            M, b = _smallest_passing(
+                bound, target, M, 2, TRAPEZOID_M_CAP,
+                f"trapezoidal rule needs more than {TRAPEZOID_M_CAP} points",
+            )
             samples = _circle_samples(kind, r, M, rho, wp, shift)
             total = mp.mpf(0)
             for j, f in enumerate(samples):
@@ -246,6 +162,64 @@ def _trapezoid_coefficient(kind, r, N, tol, prec=None, shift=None) -> tuple:
             target = quarter * floor
     with mp.workprec(wp):
         return +value, +b, M
+
+
+# ---------------------------------------------------------------------------
+# The major arc: an exact sinc sum over the coefficients.
+# ---------------------------------------------------------------------------
+
+
+def _major_arc(kind, r, N, tol, prec=None, shift=None, trunc=None) -> tuple:
+    """The major arc |x| <= y = 1/(4 sqrt N) summed over the coefficients
+    a_0..a_T; returns (major, minor, bound, series): the sum, a_N minus it,
+    the bound on its tail (<= tol/4 unless trunc sets T) and the series
+    exact through T.
+
+    On |q| = rho the integrand is sum_m a_m rho^{m-N} e^{2 pi i (m-N) x}, so
+    the arc is sum_m a_m rho^{m-N} sin(2 pi (m-N) y) / (pi (m-N)), with the
+    term 2y a_N at m = N.  With a_m <= F(rho') rho'^{-m} a term past T > N is
+    at most F(rho') rho^{-N} x^m / (pi (T+1-N)), x = rho/rho', so the tail is
+    at most B(T) = F(rho') rho^{-N} x^{T+1} / ((1-x) pi (T+1-N)), with
+    rho' = e^{-pi/(2 sqrt T)}: one real evaluation.  T is the smallest with
+    B(T) <= tol/4.  The bound is absolute, not relative, and the minor arc
+    is taken before rounding, so it is as accurate as the major arc.
+    """
+    wp = working_precision(N, prec)
+    with mp.workprec(wp):
+        rho = mp.e ** (-mp.pi / (2 * mp.sqrt(N)))
+
+        def bound(T):
+            outer = mp.e ** (-mp.pi / (2 * mp.sqrt(T)))
+            x = rho / outer
+            peak = gf_numeric(kind, r, outer, wp, shift=shift).real
+            return peak * rho ** (-N) * x ** (T + 1) / ((1 - x) * mp.pi * (T + 1 - N))
+
+        if trunc is None:
+            T, b = _smallest_passing(
+                bound, mp.mpf(tol) / 4, 2 * N, 1, EXACT_TRUNC_CAP,
+                f"major arc needs more than {EXACT_TRUNC_CAP} coefficients",
+            )
+        else:
+            T, b = trunc, bound(trunc)
+    build = genfunc.crank_binomial_series if kind == "crank" else genfunc.rank_binomial_series
+    series = build(r, T, shift=shift)
+    # the terms sum in size to F(rho) rho^{-N}, about a_N N^{3/4}, and the
+    # sines come from rotating by e^{2 pi i y}, one rounding per term: these
+    # bits hold the sum to 2^-64 absolute
+    bits = max(wp, series[N].bit_length() + N.bit_length() + 64) + T.bit_length()
+    with mp.workprec(bits):
+        y = 1 / (4 * mp.sqrt(N))
+        u = mp.e ** (-mp.pi / (2 * mp.sqrt(N))) * mp.expjpi(2 * y)
+        w = u ** -N  # rho^{m-N} e^{2 pi i (m-N) y} at m = 0
+        total = mp.mpf(0)
+        for k, a in enumerate(series.coeffs, -N):
+            if a and k:
+                total += a * w.imag / k
+            w *= u
+        major = total / mp.pi + 2 * y * series[N]
+        minor = series[N] - major
+    with mp.workprec(wp):
+        return +major, +minor, +b, series
 
 
 def _check_tol(tol) -> None:
@@ -262,38 +236,38 @@ def cauchy_coefficient(
     QuadratureFailure past TRAPEZOID_M_CAP points."""
     _check_tol(tol)
     if N > FULL_CIRCLE_N_CAP:
-        raise OversizeRequest(f"full-circle quadrature capped at N={FULL_CIRCLE_N_CAP}")
+        raise OversizeRequest(f"full circle capped at N={FULL_CIRCLE_N_CAP}")
     if N < 0:
         raise ValueError("N must be >= 0")
     return _trapezoid_coefficient(kind, r, N, tol, prec, shift)[0]
+
+
+def _arcs(kind, r, N, tol, prec, shift) -> tuple:
+    """`_major_arc` behind the guards both arcs share."""
+    _check_tol(tol)
+    if N > MAJOR_ARC_N_CAP:
+        raise OversizeRequest(f"arcs capped at N={MAJOR_ARC_N_CAP}")
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    return _major_arc(kind, r, N, tol, prec, shift)
 
 
 def major_arc_coefficient(
     kind: str, r: int, N: int, tol: float = MIN_TOL, prec: int | None = None,
     shift: int | None = None,
 ) -> mp.mpf:
-    """Contribution of |x| <= 1/(4 sqrt N) only."""
-    _check_tol(tol)
-    if N > MAJOR_ARC_N_CAP:
-        raise OversizeRequest(f"major-arc quadrature capped at N={MAJOR_ARC_N_CAP}")
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    y = float(1 / (4 * mp.sqrt(N)))
-    return _circle_integral(kind, r, N, 0.0, y, tol, prec, shift)
+    """Contribution of |x| <= 1/(4 sqrt N) only; the sinc sum's tail is below
+    tol/4 absolute."""
+    return _arcs(kind, r, N, tol, prec, shift)[0]
 
 
 def minor_arc_value(
     kind: str, r: int, N: int, tol: float = MIN_TOL, prec: int | None = None,
     shift: int | None = None,
 ) -> mp.mpf:
-    """Contribution of 1/(4 sqrt N) <= |x| <= 1/2."""
-    _check_tol(tol)
-    if N > FULL_CIRCLE_N_CAP:
-        raise OversizeRequest(f"minor-arc quadrature capped at N={FULL_CIRCLE_N_CAP}")
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    y = float(1 / (4 * mp.sqrt(N)))
-    return _circle_integral(kind, r, N, y, 0.5, tol, prec, shift)
+    """Contribution of 1/(4 sqrt N) <= |x| <= 1/2: the exact coefficient
+    minus the major arc, within tol/4 absolute."""
+    return _arcs(kind, r, N, tol, prec, shift)[1]
 
 
 @dataclass
@@ -319,17 +293,12 @@ def arc_report(
     kind: str, r: int, N: int, tol: float = MIN_TOL, prec: int | None = None,
     shift: int | None = None,
 ) -> ArcReport:
-    """Full/major/minor quadratures against the exact series coefficient."""
-    series = (
-        genfunc.crank_binomial_series(r, N, shift=shift)
-        if kind == "crank"
-        else genfunc.rank_binomial_series(r, N, shift=shift)
-    )
+    """The full circle by quadrature and the two arcs from one sinc sum,
+    against the exact series coefficient."""
+    full = cauchy_coefficient(kind, r, N, tol, prec, shift)
+    major, minor, _, series = _arcs(kind, r, N, tol, prec, shift)
     exact = series[N]
     wp = working_precision(N, prec)
-    full = cauchy_coefficient(kind, r, N, tol, prec, shift)
-    major = major_arc_coefficient(kind, r, N, tol, prec, shift)
-    minor = minor_arc_value(kind, r, N, tol, prec, shift)
     with mp.workprec(wp):
         rel = abs(full - exact) / abs(exact) if exact else abs(full - exact)
         bound = mp.mpf(N) ** (mp.mpf(r) / 2 + mp.mpf(1) / 4) * mp.e ** (
@@ -354,6 +323,15 @@ def arc_report(
 # ---------------------------------------------------------------------------
 
 
+def _quad(f, panels, tol) -> mp.mpf:
+    """mp.quad over fixed panels; raises QuadratureFailure when its error
+    estimate is above tol/4 of the value."""
+    value, err = mp.quad(f, panels, error=True)
+    if err > mp.mpf(tol) / 4 * abs(value):
+        raise QuadratureFailure(f"quadrature error estimate {mp.nstr(err, 5)} above tol/4")
+    return value
+
+
 def p_segment(s, N: int, prec: int | None = None, tol: float = 1e-10) -> mp.mpf:
     """P_s = (1/2 pi i) integral over the segment [1-i, 1+i] of
     v^s e^{(pi sqrt N / 2)(v + 1/v)} dv, by conjugate symmetry equal to
@@ -367,7 +345,7 @@ def p_segment(s, N: int, prec: int | None = None, tol: float = 1e-10) -> mp.mpf:
             v = 1 + 1j * t
             return (v**sv * mp.e ** (half * (v + 1 / v))).real
 
-        value = _adaptive_quad(integrand, [(0.0, 0.25), (0.25, 1.0)], mp.mpf(tol) / 4, wp)
+        value = _quad(integrand, [0, mp.mpf(1) / 4, 1], tol)
         result = value / mp.pi
     with mp.workprec(wp):
         return +result
@@ -412,7 +390,7 @@ def i1_main_terms_direct(
             val = w * (c * X ** (-r) + d * X ** (-r + 1)) * mp.e ** (-2j * mp.pi * N * x)
             return 2 * val.real
 
-        value = _adaptive_quad(integrand, [(0.0, float(y))], mp.mpf(tol) / 4, wp)
+        value = _quad(integrand, [0, y], tol)
         result = value * mp.e ** (mp.pi * mp.sqrt(N) / 2)
     with mp.workprec(wp):
         return +result

@@ -2,7 +2,9 @@
 checked against, kept out of the package because nothing in it calls them.
 Series here are plain lists of integer coefficients."""
 
+import heapq
 from dataclasses import dataclass
+from itertools import count
 from fractions import Fraction
 from math import comb, factorial, isqrt
 from typing import Sequence
@@ -10,6 +12,8 @@ from typing import Sequence
 import mpmath as mp
 
 from overmoments.asympt import GUARD_BITS
+from overmoments.circle import gf_numeric, working_precision
+from overmoments.errors import QuadratureFailure
 from overmoments.genfunc import standard_shift
 
 
@@ -215,3 +219,60 @@ def basis_change(r: int) -> BasisChange:
         if not bc.holds_at(m):
             raise ArithmeticError(f"basis identity fails at m={m}")
     return bc
+
+
+def _adaptive_quad(f, panels, rel_tol, prec: int, abs_floor, max_panels: int = 2000) -> mp.mpf:
+    """Integrate a real-valued integrand over seeded panels, bisecting the
+    panel with the worst error estimate until the total estimate is below
+    rel_tol relative to max(|value|, abs_floor)."""
+    with mp.workprec(prec):
+        heap, order = [], count()
+        total_val = mp.mpf(0)
+        total_err = mp.mpf(0)
+
+        def push(a, b):
+            nonlocal total_val, total_err
+            v, e = mp.quad(f, [mp.mpf(a), mp.mpf(b)], error=True, maxdegree=5)
+            key = -float(mp.log(e + mp.mpf(2) ** (-prec), 2))
+            heapq.heappush(heap, (key, next(order), a, b, v, e))
+            total_val += v
+            total_err += e
+
+        for a, b in panels:
+            push(a, b)
+        while total_err > rel_tol * max(abs(total_val), abs_floor):
+            if len(heap) >= max_panels:
+                raise QuadratureFailure(f"refinement stalled at {len(heap)} panels")
+            _, _, a, b, v, e = heapq.heappop(heap)
+            total_val -= v
+            total_err -= e
+            push(a, (a + b) / 2)
+            push((a + b) / 2, b)
+        return total_val
+
+
+def arc_quadrature(kind, r, N, x_lo, x_hi, tol, prec=None, shift=None) -> mp.mpf:
+    """The Cauchy integral of a_N over the arc x_lo <= |x| <= x_hi of
+    |q| = e^{-pi/(2 sqrt N)} by adaptive quadrature of `circle.gf_numeric`:
+    twice the real part over the positive half, on panels widening 4x from
+    x_lo, each arc on one side of y = 1/(4 sqrt N).  The independent check
+    of the sinc sum that `circle` integrates the arcs with."""
+    wp = working_precision(N, prec)
+    with mp.workprec(wp):
+        rho = mp.e ** (-mp.pi / (2 * mp.sqrt(N)))
+
+        def integrand(x):
+            val = gf_numeric(kind, r, rho * mp.e ** (2j * mp.pi * x), wp, shift=shift)
+            return 2 * (val * mp.e ** (-2j * mp.pi * N * x)).real
+
+        y = float(1 / (4 * mp.sqrt(N)))
+        panels, lo, w = [], x_lo, max((x_hi - x_lo) / 8, y / 4)
+        while lo + w < x_hi:
+            panels.append((lo, lo + w))
+            lo, w = lo + w, 4 * w
+        panels.append((lo, x_hi))
+        kernel = rho ** (-N)
+        # coefficients are integers: anything below tol in coefficient space
+        # counts as zero, so the integral-space floor is tol / kernel
+        value = _adaptive_quad(integrand, panels, mp.mpf(tol) / 4, wp, mp.mpf(tol) / kernel)
+        return value * kernel

@@ -1,10 +1,12 @@
-"""Circle method: numeric series evaluation and quadrature arcs."""
+"""Circle method: numeric series evaluation, full-circle quadrature and the
+sinc-sum arcs."""
 
 import json
 
 import mpmath as mp
 import pytest
 
+from oracles import arc_quadrature
 from overmoments import circle, genfunc
 from overmoments.errors import NonConvergent, OversizeRequest
 
@@ -162,15 +164,33 @@ def test_major_arc_dominates_and_minor_bound_stable():
         major = circle.major_arc_coefficient("crank", 3, N, tol=1e-8)
         minor = circle.minor_arc_value("crank", 3, N, tol=1e-8)
         with mp.workprec(circle.working_precision(N)):
+            y = 1 / (4 * mp.sqrt(N))
             fractions.append(float(major / exact))
             bound = mp.mpf(N) ** (mp.mpf(3) / 2 + mp.mpf(1) / 4) * mp.e ** (
                 3 * mp.pi * mp.sqrt(N) / 4
             )
             ratios.append(float(abs(minor) / bound))
-            assert abs(major + minor - exact) / exact < 1e-7
+        # the sinc sum against a numeric integral of gf_numeric over the arc
+        arcs = [(major, 0, y)]
+        if N == 25:  # the minor arc once: its quadrature costs twice the major's
+            arcs.append((minor, y, mp.mpf(1) / 2))
+        for value, lo, hi in arcs:
+            ref = arc_quadrature("crank", 3, N, lo, hi, 1e-8)
+            with mp.workprec(circle.working_precision(N)):
+                assert abs(value - ref) / abs(ref) < 1e-8
     assert abs(fractions[1] - 1) < abs(fractions[0] - 1)
     assert all(r < 1 for r in ratios)
     assert max(ratios) / min(ratios) < 10  # stable constant, not drifting
+
+
+@pytest.mark.parametrize("kind, r, N", [("crank", 3, 49), ("rank", 4, 25)])
+def test_sinc_sum_tail_bound_certifies_the_truncation(kind, r, N):
+    major, _, bound, series = circle._major_arc(kind, r, N, 1e-8)
+    T = series.trunc
+    assert T > N and bound <= mp.mpf(1e-8) / 4
+    longer = circle._major_arc(kind, r, N, 1e-8, trunc=2 * T)[0]
+    with mp.workprec(circle.working_precision(N)):
+        assert abs(longer - major) <= bound
 
 
 def test_small_n_major_arc_runs():
@@ -178,16 +198,18 @@ def test_small_n_major_arc_runs():
     assert mp.isfinite(val)
 
 
-def test_major_arc_fraction_approaches_one_through_196():
-    # the fraction oscillates around 1 while its distance shrinks
+def test_major_arc_fraction_approaches_one_through_10000():
+    # the fraction oscillates around 1 while its distance shrinks, and the
+    # minor arc stays under N^{r/2+1/4} e^{3 pi sqrt N / 4}
     dist = []
-    for N in (25, 49, 100, 196):
-        exact = genfunc.crank_binomial_series(3, N)[N]
-        major = circle.major_arc_coefficient("crank", 3, N, tol=1e-8)
+    for N in (25, 49, 100, 196, 400, 1600, 10_000):
+        major, minor, _, series = circle._major_arc("crank", 3, N, 1e-8)
         with mp.workprec(circle.working_precision(N)):
-            dist.append(float(abs(major / exact - 1)))
+            dist.append(float(abs(major / series[N] - 1)))
+            bound = mp.mpf(N) ** (mp.mpf(7) / 4) * mp.e ** (3 * mp.pi * mp.sqrt(N) / 4)
+            assert abs(minor) < bound
     assert all(b < a for a, b in zip(dist, dist[1:]))
-    assert dist[-1] < 1e-5
+    assert dist[-1] < 1e-30
 
 
 def test_caps_and_tolerance_guards():
@@ -195,6 +217,8 @@ def test_caps_and_tolerance_guards():
         circle.cauchy_coefficient("crank", 2, 201)
     with pytest.raises(OversizeRequest):
         circle.major_arc_coefficient("crank", 2, 10_001)
+    with pytest.raises(OversizeRequest):
+        circle.minor_arc_value("crank", 2, 10_001)
     with pytest.raises(ValueError):
         circle.cauchy_coefficient("crank", 2, 10, tol=1e-9)
 

@@ -9,11 +9,11 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# demo 04 takes about 10 s; tests/test_circle.py covers the calls it makes
 DEMOS = [
     "01_exact_series_and_oracle.py",
     "02_moments_and_ospt.py",
     "03_asymptotics.py",
+    "04_circle_method.py",
 ]
 
 
