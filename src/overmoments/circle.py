@@ -169,11 +169,10 @@ def _trapezoid_coefficient(kind, r, N, tol, prec=None, shift=None) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _major_arc(kind, r, N, tol, prec=None, shift=None, trunc=None) -> tuple:
+def _major_arc(kind, r, N, tol, prec=None, shift=None) -> tuple:
     """The major arc |x| <= y = 1/(4 sqrt N) summed over the coefficients
     a_0..a_T; returns (major, minor, bound, series): the sum, a_N minus it,
-    the bound on its tail (<= tol/4 unless trunc sets T) and the series
-    exact through T.
+    the bound on its tail (<= tol/4) and the series exact through T.
 
     On |q| = rho the integrand is sum_m a_m rho^{m-N} e^{2 pi i (m-N) x}, so
     the arc is sum_m a_m rho^{m-N} sin(2 pi (m-N) y) / (pi (m-N)), with the
@@ -194,13 +193,10 @@ def _major_arc(kind, r, N, tol, prec=None, shift=None, trunc=None) -> tuple:
             peak = gf_numeric(kind, r, outer, wp, shift=shift).real
             return peak * rho ** (-N) * x ** (T + 1) / ((1 - x) * mp.pi * (T + 1 - N))
 
-        if trunc is None:
-            T, b = _smallest_passing(
-                bound, mp.mpf(tol) / 4, 2 * N, 1, EXACT_TRUNC_CAP,
-                f"major arc needs more than {EXACT_TRUNC_CAP} coefficients",
-            )
-        else:
-            T, b = trunc, bound(trunc)
+        T, b = _smallest_passing(
+            bound, mp.mpf(tol) / 4, 2 * N, 1, EXACT_TRUNC_CAP,
+            f"major arc needs more than {EXACT_TRUNC_CAP} coefficients",
+        )
     build = genfunc.crank_binomial_series if kind == "crank" else genfunc.rank_binomial_series
     series = build(r, T, shift=shift)
     # the terms sum in size to F(rho) rho^{-N}, about a_N N^{3/4}, and the

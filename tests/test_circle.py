@@ -185,10 +185,12 @@ def test_major_arc_dominates_and_minor_bound_stable():
 
 @pytest.mark.parametrize("kind, r, N", [("crank", 3, 49), ("rank", 4, 25)])
 def test_sinc_sum_tail_bound_certifies_the_truncation(kind, r, N):
+    # a tighter tol truncates later, at T'; the terms T+1..T' are part of
+    # the tail that the bound at T covers
     major, _, bound, series = circle._major_arc(kind, r, N, 1e-8)
-    T = series.trunc
-    assert T > N and bound <= mp.mpf(1e-8) / 4
-    longer = circle._major_arc(kind, r, N, 1e-8, trunc=2 * T)[0]
+    assert series.trunc > N and bound <= mp.mpf(1e-8) / 4
+    longer, _, _, longer_series = circle._major_arc(kind, r, N, 1e-14)
+    assert longer_series.trunc > series.trunc
     with mp.workprec(circle.working_precision(N)):
         assert abs(longer - major) <= bound
 
