@@ -1,10 +1,10 @@
 """Asymptotic main terms against exact data.
 
 The positive moments grow like gamma_r N^{r/2-1} e^{pi sqrt N} and the
-crank-minus-rank difference like delta_r N^{r/2-3/2} e^{pi sqrt N}.  The
-subleading pole constants come in several candidate readings; the residual
-fit selects the one that keeps the pole-expansion error bounded, and the
-exact data then confirms the resulting delta_r.
+crank-minus-rank difference like delta_r N^{r/2-3/2} e^{pi sqrt N}.  Both
+come from the pole expansion S(e^{-t}) ~ sum_k C_k t^{k-r} of the Lambert
+sums, derived in closed form; its K-term residual decays like N^{-K/2},
+and the exact data confirms the resulting delta_r.
 """
 
 import mpmath as mp
@@ -14,19 +14,17 @@ from overmoments.moments import ospt_values, positive_moment_values
 
 mp.mp.dps = 30
 
-# --- constants and the variant fit ------------------------------------------
+# --- constants and the pole expansion ---------------------------------------
 
 for r in (2, 3, 4):
     cs = asympt.resolve_constants(r, 192)
     print(f"r={r}: c={mp.nstr(cs.c, 10)} gamma={mp.nstr(cs.gamma, 10)} "
-          f"delta={mp.nstr(cs.delta, 10)} "
-          f"(crank variant {cs.d_crank_tag}, rank variant {cs.d_rank_tag})")
+          f"delta={mp.nstr(cs.delta, 10)}")
 
-fit = asympt.fit_subleading("rank", 4)
-print("\nrank r=4 residual growth slopes per candidate:")
-for tag, slope in sorted(fit.slopes.items()):
-    marker = "  <- selected" if tag == fit.selected_tag else ""
-    print(f"  {tag:14s} {slope:+.3f}{marker}")
+print("\npole coefficients C_0..C_3, S(e^-t) ~ sum_k C_k t^(k-r):")
+for kind in ("crank", "rank"):
+    C = asympt.pole_coefficients(kind, 4, 4, 192)
+    print(f"  {kind:5s} r=4: " + "  ".join(mp.nstr(v, 10) for v in C))
 
 # --- ratio of exact to main term --------------------------------------------
 
@@ -47,10 +45,20 @@ for N in grid:
 
 # --- the pole expansion itself ------------------------------------------------
 
-print("\nnormalized pole-expansion residuals (bounded in N):")
-fit = asympt.fit_subleading("crank", 4)
-for N, res in zip(fit.grid[:3], fit.residuals[fit.selected_tag]):
-    print(f"  N={N:6d}  residual {mp.nstr(res, 6)}")
+print("\nK-term relative residual at t = pi/(2 sqrt N), crank r=4 (slope -> -K/2):")
+C = asympt.pole_coefficients("crank", 4, 8, 224)
+grid = (10**3, 10**4, 10**5)
+with mp.workprec(224):
+    res = {K: [] for K in (2, 4, 8)}
+    for N in grid:
+        t = mp.pi / (2 * mp.sqrt(N))
+        S = asympt.s_series_eval("crank", 4, mp.e ** (-t), 224)
+        for K in res:
+            res[K].append(abs(S / mp.fsum(C[k] * t ** (k - 4) for k in range(K)) - 1))
+    for K, vals in res.items():
+        slope = mp.log(vals[-1] / vals[0]) / mp.log(mp.mpf(grid[-1]) / grid[0])
+        values = "  ".join(mp.nstr(v, 4) for v in vals)
+        print(f"  K={K}: {values}   slope {mp.nstr(slope, 4)}")
 
 print("\nautomorphic prefactor vs closed form (quotient - 1):")
 for y in (mp.mpf(1) / 10, mp.mpf(1) / 20, mp.mpf(1) / 40):

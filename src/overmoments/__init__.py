@@ -16,7 +16,6 @@ from .combinat import (
     residual_crank_weights,
 )
 from .errors import (
-    Inconclusive,
     NonConvergent,
     OutOfRange,
     OversizeRequest,
@@ -67,5 +66,4 @@ __all__ = [
     "OutOfRange",
     "NonConvergent",
     "QuadratureFailure",
-    "Inconclusive",
 ]

@@ -1,5 +1,4 @@
-"""High-precision asymptotic constants, the subleading-constant fit, and main
-terms.
+"""High-precision asymptotic constants, the pole expansion, and main terms.
 
 Everything numeric runs on mpmath under an explicit working precision in
 bits (requested precision plus guard bits); callers pass `prec`, values come
@@ -11,64 +10,53 @@ The two q-series behind every numeric check have their only numeric
 evaluators here: `s_series_eval` (the crank and rank Lambert sums) and
 `overpartition_numeric` (the prefactor (-q)oo/(q)oo as 1/theta_4(q)).  Both
 return unrounded at their working precision, so each caller rounds once:
-the fit's pole-expansion residuals, the automorphic prefactor check, and
+the pole-expansion order checks, the automorphic prefactor check, and
 the circle method's integrand `circle.gf_numeric`.
 
-Constants, for order r >= 1, with eta the alternating zeta (mpmath's
-`altzeta`; the Bessel-form main term takes I_{r-3/2} from `besseli`):
+`pole_coefficients` derives the whole pole expansion
+S(e^{-t}) ~ sum_k C_k t^{k-r} of either Lambert sum in closed form, a
+finite Bernoulli-eta sum per coefficient.  Constants, for order r >= 1,
+with eta the alternating zeta (mpmath's `altzeta`; the Bessel-form main
+term takes I_{r-3/2} from `besseli`):
 
-  leading pole coefficient      c_r  = eta(r)
-  crank subleading              d_r  = one of two candidate readings
-  rank subleading               d'_r = one of four candidate readings
+  leading pole coefficient      c_r  = eta(r) = C_0
+  crank subleading              d_r  = C_1 of the crank sum
   moment main term              gamma_r = r! eta(r) pi^{-r} 2^{r-3}
-  difference main term          delta_r = r! pi^{-r+1} 2^{r-4} (d_r - 2 d'_r)
+  difference main term          delta_r = r! pi^{-r+1} 2^{r-5} eta(r-2)
   Bessel-form main term         c~_r = c_r pi^{-r+1} 2^{r-5/2}
-  Bessel-form subleading        d~_r = d_r pi^{-r+2} 2^{r-7/2}   (crank)
-                                d~'_r = 2 d'_r pi^{-r+2} 2^{r-7/2} (rank)
+  Bessel-form subleading        d~_r = d_r pi^{-r+2} 2^{r-7/2}
 
-The subleading constants admit several circulating closed forms that do not
-agree with each other.  `fit_subleading` scores every candidate reading on
-one grid (DEFAULT_FIT_GRID) at one precision (FIT_PREC) and selects the one
-the numerics support: a wrong constant makes the normalized pole-expansion
-residual grow like sqrt(N), the right one keeps it bounded.  Each grid point
-costs one Lambert sum, shared by all candidates.  `resolve_constants` builds
-the frozen bundle of constants at the caller's precision; the subleading
-ones are fitted when first read.
+delta_r = r! pi^{-r+1} 2^{r-4} (C_1(crank) - C_1(rank)), and that difference
+is exactly eta(r-2)/2 (see `pole_coefficients`), so delta_r needs no
+subleading constant.  `resolve_constants` builds the frozen bundle at the
+caller's precision.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property, lru_cache
-from types import MappingProxyType
+from functools import lru_cache
 from typing import Literal
 
 import mpmath as mp
 
 from . import genfunc
-from .errors import Inconclusive, NonConvergent
+from .errors import NonConvergent
 
 __all__ = [
     "log_integer",
     "AsymptoticConstants",
     "resolve_constants",
-    "subleading_candidates",
+    "pole_coefficients",
     "main_term",
     "s_series_eval",
     "overpartition_numeric",
-    "FitResult",
-    "fit_subleading",
-    "rho_crank",
-    "rho_rank",
     "eta_quotient_check",
 ]
 
 GUARD_BITS = 32
 
 Kind = Literal["crank", "rank"]
-DEFAULT_FIT_GRID = (100, 1000, 10000, 100000)
-FIT_PREC = 192
 
 
 def log_integer(value: int, prec: int = 256) -> mp.mpf:
@@ -82,62 +70,49 @@ def log_integer(value: int, prec: int = 256) -> mp.mpf:
 
 
 # ---------------------------------------------------------------------------
-# Subleading candidate table.
+# Pole expansion.
 # ---------------------------------------------------------------------------
 
 
-def rho_crank(r: int) -> Fraction:
-    """0 if r is odd, 1/2 otherwise: with the standard shift the n-th crank
-    Lambert term starts at q^{n^2/2 + (r/2 + rho_crank(r)) n}."""
-    return Fraction(0) if r % 2 == 1 else Fraction(1, 2)
+def pole_coefficients(kind: Kind, r: int, K: int, prec: int) -> list:
+    """C_0..C_{K-1} with S(e^{-t}) ~ sum_k C_k t^{k-r} as t -> 0+, for the
+    Lambert sum S that `s_series_eval` evaluates at the standard shift s.
 
-
-def rho_rank(r: int) -> Fraction:
-    """1/2 if r is odd, 1 otherwise: with the standard shift the n-th rank
-    Lambert term starts at q^{n^2 + (r/2 + rho_rank(r)) n}."""
-    return Fraction(1, 2) if r % 2 == 1 else Fraction(1)
-
-
-def subleading_candidates(kind: Kind, r: int, prec: int = 256) -> dict:
-    """Candidate values for the pole-expansion subleading constant.
-
-    Tags name the structure of each reading: "eta" uses eta(r-1) in the
-    rho-weighted term, "zeta_shifted" uses zeta(r-1)(1 - 2^{1-r}) (one power
-    of 2 away from the eta form), "swapped_eta" exchanges the roles of the
-    eta(r-1) and eta(r-2) terms, and "expansion" is the constant obtained by
-    expanding the summand directly through order t (kept alongside the
-    others for the rank sum, where the readings genuinely differ).  A tag
-    maps to None when its formula hits the zeta pole at argument 1; that
-    reading is excluded rather than patched.
+    With x = nt the n-th term of S is (-1)^{n+1} e^{-kappa t n^2} x^{-r} g(x):
+    kappa = 1/2 and g = (x/(1-e^{-x}))^r e^{-(r-s-1/2)x} for the crank,
+    kappa = 1 and g = (x/(1-e^{-x}))^r e^{-(r-s)x} 2/(1+e^{-x}) for the rank.
+    Expanding g = sum g_i x^i and e^{-kappa t n^2} in t, then summing
+    (-1)^{n+1} n^{-a} = eta(a) over n, gives
+    C_k = sum_{i+j=k} g_i (-kappa)^j / j! eta(r-i-2j).  The g_i come from
+    log g, with log(x/(1-e^{-x})) = -sum_k B_k x^k / (k k!) and
+    log(2/(1+e^{-x})) = sum_k (1-2^k) B_k x^k / (k k!) over k >= 1
+    (B_1 = -1/2), exponentiated by g_n = sum_{k<=n} k l_k g_{n-k} / n.
+    g_0 = 1 and g_1 = s - r/2 + 1/2 for both kinds, so C_0 = eta(r) and
+    C_1(crank) - C_1(rank) = eta(r-2)/2.
     """
-    eta = mp.altzeta
+    if kind not in ("crank", "rank"):
+        raise ValueError("kind must be 'crank' or 'rank'")
+    s = genfunc.standard_shift(r)
     with mp.workprec(prec + GUARD_BITS):
-
-        def zeta_form(arg, expo):
-            # zeta(arg) * (1 - 2^expo); equals eta(arg) only when expo = 1 - arg
-            if arg == 1:
-                return None
-            return mp.zeta(arg) * (1 - mp.mpf(2) ** expo)
-
-        out: dict[str, mp.mpf | None] = {}
-        if kind == "crank":
-            rho = mp.mpf(float(rho_crank(r)))
-            lit = zeta_form(r - 1, 1 - r)
-            out["zeta_shifted"] = (
-                None if lit is None and rho != 0 else -(eta(r - 2) / 2 + rho * (lit or 0))
+        half = mp.mpf(1) / 2
+        kappa, lam = (half, r - s - half) if kind == "crank" else (mp.mpf(1), mp.mpf(r - s))
+        # l[k]: coefficient of x^k in log g
+        l = [-lam if k == 1 else mp.mpf(0) for k in range(K)]
+        for k in range(1, K):
+            weight = -r if kind == "crank" else 1 - 2**k - r
+            l[k] += weight * mp.bernoulli(k) / (k * mp.factorial(k))
+        g = [mp.mpf(1)]
+        for n in range(1, K):
+            g.append(mp.fsum(k * l[k] * g[n - k] for k in range(1, n + 1)) / n)
+        C = [
+            mp.fsum(
+                g[i] * (-kappa) ** (k - i) / mp.factorial(k - i) * mp.altzeta(r - 2 * k + i)
+                for i in range(k + 1)
             )
-            out["eta"] = -(eta(r - 2) / 2 + rho * eta(r - 1))
-        elif kind == "rank":
-            rho = mp.mpf(float(rho_rank(r)))
-            lit = zeta_form(r - 1, 1 - r)
-            out["zeta_shifted"] = None if lit is None else -(eta(r - 2) + rho / 2 * lit)
-            out["eta"] = -(eta(r - 2) + rho / 2 * eta(r - 1))
-            out["swapped_eta"] = -(eta(r - 1) + rho * eta(r - 2)) / 2 - eta(r - 1) / 2
-            out["expansion"] = -(eta(r - 2) / 2 + (2 * rho - 1) / 4 * eta(r - 1))
-        else:
-            raise ValueError("kind must be 'crank' or 'rank'")
+            for k in range(K)
+        ]
     with mp.workprec(prec):
-        return {k: (+v if v is not None else None) for k, v in out.items()}
+        return [+v for v in C]
 
 
 # ---------------------------------------------------------------------------
@@ -148,29 +123,14 @@ def subleading_candidates(kind: Kind, r: int, prec: int = 256) -> dict:
 @dataclass(frozen=True)
 class AsymptoticConstants:
     """All main-term constants for one order r.  Built only by
-    `resolve_constants`.  The subleading ones run `fit_subleading` on first
-    read, so a caller that needs only c, gamma or c~ never fits."""
+    `resolve_constants`."""
 
     r: int
     precision_bits: int
     c: mp.mpf
     gamma: mp.mpf
-
-    @cached_property
-    def d_crank_tag(self) -> str:
-        return fit_subleading("crank", self.r).selected_tag
-
-    @cached_property
-    def d_rank_tag(self) -> str:
-        return fit_subleading("rank", self.r).selected_tag
-
-    @cached_property
-    def d_crank(self) -> mp.mpf:
-        return subleading_candidates("crank", self.r, self.precision_bits)[self.d_crank_tag]
-
-    @cached_property
-    def d_rank(self) -> mp.mpf:
-        return subleading_candidates("rank", self.r, self.precision_bits)[self.d_rank_tag]
+    delta: mp.mpf
+    d_crank: mp.mpf
 
     @property
     def c_tilde(self) -> mp.mpf:
@@ -182,34 +142,21 @@ class AsymptoticConstants:
         with mp.workprec(self.precision_bits):
             return self.d_crank * mp.pi ** (-self.r + 2) * mp.mpf(2) ** (self.r - mp.mpf(7) / 2)
 
-    @property
-    def d_tilde_prime(self) -> mp.mpf:
-        with mp.workprec(self.precision_bits):
-            return 2 * self.d_rank * mp.pi ** (-self.r + 2) * mp.mpf(2) ** (self.r - mp.mpf(7) / 2)
-
-    @property
-    def delta(self) -> mp.mpf:
-        """Difference main-term constant, from the selected subleadings."""
-        with mp.workprec(self.precision_bits):
-            return (
-                mp.factorial(self.r)
-                * mp.pi ** (-self.r + 1)
-                * mp.mpf(2) ** (self.r - 4)
-                * (self.d_crank - 2 * self.d_rank)
-            )
-
 
 @lru_cache(maxsize=None)
 def resolve_constants(r: int, prec: int = 256) -> AsymptoticConstants:
-    """Every constant for order r at precision prec; the subleading readings
-    are selected by `fit_subleading` and evaluated at prec when first read."""
+    """Every constant for order r at precision prec."""
     if r < 1:
         raise ValueError("r must be >= 1")
     with mp.workprec(prec + GUARD_BITS):
         c = mp.altzeta(r)
         gamma = mp.factorial(r) * c * mp.pi ** (-r) * mp.mpf(2) ** (r - 3)
+        delta = mp.factorial(r) * mp.pi ** (1 - r) * mp.mpf(2) ** (r - 5) * mp.altzeta(r - 2)
+    d_crank = pole_coefficients("crank", r, 2, prec)[1]
     with mp.workprec(prec):
-        return AsymptoticConstants(r=r, precision_bits=prec, c=+c, gamma=+gamma)
+        return AsymptoticConstants(
+            r=r, precision_bits=prec, c=+c, gamma=+gamma, delta=+delta, d_crank=d_crank
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +174,10 @@ def main_term(
 ) -> mp.mpf:
     """Natural log of the (positive) asymptotic main term.
 
-    Log-space keeps e^{pi sqrt N} finite for any N.  The constants are the
-    fit-selected ones unless a pre-built bundle is supplied.  The moment and
-    difference flavors are kind-independent (crank and rank share them);
-    `kind` is accepted for report labeling.
+    Log-space keeps e^{pi sqrt N} finite for any N.  The constants are
+    `resolve_constants(r, prec)` unless a pre-built bundle is supplied.  The
+    moment and difference flavors are kind-independent (crank and rank share
+    them); `kind` is accepted for report labeling.
     """
     if kind not in ("crank", "rank"):
         raise ValueError("kind must be 'crank' or 'rank'")
@@ -335,118 +282,6 @@ def overpartition_numeric(q, prec: int = 256):
             odd *= q2
             theta += square if k % 2 == 0 else -square
         return 1 / (1 + 2 * theta)
-
-
-# ---------------------------------------------------------------------------
-# Candidate selection.
-# ---------------------------------------------------------------------------
-
-
-def _pole_expansion_points(kind: Kind, r: int) -> list[tuple]:
-    """(S - c t^{-r}, t^{-r+1}, N^{1-r/2}) at each point of DEFAULT_FIT_GRID,
-    unrounded at FIT_PREC + GUARD_BITS.
-
-    Here t = -2 pi i tau = 2 pi y at tau = i y, y = 1/(4 sqrt N), and S is
-    the Lambert sum at q = e^{-t}: S_r for crank, S~_r (half the rank sum)
-    for rank.  A candidate d then has the normalized pole-expansion residual
-    |S - c t^{-r} - d t^{-r+1}| N^{1-r/2} = |rem - d tpow| scale, so one
-    Lambert sum per point serves every candidate.
-    """
-    wp = FIT_PREC + GUARD_BITS
-    points = []
-    with mp.workprec(wp):
-        c = mp.altzeta(r)
-        if kind == "rank":
-            c = c / 2
-        for N in DEFAULT_FIT_GRID:
-            y = 1 / (4 * mp.sqrt(N))
-            t = 2 * mp.pi * y
-            S = s_series_eval(kind, r, mp.e ** (-t), wp)
-            if kind == "rank":
-                S = S / 2
-            scale = mp.mpf(N) ** (1 - mp.mpf(r) / 2)
-            points.append((S - c * t ** (-r), t ** (-r + 1), scale))
-    return points
-
-
-@dataclass(frozen=True)
-class FitResult:
-    kind: str
-    r: int
-    grid: tuple[int, ...]
-    slopes: MappingProxyType
-    residuals: MappingProxyType
-    selected_tag: str
-    coincident_tags: tuple[str, ...]
-
-
-_BOUNDED_SLOPE = 0.2
-_PREFERENCE = ("eta", "expansion", "zeta_shifted", "swapped_eta")
-
-
-@lru_cache(maxsize=None)
-def fit_subleading(kind: Kind, r: int) -> FitResult:
-    """Select the subleading-constant variant whose normalized pole-expansion
-    residual does not grow along DEFAULT_FIT_GRID.  Everything runs at
-    FIT_PREC whatever the caller's working precision, so the cached result
-    does not depend on which caller comes first.
-
-    With the correct constant the residual stays bounded in N; with a wrong
-    one it grows like sqrt N.  The growth score is the steepest log-log slope
-    between consecutive grid points: a correct constant scores near 0, a
-    wrong one approaches 1/2.  Candidates with identical values are grouped
-    (they are the same constant written two ways).  Raises Inconclusive when
-    zero or more than one distinct value survives the boundedness cut.
-    `residuals` maps each defined tag to its residuals on the grid, rounded
-    to FIT_PREC.
-    """
-    cands = subleading_candidates(kind, r, FIT_PREC)
-    points = _pole_expansion_points(kind, r)
-    slopes: dict[str, float] = {}
-    residuals: dict[str, tuple] = {}
-    Ns = DEFAULT_FIT_GRID
-    with mp.workprec(FIT_PREC):
-        floor = mp.mpf(10) ** (-FIT_PREC // 4)
-        for tag, d in cands.items():
-            if d is None:
-                continue
-            with mp.workprec(FIT_PREC + GUARD_BITS):
-                res = [abs(rem - d * tpow) * scale for rem, tpow, scale in points]
-            res = tuple(+v for v in res)
-            residuals[tag] = res
-            slopes[tag] = max(
-                float(
-                    mp.log(max(res[i + 1], floor) / max(res[i], floor))
-                    / mp.log(mp.mpf(Ns[i + 1]) / Ns[i])
-                )
-                for i in range(len(Ns) - 1)
-            )
-        bounded = [tag for tag, sl in slopes.items() if sl < _BOUNDED_SLOPE]
-        # group by numeric value: coincident readings are one candidate
-        groups: list[list[str]] = []
-        for tag in bounded:
-            for grp in groups:
-                if mp.almosteq(cands[tag], cands[grp[0]], rel_eps=mp.mpf(2) ** (-FIT_PREC // 2)):
-                    grp.append(tag)
-                    break
-            else:
-                groups.append([tag])
-    if len(groups) != 1:
-        raise Inconclusive(
-            f"{kind} r={r}: {len(groups)} distinct bounded candidates "
-            f"(slopes {slopes})"
-        )
-    grp = groups[0]
-    tag = next(t for t in _PREFERENCE if t in grp)
-    return FitResult(
-        kind=kind,
-        r=r,
-        grid=Ns,
-        slopes=MappingProxyType(slopes),
-        residuals=MappingProxyType(residuals),
-        selected_tag=tag,
-        coincident_tags=tuple(grp),
-    )
 
 
 # ---------------------------------------------------------------------------

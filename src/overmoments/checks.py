@@ -7,7 +7,7 @@ returns a list of checks `{"name", "passed", "detail"}`:
 
   oracle       exact series and two-variable series against enumeration
   proposition  the generalized shift identity and the quoted sample expansions
-  residual     pole-expansion residuals, the constant identity, the prefactor
+  residual     pole-expansion orders, the constant identity, the prefactor
   wright       circle-method coefficients against the exact ones
 """
 
@@ -118,17 +118,29 @@ def proposition(budget: int, workers: int) -> list[dict]:
 
 
 def residual(budget: int, workers: int) -> list[dict]:
+    # the K-term pole expansion's relative residual decays like N^{-K/2}:
+    # its log-log slope over N = 10^3..10^5, at t = pi / (2 sqrt N), must
+    # lie within 0.1 of -K/2.  Rank r = 5, K = 4 is the worst case at 0.067;
+    # its slope is 0.13 off over 100..10^5 and 0.09999 off over 10^3..10^4,
+    # so N = 100 is left out and no single decade is gated
     checks = []
+    prec, orders = 224, (2, 4, 8)
     for kind in ("crank", "rank"):
         for r in range(3, 7):
-            fit = asympt.fit_subleading(kind, r)
-            # the first three fit-grid points, N = 100, 1000, 10^4
-            res = [float(v) for v in fit.residuals[fit.selected_tag][:3]]
+            C = asympt.pole_coefficients(kind, r, max(orders), prec)
+            res = {K: [] for K in orders}
+            with mp.workprec(prec):
+                for N in (10**3, 10**5):
+                    t = mp.pi / (2 * mp.sqrt(N))
+                    S = asympt.s_series_eval(kind, r, mp.e ** (-t), prec)
+                    for K in orders:
+                        res[K].append(abs(S / mp.fsum(C[k] * t ** (k - r) for k in range(K)) - 1))
+                slopes = [float(mp.log(b / a) / mp.log(100)) for a, b in res.values()]
             checks.append(
                 check(
-                    f"{kind}-r{r}-residual-bounded",
-                    max(res) < 1.0,
-                    f"selected {fit.selected_tag}, residuals {res}",
+                    f"{kind}-r{r}-expansion-order",
+                    all(abs(sl + K / 2) < 0.1 for K, sl in zip(orders, slopes)),
+                    "slopes " + ", ".join(f"K={K}: {sl:.3f}" for K, sl in zip(orders, slopes)),
                 )
             )
     with mp.workprec(256):

@@ -21,8 +21,8 @@ from typing import Sequence
 import mpmath as mp
 
 from . import asympt, checks, genfunc, moments
-from .errors import Inconclusive, OversizeRequest, QuadratureFailure
-from .series import check_trunc
+from .errors import OversizeRequest, QuadratureFailure
+from .series import check_order, check_trunc
 
 PREC_MIN, PREC_MAX = 64, 4096
 
@@ -133,6 +133,7 @@ def cmd_series(args) -> int:
 def cmd_ospt(args) -> int:
     nmax = max(args.N)
     check_trunc(nmax)
+    check_order(max(args.r))
     indices = list(args.N)  # after the size guard; every order's rows share its ints
     rows = []
     for r in args.r:
@@ -334,9 +335,6 @@ def main(argv=None) -> int:
     except (OversizeRequest, QuadratureFailure) as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return 3
-    except Inconclusive as exc:
-        print(f"inconclusive: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -19,7 +19,3 @@ class NonConvergent(OvermomentsError):
 
 class QuadratureFailure(OvermomentsError):
     """A quadrature hit its size cap before reaching the requested tolerance."""
-
-
-class Inconclusive(OvermomentsError):
-    """A numeric model-selection fit could not separate the candidates."""

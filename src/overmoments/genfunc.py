@@ -45,7 +45,7 @@ from operator import add, sub
 from typing import Callable
 
 from .errors import OutOfRange
-from .series import PowerSeries, check_trunc, divide_by_theta4, euler_product
+from .series import PowerSeries, check_order, check_trunc, divide_by_theta4, euler_product
 
 __all__ = [
     "standard_shift",
@@ -98,6 +98,7 @@ def _binomial(r: int, shift: int | None) -> Callable[[int], int]:
         shift = standard_shift(r)
     if r < 0:
         raise ValueError("order r must be >= 0")
+    check_order(r)
     if not -1 <= shift <= max(r - 1, -1):
         raise ValueError(f"shift {shift} outside supported range -1..{r - 1}")
     return lambda m: comb(m + shift, r)

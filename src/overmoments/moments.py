@@ -21,7 +21,7 @@ from typing import Literal
 from . import genfunc
 from .combinat import StatTable
 from .errors import OutOfRange
-from .series import divide_by_theta4
+from .series import check_order, divide_by_theta4
 
 __all__ = [
     "positive_moment",
@@ -86,6 +86,7 @@ def _power_sum(kind: Kind, r: int, trunc: int) -> list[int]:
     """Lambert sum weighted by m^r, r >= 1."""
     if r < 1:
         raise ValueError("r must be >= 1")
+    check_order(r)
     return genfunc.lambert_sum(kind, lambda m: m**r, trunc)
 
 

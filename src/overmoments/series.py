@@ -19,11 +19,21 @@ from typing import Iterable, Sequence
 
 from .errors import OversizeRequest
 
-__all__ = ["PowerSeries", "check_trunc", "divide_by_theta4", "overpartition_gf", "euler_product"]
+__all__ = [
+    "PowerSeries",
+    "check_trunc",
+    "check_order",
+    "divide_by_theta4",
+    "overpartition_gf",
+    "euler_product",
+]
 
 # pbar(n) has about pi sqrt(n) / ln 2 bits, so the table alone holds about
 # 2 pi trunc^{3/2} / (3 ln 2) bits: 34 MB at the cap, 12 GB at trunc = 10^7
 EXACT_TRUNC_CAP = 200_000
+# a weight m^r has r log2(m) bits: 0.6 KB at this cap and m = EXACT_TRUNC_CAP,
+# but 415 MB for m = 10 at r = 10^9
+EXACT_ORDER_CAP = 256
 
 
 class PowerSeries:
@@ -93,6 +103,13 @@ def check_trunc(trunc: int) -> None:
         raise ValueError("trunc must be >= 0")
     if trunc > EXACT_TRUNC_CAP:
         raise OversizeRequest(f"exact series capped at trunc={EXACT_TRUNC_CAP}, got {trunc}")
+
+
+def check_order(r: int) -> None:
+    """Refuse a moment order above EXACT_ORDER_CAP with OversizeRequest,
+    before any weight is built."""
+    if r > EXACT_ORDER_CAP:
+        raise OversizeRequest(f"exact moments capped at order r={EXACT_ORDER_CAP}, got {r}")
 
 
 def divide_by_theta4(coeffs: Sequence[int], trunc: int) -> list[int]:

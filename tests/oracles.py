@@ -164,6 +164,62 @@ def bessel_i_series(order, x, prec: int = 256, terms: int = 60) -> mp.mpf:
         return +result
 
 
+def rho_crank(r: int) -> Fraction:
+    """0 if r is odd, 1/2 otherwise: with the standard shift the n-th crank
+    Lambert term starts at q^{n^2/2 + (r/2 + rho_crank(r)) n}."""
+    return Fraction(0) if r % 2 == 1 else Fraction(1, 2)
+
+
+def rho_rank(r: int) -> Fraction:
+    """1/2 if r is odd, 1 otherwise: with the standard shift the n-th rank
+    Lambert term starts at q^{n^2 + (r/2 + rho_rank(r)) n}."""
+    return Fraction(1, 2) if r % 2 == 1 else Fraction(1)
+
+
+def subleading_candidates(kind: str, r: int, prec: int = 256) -> dict:
+    """The printed readings of the pole-expansion subleading constant, kept
+    as evidence for which of them the derived expansion confirms
+    (`asympt.pole_coefficients`: C_1 for the crank, C_1/2 for the rank,
+    whose sum this halves).
+
+    Tags name the structure of each reading: "eta" uses eta(r-1) in the
+    rho-weighted term, "zeta_shifted" uses zeta(r-1)(1 - 2^{1-r}) (one power
+    of 2 away from the eta form), "swapped_eta" exchanges the roles of the
+    eta(r-1) and eta(r-2) terms, and "expansion" is the constant obtained by
+    expanding the summand directly through order t.  A tag maps to None when
+    its formula hits the zeta pole at argument 1; that reading is excluded
+    rather than patched.
+    """
+    eta = mp.altzeta
+    with mp.workprec(prec + GUARD_BITS):
+
+        def zeta_form(arg, expo):
+            # zeta(arg) * (1 - 2^expo); equals eta(arg) only when expo = 1 - arg
+            if arg == 1:
+                return None
+            return mp.zeta(arg) * (1 - mp.mpf(2) ** expo)
+
+        out: dict[str, mp.mpf | None] = {}
+        if kind == "crank":
+            rho = mp.mpf(float(rho_crank(r)))
+            lit = zeta_form(r - 1, 1 - r)
+            out["zeta_shifted"] = (
+                None if lit is None and rho != 0 else -(eta(r - 2) / 2 + rho * (lit or 0))
+            )
+            out["eta"] = -(eta(r - 2) / 2 + rho * eta(r - 1))
+        elif kind == "rank":
+            rho = mp.mpf(float(rho_rank(r)))
+            lit = zeta_form(r - 1, 1 - r)
+            out["zeta_shifted"] = None if lit is None else -(eta(r - 2) + rho / 2 * lit)
+            out["eta"] = -(eta(r - 2) + rho / 2 * eta(r - 1))
+            out["swapped_eta"] = -(eta(r - 1) + rho * eta(r - 2)) / 2 - eta(r - 1) / 2
+            out["expansion"] = -(eta(r - 2) / 2 + (2 * rho - 1) / 4 * eta(r - 1))
+        else:
+            raise ValueError("kind must be 'crank' or 'rank'")
+    with mp.workprec(prec):
+        return {k: (+v if v is not None else None) for k, v in out.items()}
+
+
 def _basis_polynomial(l: int) -> list[Fraction]:
     """Coefficients (ascending in m) of B_l(m) = binom(m + floor((l-1)/2), l)."""
     s = standard_shift(l)

@@ -13,8 +13,9 @@ grids and gates are the ones `verify` uses, defined once in `checks`:
   A3  |ratio - 1| strictly decreasing on {400, 900, 1600, 2500}, < 0.5 at 2500
   A4  difference ratio trend decreasing, ratio within [0.3, 3] at 2500
   A5  ospt_r(N) > 0 exactly for 1 <= r <= 6, 1 <= N <= 500
-  A6  residual suite: normalized pole residuals < 1.0 on {100, 1000, 10000}
-      for r in 3..6; automorphic prefactor closed form
+  A6  residual suite: the K-term pole expansion's relative residual has
+      log-log slope within 0.1 of -K/2 over N = 10^3..10^5, K = 2, 4, 8,
+      r in 3..6; automorphic prefactor closed form
   A7  wright suite: circle quadrature within 1e-8 of exact for
       N in {7, 25, 60}; major arc -> 1; pathway < 1
   A8  exact basis-change identity to N = 100; residual suite:

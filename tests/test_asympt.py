@@ -1,4 +1,4 @@
-"""Asymptotic layer: constants, main terms, pole residuals, variant fits."""
+"""Asymptotic layer: constants, main terms, the pole expansion."""
 
 import dataclasses
 import math
@@ -6,9 +6,9 @@ import math
 import mpmath as mp
 import pytest
 
-from oracles import bessel_i_series
+from oracles import bessel_i_series, rho_crank, rho_rank, subleading_candidates
 from overmoments import asympt, genfunc
-from overmoments.errors import Inconclusive, NonConvergent
+from overmoments.errors import NonConvergent
 
 
 def test_eta_classical_values():
@@ -102,7 +102,7 @@ def tau_series_oracle(kind, r, tau, prec):
     asympt.s_series_eval replaced."""
     with mp.workprec(prec + asympt.GUARD_BITS):
         tv = mp.mpc(tau)
-        rho = asympt.rho_crank(r) if kind == "crank" else asympt.rho_rank(r)
+        rho = rho_crank(r) if kind == "crank" else rho_rank(r)
         shift_coeff = mp.mpf(r) / 2 + mp.mpf(float(rho))
         q = mp.e ** (2j * mp.pi * tv)
         threshold = mp.mpf(2) ** (-(prec + 10))
@@ -158,9 +158,10 @@ def test_s_series_rejects_lower_half_plane():
 
 @pytest.mark.parametrize("kind, r, factor", [("crank", 3, 1), ("rank", 4, 2)])
 def test_s_series_eval_matches_tau_oracle_at_fit_radius(kind, r, factor):
-    # the largest fit-grid point, N = 10^5, sits closest to q = 1
-    prec = 192 + asympt.GUARD_BITS
-    N = asympt.DEFAULT_FIT_GRID[-1]
+    # N = 10^5, the largest point of the residual suite's expansion-order
+    # checks, sits closest to q = 1; they sum at 224 bits
+    prec = 224
+    N = 10**5
     with mp.workprec(prec):
         y = 1 / (4 * mp.sqrt(N))
         ref = factor * tau_series_oracle(kind, r, mp.mpc(0, y), prec)
@@ -168,121 +169,57 @@ def test_s_series_eval_matches_tau_oracle_at_fit_radius(kind, r, factor):
         assert abs(got - ref) < mp.mpf(2) ** (-(prec - 20)) * abs(ref)
 
 
-def test_expansion_residual_wrong_variant_grows():
-    # grid points 0 and 2 are N = 100 and N = 10^4
-    res = asympt.fit_subleading("crank", 4).residuals["zeta_shifted"]
-    assert res[2] > 4 * res[0]  # sqrt(N) growth across two decades
-    res = asympt.fit_subleading("rank", 3).residuals["swapped_eta"]
-    assert res[2] > 4 * res[0]
-
-
-def test_fit_selects_the_bounded_variant():
-    for r in (3, 4, 5, 6):
-        fit = asympt.fit_subleading("crank", r)
-        assert fit.selected_tag == "eta"
-        fit = asympt.fit_subleading("rank", r)
-        assert fit.selected_tag == "expansion"
-
-
-def test_fit_degenerate_odd_crank_candidates_coincide():
-    fit = asympt.fit_subleading("crank", 1)
-    assert set(fit.coincident_tags) == {"zeta_shifted", "eta"}
-    fit3 = asympt.fit_subleading("crank", 3)
-    assert set(fit3.coincident_tags) == {"zeta_shifted", "eta"}
-
-
-def test_fit_inconclusive_when_candidates_indistinguishable(monkeypatch):
-    # the true constant and a copy a relative 1e-20 away: both residuals stay
-    # bounded, yet the two values are distinct at the fit precision
-    true_candidates = asympt.subleading_candidates
-
-    def near_pair(kind, r, prec=256):
-        d = true_candidates(kind, r, prec)["eta"]
-        with mp.workprec(prec):
-            return {"eta": d, "expansion": d * (1 + mp.mpf(10) ** -20)}
-
-    monkeypatch.setattr(asympt, "subleading_candidates", near_pair)
-    asympt.fit_subleading.cache_clear()
-    try:
-        with pytest.raises(Inconclusive):
-            asympt.fit_subleading("crank", 3)
-    finally:
-        asympt.fit_subleading.cache_clear()
-
-
-def test_fit_sums_each_grid_point_once(monkeypatch):
-    calls = []
-    s_series_eval = asympt.s_series_eval
-
-    def counting(*args, **kw):
-        calls.append(args)
-        return s_series_eval(*args, **kw)
-
-    monkeypatch.setattr(asympt, "s_series_eval", counting)
-    asympt.fit_subleading.cache_clear()
-    asympt.fit_subleading("rank", 3)
-    assert len(calls) == len(asympt.DEFAULT_FIT_GRID)
-
-
-def test_fit_result_is_read_only():
-    fit = asympt.fit_subleading("rank", 3)
-    with pytest.raises(TypeError):
-        fit.residuals["expansion"] = fit.residuals["eta"]
-    with pytest.raises(TypeError):
-        fit.slopes["expansion"] = 0.0
-
-
-def test_constants_fit_only_when_subleading_is_read(monkeypatch):
-    # c, gamma and c~ need no fit: the moment and symmetrized flavors work
-    # for orders whose subleading fit is inconclusive
-    calls = []
-    s_series_eval = asympt.s_series_eval
-
-    def counting(*args, **kw):
-        calls.append(args)
-        return s_series_eval(*args, **kw)
-
-    monkeypatch.setattr(asympt, "s_series_eval", counting)
-    asympt.resolve_constants.cache_clear()
-    asympt.fit_subleading.cache_clear()
-    cs = asympt.resolve_constants(1, 256)
-    assert cs.gamma > 0 and cs.c_tilde > 0
-    assert calls == []
-    cs.d_crank
-    assert len(calls) == len(asympt.DEFAULT_FIT_GRID)
+def test_pole_coefficients_confirm_the_printed_readings():
+    # C_1 of the crank sum is the "eta" reading, which "zeta_shifted" equals
+    # for odd r; half of the rank sum's C_1 is the "expansion" reading; no
+    # other defined reading matches.  C_0 = eta(r) for both kinds.
+    want = {"crank": {"eta"}, "rank": {"expansion"}}
+    for kind in ("crank", "rank"):
+        for r in range(1, 17):
+            c0, c1 = asympt.pole_coefficients(kind, r, 2, 256)
+            with mp.workprec(256):
+                assert abs(c0 - mp.altzeta(r)) <= mp.mpf(2) ** -240 * c0
+                d = c1 if kind == "crank" else c1 / 2
+                matches = {
+                    tag
+                    for tag, v in subleading_candidates(kind, r, 256).items()
+                    if v is not None and abs(v - d) <= mp.mpf(2) ** -240 * abs(d)
+                }
+            odd_crank = kind == "crank" and r % 2 == 1
+            assert matches == want[kind] | ({"zeta_shifted"} if odd_crank else set()), (kind, r)
 
 
 def test_constants_are_frozen():
     cs = asympt.resolve_constants(3, 128)
+    d = cs.d_crank
     with pytest.raises(dataclasses.FrozenInstanceError):
-        cs.d_crank_tag = "zeta_shifted"
-    assert asympt.resolve_constants(3, 128).d_crank_tag == "eta"
+        cs.d_crank = 0
+    assert asympt.resolve_constants(3, 128).d_crank == d
 
 
 def test_zeta_shifted_variant_undefined_at_r2():
-    cands = asympt.subleading_candidates("crank", 2, 96)
+    cands = subleading_candidates("crank", 2, 96)
     assert cands["zeta_shifted"] is None  # literal form hits the zeta pole
     assert cands["eta"] is not None
-    cands = asympt.subleading_candidates("rank", 2, 96)
+    cands = subleading_candidates("rank", 2, 96)
     assert cands["zeta_shifted"] is None
 
 
 def test_delta_values():
-    # delta_r = r! pi^{-r+1} 2^{r-5} eta(r-2) for the selected variants
+    # delta_r = r! pi^{-r+1} 2^{r-5} eta(r-2), which is r! pi^{-r+1} 2^{r-4}
+    # times C_1(crank) - C_1(rank) = eta(r-2)/2
     with mp.workprec(160):
         cs = asympt.resolve_constants(1, 160)
         assert abs(cs.delta - mp.mpf(1) / 64) < mp.mpf(2) ** -140
         cs4 = asympt.resolve_constants(4, 160)
         assert abs(cs4.delta - 1 / mp.pi) < mp.mpf(2) ** -140
-        for r in range(1, 7):
+        for r in range(1, 17):
             csr = asympt.resolve_constants(r, 160)
-            want = (
-                mp.factorial(r)
-                * mp.pi ** (-r + 1)
-                * mp.mpf(2) ** (r - 5)
-                * mp.altzeta(r - 2)
-            )
-            assert abs(csr.delta - want) < mp.mpf(2) ** -130
+            scale = mp.factorial(r) * mp.pi ** (-r + 1) * mp.mpf(2) ** (r - 5)
+            want = scale * mp.altzeta(r - 2)
+            assert abs(csr.delta - want) < mp.mpf(2) ** -150 * want
+            c1 = [asympt.pole_coefficients(kind, r, 2, 160)[1] for kind in ("crank", "rank")]
+            assert abs(2 * scale * (c1[0] - c1[1]) - want) < mp.mpf(2) ** -150 * want
             assert csr.delta > 0
 
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -17,11 +18,11 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # SHA-256 of `verify --suite S` reports with default flags; proposition and
 # oracle recorded while the suites still lived in the cli module, residual
-# while the fit still summed each Lambert series once per candidate
+# when its expansion-order checks replaced the subleading-constant fit
 VERIFY_DIGESTS = {
     "proposition": "c3d8a0db18082dcb03aa841da3581c9b68c7f30938124cc803b730b900e09c94",
     "oracle": "1ea0c023384348200c9ea3222f82de96e06a06c867f5b74588fbc27bdb8ac614",
-    "residual": "d60c954d363e47d77410c38dec5f21ca5ddf77fda9d49ab9b3a08263afb588f3",
+    "residual": "6119deab6386de9230e97bc8644d30c3420ee0fa4929952eb253670b1acd252a",
 }
 
 # SHA-256 of `converge --flavor F --kind K --r 3 --grid 100,400,1600` (csv,
@@ -231,23 +232,36 @@ def test_converge_table_is_byte_identical(flavor, kind, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == CONVERGE_DIGESTS[flavor, kind]
 
 
-@pytest.mark.parametrize("flavor", ["moment", "symmetrized"])
-def test_converge_needs_no_subleading_fit(flavor, tmp_path):
-    # the rank r = 9 subleading fit is inconclusive; these flavors never read it
-    out = tmp_path / f"{flavor}.csv"
-    assert run(["converge", "--flavor", flavor, "--r", "9", "--grid", "100,400",
-                "--out", str(out)]) == 0
-    assert len(out.read_text().splitlines()) == 5
+@pytest.mark.parametrize("flavor", ["moment", "symmetrized", "difference"])
+def test_converge_any_flavor_at_r9(flavor, tmp_path):
+    # difference ratios 0.462, 0.685, 0.829 on this grid
+    out = tmp_path / f"{flavor}.json"
+    assert run(["converge", "--flavor", flavor, "--r", "9", "--grid", "100,400,1600",
+                "--format", "json", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    res = [row["residual"] for row in report["rows"]]
+    assert len(res) == 3 and all(b < a for a, b in zip(res, res[1:]))
+    assert report["verdict"] == "decreasing"
 
 
-def test_inconclusive_fit_exits_1(tmp_path, capsys):
-    # the difference main term needs the rank r = 9 subleading constant
-    out = tmp_path / "d.csv"
-    assert run(["converge", "--flavor", "difference", "--r", "9", "--grid", "100",
-                "--out", str(out)]) == 1
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ospt", "--r", "1000000000", "--N", "1:10"],
+        ["converge", "--flavor", "difference", "--r", "257", "--grid", "10"],
+        ["series", "--kind", "crank", "--r", "257", "--trunc", "10"],
+    ],
+)
+def test_exact_order_guard_exit_3(argv, tmp_path, capsys):
+    # ospt --r 10^9 used to start building weights m^r of about 415 MB each;
+    # one past the cap is cheap to compute, so a missing guard fails fast
+    start = time.perf_counter()
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 3
+    assert time.perf_counter() - start < 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("inconclusive: rank r=9:")
-    assert not out.exists()
+    r = argv[argv.index("--r") + 1]
+    assert err == [f"resource guard: exact moments capped at order r=256, got {r}"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_module_entry_point_under_optimize(tmp_path):

@@ -8,8 +8,8 @@ from math import comb
 
 import pytest
 
-from oracles import lambert_term
-from overmoments import asympt, genfunc
+from oracles import lambert_term, rho_crank, rho_rank
+from overmoments import genfunc
 
 
 def _binomial(r, shift):
@@ -17,8 +17,8 @@ def _binomial(r, shift):
 
 
 def test_rho_values():
-    assert asympt.rho_crank(3) == 0 and asympt.rho_crank(4) == Fraction(1, 2)
-    assert asympt.rho_rank(3) == Fraction(1, 2) and asympt.rho_rank(4) == 1
+    assert rho_crank(3) == 0 and rho_crank(4) == Fraction(1, 2)
+    assert rho_rank(3) == Fraction(1, 2) and rho_rank(4) == 1
 
 
 @pytest.mark.parametrize("kind", ["crank", "rank"])
@@ -26,7 +26,7 @@ def test_standard_shift_exponent_matches_rho(kind):
     # the n-th term starts at q^{E(n) + (r/2 + rho) n}, E(n) = n^2/2 (crank)
     # or n^2 (rank); the coefficient of n is the same for every n, so the
     # lowest exponent of the whole sum, which only n = 1 reaches, pins it
-    base, rho = (Fraction(1, 2), asympt.rho_crank) if kind == "crank" else (1, asympt.rho_rank)
+    base, rho = (Fraction(1, 2), rho_crank) if kind == "crank" else (1, rho_rank)
     for r in range(1, 9):
         sums = genfunc.lambert_sum(kind, _binomial(r, genfunc.standard_shift(r)), 20)
         lowest = next(n for n, c in enumerate(sums) if c)
