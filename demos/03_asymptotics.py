@@ -32,13 +32,12 @@ r = 3
 grid = (400, 900, 1600, 2500)
 exact = positive_moment_values("crank", r, max(grid))
 diff = ospt_values(r, max(grid))
-cs = asympt.resolve_constants(r, 192)
 print(f"\nexact / main term, crank r={r}:")
 for N in grid:
     lg = asympt.log_integer(exact[N], 192)
-    lm = asympt.main_term("crank", "moment_main", r, N, 192, cs)
+    lm = asympt.main_term("crank", "moment", r, N, 192)
     ld = asympt.log_integer(diff[N], 192)
-    lmd = asympt.main_term("crank", "difference_main", r, N, 192, cs)
+    lmd = asympt.main_term("crank", "difference", r, N, 192)
     with mp.workprec(192):
         print(f"  N={N:5d}  moment ratio {mp.nstr(mp.e**(lg-lm), 8)}   "
               f"difference ratio {mp.nstr(mp.e**(ld-lmd), 8)}")

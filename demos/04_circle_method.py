@@ -30,17 +30,8 @@ for N in (25, 49, 100):
     major = circle.major_arc_coefficient("crank", 3, N, tol=1e-8)
     print(f"  N={N:3d}: {mp.nstr(major / exact, 10)}")
 
-rep = circle.arc_report("crank", 3, 36, tol=1e-8)
-print("\narc report at N=36:", rep.to_json())
-
 # --- Bessel pathway ------------------------------------------------------------
 
 print("\nsegment integral vs Bessel function, error / e^{3 pi sqrt(N)/4}:")
 for N in (25, 49, 100):
     print(f"  N={N:3d}: {mp.nstr(circle.bessel_pathway_check(3, N), 6)}")
-
-d = circle.i1_main_terms_direct(3, 49)
-b = circle.i1_main_terms_bessel(3, 49)
-print("\nmajor-arc main terms, two parametrizations of one integral:")
-print("  x-space quadrature:", mp.nstr(d, 16))
-print("  P-segment combo:   ", mp.nstr(b, 16))

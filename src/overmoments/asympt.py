@@ -20,16 +20,14 @@ with eta the alternating zeta (mpmath's `altzeta`; the Bessel-form main
 term takes I_{r-3/2} from `besseli`):
 
   leading pole coefficient      c_r  = eta(r) = C_0
-  crank subleading              d_r  = C_1 of the crank sum
   moment main term              gamma_r = r! eta(r) pi^{-r} 2^{r-3}
   difference main term          delta_r = r! pi^{-r+1} 2^{r-5} eta(r-2)
   Bessel-form main term         c~_r = c_r pi^{-r+1} 2^{r-5/2}
-  Bessel-form subleading        d~_r = d_r pi^{-r+2} 2^{r-7/2}
 
 delta_r = r! pi^{-r+1} 2^{r-4} (C_1(crank) - C_1(rank)), and that difference
 is exactly eta(r-2)/2 (see `pole_coefficients`), so delta_r needs no
-subleading constant.  `resolve_constants` builds the frozen bundle at the
-caller's precision.
+subleading constant.  `resolve_constants` builds the frozen bundle of
+c_r, gamma_r and delta_r at the caller's precision.
 """
 
 from __future__ import annotations
@@ -130,17 +128,11 @@ class AsymptoticConstants:
     c: mp.mpf
     gamma: mp.mpf
     delta: mp.mpf
-    d_crank: mp.mpf
 
     @property
     def c_tilde(self) -> mp.mpf:
         with mp.workprec(self.precision_bits):
             return self.c * mp.pi ** (-self.r + 1) * mp.mpf(2) ** (self.r - mp.mpf(5) / 2)
-
-    @property
-    def d_tilde(self) -> mp.mpf:
-        with mp.workprec(self.precision_bits):
-            return self.d_crank * mp.pi ** (-self.r + 2) * mp.mpf(2) ** (self.r - mp.mpf(7) / 2)
 
 
 @lru_cache(maxsize=None)
@@ -152,11 +144,8 @@ def resolve_constants(r: int, prec: int = 256) -> AsymptoticConstants:
         c = mp.altzeta(r)
         gamma = mp.factorial(r) * c * mp.pi ** (-r) * mp.mpf(2) ** (r - 3)
         delta = mp.factorial(r) * mp.pi ** (1 - r) * mp.mpf(2) ** (r - 5) * mp.altzeta(r - 2)
-    d_crank = pole_coefficients("crank", r, 2, prec)[1]
     with mp.workprec(prec):
-        return AsymptoticConstants(
-            r=r, precision_bits=prec, c=+c, gamma=+gamma, delta=+delta, d_crank=d_crank
-        )
+        return AsymptoticConstants(r=r, precision_bits=prec, c=+c, gamma=+gamma, delta=+delta)
 
 
 # ---------------------------------------------------------------------------
@@ -166,36 +155,36 @@ def resolve_constants(r: int, prec: int = 256) -> AsymptoticConstants:
 
 def main_term(
     kind: Kind,
-    flavor: Literal["moment_main", "difference_main", "symmetrized_bessel"],
+    flavor: Literal["moment", "difference", "symmetrized"],
     r: int,
     N: int,
     prec: int = 256,
-    consts: AsymptoticConstants | None = None,
 ) -> mp.mpf:
-    """Natural log of the (positive) asymptotic main term.
+    """Natural log of the (positive) asymptotic main term: gamma_r
+    N^{r/2-1} e^{pi sqrt N} (moment), delta_r N^{r/2-3/2} e^{pi sqrt N}
+    (difference) or c~_r N^{r/2-3/4} I_{r-3/2}(pi sqrt N) (symmetrized).
 
     Log-space keeps e^{pi sqrt N} finite for any N.  The constants are
-    `resolve_constants(r, prec)` unless a pre-built bundle is supplied.  The
-    moment and difference flavors are kind-independent (crank and rank share
-    them); `kind` is accepted for report labeling.
+    `resolve_constants(r, prec)`.  The moment and difference flavors are
+    kind-independent (crank and rank share them); `kind` is accepted for
+    report labeling.
     """
     if kind not in ("crank", "rank"):
         raise ValueError("kind must be 'crank' or 'rank'")
     if N < 1:
         raise ValueError("N must be >= 1")
-    if consts is None:
-        consts = resolve_constants(r, prec)
+    consts = resolve_constants(r, prec)
     with mp.workprec(prec + GUARD_BITS):
         nv = mp.mpf(N)
-        if flavor == "moment_main":
+        if flavor == "moment":
             result = mp.log(consts.gamma) + (mp.mpf(r) / 2 - 1) * mp.log(nv) + mp.pi * mp.sqrt(nv)
-        elif flavor == "difference_main":
+        elif flavor == "difference":
             result = (
                 mp.log(consts.delta)
                 + (mp.mpf(r) / 2 - mp.mpf(3) / 2) * mp.log(nv)
                 + mp.pi * mp.sqrt(nv)
             )
-        elif flavor == "symmetrized_bessel":
+        elif flavor == "symmetrized":
             arg = mp.pi * mp.sqrt(nv)
             result = (
                 mp.log(consts.c_tilde)
@@ -213,23 +202,21 @@ def main_term(
 # ---------------------------------------------------------------------------
 
 
-def s_series_eval(kind: Kind, r: int, q, prec: int = 256, shift: int | None = None):
+def s_series_eval(kind: Kind, r: int, q, prec: int = 256):
     """Lambert sum of the crank or rank moment series at complex q, |q| < 1.
 
     The same sum as `genfunc.lambert_sum` under the weight binom(m+s, r), in
     its summed form q^{e(n)} / (1-q^n)^r (times 1/(1+q^n) and 2 for the
-    rank), with binomial shift s defaulting to the standard one.  The
-    exponent is e(n) = (n^2 + (2(r-s)-1)n)/2 (crank) or n^2 + (r-s)n
-    (rank), and powers of q are built by recurrence: e(n)
-    steps by n + r - s (crank) or 2n + 1 + r - s (rank).  Summation stops on
+    rank), at the standard binomial shift s.  The exponent is
+    e(n) = (n^2 + (2(r-s)-1)n)/2 (crank) or n^2 + (r-s)n (rank), and powers
+    of q are built by recurrence: e(n) steps by n + r - s (crank) or
+    2n + 1 + r - s (rank).  Summation stops on
     a certified tail bound below 2^-(prec+8) relative.  The value comes back
     unrounded at the working precision prec + 16, so callers round once.
     Raises NonConvergent outside |q| < 1.
     """
     if kind not in ("crank", "rank"):
         raise ValueError("kind must be 'crank' or 'rank'")
-    if shift is None:
-        shift = genfunc.standard_shift(r)
     with mp.workprec(prec + 16):
         qv = mp.mpc(q)
         absq = abs(qv)
@@ -237,7 +224,7 @@ def s_series_eval(kind: Kind, r: int, q, prec: int = 256, shift: int | None = No
             raise NonConvergent("|q| must be < 1")
         eps = mp.mpf(2) ** (-(prec + 8))
         # q^{e(n)} by recurrence: e(n+1) - e(n) = de grows by dde per step
-        d = r - shift
+        d = r - genfunc.standard_shift(r)
         e, de, dde = (d, d + 1, 1) if kind == "crank" else (d + 1, d + 3, 2)
         qe, step, lift = qv**e, qv**de, qv**dde
         qn = mp.mpc(1)

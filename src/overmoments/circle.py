@@ -19,24 +19,16 @@ major arc integrates exactly, term by term, to a sinc sum over the exact
 coefficients; `major_arc_coefficient` truncates it where the tail bound
 falls below tol/4, and the minor arc is a_N minus the major arc.
 
-Working precision is at least pi sqrt(N)/ln 2 + 64 bits so that
+Working precision is pi sqrt(N)/ln 2 + 64 bits so that
 exponential-scale cancellation between arcs cannot swamp a result.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-
 import mpmath as mp
 
 from . import genfunc
-from .asympt import (
-    AsymptoticConstants,
-    overpartition_numeric,
-    resolve_constants,
-    s_series_eval,
-)
+from .asympt import overpartition_numeric, s_series_eval
 from .errors import OversizeRequest, QuadratureFailure
 from .series import EXACT_TRUNC_CAP
 
@@ -45,28 +37,23 @@ __all__ = [
     "gf_numeric",
     "cauchy_coefficient",
     "major_arc_coefficient",
-    "minor_arc_value",
-    "ArcReport",
-    "arc_report",
     "p_segment",
     "bessel_pathway_check",
-    "i1_main_terms_direct",
-    "i1_main_terms_bessel",
 ]
 
 FULL_CIRCLE_N_CAP = 200
 MAJOR_ARC_N_CAP = 10_000
 MIN_TOL = 1e-8
 TRAPEZOID_M_CAP = 1 << 14
+SEGMENT_TOL = 1e-10
 
 
-def working_precision(N: int, prec: int | None = None) -> int:
-    """At least pi sqrt(N)/ln 2 + 64 bits, or the caller's request if higher."""
-    base = int(mp.pi * mp.sqrt(N) / mp.log(2)) + 64
-    return max(base, prec or 0)
+def working_precision(N: int) -> int:
+    """pi sqrt(N)/ln 2 + 64 bits."""
+    return int(mp.pi * mp.sqrt(N) / mp.log(2)) + 64
 
 
-def gf_numeric(kind: str, r: int, q, prec: int = 256, shift: int | None = None):
+def gf_numeric(kind: str, r: int, q, prec: int = 256):
     """Evaluate the full moment series at complex q, |q| < 1: the prefactor
     `asympt.overpartition_numeric` (1/theta_4(q), with guard bits against its
     cancellation as q -> 1) times the Lambert sum `asympt.s_series_eval`.
@@ -74,7 +61,7 @@ def gf_numeric(kind: str, r: int, q, prec: int = 256, shift: int | None = None):
     Both factors come back unrounded; their product is rounded once to prec.
     Raises NonConvergent outside |q| < 1.
     """
-    total = s_series_eval(kind, r, q, prec, shift)
+    total = s_series_eval(kind, r, q, prec)
     pref = overpartition_numeric(q, prec)
     with mp.workprec(prec):
         return total * pref
@@ -106,15 +93,15 @@ def _smallest_passing(bound, target, lo, step, cap, failure) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _circle_samples(kind, r, M, rho, wp, shift) -> list:
+def _circle_samples(kind, r, M, rho, wp) -> list:
     """F(rho e^{2 pi i j/M}) for j = 0..M/2; the other half are conjugates."""
     return [
-        gf_numeric(kind, r, rho * mp.expjpi(mp.mpf(2 * j) / M), wp, shift=shift)
+        gf_numeric(kind, r, rho * mp.expjpi(mp.mpf(2 * j) / M), wp)
         for j in range(M // 2 + 1)
     ]
 
 
-def _trapezoid_coefficient(kind, r, N, tol, prec=None, shift=None) -> tuple:
+def _trapezoid_coefficient(kind, r, N, tol) -> tuple:
     """The coefficient a_N by the M-point trapezoidal rule on |q| = rho =
     e^{-pi/(2 sqrt max(N, 1))}; returns (value, bound, M) with
     0 <= value - a_N <= bound <= (tol/4) max(value - bound, 1).
@@ -128,7 +115,7 @@ def _trapezoid_coefficient(kind, r, N, tol, prec=None, shift=None) -> tuple:
     is the integer floor, so a zero coefficient passes at B <= tol/4.
     """
     n = max(N, 1)
-    wp = working_precision(n, prec)
+    wp = working_precision(n)
     with mp.workprec(wp):
         rho = mp.e ** (-mp.pi / (2 * mp.sqrt(n)))
         quarter = mp.mpf(tol) / 4
@@ -136,13 +123,13 @@ def _trapezoid_coefficient(kind, r, N, tol, prec=None, shift=None) -> tuple:
         def bound(M):
             outer = mp.e ** (-mp.pi / (2 * mp.sqrt(N + M)))
             x = (rho / outer) ** M
-            peak = gf_numeric(kind, r, outer, wp, shift=shift).real
+            peak = gf_numeric(kind, r, outer, wp).real
             return peak * outer ** (-N) * x / (1 - x)
 
         # F(rho) rho^{-N} >= a_N, and the saddle point puts a_N near it over
         # 2 sqrt(2) n^{3/4}: pick M against that estimate with room to
         # spare, so that the certificate below passes at the first M
-        upper = gf_numeric(kind, r, rho, wp, shift=shift).real * rho ** (-N)
+        upper = gf_numeric(kind, r, rho, wp).real * rho ** (-N)
         target = quarter * upper / (4 * mp.mpf(n) ** (mp.mpf(3) / 4))
         M = N + 2 - N % 2  # the smallest even M > N
         while True:
@@ -150,7 +137,7 @@ def _trapezoid_coefficient(kind, r, N, tol, prec=None, shift=None) -> tuple:
                 bound, target, M, 2, TRAPEZOID_M_CAP,
                 f"trapezoidal rule needs more than {TRAPEZOID_M_CAP} points",
             )
-            samples = _circle_samples(kind, r, M, rho, wp, shift)
+            samples = _circle_samples(kind, r, M, rho, wp)
             total = mp.mpf(0)
             for j, f in enumerate(samples):
                 term = (f * mp.expjpi(-mp.mpf(2 * (N * j % M)) / M)).real
@@ -169,7 +156,7 @@ def _trapezoid_coefficient(kind, r, N, tol, prec=None, shift=None) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _major_arc(kind, r, N, tol, prec=None, shift=None) -> tuple:
+def _major_arc(kind, r, N, tol) -> tuple:
     """The major arc |x| <= y = 1/(4 sqrt N) summed over the coefficients
     a_0..a_T; returns (major, minor, bound, series): the sum, a_N minus it,
     the bound on its tail (<= tol/4) and the series exact through T.
@@ -183,14 +170,14 @@ def _major_arc(kind, r, N, tol, prec=None, shift=None) -> tuple:
     B(T) <= tol/4.  The bound is absolute, not relative, and the minor arc
     is taken before rounding, so it is as accurate as the major arc.
     """
-    wp = working_precision(N, prec)
+    wp = working_precision(N)
     with mp.workprec(wp):
         rho = mp.e ** (-mp.pi / (2 * mp.sqrt(N)))
 
         def bound(T):
             outer = mp.e ** (-mp.pi / (2 * mp.sqrt(T)))
             x = rho / outer
-            peak = gf_numeric(kind, r, outer, wp, shift=shift).real
+            peak = gf_numeric(kind, r, outer, wp).real
             return peak * rho ** (-N) * x ** (T + 1) / ((1 - x) * mp.pi * (T + 1 - N))
 
         T, b = _smallest_passing(
@@ -198,7 +185,7 @@ def _major_arc(kind, r, N, tol, prec=None, shift=None) -> tuple:
             f"major arc needs more than {EXACT_TRUNC_CAP} coefficients",
         )
     build = genfunc.crank_binomial_series if kind == "crank" else genfunc.rank_binomial_series
-    series = build(r, T, shift=shift)
+    series = build(r, T)
     # the terms sum in size to F(rho) rho^{-N}, about a_N N^{3/4}, and the
     # sines come from rotating by e^{2 pi i y}, one rounding per term: these
     # bits hold the sum to 2^-64 absolute
@@ -218,100 +205,36 @@ def _major_arc(kind, r, N, tol, prec=None, shift=None) -> tuple:
         return +major, +minor, +b, series
 
 
-def _check_tol(tol) -> None:
+def _check(r, tol) -> None:
+    """The guards both the full circle and the major arc run before any
+    evaluation.  The certified bounds need every a_m >= 0, hence r >= 0."""
+    if r < 0:
+        raise ValueError("order r must be >= 0")
     if tol < MIN_TOL:
         raise ValueError(f"tol {tol} tighter than supported minimum {MIN_TOL}")
 
 
-def cauchy_coefficient(
-    kind: str, r: int, N: int, tol: float = MIN_TOL, prec: int | None = None,
-    shift: int | None = None,
-) -> mp.mpf:
+def cauchy_coefficient(kind: str, r: int, N: int, tol: float = MIN_TOL) -> mp.mpf:
     """Full-circle Cauchy integral by the trapezoidal rule; within tol of the
     exact integer coefficient, relative (absolute when it is zero).  Raises
     QuadratureFailure past TRAPEZOID_M_CAP points."""
-    _check_tol(tol)
+    _check(r, tol)
     if N > FULL_CIRCLE_N_CAP:
         raise OversizeRequest(f"full circle capped at N={FULL_CIRCLE_N_CAP}")
     if N < 0:
         raise ValueError("N must be >= 0")
-    return _trapezoid_coefficient(kind, r, N, tol, prec, shift)[0]
+    return _trapezoid_coefficient(kind, r, N, tol)[0]
 
 
-def _arcs(kind, r, N, tol, prec, shift) -> tuple:
-    """`_major_arc` behind the guards both arcs share."""
-    _check_tol(tol)
-    if N > MAJOR_ARC_N_CAP:
-        raise OversizeRequest(f"arcs capped at N={MAJOR_ARC_N_CAP}")
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    return _major_arc(kind, r, N, tol, prec, shift)
-
-
-def major_arc_coefficient(
-    kind: str, r: int, N: int, tol: float = MIN_TOL, prec: int | None = None,
-    shift: int | None = None,
-) -> mp.mpf:
+def major_arc_coefficient(kind: str, r: int, N: int, tol: float = MIN_TOL) -> mp.mpf:
     """Contribution of |x| <= 1/(4 sqrt N) only; the sinc sum's tail is below
     tol/4 absolute."""
-    return _arcs(kind, r, N, tol, prec, shift)[0]
-
-
-def minor_arc_value(
-    kind: str, r: int, N: int, tol: float = MIN_TOL, prec: int | None = None,
-    shift: int | None = None,
-) -> mp.mpf:
-    """Contribution of 1/(4 sqrt N) <= |x| <= 1/2: the exact coefficient
-    minus the major arc, within tol/4 absolute."""
-    return _arcs(kind, r, N, tol, prec, shift)[1]
-
-
-@dataclass
-class ArcReport:
-    """Where the coefficient mass sits on the circle for one (kind, r, N)."""
-
-    kind: str
-    r: int
-    N: int
-    tol: float
-    exact_log: float
-    full_log: float
-    full_rel_err: float
-    major_fraction: float
-    minor_abs_log: float
-    minor_bound_ratio: float
-
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__, sort_keys=True)
-
-
-def arc_report(
-    kind: str, r: int, N: int, tol: float = MIN_TOL, prec: int | None = None,
-    shift: int | None = None,
-) -> ArcReport:
-    """The full circle by quadrature and the two arcs from one sinc sum,
-    against the exact series coefficient."""
-    full = cauchy_coefficient(kind, r, N, tol, prec, shift)
-    major, minor, _, series = _arcs(kind, r, N, tol, prec, shift)
-    exact = series[N]
-    wp = working_precision(N, prec)
-    with mp.workprec(wp):
-        rel = abs(full - exact) / abs(exact) if exact else abs(full - exact)
-        bound = mp.mpf(N) ** (mp.mpf(r) / 2 + mp.mpf(1) / 4) * mp.e ** (
-            3 * mp.pi * mp.sqrt(N) / 4
-        )
-        return ArcReport(
-            kind=kind,
-            r=r,
-            N=N,
-            tol=tol,
-            exact_log=float(mp.log(abs(mp.mpf(exact)))) if exact else float("-inf"),
-            full_log=float(mp.log(abs(full))),
-            full_rel_err=float(rel),
-            major_fraction=float(major / exact) if exact else float("nan"),
-            minor_abs_log=float(mp.log(max(abs(minor), mp.mpf(2) ** (-wp)))),
-            minor_bound_ratio=float(abs(minor) / bound),
-        )
+    _check(r, tol)
+    if N > MAJOR_ARC_N_CAP:
+        raise OversizeRequest(f"major arc capped at N={MAJOR_ARC_N_CAP}")
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    return _major_arc(kind, r, N, tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -319,20 +242,13 @@ def arc_report(
 # ---------------------------------------------------------------------------
 
 
-def _quad(f, panels, tol) -> mp.mpf:
-    """mp.quad over fixed panels; raises QuadratureFailure when its error
-    estimate is above tol/4 of the value."""
-    value, err = mp.quad(f, panels, error=True)
-    if err > mp.mpf(tol) / 4 * abs(value):
-        raise QuadratureFailure(f"quadrature error estimate {mp.nstr(err, 5)} above tol/4")
-    return value
-
-
-def p_segment(s, N: int, prec: int | None = None, tol: float = 1e-10) -> mp.mpf:
+def p_segment(s, N: int) -> mp.mpf:
     """P_s = (1/2 pi i) integral over the segment [1-i, 1+i] of
     v^s e^{(pi sqrt N / 2)(v + 1/v)} dv, by conjugate symmetry equal to
-    (1/pi) integral_0^1 Re[(1+it)^s e^{(pi sqrt N/2)((1+it) + 1/(1+it))}] dt."""
-    wp = working_precision(N, prec)
+    (1/pi) integral_0^1 Re[(1+it)^s e^{(pi sqrt N/2)((1+it) + 1/(1+it))}] dt,
+    by mp.quad on fixed panels.  Raises QuadratureFailure when its error
+    estimate is above SEGMENT_TOL/4 of the value."""
+    wp = working_precision(N)
     with mp.workprec(wp):
         half = mp.pi * mp.sqrt(N) / 2
         sv = mp.mpf(s)
@@ -341,83 +257,19 @@ def p_segment(s, N: int, prec: int | None = None, tol: float = 1e-10) -> mp.mpf:
             v = 1 + 1j * t
             return (v**sv * mp.e ** (half * (v + 1 / v))).real
 
-        value = _quad(integrand, [0, mp.mpf(1) / 4, 1], tol)
-        result = value / mp.pi
-    with mp.workprec(wp):
-        return +result
+        value, err = mp.quad(integrand, [0, mp.mpf(1) / 4, 1], error=True)
+        if err > mp.mpf(SEGMENT_TOL) / 4 * abs(value):
+            raise QuadratureFailure(f"quadrature error estimate {mp.nstr(err, 5)} above tol/4")
+        return value / mp.pi
 
 
-def bessel_pathway_check(r: int, N: int, prec: int | None = None, tol: float = 1e-10) -> mp.mpf:
+def bessel_pathway_check(r: int, N: int) -> mp.mpf:
     """|P_{-r+1/2} - I_{r-3/2}(pi sqrt N)| / e^{3 pi sqrt N / 4}; bounded in N."""
     if N < 16:
         raise ValueError("N must be >= 16")
-    wp = working_precision(N, prec)
+    wp = working_precision(N)
     s = mp.mpf(1) / 2 - r
-    P = p_segment(s, N, wp, tol)
+    P = p_segment(s, N)
     with mp.workprec(wp):
         I = mp.besseli(-s - 1, mp.pi * mp.sqrt(N))
-        result = abs(P - I) / mp.e ** (3 * mp.pi * mp.sqrt(N) / 4)
-    with mp.workprec(wp):
-        return +result
-
-
-# ---------------------------------------------------------------------------
-# Major-arc main terms, two parametrizations of the same integral.
-# ---------------------------------------------------------------------------
-
-
-def i1_main_terms_direct(
-    r: int, N: int, consts: AsymptoticConstants | None = None,
-    prec: int | None = None, tol: float = 1e-10,
-) -> mp.mpf:
-    """Major-arc integral of the two-term pole approximation, in x-space."""
-    if consts is None:
-        consts = resolve_constants(r, working_precision(N, prec))
-    wp = working_precision(N, prec)
-    with mp.workprec(wp):
-        y = 1 / (4 * mp.sqrt(N))
-        c = consts.c
-        d = consts.d_crank
-
-        def integrand(x):
-            tau = mp.mpc(x, y)
-            X = -2j * mp.pi * tau
-            w = mp.sqrt(-1j * tau / 2) * mp.e ** (1j * mp.pi / (8 * tau))
-            val = w * (c * X ** (-r) + d * X ** (-r + 1)) * mp.e ** (-2j * mp.pi * N * x)
-            return 2 * val.real
-
-        value = _quad(integrand, [0, y], tol)
-        result = value * mp.e ** (mp.pi * mp.sqrt(N) / 2)
-    with mp.workprec(wp):
-        return +result
-
-
-def i1_main_terms_bessel(
-    r: int, N: int, consts: AsymptoticConstants | None = None,
-    prec: int | None = None, tol: float = 1e-10,
-) -> mp.mpf:
-    """Same integral after v = 1 - i u: an exact combination of P-segments,
-
-        c~_r N^{r/2-3/4} P_{-r+1/2} + d~_r N^{r/2-5/4} P_{-r+3/2},
-
-    with c~_r = c_r pi^{-r+1} 2^{r-5/2} and d~_r = d_r pi^{-r+2} 2^{r-7/2}
-    (`AsymptoticConstants.c_tilde` and `d_tilde`).
-    """
-    if consts is None:
-        consts = resolve_constants(r, working_precision(N, prec))
-    wp = working_precision(N, prec)
-    with mp.workprec(wp):
-        nv = mp.mpf(N)
-        lead = (
-            consts.c_tilde
-            * nv ** (mp.mpf(r) / 2 - mp.mpf(3) / 4)
-            * p_segment(mp.mpf(1) / 2 - r, N, wp, tol)
-        )
-        sub = (
-            consts.d_tilde
-            * nv ** (mp.mpf(r) / 2 - mp.mpf(5) / 4)
-            * p_segment(mp.mpf(3) / 2 - r, N, wp, tol)
-        )
-        result = lead + sub
-    with mp.workprec(wp):
-        return +result
+        return abs(P - I) / mp.e ** (3 * mp.pi * mp.sqrt(N) / 4)

@@ -172,17 +172,10 @@ def cmd_ospt(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-_FLAVOR_MAP = {
-    "moment": "moment_main",
-    "difference": "difference_main",
-    "symmetrized": "symmetrized_bessel",
-}
-
-
 def _converge_row(job) -> dict:
     flavor, kind, r, N, prec, exact = job
     log_exact = asympt.log_integer(exact, prec)
-    log_main = asympt.main_term(kind, _FLAVOR_MAP[flavor], r, N, prec)
+    log_main = asympt.main_term(kind, flavor, r, N, prec)
     with mp.workprec(prec):
         ratio = mp.e ** (log_exact - log_main)
         return {

@@ -6,7 +6,8 @@ class OvermomentsError(Exception):
 
 
 class OversizeRequest(OvermomentsError):
-    """A resource guard tripped (enumeration budget, quadrature size cap)."""
+    """A resource guard tripped before the work began: an enumeration
+    budget, a series truncation or order cap, or a circle-method N cap."""
 
 
 class OutOfRange(OvermomentsError):

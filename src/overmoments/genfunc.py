@@ -44,8 +44,15 @@ from math import comb
 from operator import add, sub
 from typing import Callable
 
-from .errors import OutOfRange
-from .series import PowerSeries, check_order, check_trunc, divide_by_theta4, euler_product
+from .errors import OutOfRange, OversizeRequest
+from .series import (
+    TWO_VARIABLE_TRUNC_CAP,
+    PowerSeries,
+    check_order,
+    check_trunc,
+    divide_by_theta4,
+    euler_product,
+)
 
 __all__ = [
     "standard_shift",
@@ -120,12 +127,17 @@ class ZLaurentSeries:
     """Series in q whose coefficients are Laurent polynomials in z.
 
     Stored per power of q as a dict {z-exponent: integer}.  Both statistics
-    keep z-support inside [-n, n] at q^n.
+    keep z-support inside [-n, n] at q^n.  Refuses trunc above
+    TWO_VARIABLE_TRUNC_CAP with OversizeRequest before allocating.
     """
 
     def __init__(self, trunc: int):
         if trunc < 0:
             raise ValueError("trunc must be >= 0")
+        if trunc > TWO_VARIABLE_TRUNC_CAP:
+            raise OversizeRequest(
+                f"two-variable series capped at trunc={TWO_VARIABLE_TRUNC_CAP}, got {trunc}"
+            )
         self.trunc = trunc
         self._cols: list[dict[int, int]] = [dict() for _ in range(trunc + 1)]
 

@@ -11,8 +11,8 @@ from typing import Sequence
 
 import mpmath as mp
 
-from overmoments.asympt import GUARD_BITS
-from overmoments.circle import gf_numeric, working_precision
+from overmoments.asympt import GUARD_BITS, pole_coefficients, resolve_constants
+from overmoments.circle import gf_numeric, p_segment, working_precision
 from overmoments.errors import QuadratureFailure
 from overmoments.genfunc import standard_shift
 
@@ -151,7 +151,7 @@ def pentagonal_support(limit: int) -> set[int]:
 
 def bessel_i_series(order, x, prec: int = 256, terms: int = 60) -> mp.mpf:
     """Defining power series of I_order(x); the independent oracle for the
-    Bessel factor of asympt.main_term's symmetrized_bessel flavor."""
+    Bessel factor of asympt.main_term's symmetrized flavor."""
     with mp.workprec(prec + GUARD_BITS):
         xv = mp.mpf(x)
         nu = mp.mpf(order)
@@ -307,18 +307,18 @@ def _adaptive_quad(f, panels, rel_tol, prec: int, abs_floor, max_panels: int = 2
         return total_val
 
 
-def arc_quadrature(kind, r, N, x_lo, x_hi, tol, prec=None, shift=None) -> mp.mpf:
+def arc_quadrature(kind, r, N, x_lo, x_hi, tol) -> mp.mpf:
     """The Cauchy integral of a_N over the arc x_lo <= |x| <= x_hi of
     |q| = e^{-pi/(2 sqrt N)} by adaptive quadrature of `circle.gf_numeric`:
     twice the real part over the positive half, on panels widening 4x from
     x_lo, each arc on one side of y = 1/(4 sqrt N).  The independent check
     of the sinc sum that `circle` integrates the arcs with."""
-    wp = working_precision(N, prec)
+    wp = working_precision(N)
     with mp.workprec(wp):
         rho = mp.e ** (-mp.pi / (2 * mp.sqrt(N)))
 
         def integrand(x):
-            val = gf_numeric(kind, r, rho * mp.e ** (2j * mp.pi * x), wp, shift=shift)
+            val = gf_numeric(kind, r, rho * mp.e ** (2j * mp.pi * x), wp)
             return 2 * (val * mp.e ** (-2j * mp.pi * N * x)).real
 
         y = float(1 / (4 * mp.sqrt(N)))
@@ -332,3 +332,43 @@ def arc_quadrature(kind, r, N, x_lo, x_hi, tol, prec=None, shift=None) -> mp.mpf
         # counts as zero, so the integral-space floor is tol / kernel
         value = _adaptive_quad(integrand, panels, mp.mpf(tol) / 4, wp, mp.mpf(tol) / kernel)
         return value * kernel
+
+
+def i1_main_terms_direct(r: int, N: int) -> mp.mpf:
+    """Major-arc integral, in x-space, of the two-term pole approximation
+    c_r X^{-r} + d_r X^{1-r}, X = -2 pi i tau, times the prefactor's closed
+    form sqrt(-i tau/2) e^{pi i/(8 tau)}: the K = 2 case of the Bessel main
+    term, with d_r = C_1 of the crank sum."""
+    wp = working_precision(N)
+    c = resolve_constants(r, wp).c
+    d = pole_coefficients("crank", r, 2, wp)[1]
+    with mp.workprec(wp):
+        y = 1 / (4 * mp.sqrt(N))
+
+        def integrand(x):
+            tau = mp.mpc(x, y)
+            X = -2j * mp.pi * tau
+            w = mp.sqrt(-1j * tau / 2) * mp.e ** (1j * mp.pi / (8 * tau))
+            val = w * (c * X ** (-r) + d * X ** (-r + 1)) * mp.e ** (-2j * mp.pi * N * x)
+            return 2 * val.real
+
+        value, err = mp.quad(integrand, [0, y], error=True)
+        if err > mp.mpf(1e-10) / 4 * abs(value):
+            raise QuadratureFailure(f"quadrature error estimate {mp.nstr(err, 5)} above tol/4")
+        return value * mp.e ** (mp.pi * mp.sqrt(N) / 2)
+
+
+def i1_main_terms_bessel(r: int, N: int) -> mp.mpf:
+    """The same integral after v = 1 - i u: an exact combination of
+    P-segments, c~_r N^{r/2-3/4} P_{-r+1/2} + d~_r N^{r/2-5/4} P_{-r+3/2},
+    with c~_r = c_r pi^{-r+1} 2^{r-5/2} and d~_r = d_r pi^{-r+2} 2^{r-7/2}.
+    P_s differs from the Bessel function by an exponentially small amount."""
+    wp = working_precision(N)
+    c_tilde = resolve_constants(r, wp).c_tilde
+    d = pole_coefficients("crank", r, 2, wp)[1]
+    with mp.workprec(wp):
+        nv = mp.mpf(N)
+        d_tilde = d * mp.pi ** (-r + 2) * mp.mpf(2) ** (r - mp.mpf(7) / 2)
+        lead = c_tilde * nv ** (mp.mpf(r) / 2 - mp.mpf(3) / 4) * p_segment(mp.mpf(1) / 2 - r, N)
+        sub = d_tilde * nv ** (mp.mpf(r) / 2 - mp.mpf(5) / 4) * p_segment(mp.mpf(3) / 2 - r, N)
+        return lead + sub

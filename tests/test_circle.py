@@ -1,12 +1,10 @@
 """Circle method: numeric series evaluation, full-circle quadrature and the
 sinc-sum arcs."""
 
-import json
-
 import mpmath as mp
 import pytest
 
-from oracles import arc_quadrature
+from oracles import arc_quadrature, i1_main_terms_bessel, i1_main_terms_direct
 from overmoments import circle, genfunc
 from overmoments.errors import NonConvergent, OversizeRequest
 
@@ -18,12 +16,11 @@ def horner_eval(series, q):
     return acc
 
 
-def direct_product_oracle(kind, r, q, prec, shift=None):
+def direct_product_oracle(kind, r, q, prec):
     """prod (1+q^k)/(1-q^k) run to convergence times the Lambert sum with
     every power taken as q**e: the direct evaluation the theta_4 prefactor
     and the power recurrences replaced."""
-    if shift is None:
-        shift = genfunc.standard_shift(r)
+    shift = genfunc.standard_shift(r)
     with mp.workprec(prec + 16):
         qv = mp.mpc(q)
         absq = abs(qv)
@@ -56,9 +53,9 @@ def test_gf_numeric_matches_direct_product(N, x):
     wp = circle.working_precision(N)
     with mp.workprec(wp):
         q = mp.e ** (-mp.pi / (2 * mp.sqrt(N))) * mp.e ** (2j * mp.pi * mp.mpf(x))
-    for kind, r, shift in (("crank", 3, None), ("rank", 4, None), ("crank", 4, 2)):
-        ref = direct_product_oracle(kind, r, q, wp, shift)
-        got = circle.gf_numeric(kind, r, q, wp, shift=shift)
+    for kind, r in (("crank", 3), ("rank", 4), ("crank", 4)):
+        ref = direct_product_oracle(kind, r, q, wp)
+        got = circle.gf_numeric(kind, r, q, wp)
         with mp.workprec(wp):
             assert abs(got - ref) < mp.mpf(2) ** (-(wp - 20)) * abs(ref)
 
@@ -103,8 +100,8 @@ def test_gf_numeric_rejects_unit_disk_boundary():
 def test_cauchy_coefficient_quoted_values():
     got = circle.cauchy_coefficient("rank", 3, 7, tol=1e-8)
     assert abs(got - 134) / 134 < 1e-8
-    got = circle.cauchy_coefficient("crank", 4, 7, tol=1e-8, shift=2)
-    assert abs(got - 358) / 358 < 1e-8
+    got = circle.cauchy_coefficient("crank", 4, 6, tol=1e-8)
+    assert abs(got - 64) / 64 < 1e-8
 
 
 def test_cauchy_coefficient_zero_at_n0():
@@ -160,9 +157,8 @@ def test_major_arc_dominates_and_minor_bound_stable():
     fractions = []
     ratios = []
     for N in (25, 49):
-        exact = genfunc.crank_binomial_series(3, N)[N]
-        major = circle.major_arc_coefficient("crank", 3, N, tol=1e-8)
-        minor = circle.minor_arc_value("crank", 3, N, tol=1e-8)
+        major, minor, _, series = circle._major_arc("crank", 3, N, 1e-8)
+        exact = series[N]
         with mp.workprec(circle.working_precision(N)):
             y = 1 / (4 * mp.sqrt(N))
             fractions.append(float(major / exact))
@@ -219,10 +215,20 @@ def test_caps_and_tolerance_guards():
         circle.cauchy_coefficient("crank", 2, 201)
     with pytest.raises(OversizeRequest):
         circle.major_arc_coefficient("crank", 2, 10_001)
-    with pytest.raises(OversizeRequest):
-        circle.minor_arc_value("crank", 2, 10_001)
     with pytest.raises(ValueError):
         circle.cauchy_coefficient("crank", 2, 10, tol=1e-9)
+
+
+@pytest.mark.parametrize("coefficient", [circle.cauchy_coefficient, circle.major_arc_coefficient])
+def test_negative_order_is_refused_before_any_evaluation(coefficient, monkeypatch):
+    # the certified bounds need every a_m >= 0; rank r = -2 at N = 10 used to
+    # come back as -4.0956 from the full circle
+    def evaluated(*args):
+        raise AssertionError("evaluated before the order was checked")
+
+    monkeypatch.setattr(circle, "gf_numeric", evaluated)
+    with pytest.raises(ValueError, match="order r must be >= 0"):
+        coefficient("rank", -2, 10)
 
 
 def test_p_segment_real_and_bessel_pathway():
@@ -235,14 +241,7 @@ def test_p_segment_real_and_bessel_pathway():
 
 
 def test_major_arc_main_terms_two_parametrizations_agree():
-    direct = circle.i1_main_terms_direct(3, 49)
-    bessel_form = circle.i1_main_terms_bessel(3, 49)
+    # the K = 2 oracle in x-space and as P-segments
+    direct = i1_main_terms_direct(3, 49)
+    bessel_form = i1_main_terms_bessel(3, 49)
     assert abs(direct - bessel_form) / abs(direct) < 1e-6
-
-
-def test_arc_report_roundtrip():
-    rep = circle.arc_report("crank", 2, 16, tol=1e-8)
-    payload = json.loads(rep.to_json())
-    assert payload["kind"] == "crank" and payload["N"] == 16
-    assert payload["full_rel_err"] < 1e-8
-    assert abs(payload["major_fraction"] - 1) < 0.2

@@ -4,12 +4,15 @@ oracle and proposition suites of `overmoments.checks`, run by the
 acceptance tests A1 and A2."""
 
 from fractions import Fraction
+from functools import partial
 from math import comb
 
 import pytest
 
 from oracles import lambert_term, rho_crank, rho_rank
-from overmoments import genfunc
+from overmoments import combinat, genfunc
+from overmoments.errors import OversizeRequest
+from overmoments.series import TWO_VARIABLE_TRUNC_CAP
 
 
 def _binomial(r, shift):
@@ -78,6 +81,21 @@ def test_two_variable_basics():
     rl = genfunc.rank_two_variable(8)
     assert rl.column(0) == {0: 1}
     assert rl.column(3) == {2: 2, 0: 4, -2: 2}  # 2z^2 + 4 + 2z^{-2}
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        genfunc.crank_two_variable,
+        genfunc.rank_two_variable,
+        partial(combinat.build_table, "crank", source="gf"),
+        partial(combinat.build_table, "rank", source="gf"),
+    ],
+    ids=["crank", "rank", "crank-table", "rank-table"],
+)
+def test_two_variable_trunc_guard(build):
+    with pytest.raises(OversizeRequest, match=f"capped at trunc={TWO_VARIABLE_TRUNC_CAP}"):
+        build(TWO_VARIABLE_TRUNC_CAP + 1)
 
 
 def test_two_variable_z_symmetry_and_degree():

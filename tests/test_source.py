@@ -51,3 +51,26 @@ def test_every_error_type_is_raised():
                 if isinstance(exc, ast.Name):
                     raised.add(exc.id)
     assert defined - raised == {"OvermomentsError"}
+
+
+def test_every_exported_name_is_used_in_src():
+    # a public name that nothing in the package calls is dead API: delete
+    # it, or move it into tests/oracles.py if it serves as an oracle
+    used = set()
+    exported = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                exported[path.stem] = ast.literal_eval(node.value)
+    unused = [f"{mod}.{name}" for mod, names in exported.items() for name in names
+              if name not in used]
+    assert not unused, unused
