@@ -18,8 +18,7 @@ from overmoments import (
 
 # --- counting overpartitions ---------------------------------------------
 
-gf = overpartition_gf(10)
-print("overpartition counts:", list(gf.coeffs))
+print("overpartition counts:", overpartition_gf(10))
 
 print("\nthe 8 overpartitions of 3 (overline written as ~):")
 for op in enumerate_overpartitions(3):
@@ -35,11 +34,11 @@ print("crank column at n=1:", crank_table.column(1), " (the weighted value at 1)
 
 # --- moment generating series ----------------------------------------------
 
-print("\nsymmetrized rank series, order 3:", rank_binomial_series(3, 10).coeffs)
-print("symmetrized crank series, order 3:", crank_binomial_series(3, 10).coeffs)
+print("\nsymmetrized rank series, order 3:", rank_binomial_series(3, 10))
+print("symmetrized crank series, order 3:", crank_binomial_series(3, 10))
 
 # the two quoted sample expansions and their resolved identities
 print("\nquoted expansion 2q^3+8q^4+...  = rank series r=3:",
-      rank_binomial_series(3, 7).coeffs[3:])
+      rank_binomial_series(3, 7)[3:])
 print("quoted expansion q^2+6q^3+...   = crank series r=4 with shift 2:",
-      crank_binomial_series(4, 7, shift=2).coeffs[2:])
+      crank_binomial_series(4, 7, shift=2)[2:])

@@ -35,9 +35,9 @@ diff = ospt_values(r, max(grid))
 print(f"\nexact / main term, crank r={r}:")
 for N in grid:
     lg = asympt.log_integer(exact[N], 192)
-    lm = asympt.main_term("crank", "moment", r, N, 192)
+    lm = asympt.main_term("moment", r, N, 192)
     ld = asympt.log_integer(diff[N], 192)
-    lmd = asympt.main_term("crank", "difference", r, N, 192)
+    lmd = asympt.main_term("difference", r, N, 192)
     with mp.workprec(192):
         print(f"  N={N:5d}  moment ratio {mp.nstr(mp.e**(lg-lm), 8)}   "
               f"difference ratio {mp.nstr(mp.e**(ld-lmd), 8)}")

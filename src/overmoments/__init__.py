@@ -9,7 +9,6 @@ coefficient recovery (`circle`).  The paper's checks are the suites of
 
 from .combinat import (
     Overpartition,
-    StatTable,
     build_table,
     enumerate_overpartitions,
     rank,
@@ -23,7 +22,6 @@ from .errors import (
     QuadratureFailure,
 )
 from .genfunc import (
-    ZLaurentSeries,
     crank_binomial_series,
     crank_two_variable,
     rank_binomial_series,
@@ -37,7 +35,7 @@ from .moments import (
     symmetrized_positive_moment,
     symmetrized_moment_values,
 )
-from .series import PowerSeries, overpartition_gf
+from .series import StatTable, overpartition_gf
 
 __version__ = "0.1.0"
 
@@ -48,9 +46,7 @@ __all__ = [
     "enumerate_overpartitions",
     "rank",
     "residual_crank_weights",
-    "PowerSeries",
     "overpartition_gf",
-    "ZLaurentSeries",
     "crank_binomial_series",
     "crank_two_variable",
     "rank_binomial_series",

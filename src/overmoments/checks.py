@@ -42,25 +42,20 @@ def oracle(budget: int, workers: int) -> list[dict]:
         checks.append(check(f"{kind}-column-sums", sums_ok))
         checks.append(check(f"{kind}-symmetry", table.is_symmetric()))
     for kind in ("rank", "crank"):
-        build = (
-            genfunc.rank_binomial_series
-            if kind == "rank"
-            else genfunc.crank_binomial_series
-        )
         ok = True
         for r in range(1, 7):
-            ser = build(r, nmax)
+            ser = moments.symmetrized_moment_values(kind, r, nmax)
             for n in range(nmax + 1):
                 if ser[n] != moments.symmetrized_positive_moment(tables[kind], r, n):
                     ok = False
         checks.append(check(f"{kind}-series-vs-enumeration", ok))
     for kind in ("rank", "crank"):
-        zl = (
+        two_variable = (
             genfunc.rank_two_variable(nmax)
             if kind == "rank"
             else genfunc.crank_two_variable(nmax)
         )
-        ok = all(zl.column(n) == tables[kind].column(n) for n in range(nmax + 1))
+        ok = all(two_variable.column(n) == tables[kind].column(n) for n in range(nmax + 1))
         checks.append(check(f"{kind}-two-variable-vs-enumeration", ok))
     return checks
 
@@ -89,7 +84,7 @@ def proposition(budget: int, workers: int) -> list[dict]:
     checks.append(
         check(
             "sample-expansion-rank-r3",
-            list(sr3.coeffs[3:8]) == [2, 8, 24, 60, 134],
+            sr3[3:8] == [2, 8, 24, 60, 134],
             "coefficients q^3..q^7",
         )
     )
@@ -97,23 +92,16 @@ def proposition(budget: int, workers: int) -> list[dict]:
     checks.append(
         check(
             "sample-expansion-crank-r4-shift2",
-            list(sc4.coeffs[2:8]) == [1, 6, 22, 63, 159, 358],
+            sc4[2:8] == [1, 6, 22, 63, 159, 358],
             "coefficients q^2..q^7",
         )
     )
+    # at z = 1 each two-variable series is the overpartition series
     pbar = overpartition_gf(30)
-    checks.append(
-        check(
-            "crank-two-variable-z1",
-            genfunc.crank_two_variable(30).eval_z1() == pbar,
-        )
-    )
-    checks.append(
-        check(
-            "rank-two-variable-z1",
-            genfunc.rank_two_variable(30).eval_z1() == pbar,
-        )
-    )
+    for kind, build in (("crank", genfunc.crank_two_variable), ("rank", genfunc.rank_two_variable)):
+        table = build(30)
+        at_z1 = [table.column_sum(n) for n in range(31)]
+        checks.append(check(f"{kind}-two-variable-z1", at_z1 == pbar))
     return checks
 
 
@@ -166,12 +154,7 @@ def residual(budget: int, workers: int) -> list[dict]:
 
 def _wright_job(job) -> tuple:
     kind, r, N = job
-    series = (
-        genfunc.crank_binomial_series(r, N)
-        if kind == "crank"
-        else genfunc.rank_binomial_series(r, N)
-    )
-    exact = series[N]
+    exact = moments.symmetrized_moment_values(kind, r, N)[N]
     approx = circle.cauchy_coefficient(kind, r, N, tol=1e-8)
     rel = float(abs(approx - exact) / exact) if exact else float(abs(approx))
     return (kind, r, N, rel)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import mpmath as mp
 
-from . import genfunc
+from . import moments
 from .asympt import overpartition_numeric, s_series_eval
 from .errors import OversizeRequest, QuadratureFailure
 from .series import EXACT_TRUNC_CAP
@@ -59,10 +59,11 @@ def gf_numeric(kind: str, r: int, q, prec: int = 256):
     cancellation as q -> 1) times the Lambert sum `asympt.s_series_eval`.
 
     Both factors come back unrounded; their product is rounded once to prec.
-    Raises NonConvergent outside |q| < 1.
+    The prefactor goes first, so its guard-bit cap refuses q too close to the
+    unit circle before any summing.  Raises NonConvergent outside |q| < 1.
     """
-    total = s_series_eval(kind, r, q, prec)
     pref = overpartition_numeric(q, prec)
+    total = s_series_eval(kind, r, q, prec)
     with mp.workprec(prec):
         return total * pref
 
@@ -184,8 +185,7 @@ def _major_arc(kind, r, N, tol) -> tuple:
             bound, mp.mpf(tol) / 4, 2 * N, 1, EXACT_TRUNC_CAP,
             f"major arc needs more than {EXACT_TRUNC_CAP} coefficients",
         )
-    build = genfunc.crank_binomial_series if kind == "crank" else genfunc.rank_binomial_series
-    series = build(r, T)
+    series = moments.symmetrized_moment_values(kind, r, T)
     # the terms sum in size to F(rho) rho^{-N}, about a_N N^{3/4}, and the
     # sines come from rotating by e^{2 pi i y}, one rounding per term: these
     # bits hold the sum to 2^-64 absolute
@@ -195,7 +195,7 @@ def _major_arc(kind, r, N, tol) -> tuple:
         u = mp.e ** (-mp.pi / (2 * mp.sqrt(N))) * mp.expjpi(2 * y)
         w = u ** -N  # rho^{m-N} e^{2 pi i (m-N) y} at m = 0
         total = mp.mpf(0)
-        for k, a in enumerate(series.coeffs, -N):
+        for k, a in enumerate(series, -N):
             if a and k:
                 total += a * w.imag / k
             w *= u

@@ -113,11 +113,11 @@ def cmd_series(args) -> int:
     with _output(args.out) as fp:
         if args.format == "csv":
             fp.write("n,coefficient\n")
-            for n, c in enumerate(ser.coeffs):
+            for n, c in enumerate(ser):
                 fp.write(f"{n},{c}\n")
         else:
             json.dump(
-                {**manifest, "shift": args.shift, "coefficients": [str(c) for c in ser.coeffs]},
+                {**manifest, "shift": args.shift, "coefficients": [str(c) for c in ser]},
                 fp,
                 sort_keys=True,
             )
@@ -173,9 +173,9 @@ def cmd_ospt(args) -> int:
 
 
 def _converge_row(job) -> dict:
-    flavor, kind, r, N, prec, exact = job
+    flavor, r, N, prec, exact = job
     log_exact = asympt.log_integer(exact, prec)
-    log_main = asympt.main_term(kind, flavor, r, N, prec)
+    log_main = asympt.main_term(flavor, r, N, prec)
     with mp.workprec(prec):
         ratio = mp.e ** (log_exact - log_main)
         return {
@@ -202,7 +202,7 @@ def _convergence_rows(
         exact = exact_vals[N]
         if exact <= 0:
             raise ValueError(f"exact value at N={N} is not positive")
-        jobs.append((flavor, kind, r, N, prec, exact))
+        jobs.append((flavor, r, N, prec, exact))
     if workers > 1:
         # grid points are independent; map preserves job order, so output
         # stays deterministic regardless of completion order

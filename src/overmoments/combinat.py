@@ -1,9 +1,10 @@
 """Ground-truth enumeration of overpartitions and their statistics.
 
 Everything here is independent of the generating-function code: tables are
-built by listing actual overpartitions, so they can referee the series
-expansions.  An overpartition is a non-increasing sequence of positive parts
-in which the first occurrence of any part value may be overlined.
+built by listing actual overpartitions (the overpartition counts only size
+the enumeration budget), so they can referee the series expansions.  An
+overpartition is a non-increasing sequence of positive parts in which the
+first occurrence of any part value may be overlined.
 
 The rank is the largest part minus the number of parts.  The residual crank
 applies the ordinary partition crank to the sub-partition of non-overlined
@@ -17,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Literal
 
-from .errors import OutOfRange, OversizeRequest
-from .series import overpartition_gf
+from .errors import OversizeRequest
+from .series import StatTable, overpartition_gf
 
 __all__ = [
     "Overpartition",
@@ -26,7 +27,6 @@ __all__ = [
     "rank",
     "residual_crank_weights",
     "partition_crank",
-    "StatTable",
     "build_table",
 ]
 
@@ -136,105 +136,28 @@ def residual_crank_weights(op: Overpartition) -> list[tuple[int, int]]:
     return [(partition_crank(sub), 1)]
 
 
-class StatTable:
-    """Counts T(m, n) of a statistic over overpartitions, |m| <= n <= nmax."""
-
-    def __init__(self, kind: Kind, nmax: int):
-        if kind not in ("rank", "crank"):
-            raise ValueError("kind must be 'rank' or 'crank'")
-        self.kind = kind
-        self.nmax = nmax
-        self._cols: list[dict[int, int]] = [dict() for _ in range(nmax + 1)]
-        self._frozen = False
-
-    def _add(self, m: int, n: int, w: int) -> None:
-        if self._frozen:
-            raise RuntimeError("table is frozen")
-        col = self._cols[n]
-        col[m] = col.get(m, 0) + w
-
-    def freeze(self) -> "StatTable":
-        for col in self._cols:
-            for m in [m for m, v in col.items() if v == 0]:
-                del col[m]
-        self._frozen = True
-        return self
-
-    def value(self, m: int, n: int) -> int:
-        if not 0 <= n <= self.nmax:
-            raise OutOfRange(f"n={n} outside table range 0..{self.nmax}")
-        return self._cols[n].get(m, 0)
-
-    def column(self, n: int) -> dict[int, int]:
-        if not 0 <= n <= self.nmax:
-            raise OutOfRange(f"n={n} outside table range 0..{self.nmax}")
-        return dict(self._cols[n])
-
-    def column_sum(self, n: int) -> int:
-        return sum(self.column(n).values())
-
-    def is_symmetric(self) -> bool:
-        return all(
-            col.get(m, 0) == col.get(-m, 0) for col in self._cols for m in col
-        )
-
-    def to_csv(self, fp) -> None:
-        """Header 'kind,nmax', then rows 'n,m,value' for nonzero entries."""
-        fp.write(f"{self.kind},{self.nmax}\n")
-        for n in range(self.nmax + 1):
-            for m in sorted(self._cols[n]):
-                v = self._cols[n][m]
-                if v:
-                    fp.write(f"{n},{m},{v}\n")
-
-
 def estimated_enumeration_count(nmax: int) -> int:
     """Exact total number of overpartitions with weight <= nmax."""
-    gf = overpartition_gf(nmax)
-    return sum(gf.coeffs)
+    return sum(overpartition_gf(nmax))
 
 
-def build_table(
-    kind: Kind,
-    nmax: int,
-    budget: int = 10_000_000,
-    source: str = "enumerate",
-) -> StatTable:
-    """Build a rank or crank table.
-
-    source='enumerate' walks every overpartition (guarded by `budget`);
-    source='gf' reads columns off the two-variable series instead, which
-    reaches n a full enumeration cannot.
-    """
+def build_table(kind: Kind, nmax: int, budget: int = 10_000_000) -> StatTable:
+    """The rank or crank table through n = nmax, by walking every
+    overpartition; refuses with OversizeRequest when there are more than
+    `budget` of them."""
+    if kind not in ("rank", "crank"):
+        raise ValueError("kind must be 'rank' or 'crank'")
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
-    if source == "gf":
-        from . import genfunc  # local import: genfunc does not depend on us
-
-        zl = (
-            genfunc.rank_two_variable(nmax)
-            if kind == "rank"
-            else genfunc.crank_two_variable(nmax)
-        )
-        table = StatTable(kind, nmax)
-        for n in range(nmax + 1):
-            for m, v in zl.column(n).items():
-                if v:
-                    table._add(m, n, v)
-        return table.freeze()
-    if source != "enumerate":
-        raise ValueError("source must be 'enumerate' or 'gf'")
     total = estimated_enumeration_count(nmax)
     if total > budget:
         raise OversizeRequest(
             f"enumeration of ~{total} overpartitions exceeds budget {budget}"
         )
-    table = StatTable(kind, nmax)
-    for n in range(nmax + 1):
+    cols = [dict() for _ in range(nmax + 1)]
+    for n, col in enumerate(cols):
         for op in enumerate_overpartitions(n):
-            if kind == "rank":
-                table._add(rank(op), n, 1)
-            else:
-                for m, w in residual_crank_weights(op):
-                    table._add(m, n, w)
-    return table.freeze()
+            weights = [(rank(op), 1)] if kind == "rank" else residual_crank_weights(op)
+            for m, w in weights:
+                col[m] = col.get(m, 0) + w
+    return StatTable(cols)

@@ -7,7 +7,8 @@ class OvermomentsError(Exception):
 
 class OversizeRequest(OvermomentsError):
     """A resource guard tripped before the work began: an enumeration
-    budget, a series truncation or order cap, or a circle-method N cap."""
+    budget, a series truncation or order cap, a circle-method N cap, or the
+    guard-bit cap of 1/theta_4 near |q| = 1."""
 
 
 class OutOfRange(OvermomentsError):

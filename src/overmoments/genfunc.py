@@ -31,9 +31,10 @@ one starts q^3 + 6q^4 + 22q^5 + 64q^6); only shift 2 reproduces it.
 
 The two-variable series are the validation path: the crank one is
 (q^2;q^2)oo / ((zq)oo (z^{-1}q)oo) and the rank one is
-sum_{n>=0} (-1)_n q^{n(n+1)/2} / ((zq)_n (z^{-1}q)_n), expanded with exact
-Laurent polynomials in z per power of q (z-degree is bounded by n, so no
-z-truncation policy is needed).
+sum_{n>=0} (-1)_n q^{n(n+1)/2} / ((zq)_n (z^{-1}q)_n).  Their coefficient
+of z^m q^n is the count M(m, n) or N(m, n), so each is expanded straight
+into a `series.StatTable`, one {m: count} column per power of q (the
+z-degree is bounded by n, so no z-truncation policy is needed).
 """
 
 from __future__ import annotations
@@ -44,10 +45,10 @@ from math import comb
 from operator import add, sub
 from typing import Callable
 
-from .errors import OutOfRange, OversizeRequest
+from .errors import OversizeRequest
 from .series import (
     TWO_VARIABLE_TRUNC_CAP,
-    PowerSeries,
+    StatTable,
     check_order,
     check_trunc,
     divide_by_theta4,
@@ -59,7 +60,6 @@ __all__ = [
     "lambert_sum",
     "crank_binomial_series",
     "rank_binomial_series",
-    "ZLaurentSeries",
     "crank_two_variable",
     "rank_two_variable",
     "series_manifest",
@@ -111,105 +111,64 @@ def _binomial(r: int, shift: int | None) -> Callable[[int], int]:
     return lambda m: comb(m + shift, r)
 
 
-def crank_binomial_series(r: int, trunc: int, shift: int | None = None) -> PowerSeries:
+def crank_binomial_series(r: int, trunc: int, shift: int | None = None) -> list[int]:
     """Series whose q^n coefficient is sum_{m>=1} binom(m+shift, r) M(m, n),
     M counting overpartitions of n by residual crank."""
-    return PowerSeries(divide_by_theta4(lambert_sum("crank", _binomial(r, shift), trunc), trunc))
+    return divide_by_theta4(lambert_sum("crank", _binomial(r, shift), trunc), trunc)
 
 
-def rank_binomial_series(r: int, trunc: int, shift: int | None = None) -> PowerSeries:
+def rank_binomial_series(r: int, trunc: int, shift: int | None = None) -> list[int]:
     """Series whose q^n coefficient is sum_{m>=1} binom(m+shift, r) N(m, n),
     N counting overpartitions of n by rank."""
-    return PowerSeries(divide_by_theta4(lambert_sum("rank", _binomial(r, shift), trunc), trunc))
+    return divide_by_theta4(lambert_sum("rank", _binomial(r, shift), trunc), trunc)
 
 
-class ZLaurentSeries:
-    """Series in q whose coefficients are Laurent polynomials in z.
-
-    Stored per power of q as a dict {z-exponent: integer}.  Both statistics
-    keep z-support inside [-n, n] at q^n.  Refuses trunc above
-    TWO_VARIABLE_TRUNC_CAP with OversizeRequest before allocating.
-    """
-
-    def __init__(self, trunc: int):
-        if trunc < 0:
-            raise ValueError("trunc must be >= 0")
-        if trunc > TWO_VARIABLE_TRUNC_CAP:
-            raise OversizeRequest(
-                f"two-variable series capped at trunc={TWO_VARIABLE_TRUNC_CAP}, got {trunc}"
-            )
-        self.trunc = trunc
-        self._cols: list[dict[int, int]] = [dict() for _ in range(trunc + 1)]
-
-    def column(self, n: int) -> dict[int, int]:
-        if not 0 <= n <= self.trunc:
-            raise OutOfRange(f"n={n} outside 0..{self.trunc}")
-        return {m: v for m, v in self._cols[n].items() if v}
-
-    def coefficient(self, m: int, n: int) -> int:
-        if not 0 <= n <= self.trunc:
-            raise OutOfRange(f"n={n} outside 0..{self.trunc}")
-        return self._cols[n].get(m, 0)
-
-    def is_z_symmetric(self) -> bool:
-        return all(
-            col.get(m, 0) == col.get(-m, 0) for col in self._cols for m in col
+def _columns(trunc: int) -> list[dict[int, int]]:
+    """trunc + 1 empty z-columns, one per power of q.  Refuses trunc above
+    TWO_VARIABLE_TRUNC_CAP with OversizeRequest before allocating."""
+    if trunc < 0:
+        raise ValueError("trunc must be >= 0")
+    if trunc > TWO_VARIABLE_TRUNC_CAP:
+        raise OversizeRequest(
+            f"two-variable series capped at trunc={TWO_VARIABLE_TRUNC_CAP}, got {trunc}"
         )
-
-    def max_z_degree(self, n: int) -> int:
-        col = self.column(n)
-        return max((abs(m) for m in col), default=0)
-
-    def eval_z1(self) -> PowerSeries:
-        return PowerSeries([sum(col.values()) for col in self._cols])
-
-    # internal builders ----------------------------------------------------
-
-    def _mul_geometric(self, k: int, zstep: int) -> None:
-        """In-place multiply by sum_{j>=0} z^{j*zstep} q^{j*k} via the prefix
-        recurrence R[n] = A[n] + z^zstep R[n-k]."""
-        for n in range(k, self.trunc + 1):
-            src = self._cols[n - k]
-            dst = self._cols[n]
-            for m, v in src.items():
-                key = m + zstep
-                dst[key] = dst.get(key, 0) + v
-
-    def _add(self, other: "ZLaurentSeries") -> None:
-        for n in range(min(self.trunc, other.trunc) + 1):
-            dst = self._cols[n]
-            for m, v in other._cols[n].items():
-                dst[m] = dst.get(m, 0) + v
-
-    def _prune(self) -> "ZLaurentSeries":
-        for col in self._cols:
-            for m in [m for m, v in col.items() if v == 0]:
-                del col[m]
-        return self
+    return [dict() for _ in range(trunc + 1)]
 
 
-def crank_two_variable(trunc: int) -> ZLaurentSeries:
-    """Two-variable residual-crank series (q^2;q^2)oo / ((zq)oo (z^{-1}q)oo).
+def _mul_geometric(cols: list[dict[int, int]], k: int, zstep: int) -> None:
+    """In-place multiply by sum_{j>=0} z^{j*zstep} q^{j*k} via the prefix
+    recurrence R[n] = A[n] + z^zstep R[n-k]."""
+    for n in range(k, len(cols)):
+        dst = cols[n]
+        for m, v in cols[n - k].items():
+            key = m + zstep
+            dst[key] = dst.get(key, 0) + v
+
+
+def crank_two_variable(trunc: int) -> StatTable:
+    """Crank table M(m, n) from the two-variable residual-crank series
+    (q^2;q^2)oo / ((zq)oo (z^{-1}q)oo).
 
     The numerator uses (q)oo (-q)oo = (q^2;q^2)oo, so it is pentagonal-sparse.
     """
-    zl = ZLaurentSeries(trunc)
-    for e, c in enumerate(euler_product(trunc, step=2).coeffs):
+    cols = _columns(trunc)
+    for col, c in zip(cols, euler_product(trunc)):
         if c:
-            zl._cols[e][0] = c
+            col[0] = c
     for k in range(1, trunc + 1):
-        zl._mul_geometric(k, +1)
-        zl._mul_geometric(k, -1)
-    return zl._prune()
+        _mul_geometric(cols, k, +1)
+        _mul_geometric(cols, k, -1)
+    return StatTable(cols)
 
 
-def rank_two_variable(trunc: int) -> ZLaurentSeries:
-    """Two-variable rank series sum_{n>=0} (-1)_n q^{n(n+1)/2} / ((zq)_n (z^{-1}q)_n).
+def rank_two_variable(trunc: int) -> StatTable:
+    """Rank table N(m, n) from the two-variable rank series
+    sum_{n>=0} (-1)_n q^{n(n+1)/2} / ((zq)_n (z^{-1}q)_n).
 
     The n-sum is finite: n(n+1)/2 > trunc terminates it.  (-1)_n is the
     finite product prod_{j=0}^{n-1} (1 + q^j), with (-1)_0 = 1.
     """
-    total = ZLaurentSeries(trunc)
+    total = _columns(trunc)
     n = 0
     while n * (n + 1) // 2 <= trunc:
         offset = n * (n + 1) // 2
@@ -223,22 +182,19 @@ def rank_two_variable(trunc: int) -> ZLaurentSeries:
             else:
                 for i in range(trunc, j - 1, -1):
                     c[i] += c[i - j]
-        term = ZLaurentSeries(trunc)
-        for e, v in enumerate(c):
-            if v:
-                term._cols[e][0] = v
+        term = [{0: v} if v else {} for v in c]
         # divide by (zq)_n (z^{-1}q)_n
         for j in range(1, n + 1):
-            term._mul_geometric(j, +1)
-            term._mul_geometric(j, -1)
-        total._add(term)
+            _mul_geometric(term, j, +1)
+            _mul_geometric(term, j, -1)
+        for dst, src in zip(total, term):
+            for m, v in src.items():
+                dst[m] = dst.get(m, 0) + v
         n += 1
-    return total._prune()
+    return StatTable(total)
 
 
-def series_manifest(kind: str, r: int, trunc: int, series: PowerSeries) -> dict:
+def series_manifest(kind: str, r: int, trunc: int, series: list[int]) -> dict:
     """JSON-ready manifest with a checksum of the exact coefficients."""
-    digest = hashlib.sha256(
-        "\n".join(str(c) for c in series.coeffs).encode()
-    ).hexdigest()
+    digest = hashlib.sha256("\n".join(str(c) for c in series).encode()).hexdigest()
     return {"kind": kind, "r": r, "trunc": trunc, "checksum": digest}

@@ -19,9 +19,8 @@ from math import comb
 from typing import Literal
 
 from . import genfunc
-from .combinat import StatTable
 from .errors import OutOfRange
-from .series import check_order, divide_by_theta4
+from .series import StatTable, check_order, divide_by_theta4
 
 __all__ = [
     "positive_moment",
@@ -74,11 +73,12 @@ def ospt(r: int, N: int, crank_table: StatTable, rank_table: StatTable) -> int:
 
 
 def symmetrized_moment_values(kind: Kind, r: int, trunc: int) -> list[int]:
-    """Symmetrized positive moments for all N <= trunc, from the q-series."""
+    """Symmetrized positive moments of order r >= 0 for all N <= trunc, from
+    the q-series."""
     if kind == "crank":
-        return list(genfunc.crank_binomial_series(r, trunc).coeffs)
+        return genfunc.crank_binomial_series(r, trunc)
     if kind == "rank":
-        return list(genfunc.rank_binomial_series(r, trunc).coeffs)
+        return genfunc.rank_binomial_series(r, trunc)
     raise ValueError("kind must be 'rank' or 'crank'")
 
 

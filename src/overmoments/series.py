@@ -1,9 +1,11 @@
-"""Dense truncated power series in q with exact integer coefficients.
+"""The exact formats: q-series as coefficient lists, and statistic tables.
 
-A series is exact through q^trunc and carries nothing beyond, so a
-coefficient you can read is always the true coefficient.  Coefficients are
-Python ints, hence arbitrary precision from the start (overpartition counts
-pass 2^63 near n = 160).
+A one-variable series is a plain list[int] of length trunc + 1, exact
+through q^trunc and carrying nothing beyond, so a coefficient you can read
+is always the true coefficient.  Coefficients are Python ints, hence
+arbitrary precision from the start (overpartition counts pass 2^63 near
+n = 160).  A two-variable table M(m, n) or N(m, n) is a `StatTable`, one
+{m: count} column per n.
 
 Every exact moment series is a Lambert sum times the overpartition
 prefactor (-q)oo/(q)oo, which equals 1/theta_4(q).  theta_4 has only
@@ -15,12 +17,12 @@ is ever formed.
 from __future__ import annotations
 
 from math import isqrt
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .errors import OversizeRequest
+from .errors import OutOfRange, OversizeRequest
 
 __all__ = [
-    "PowerSeries",
+    "StatTable",
     "check_trunc",
     "check_order",
     "divide_by_theta4",
@@ -40,63 +42,25 @@ EXACT_ORDER_CAP = 256
 TWO_VARIABLE_TRUNC_CAP = 400
 
 
-class PowerSeries:
-    """Immutable dense power series, exact through q^trunc."""
+def euler_product(trunc: int) -> list[int]:
+    """(q^2; q^2)_infinity through q^trunc, via the pentagonal number theorem.
 
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs: Iterable[int]):
-        self._coeffs = tuple(coeffs)
-        if not self._coeffs:
-            raise ValueError("a series needs at least its constant coefficient")
-
-    # -- basic protocol ---------------------------------------------------
-
-    @property
-    def trunc(self) -> int:
-        return len(self._coeffs) - 1
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self._coeffs
-
-    def __getitem__(self, n: int) -> int:
-        return self._coeffs[n]
-
-    def __len__(self) -> int:
-        return len(self._coeffs)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PowerSeries) and self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
-
-    def __repr__(self) -> str:
-        head = ", ".join(str(c) for c in self._coeffs[:8])
-        tail = ", ..." if len(self._coeffs) > 8 else ""
-        return f"PowerSeries([{head}{tail}], trunc={self.trunc})"
-
-
-def euler_product(trunc: int, step: int = 1) -> PowerSeries:
-    """(q^step; q^step)_infinity via the pentagonal number theorem.
-
-    Coefficients vanish except at step * k(3k-1)/2 for k in Z, where they
-    are (-1)^k.  O(sqrt(trunc)) nonzero terms.
+    Coefficients vanish except at k(3k-1) for k in Z, where they are
+    (-1)^k.  O(sqrt(trunc)) nonzero terms.
     """
     c = [0] * (trunc + 1)
     c[0] = 1
     k = 1
     while True:
         placed = False
-        for e in (step * k * (3 * k - 1) // 2, step * k * (3 * k + 1) // 2):
+        for e in (k * (3 * k - 1), k * (3 * k + 1)):
             if e <= trunc:
                 c[e] = (-1) ** k
                 placed = True
         if not placed:
             break
         k += 1
-    return PowerSeries(c)
+    return c
 
 
 def check_trunc(trunc: int) -> None:
@@ -143,7 +107,36 @@ def divide_by_theta4(coeffs: Sequence[int], trunc: int) -> list[int]:
     return y
 
 
-def overpartition_gf(trunc: int) -> PowerSeries:
+def overpartition_gf(trunc: int) -> list[int]:
     """Overpartition counting series (-q)_inf / (q)_inf = 1 / theta_4(q)
     = sum pbar(n) q^n, so pbar(n) = 2 sum_{k>=1} (-1)^{k+1} pbar(n - k^2)."""
-    return PowerSeries(divide_by_theta4([1], trunc))
+    return divide_by_theta4([1], trunc)
+
+
+class StatTable:
+    """Weighted counts T(m, n) of the rank or the residual crank over the
+    overpartitions of each n <= nmax, with |m| <= n.
+
+    Enumeration (`combinat.build_table`) and the two-variable series
+    (`genfunc.crank_two_variable`, `rank_two_variable`) both build one from
+    their {m: count} columns, one per n.  The table drops the zero counts
+    and is frozen from then on: it has no mutator, and `column` returns a
+    copy.
+    """
+
+    def __init__(self, cols: list[dict[int, int]]):
+        self.nmax = len(cols) - 1
+        self._cols = [{m: v for m, v in col.items() if v} for col in cols]
+
+    def column(self, n: int) -> dict[int, int]:
+        if not 0 <= n <= self.nmax:
+            raise OutOfRange(f"n={n} outside table range 0..{self.nmax}")
+        return dict(self._cols[n])
+
+    def column_sum(self, n: int) -> int:
+        return sum(self.column(n).values())
+
+    def is_symmetric(self) -> bool:
+        return all(
+            col.get(m, 0) == col.get(-m, 0) for col in self._cols for m in col
+        )

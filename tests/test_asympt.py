@@ -2,13 +2,15 @@
 
 import dataclasses
 import math
+import time
 
 import mpmath as mp
 import pytest
 
 from oracles import bessel_i_series, rho_crank, rho_rank, subleading_candidates
 from overmoments import asympt, genfunc
-from overmoments.errors import NonConvergent
+from overmoments.errors import NonConvergent, OversizeRequest
+from overmoments.series import EXACT_TRUNC_CAP
 
 
 def test_eta_classical_values():
@@ -56,14 +58,13 @@ def test_bessel_matches_power_series():
             c_tilde = asympt.resolve_constants(r, 200).c_tilde
             bessel = bessel_i_series(r - mp.mpf(3) / 2, mp.pi * mp.sqrt(N), 200, terms=80)
             want = mp.log(c_tilde) + (mp.mpf(r) / 2 - mp.mpf(3) / 4) * mp.log(N) + mp.log(bessel)
-        for kind in ("crank", "rank"):
-            got = asympt.main_term(kind, "symmetrized", r, N, 200)
-            assert abs(got - want) < mp.mpf(2) ** -180
+        got = asympt.main_term("symmetrized", r, N, 200)
+        assert abs(got - want) < mp.mpf(2) ** -180
 
 
 def test_main_term_moment_is_plugin():
     cs = asympt.resolve_constants(2, 128)
-    got = asympt.main_term("crank", "moment", 2, 10_000, 128)
+    got = asympt.main_term("moment", 2, 10_000, 128)
     with mp.workprec(128):
         want = mp.log(cs.gamma) + mp.pi * 100  # (r/2 - 1) log N vanishes at r=2
         assert abs(got - want) < mp.mpf(2) ** -100
@@ -71,7 +72,7 @@ def test_main_term_moment_is_plugin():
 
 def test_main_term_difference_small_order_formula():
     # r=1: delta_1 = eta(-1)/16 = 1/64, exponent r/2 - 3/2 = -1
-    got = asympt.main_term("rank", "difference", 1, 100, 128)
+    got = asympt.main_term("difference", 1, 100, 128)
     with mp.workprec(128):
         want = mp.log(mp.mpf(1) / 64) - mp.log(100) + 10 * mp.pi
         assert abs(got - want) < mp.mpf(2) ** -100
@@ -85,8 +86,8 @@ def test_main_term_bessel_vs_moment_flavors_agree_at_large_N():
         with mp.workprec(192):
             gap = (
                 mp.log(mp.factorial(r))
-                + asympt.main_term("crank", "symmetrized", r, N, 192)
-                - asympt.main_term("crank", "moment", r, N, 192)
+                + asympt.main_term("symmetrized", r, N, 192)
+                - asympt.main_term("moment", r, N, 192)
             )
         gaps.append(abs(gap))
     assert gaps[0] < 0.01
@@ -152,6 +153,17 @@ def test_s_series_rejects_lower_half_plane():
         asympt.s_series_eval("rank", 2, mp.mpc(-1, 0), 64)
     with pytest.raises(NonConvergent):
         asympt.overpartition_numeric(mp.mpc(0.8, 0.8), 64)
+
+
+def test_overpartition_numeric_refuses_q_near_one_at_once():
+    # 36k guard bits at q = 0.9999, where the sum took 10 s before the cap
+    t0 = time.perf_counter()
+    with pytest.raises(OversizeRequest, match="guard bits"):
+        asympt.overpartition_numeric(0.9999)
+    assert time.perf_counter() - t0 < 1
+    # the closest caller, the major arc at T = EXACT_TRUNC_CAP, stays under it
+    t = mp.pi / (2 * mp.sqrt(EXACT_TRUNC_CAP))
+    assert asympt.overpartition_numeric(mp.e ** -t, 64).real > 0
 
 
 @pytest.mark.parametrize("kind, r, factor", [("crank", 3, 1), ("rank", 4, 2)])

@@ -64,7 +64,7 @@ def test_series_json_manifest(tmp_path):
     ser = genfunc.rank_binomial_series(3, 7)
     manifest = genfunc.series_manifest("rank", 3, 7, ser)
     assert payload["checksum"] == manifest["checksum"]
-    assert payload["coefficients"] == [str(c) for c in ser.coeffs]
+    assert payload["coefficients"] == [str(c) for c in ser]
 
 
 def test_series_trunc_zero(tmp_path):

@@ -4,13 +4,12 @@ oracle and proposition suites of `overmoments.checks`, run by the
 acceptance tests A1 and A2."""
 
 from fractions import Fraction
-from functools import partial
 from math import comb
 
 import pytest
 
 from oracles import lambert_term, rho_crank, rho_rank
-from overmoments import combinat, genfunc
+from overmoments import genfunc
 from overmoments.errors import OversizeRequest
 from overmoments.series import TWO_VARIABLE_TRUNC_CAP
 
@@ -52,19 +51,19 @@ def test_every_coefficient_is_nonnegative():
     for r in range(0, 7):
         for shift in range(-1, max(r, 0)):
             for build in (genfunc.crank_binomial_series, genfunc.rank_binomial_series):
-                assert min(build(r, 3000, shift=shift).coeffs) >= 0, (build, r, shift)
+                assert min(build(r, 3000, shift=shift)) >= 0, (build, r, shift)
 
 
 def test_quoted_sample_expansions():
     # identified against the oracle: the first is the rank series of order 3,
     # the second the crank series of order 4 with binomial shift 2
     sr3 = genfunc.rank_binomial_series(3, 7)
-    assert list(sr3.coeffs[3:]) == [2, 8, 24, 60, 134]
+    assert sr3[3:] == [2, 8, 24, 60, 134]
     sc4_shift2 = genfunc.crank_binomial_series(4, 7, shift=2)
-    assert list(sc4_shift2.coeffs[2:]) == [1, 6, 22, 63, 159, 358]
+    assert sc4_shift2[2:] == [1, 6, 22, 63, 159, 358]
     # the standard-shift crank series of order 4 is a different expansion
     sc4 = genfunc.crank_binomial_series(4, 7)
-    assert list(sc4.coeffs[3:]) == [1, 6, 22, 64, 160]
+    assert sc4[3:] == [1, 6, 22, 64, 160]
 
 
 def test_shift_domain_is_validated():
@@ -84,14 +83,7 @@ def test_two_variable_basics():
 
 
 @pytest.mark.parametrize(
-    "build",
-    [
-        genfunc.crank_two_variable,
-        genfunc.rank_two_variable,
-        partial(combinat.build_table, "crank", source="gf"),
-        partial(combinat.build_table, "rank", source="gf"),
-    ],
-    ids=["crank", "rank", "crank-table", "rank-table"],
+    "build", [genfunc.crank_two_variable, genfunc.rank_two_variable], ids=["crank", "rank"]
 )
 def test_two_variable_trunc_guard(build):
     with pytest.raises(OversizeRequest, match=f"capped at trunc={TWO_VARIABLE_TRUNC_CAP}"):
@@ -99,10 +91,10 @@ def test_two_variable_trunc_guard(build):
 
 
 def test_two_variable_z_symmetry_and_degree():
-    for zl in (genfunc.crank_two_variable(20), genfunc.rank_two_variable(20)):
-        assert zl.is_z_symmetric()
+    for table in (genfunc.crank_two_variable(20), genfunc.rank_two_variable(20)):
+        assert table.is_symmetric()
         for n in range(21):
-            assert zl.max_z_degree(n) <= n
+            assert max(map(abs, table.column(n))) <= n
 
 
 def test_lambert_sums_compose_from_single_terms():
@@ -147,5 +139,5 @@ def test_export_helpers():
     ser = genfunc.crank_binomial_series(2, 4)
     manifest = genfunc.series_manifest("crank", 2, 4, ser)
     assert manifest["kind"] == "crank" and manifest["r"] == 2 and manifest["trunc"] == 4
-    lines = "\n".join(str(c) for c in ser.coeffs)
+    lines = "\n".join(str(c) for c in ser)
     assert manifest["checksum"] == hashlib.sha256(lines.encode()).hexdigest()
