@@ -49,12 +49,8 @@ def oracle(budget: int, workers: int) -> list[dict]:
                 if ser[n] != moments.symmetrized_positive_moment(tables[kind], r, n):
                     ok = False
         checks.append(check(f"{kind}-series-vs-enumeration", ok))
-    for kind in ("rank", "crank"):
-        two_variable = (
-            genfunc.rank_two_variable(nmax)
-            if kind == "rank"
-            else genfunc.crank_two_variable(nmax)
-        )
+    for kind, build in (("rank", genfunc.rank_two_variable), ("crank", genfunc.crank_two_variable)):
+        two_variable = build(nmax)
         ok = all(two_variable.column(n) == tables[kind].column(n) for n in range(nmax + 1))
         checks.append(check(f"{kind}-two-variable-vs-enumeration", ok))
     return checks

@@ -1,7 +1,7 @@
 """Numerical Wright circle method: coefficient recovery by Cauchy integral.
 
-The integration circle is |q| = rho = e^{-pi/(2 sqrt N)}, i.e. tau = x + i y
-with y = 1/(4 sqrt N); the Cauchy kernel contributes rho^{-N} =
+The arcs' circle is the saddle circle |q| = rho = e^{-pi/(2 sqrt N)}, i.e.
+tau = x + i y with y = 1/(4 sqrt N); the Cauchy kernel contributes rho^{-N} =
 e^{pi sqrt N / 2}.  The major arc is |x| <= y, where the integrand carries
 essentially all of the coefficient; the minor arc |x| in [y, 1/2] is
 exponentially smaller (~ e^{3 pi sqrt N / 4} against e^{pi sqrt N}).
@@ -12,10 +12,12 @@ every coefficient past a point, and both truncations below are certified
 that way.
 
 On the full circle the integrand is periodic and analytic, so the
-trapezoidal rule converges geometrically; `cauchy_coefficient` takes the
-smallest M whose aliasing bound is below tol/4 of the result.  On the
-circle the integrand is sum_m a_m rho^{m-N} e^{2 pi i (m-N) x}, so the
-major arc integrates exactly, term by term, to a sinc sum over the exact
+trapezoidal rule converges geometrically, and the integral is the same on
+every radius: `cauchy_coefficient` takes the fewest points,
+M = N + 2 - N % 2, on the radius rho_s < rho, solved for in closed form,
+whose aliasing bound is tol/4 of the result.  On the saddle circle the
+integrand is sum_m a_m rho^{m-N} e^{2 pi i (m-N) x}, so the major arc
+integrates exactly, term by term, to a sinc sum over the exact
 coefficients; `major_arc_coefficient` truncates it where the tail bound
 falls below tol/4, and the minor arc is a_N minus the major arc.
 
@@ -44,7 +46,7 @@ __all__ = [
 FULL_CIRCLE_N_CAP = 200
 MAJOR_ARC_N_CAP = 10_000
 MIN_TOL = 1e-8
-TRAPEZOID_M_CAP = 1 << 14
+TRAPEZOID_TRIES = 3
 SEGMENT_TOL = 1e-10
 
 
@@ -68,27 +70,6 @@ def gf_numeric(kind: str, r: int, q, prec: int = 256):
         return total * pref
 
 
-def _smallest_passing(bound, target, lo, step, cap, failure) -> tuple:
-    """(n, bound(n)) for the smallest multiple n >= lo of step with
-    bound(n) <= target, for a bound that falls as n grows: double past the
-    target, then bisect.  lo must be a multiple of step.  Raises
-    QuadratureFailure(failure) past cap."""
-    hi, b = lo, bound(lo)
-    while b > target:
-        lo, hi = hi, 2 * hi
-        if hi > cap:
-            raise QuadratureFailure(failure)
-        b = bound(hi)
-    while hi - lo > step:
-        mid = (lo + hi) // (2 * step) * step
-        b_mid = bound(mid)
-        if b_mid <= target:
-            hi, b = mid, b_mid
-        else:
-            lo = mid
-    return hi, b
-
-
 # ---------------------------------------------------------------------------
 # The full circle: trapezoidal rule with a certified aliasing bound.
 # ---------------------------------------------------------------------------
@@ -102,52 +83,64 @@ def _circle_samples(kind, r, M, rho, wp) -> list:
     ]
 
 
+def _aliasing_radius(peak, outer, M, target) -> tuple:
+    """(rho_s, B) with B = peak x/(1-x) = target, x = (rho_s/outer)^M."""
+    x = target / (peak + target)
+    return outer * x ** (mp.mpf(1) / M), peak * x / (1 - x)
+
+
 def _trapezoid_coefficient(kind, r, N, tol) -> tuple:
-    """The coefficient a_N by the M-point trapezoidal rule on |q| = rho =
-    e^{-pi/(2 sqrt max(N, 1))}; returns (value, bound, M) with
+    """The coefficient a_N by the M-point trapezoidal rule on |q| = rho_s at
+    the fewest points, M = N + 2 - N % 2 > N; returns (value, bound, M) with
     0 <= value - a_N <= bound <= (tol/4) max(value - bound, 1).
 
-    The rule gives T_M = sum_{k >= 0} a_{N+kM} rho^{kM} for M > N.  The bound
-    rests on every coefficient a_m being >= 0, which holds because the
-    weights binom(m+s, r) are >= 0 for m >= 1 and s >= -1: then
-    a_m <= F(rho') rho'^{-m} for any rho < rho' < 1, and the aliasing error
-    T_M - a_N is at most B(M) = F(rho') rho'^{-N} x/(1-x), x = (rho/rho')^M,
-    with rho' = e^{-pi/(2 sqrt(N+M))}: one real evaluation.  The max(., 1)
-    is the integer floor, so a zero coefficient passes at B <= tol/4.
+    The rule gives T_M = sum_{k >= 0} a_{N+kM} rho_s^{kM}.  The bound rests
+    on every coefficient a_m being >= 0, which holds because the weights
+    binom(m+s, r) are >= 0 for m >= 1 and s >= -1: then a_m <= F(rho')
+    rho'^{-m}, and T_M - a_N is at most B = P x/(1-x), P = F(rho') rho'^{-N},
+    x = (rho_s/rho')^M, rho' = e^{-pi/(2 sqrt(N+M))}: one real evaluation.
+    The radius is solved for in closed form, x = c/(1+c) with c = target/P,
+    so that B is the target: tol/16 of F(rho) rho^{-N} / n^{3/4} at the
+    saddle rho = e^{-pi/(2 sqrt n)}, n = max(N, 1), where a_N is near
+    F(rho) rho^{-N} / (2 sqrt(2) n^{3/4}).  The samples cancel from
+    F(rho_s) rho_s^{-N} down to a_N, so they carry working_precision(n) plus
+    the bits of F(rho_s) rho_s^{-N} / (F(rho) rho^{-N}), the headroom the
+    saddle circle had: three real evaluations and M/2 + 1 complex ones.
+
+    The max(., 1) is the integer floor, so a zero coefficient passes at
+    B <= tol/4.  Should a_N be far below the saddle estimate, the rule keeps
+    M and retries at target = (tol/4) max(value - B, 1)/2, which passes as
+    value - B <= a_N <= value; past TRAPEZOID_TRIES radii it raises
+    QuadratureFailure.
     """
     n = max(N, 1)
+    M = N + 2 - N % 2
     wp = working_precision(n)
     with mp.workprec(wp):
         rho = mp.e ** (-mp.pi / (2 * mp.sqrt(n)))
-        quarter = mp.mpf(tol) / 4
-
-        def bound(M):
-            outer = mp.e ** (-mp.pi / (2 * mp.sqrt(N + M)))
-            x = (rho / outer) ** M
-            peak = gf_numeric(kind, r, outer, wp).real
-            return peak * outer ** (-N) * x / (1 - x)
-
-        # F(rho) rho^{-N} >= a_N, and the saddle point puts a_N near it over
-        # 2 sqrt(2) n^{3/4}: pick M against that estimate with room to
-        # spare, so that the certificate below passes at the first M
+        outer = mp.e ** (-mp.pi / (2 * mp.sqrt(N + M)))
         upper = gf_numeric(kind, r, rho, wp).real * rho ** (-N)
+        peak = gf_numeric(kind, r, outer, wp).real * outer ** (-N)
+        quarter = mp.mpf(tol) / 4
         target = quarter * upper / (4 * mp.mpf(n) ** (mp.mpf(3) / 4))
-        M = N + 2 - N % 2  # the smallest even M > N
-        while True:
-            M, b = _smallest_passing(
-                bound, target, M, 2, TRAPEZOID_M_CAP,
-                f"trapezoidal rule needs more than {TRAPEZOID_M_CAP} points",
-            )
-            samples = _circle_samples(kind, r, M, rho, wp)
+    for _ in range(TRAPEZOID_TRIES):
+        with mp.workprec(wp):
+            radius, b = _aliasing_radius(peak, outer, M, target)
+            lost = gf_numeric(kind, r, radius, wp).real * radius ** (-N) / upper
+        sp = wp + max(mp.mag(lost), 0)
+        with mp.workprec(sp):
+            samples = _circle_samples(kind, r, M, radius, sp)
             total = mp.mpf(0)
             for j, f in enumerate(samples):
                 term = (f * mp.expjpi(-mp.mpf(2 * (N * j % M)) / M)).real
                 total += term if 0 < j < M // 2 else term / 2
-            value = 2 * total / M * rho ** (-N)
+            value = 2 * total / M * radius ** (-N)
             floor = max(value - b, 1)
             if b <= quarter * floor:
                 break
-            target = quarter * floor
+            target = quarter * floor / 2
+    else:
+        raise QuadratureFailure(f"aliasing bound above tol/4 at {TRAPEZOID_TRIES} radii")
     with mp.workprec(wp):
         return +value, +b, M
 
@@ -181,10 +174,22 @@ def _major_arc(kind, r, N, tol) -> tuple:
             peak = gf_numeric(kind, r, outer, wp).real
             return peak * rho ** (-N) * x ** (T + 1) / ((1 - x) * mp.pi * (T + 1 - N))
 
-        T, b = _smallest_passing(
-            bound, mp.mpf(tol) / 4, 2 * N, 1, EXACT_TRUNC_CAP,
-            f"major arc needs more than {EXACT_TRUNC_CAP} coefficients",
-        )
+        # the smallest T: double past the target, then bisect
+        target, lo = mp.mpf(tol) / 4, 2 * N
+        hi, b = lo, bound(lo)
+        while b > target:
+            lo, hi = hi, 2 * hi
+            if hi > EXACT_TRUNC_CAP:
+                raise QuadratureFailure(f"major arc needs more than {EXACT_TRUNC_CAP} coefficients")
+            b = bound(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            b_mid = bound(mid)
+            if b_mid <= target:
+                hi, b = mid, b_mid
+            else:
+                lo = mid
+        T = hi
     series = moments.symmetrized_moment_values(kind, r, T)
     # the terms sum in size to F(rho) rho^{-N}, about a_N N^{3/4}, and the
     # sines come from rotating by e^{2 pi i y}, one rounding per term: these
@@ -216,8 +221,9 @@ def _check(r, tol) -> None:
 
 def cauchy_coefficient(kind: str, r: int, N: int, tol: float = MIN_TOL) -> mp.mpf:
     """Full-circle Cauchy integral by the trapezoidal rule; within tol of the
-    exact integer coefficient, relative (absolute when it is zero).  Raises
-    QuadratureFailure past TRAPEZOID_M_CAP points."""
+    exact integer coefficient, relative (absolute when it is zero), at
+    M = N + 2 - N % 2 points.  Raises QuadratureFailure when the aliasing
+    bound misses tol/4 at TRAPEZOID_TRIES radii."""
     _check(r, tol)
     if N > FULL_CIRCLE_N_CAP:
         raise OversizeRequest(f"full circle capped at N={FULL_CIRCLE_N_CAP}")

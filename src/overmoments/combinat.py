@@ -49,10 +49,6 @@ class Overpartition:
         if not self.overlined <= set(self.parts):
             raise ValueError("overlined values must occur among the parts")
 
-    @property
-    def weight(self) -> int:
-        return sum(self.parts)
-
     def non_overlined_subpartition(self) -> tuple[int, ...]:
         """Parts left after removing the first occurrence of each overlined value."""
         seen: set[int] = set()

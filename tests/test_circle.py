@@ -5,8 +5,8 @@ import mpmath as mp
 import pytest
 
 from oracles import arc_quadrature, i1_main_terms_bessel, i1_main_terms_direct
-from overmoments import circle, genfunc
-from overmoments.errors import NonConvergent, OversizeRequest
+from overmoments import circle, genfunc, moments
+from overmoments.errors import NonConvergent, OversizeRequest, QuadratureFailure
 
 
 def horner_eval(series, q):
@@ -115,33 +115,98 @@ def test_cauchy_coefficient_matches_series_midrange():
     assert abs(got - exact) / exact < 1e-8
 
 
-@pytest.mark.parametrize("kind, r, N", [("crank", 3, 60), ("rank", 4, 25), ("crank", 1, 7)])
+@pytest.mark.parametrize(
+    "kind, r, N",
+    [("crank", 3, 60), ("rank", 4, 25), ("crank", 1, 7), ("crank", 8, 200), ("rank", 8, 200)],
+)
 def test_trapezoid_bound_certifies_the_error(kind, r, N):
     builder = genfunc.crank_binomial_series if kind == "crank" else genfunc.rank_binomial_series
     exact = builder(r, N)[N]
     value, bound, M = circle._trapezoid_coefficient(kind, r, N, 1e-8)
-    assert M > N
+    assert M == N + 2 - N % 2
     assert abs(value - exact) <= bound <= mp.mpf(1e-8) / 4 * exact
+
+
+def test_trapezoid_bound_certifies_every_zero_coefficient():
+    # the certificate's integer floor: every a_N = 0 for r <= 8 passes at
+    # B <= tol/4, after at most one retry with slack
+    zeros = 0
+    for kind in ("crank", "rank"):
+        for r in range(9):
+            series = moments.symmetrized_moment_values(kind, r, circle.FULL_CIRCLE_N_CAP)
+            for N in (n for n, a in enumerate(series) if a == 0):
+                value, bound, M = circle._trapezoid_coefficient(kind, r, N, 1e-8)
+                assert M == N + 2 - N % 2
+                assert abs(value) <= bound <= mp.mpf(1e-8) / 4, (kind, r, N)
+                zeros += 1
+    assert zeros == 59  # a_N = 0 exactly for N <= r // 2 (crank), r // 2 + 1 (rank)
+
+
+def test_trapezoid_points_and_evaluations_on_the_wright_grid(monkeypatch):
+    # M/2 + 1 complex samples at the fewest points, plus three real
+    # evaluations: the saddle estimate, the aliasing bound and F(rho_s)
+    calls = []
+    evaluate = circle.gf_numeric
+
+    def counted(*args):
+        calls.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(circle, "gf_numeric", counted)
+    for kind in ("crank", "rank"):
+        for r in (1, 2, 3, 4):
+            for N in (7, 25, 60):
+                calls.clear()
+                _, _, M = circle._trapezoid_coefficient(kind, r, N, 1e-8)
+                assert M == N + 2 - N % 2
+                if (kind, r, N) == ("crank", 3, 60):
+                    assert len(calls) == 35 == M // 2 + 4
+
+
+@pytest.mark.parametrize(
+    "excess, tries", [(1 + 2**-40, 2), (4, None)], ids=["rounded-up", "never-met"]
+)
+def test_trapezoid_retry_has_slack_and_a_cap(excess, tries, monkeypatch):
+    # a_3 = 0 for the rank r = 6, so the first target, from the saddle
+    # estimate, fails.  A bound that rounds just above its target passes at
+    # the retry, whose target has slack; a bound that never meets the
+    # certificate raises after TRAPEZOID_TRIES radii instead of looping
+    radii = []
+    solve = circle._aliasing_radius
+
+    def rounded_up(peak, outer, M, target):
+        radius, bound = solve(peak, outer, M, target)
+        radii.append(radius)
+        return radius, excess * bound
+
+    monkeypatch.setattr(circle, "_aliasing_radius", rounded_up)
+    if tries is None:
+        with pytest.raises(QuadratureFailure):
+            circle.cauchy_coefficient("rank", 6, 3)
+        assert len(radii) == circle.TRAPEZOID_TRIES
+    else:
+        assert abs(circle.cauchy_coefficient("rank", 6, 3)) < 1e-8
+        assert len(radii) == tries
 
 
 def test_trapezoid_samples_recover_every_coefficient(monkeypatch):
     # E_n <= B for every n <= N, so one sample set with B < 1/4 rounds to
-    # every coefficient up to N
+    # every coefficient up to N; the samples are taken on the radius and at
+    # the precision the rule chose
     recorded = []
     samples_of = circle._circle_samples
 
     def record(*args):
-        recorded.append(samples_of(*args))
-        return recorded[-1]
+        recorded.append((args, samples_of(*args)))
+        return recorded[-1][1]
 
     monkeypatch.setattr(circle, "_circle_samples", record)
     N = 60
     value, bound, M = circle._trapezoid_coefficient("crank", 3, N, 1e-11)
     assert bound < mp.mpf(1) / 4
-    samples = recorded[-1]
+    (_, _, _, rho, prec), samples = recorded[-1]
     assert len(samples) == M // 2 + 1
-    with mp.workprec(circle.working_precision(N)):
-        rho = mp.e ** (-mp.pi / (2 * mp.sqrt(N)))
+    with mp.workprec(prec):
         recovered = []
         for n in range(N + 1):
             total = mp.mpf(0)

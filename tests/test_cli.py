@@ -19,12 +19,13 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # SHA-256 of `verify --suite S` reports with default flags; proposition and
 # oracle recorded while the suites still lived in the cli module, residual
 # when its expansion-order checks replaced the subleading-constant fit,
-# wright while the circle functions still took shift and prec
+# wright when the full circle moved to N + 2 - N % 2 points on a smaller
+# radius
 VERIFY_DIGESTS = {
     "proposition": "c3d8a0db18082dcb03aa841da3581c9b68c7f30938124cc803b730b900e09c94",
     "oracle": "1ea0c023384348200c9ea3222f82de96e06a06c867f5b74588fbc27bdb8ac614",
     "residual": "6119deab6386de9230e97bc8644d30c3420ee0fa4929952eb253670b1acd252a",
-    "wright": "6c578562f204b9bfa90ae5b43715265492d8a9640a3d2ca3d2edcf6a6311b234",
+    "wright": "9934e32ffc92b8f60a74638b38dac82708074511972b22fcf87ea8ce8cedec15",
 }
 
 # SHA-256 of `converge --flavor F --kind K --r 3 --grid 100,400,1600` (csv,
