@@ -56,7 +56,7 @@ GUARD_BITS = 32
 # overpartition_numeric's guard bits pi^2/(4t ln 2) + 8, t = -log|q|, grow
 # without bound as |q| -> 1, and its time with them: 0.05 s at q = 0.999
 # (3566 bits), 10 s at 0.9999 (35604 bits) on a 2-vCPU Xeon.  The closest
-# caller, the major arc at T = EXACT_TRUNC_CAP, needs 1022
+# caller, the major arc's rho' at N = 10^4 and tol = 1e-8, needs 566
 THETA4_GUARD_BITS_CAP = 4096
 
 Kind = Literal["crank", "rank"]
@@ -210,10 +210,10 @@ def s_series_eval(kind: Kind, r: int, q, prec: int = 256):
     rank), at the standard binomial shift s.  The exponent is
     e(n) = (n^2 + (2(r-s)-1)n)/2 (crank) or n^2 + (r-s)n (rank), and powers
     of q are built by recurrence: e(n) steps by n + r - s (crank) or
-    2n + 1 + r - s (rank).  Summation stops on
-    a certified tail bound below 2^-(prec+8) relative.  The value comes back
-    unrounded at the working precision prec + 16, so callers round once.
-    Raises NonConvergent outside |q| < 1.
+    2n + 1 + r - s (rank).  Summation stops on a certified tail bound
+    below 2^-(prec+8) relative, whose powers of |q| come by the same
+    recurrence.  The value comes back unrounded at the working precision
+    prec + 16, so callers round once.  Raises NonConvergent outside |q| < 1.
     """
     if kind not in ("crank", "rank"):
         raise ValueError("kind must be 'crank' or 'rank'")
@@ -223,24 +223,26 @@ def s_series_eval(kind: Kind, r: int, q, prec: int = 256):
         if absq >= 1:
             raise NonConvergent("|q| must be < 1")
         eps = mp.mpf(2) ** (-(prec + 8))
-        # q^{e(n)} by recurrence: e(n+1) - e(n) = de grows by dde per step
+        # q^{e(n)} and |q|^{e(n+1)} by recurrence: e(n+1) - e(n) = de grows by dde per step
         d = r - genfunc.standard_shift(r)
         e, de, dde = (d, d + 1, 1) if kind == "crank" else (d + 1, d + 3, 2)
         qe, step, lift = qv**e, qv**de, qv**dde
-        qn = mp.mpc(1)
+        ae, astep, alift = absq ** (e + de), absq ** (de + dde), absq**dde
+        qn, an = mp.mpc(1), absq
         total = mp.mpc(0)
         n = 1
         while True:
             qn *= qv
+            an *= absq
             den = (1 - qn) ** r if kind == "crank" else (1 - qn) ** r * (1 + qn)
             total += qe / den if n % 2 == 1 else -qe / den
             # certified tail: the next term bounds the remainder up to the
             # geometric factor 1/(1 - |q|), absorbed into the 2x margin
-            bound = 2 * absq ** (e + de) / (1 - absq ** (n + 1)) ** (r + 1)
-            if bound < eps * max(1, abs(total)):
+            if 2 * ae / (1 - an) ** (r + 1) < eps * max(1, abs(total)):
                 break
             qe, step = qe * step, step * lift
-            e, de, n = e + de, de + dde, n + 1
+            ae, astep = ae * astep, astep * alift
+            n += 1
         return total * 2 if kind == "rank" else total
 
 

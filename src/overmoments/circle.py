@@ -155,41 +155,39 @@ def _major_arc(kind, r, N, tol) -> tuple:
     a_0..a_T; returns (major, minor, bound, series): the sum, a_N minus it,
     the bound on its tail (<= tol/4) and the series exact through T.
 
-    On |q| = rho the integrand is sum_m a_m rho^{m-N} e^{2 pi i (m-N) x}, so
-    the arc is sum_m a_m rho^{m-N} sin(2 pi (m-N) y) / (pi (m-N)), with the
-    term 2y a_N at m = N.  With a_m <= F(rho') rho'^{-m} a term past T > N is
-    at most F(rho') rho^{-N} x^m / (pi (T+1-N)), x = rho/rho', so the tail is
-    at most B(T) = F(rho') rho^{-N} x^{T+1} / ((1-x) pi (T+1-N)), with
-    rho' = e^{-pi/(2 sqrt T)}: one real evaluation.  T is the smallest with
-    B(T) <= tol/4.  The bound is absolute, not relative, and the minor arc
-    is taken before rounding, so it is as accurate as the major arc.
+    On |q| = rho = e^{-t}, t = pi/(2 sqrt N), the integrand is
+    sum_m a_m rho^{m-N} e^{2 pi i (m-N) x}, so the arc is
+    sum_m a_m rho^{m-N} sin(2 pi (m-N) y) / (pi (m-N)), with the term 2y a_N
+    at m = N.  With a_m <= F(rho') rho'^{-m} a term past T > N is at most
+    F(rho') rho^{-N} x^m / (pi (T+1-N)), x = rho/rho', so the tail is at most
+    B(T) = head x^{T+1} / (T+1-N), head = F(rho') rho^{-N} / ((1-x) pi).
+    rho' = e^{-t'}, t' = t / (1 + sqrt(1 + 4tL/pi^2)), L = N t - log(tol/4),
+    minimizes T in the saddle model log F(e^{-t'}) ~ pi^2/(4t').  After its
+    one real evaluation the smallest T >= 2N with B(T) <= tol/4 is
+    N - 1 + ceil(s), d s = W(d x^N head/(tol/4)), d = -log x, W the Lambert
+    function; B(T) <= tol/4 < B(T-1) is checked, moving T by one should s
+    round across an integer.  The bound is absolute, and the minor arc is
+    taken before rounding, so it is as accurate as the major arc.
     """
     wp = working_precision(N)
     with mp.workprec(wp):
-        rho = mp.e ** (-mp.pi / (2 * mp.sqrt(N)))
+        t, target = mp.pi / (2 * mp.sqrt(N)), mp.mpf(tol) / 4
+        tp = t / (1 + mp.sqrt(1 + 4 * t * max(N * t - mp.log(target), 0) / mp.pi**2))
+        d, x = t - tp, mp.e ** (tp - t)
+        head = gf_numeric(kind, r, mp.e**-tp, wp).real * mp.e ** (N * t) / ((1 - x) * mp.pi)
 
         def bound(T):
-            outer = mp.e ** (-mp.pi / (2 * mp.sqrt(T)))
-            x = rho / outer
-            peak = gf_numeric(kind, r, outer, wp).real
-            return peak * rho ** (-N) * x ** (T + 1) / ((1 - x) * mp.pi * (T + 1 - N))
+            return head * x ** (T + 1) / (T + 1 - N)
 
-        # the smallest T: double past the target, then bisect
-        target, lo = mp.mpf(tol) / 4, 2 * N
-        hi, b = lo, bound(lo)
-        while b > target:
-            lo, hi = hi, 2 * hi
-            if hi > EXACT_TRUNC_CAP:
-                raise QuadratureFailure(f"major arc needs more than {EXACT_TRUNC_CAP} coefficients")
-            b = bound(hi)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            b_mid = bound(mid)
-            if b_mid <= target:
-                hi, b = mid, b_mid
-            else:
-                lo = mid
-        T = hi
+        T = max(2 * N, N - 1 + int(mp.ceil(mp.lambertw(d * x**N * head / target) / d)))
+        if T > 2 * N and bound(T - 1) <= target:
+            T -= 1
+        elif bound(T) > target:
+            T += 1
+        if (b := bound(T)) > target:
+            raise QuadratureFailure(f"major arc tail bound above tol/4 at T={T}")
+    if T > EXACT_TRUNC_CAP:
+        raise QuadratureFailure(f"major arc needs more than {EXACT_TRUNC_CAP} coefficients")
     series = moments.symmetrized_moment_values(kind, r, T)
     # the terms sum in size to F(rho) rho^{-N}, about a_N N^{3/4}, and the
     # sines come from rotating by e^{2 pi i y}, one rounding per term: these

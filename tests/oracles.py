@@ -334,6 +334,36 @@ def arc_quadrature(kind, r, N, x_lo, x_hi, tol) -> mp.mpf:
         return value * kernel
 
 
+def searched_truncation(kind, r, N, tol) -> int:
+    """The major arc's truncation point by search: the smallest T >= 2N with
+    B(T) = F(rho') rho^{-N} x^{T+1} / ((1-x) pi (T+1-N)) <= tol/4, where
+    rho = e^{-pi/(2 sqrt N)}, x = rho/rho' and rho' = e^{-pi/(2 sqrt T)}
+    moves with T.  Doubling from 2N past tol/4, then bisecting, one real
+    evaluation per step: the rule that `circle._major_arc` replaced by one
+    evaluation at a fixed rho'."""
+    wp = working_precision(N)
+    with mp.workprec(wp):
+        rho = mp.e ** (-mp.pi / (2 * mp.sqrt(N)))
+
+        def bound(T):
+            outer = mp.e ** (-mp.pi / (2 * mp.sqrt(T)))
+            x = rho / outer
+            peak = gf_numeric(kind, r, outer, wp).real
+            return peak * rho ** (-N) * x ** (T + 1) / ((1 - x) * mp.pi * (T + 1 - N))
+
+        target, lo = mp.mpf(tol) / 4, 2 * N
+        hi = lo
+        while bound(hi) > target:
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if bound(mid) <= target:
+                hi = mid
+            else:
+                lo = mid
+        return hi
+
+
 def i1_main_terms_direct(r: int, N: int) -> mp.mpf:
     """Major-arc integral, in x-space, of the two-term pole approximation
     c_r X^{-r} + d_r X^{1-r}, X = -2 pi i tau, times the prefactor's closed

@@ -161,7 +161,7 @@ def test_overpartition_numeric_refuses_q_near_one_at_once():
     with pytest.raises(OversizeRequest, match="guard bits"):
         asympt.overpartition_numeric(0.9999)
     assert time.perf_counter() - t0 < 1
-    # the closest caller, the major arc at T = EXACT_TRUNC_CAP, stays under it
+    # a radius closer to 1 than the major arc's rho' at its caps stays under it
     t = mp.pi / (2 * mp.sqrt(EXACT_TRUNC_CAP))
     assert asympt.overpartition_numeric(mp.e ** -t, 64).real > 0
 

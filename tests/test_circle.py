@@ -4,9 +4,31 @@ sinc-sum arcs."""
 import mpmath as mp
 import pytest
 
-from oracles import arc_quadrature, i1_main_terms_bessel, i1_main_terms_direct
-from overmoments import circle, genfunc, moments
+from oracles import (
+    arc_quadrature,
+    i1_main_terms_bessel,
+    i1_main_terms_direct,
+    searched_truncation,
+)
+from overmoments import asympt, circle, genfunc, moments
 from overmoments.errors import NonConvergent, OversizeRequest, QuadratureFailure
+
+
+class Stopped(Exception):
+    """Raised by a stub in place of the work past the point a test inspects."""
+
+
+def stop_at(monkeypatch, module, name) -> list:
+    """Replace module.name by a stub that records its arguments and raises
+    Stopped; returns the list the arguments go to."""
+    recorded = []
+
+    def stop(*args):
+        recorded.append(args)
+        raise Stopped
+
+    monkeypatch.setattr(module, name, stop)
+    return recorded
 
 
 def horner_eval(series, q):
@@ -58,6 +80,29 @@ def test_gf_numeric_matches_direct_product(N, x):
         got = circle.gf_numeric(kind, r, q, wp)
         with mp.workprec(wp):
             assert abs(got - ref) < mp.mpf(2) ** (-(wp - 20)) * abs(ref)
+
+
+@pytest.mark.parametrize("kind, r", [("crank", 3), ("rank", 4)])
+def test_s_series_eval_tail_bound_certifies_the_value(kind, r, monkeypatch):
+    # the stopping rule's tail bound, its powers of |q| by recurrence, holds
+    # the sum to 2^-(prec+8) relative: against the sum at 64 more bits the
+    # value agrees to 2^-(prec+7), rounding included.  Points: the residual
+    # suite's real q at 224 bits, and full-circle samples on the radius and
+    # at the precision the trapezoidal rule picks
+    with mp.workprec(224):
+        points = [(mp.e ** (-mp.pi / (2 * mp.sqrt(N))), 224) for N in (10**3, 10**5)]
+    recorded = stop_at(monkeypatch, circle, "_circle_samples")
+    for N in (7, 60, 200):
+        with pytest.raises(Stopped):
+            circle._trapezoid_coefficient(kind, r, N, 1e-8)
+        _, _, M, rho, wp = recorded[-1]
+        with mp.workprec(wp):
+            points += [(rho * mp.expjpi(mp.mpf(2 * j) / M), wp) for j in (0, 1, M // 4, M // 2)]
+    for q, prec in points:
+        got = asympt.s_series_eval(kind, r, q, prec)
+        ref = asympt.s_series_eval(kind, r, q, prec + 64)
+        with mp.workprec(prec + 64):
+            assert abs(got - ref) <= mp.mpf(2) ** -(prec + 7) * max(1, abs(ref))
 
 
 def test_gf_numeric_matches_series_at_real_q():
@@ -256,9 +301,60 @@ def test_sinc_sum_tail_bound_certifies_the_truncation(kind, r, N):
         assert abs(longer - major) <= bound
 
 
+@pytest.mark.parametrize("N", [1, 5, 25, 49, 98, 100, 1000])
+def test_closed_form_truncation_against_the_search(N, monkeypatch):
+    # one real evaluation F(rho') picks T, the smallest T >= 2N with
+    # B(T) <= tol/4 < B(T-1) at that rho'.  The search moved rho' with T,
+    # so the two differ by a few terms where the r-blind saddle model of
+    # rho' is off: measured -3..+2 on this grid, and none for crank r = 3,
+    # the wright report's T
+    calls = []
+    evaluate = circle.gf_numeric
+
+    def counted(*args):
+        calls.append((args, evaluate(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(circle, "gf_numeric", counted)
+    truncations = stop_at(monkeypatch, moments, "symmetrized_moment_values")
+    for kind, r in (("crank", 0), ("crank", 3), ("crank", 8), ("rank", 0), ("rank", 4), ("rank", 6)):
+        calls.clear()
+        with pytest.raises(Stopped):
+            circle._major_arc(kind, r, N, 1e-8)
+        assert len(calls) == 1
+        (_, _, outer, wp), peak = calls[0]
+        T = truncations[-1][2]
+        assert T > 2 * N
+        with mp.workprec(wp):
+            rho = mp.e ** (-mp.pi / (2 * mp.sqrt(N)))
+            x = rho / outer
+
+            def bound(m):
+                return peak.real * rho ** (-N) * x ** (m + 1) / ((1 - x) * mp.pi * (m + 1 - N))
+
+            assert bound(T) <= mp.mpf(1e-8) / 4 < bound(T - 1), (kind, r)
+        searched = searched_truncation(kind, r, N, 1e-8)
+        assert -3 <= T - searched <= 2, (kind, r, T, searched)
+        if (kind, r) == ("crank", 3):
+            assert T == searched
+
+
+def test_truncation_cap_is_checked_before_any_series(monkeypatch):
+    # crank r = 3 at N = 100 needs T = 791
+    built = stop_at(monkeypatch, moments, "symmetrized_moment_values")
+    monkeypatch.setattr(circle, "EXACT_TRUNC_CAP", 790)
+    with pytest.raises(QuadratureFailure, match="more than 790 coefficients"):
+        circle._major_arc("crank", 3, 100, 1e-8)
+    assert built == []
+
+
 def test_small_n_major_arc_runs():
     val = circle.major_arc_coefficient("crank", 3, 5, tol=1e-8)
     assert mp.isfinite(val)
+    # a tolerance above the whole tail, where the saddle model's L < 0,
+    # stops at the floor T = 2N
+    _, _, bound, series = circle._major_arc("crank", 3, 4, 1e30)
+    assert len(series) == 9 and bound <= mp.mpf(1e30) / 4
 
 
 def test_major_arc_fraction_approaches_one_through_10000():
