@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from typing import Sequence
 
@@ -70,14 +68,6 @@ def _parse_grid(text: str) -> list[int]:
     if not vals:
         raise argparse.ArgumentTypeError("empty grid")
     return _at_least(vals, 0, "N")
-
-
-def _parse_workers(text: str) -> int:
-    """Worker processes, 1..os.cpu_count()."""
-    workers, cpus = int(text), os.cpu_count() or 1
-    if not 1 <= workers <= cpus:
-        raise argparse.ArgumentTypeError(f"workers must be in 1..{cpus}, got {workers}")
-    return workers
 
 
 def _check_prec(value: str) -> int:
@@ -172,8 +162,7 @@ def cmd_ospt(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _converge_row(job) -> dict:
-    flavor, r, N, prec, exact = job
+def _converge_row(flavor: str, r: int, N: int, prec: int, exact: int) -> dict:
     log_exact = asympt.log_integer(exact, prec)
     log_main = asympt.main_term(flavor, r, N, prec)
     with mp.workprec(prec):
@@ -187,9 +176,7 @@ def _converge_row(job) -> dict:
         }
 
 
-def _convergence_rows(
-    flavor: str, kind: str, r: int, grid: list[int], prec: int, workers: int = 1
-):
+def _convergence_rows(flavor: str, kind: str, r: int, grid: list[int], prec: int):
     nmax = max(grid)
     if flavor == "moment":
         exact_vals = moments.positive_moment_values(kind, r, nmax)
@@ -197,18 +184,13 @@ def _convergence_rows(
         exact_vals = moments.ospt_values(r, nmax)
     else:
         exact_vals = moments.symmetrized_moment_values(kind, r, nmax)
-    jobs = []
+    rows = []
     for N in grid:
         exact = exact_vals[N]
         if exact <= 0:
             raise ValueError(f"exact value at N={N} is not positive")
-        jobs.append((flavor, r, N, prec, exact))
-    if workers > 1:
-        # grid points are independent; map preserves job order, so output
-        # stays deterministic regardless of completion order
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_converge_row, jobs))
-    return [_converge_row(job) for job in jobs]
+        rows.append(_converge_row(flavor, r, N, prec, exact))
+    return rows
 
 
 def _monotone_verdict(rows) -> str | None:
@@ -219,9 +201,7 @@ def _monotone_verdict(rows) -> str | None:
 
 
 def cmd_converge(args) -> int:
-    rows = _convergence_rows(
-        args.flavor, args.kind, args.r, args.grid, args.prec, args.workers
-    )
+    rows = _convergence_rows(args.flavor, args.kind, args.r, args.grid, args.prec)
     verdict = _monotone_verdict(rows)
     with _output(args.out) as fp:
         if args.format == "csv":
@@ -257,7 +237,7 @@ def cmd_converge(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = checks.SUITES[args.suite](args.budget, args.workers)
+    results = checks.SUITES[args.suite](args.budget)
     passed = all(c["passed"] for c in results)
     report = {"suite": args.suite, "passed": passed, "checks": results}
     with _output(args.out) as fp:
@@ -302,14 +282,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=_parse_order, required=True)
     p.add_argument("--grid", type=_parse_grid, required=True, metavar="N1,N2,...")
     p.add_argument("--prec", type=_check_prec, default=256)
-    p.add_argument("--workers", type=_parse_workers, default=1)
+    # only 1 is accepted, so older command lines that pass it still run
+    p.add_argument("--workers", type=int, choices=(1,), default=1, help=argparse.SUPPRESS)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_converge)
 
     p = sub.add_parser("verify", help="run a named check suite")
     p.add_argument("--suite", choices=sorted(checks.SUITES), required=True)
-    p.add_argument("--workers", type=_parse_workers, default=1)
+    p.add_argument("--workers", type=int, choices=(1,), default=1, help=argparse.SUPPRESS)
     p.add_argument("--budget", type=_parse_budget, default=checks.BUDGET)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)

@@ -1,7 +1,7 @@
 """Acceptance criteria A1-A8.
 
 Each test prints one PASS/FAIL line (run pytest with -s to see them inline).
-A1, A2, A6, A7 and A8's constant identity run the `verify` suites of
+A1, A2, A6, A7 and A8's constant check run the `verify` suites of
 `overmoments.checks` and pass when every check they cover passes, so their
 grids and gates are the ones `verify` uses, defined once in `checks`:
 
@@ -19,7 +19,8 @@ grids and gates are the ones `verify` uses, defined once in `checks`:
   A7  wright suite: circle quadrature within 1e-8 of exact for
       N in {7, 25, 60}; major arc -> 1; pathway < 1
   A8  exact basis-change identity to N = 100; residual suite:
-      r! c~_r = gamma_r pi sqrt 2 to 1e-60 for r <= 8
+      delta_r = r! pi^{1-r} 2^{r-4} (C_1(crank) - C_1(rank)) to 1e-60 for
+      r <= 8, with C_1 from `asympt.pole_coefficients`
 """
 
 import time
@@ -34,7 +35,7 @@ from overmoments import asympt, checks, genfunc, moments
 
 GRID = (400, 900, 1600, 2500)
 RS = (2, 3, 4)
-IDENTITY = "bessel-vs-moment-constant-identity"
+IDENTITY = "difference-constant-vs-pole-expansion"
 
 
 def _verdict(name: str, ok: bool, detail: str = "") -> None:
@@ -48,7 +49,7 @@ def _verdict(name: str, ok: bool, detail: str = "") -> None:
 def _run_suite(suite: str) -> tuple[list[dict], float]:
     """The checks of one `verify` suite at its defaults, and the seconds taken."""
     t0 = time.time()
-    results = checks.SUITES[suite](checks.BUDGET, 1)
+    results = checks.SUITES[suite](checks.BUDGET)
     return results, time.time() - t0
 
 

@@ -18,13 +18,13 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # SHA-256 of `verify --suite S` reports with default flags; proposition and
 # oracle recorded while the suites still lived in the cli module, residual
-# when its expansion-order checks replaced the subleading-constant fit,
-# wright when the full circle moved to N + 2 - N % 2 points on a smaller
-# radius
+# when delta_r's check against the pole expansion replaced the constant
+# identity that held by algebra, wright when the full circle moved to
+# N + 2 - N % 2 points on a smaller radius
 VERIFY_DIGESTS = {
     "proposition": "c3d8a0db18082dcb03aa841da3581c9b68c7f30938124cc803b730b900e09c94",
     "oracle": "1ea0c023384348200c9ea3222f82de96e06a06c867f5b74588fbc27bdb8ac614",
-    "residual": "6119deab6386de9230e97bc8644d30c3420ee0fa4929952eb253670b1acd252a",
+    "residual": "c1fa84436b6575471943a68917316baab198f53adc35fe3d96b7d03c5f9997d7",
     "wright": "9934e32ffc92b8f60a74638b38dac82708074511972b22fcf87ea8ce8cedec15",
 }
 
@@ -147,17 +147,18 @@ def test_usage_errors_exit_2():
         (["series", "--kind", "crank", "--r", "3", "--trunc", "5", "--shift", "7"],
          "shift 7 outside supported range -1..2"),
         (["converge", "--flavor", "moment", "--r", "2", "--grid", "100", "--workers", "0"],
-         f"workers must be in 1..{CPUS}, got 0"),
+         "invalid choice: 0 (choose from 1)"),
         (["verify", "--suite", "oracle", "--workers", str(CPUS + 1)],
-         f"workers must be in 1..{CPUS}, got {CPUS + 1}"),
+         f"invalid choice: {CPUS + 1} (choose from 1)"),
         (["verify", "--suite", "oracle", "--budget", "-1"], "budget must be >= 0, got -1"),
     ],
 )
 def test_out_of_range_arguments_exit_2(argv, message, capsys):
     # negative N used to index the value list from its end; r < 1 and the
     # library's ValueErrors used to escape as a traceback with exit 1;
-    # --workers 0 used to run serially without a word; --budget -1 used to
-    # trip the enumeration guard with exit 3
+    # --workers is accepted only as 1, so 0 and one past the CPU count are
+    # both usage errors; --budget -1 used to trip the enumeration guard
+    # with exit 3
     with pytest.raises(SystemExit) as exc:
         run(argv)
     assert exc.value.code == 2
@@ -211,13 +212,17 @@ def test_precision_flag_validation():
     assert exc.value.code == 2
 
 
-def test_workers_do_not_change_output(tmp_path):
-    serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
-    argv = ["converge", "--flavor", "moment", "--kind", "crank", "--r", "3",
-            "--grid", "64,144,256"]
-    run(argv + ["--out", str(serial)])
-    run(argv + ["--workers", "2", "--out", str(parallel)])
-    assert serial.read_bytes() == parallel.read_bytes()
+def test_workers_1_is_accepted_and_changes_nothing(tmp_path):
+    # scripts still pass --workers 1; it must write what the plain command writes
+    for argv in (
+        ["converge", "--flavor", "symmetrized", "--kind", "crank", "--r", "3",
+         "--grid", "64,144,256", "--format", "json"],
+        ["verify", "--suite", "proposition"],
+    ):
+        plain, flagged = tmp_path / "plain", tmp_path / "flagged"
+        assert run(argv + ["--out", str(plain)]) == 0
+        assert run(argv + ["--workers", "1", "--out", str(flagged)]) == 0
+        assert plain.read_bytes() == flagged.read_bytes()
 
 
 @pytest.mark.parametrize("suite", sorted(VERIFY_DIGESTS))
@@ -282,7 +287,7 @@ def test_failed_check_exits_1(tmp_path, monkeypatch):
     from overmoments import checks
 
     monkeypatch.setitem(
-        checks.SUITES, "oracle", lambda budget, workers: [checks.check("forced", False)]
+        checks.SUITES, "oracle", lambda budget: [checks.check("forced", False)]
     )
     out = tmp_path / "fail.json"
     assert run(["verify", "--suite", "oracle", "--out", str(out)]) == 1

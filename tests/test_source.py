@@ -83,3 +83,20 @@ def test_every_exported_name_is_used_in_src():
     unused = [label for label, name in exported if name not in used and name not in read]
     unused += [label for label, name in methods if name not in read]
     assert not unused, unused
+
+
+def test_no_concurrency_in_src():
+    # every command runs one serial path; a pool or a thread would be a
+    # second path that no benchmark workload runs
+    banned = {"concurrent", "multiprocessing", "threading"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for n in names if n.split(".")[0] in banned]
+    assert not found, found
