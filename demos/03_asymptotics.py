@@ -16,10 +16,15 @@ mp.mp.dps = 30
 
 # --- constants and the pole expansion ---------------------------------------
 
+# c_r = C_0, gamma_r = r! C_0 pi^-r 2^(r-3), and
+# delta_r = r! (C_1(crank) - C_1(rank)) pi^(1-r) 2^(r-4)
 for r in (2, 3, 4):
-    cs = asympt.resolve_constants(r, 192)
-    print(f"r={r}: c={mp.nstr(cs.c, 10)} gamma={mp.nstr(cs.gamma, 10)} "
-          f"delta={mp.nstr(cs.delta, 10)}")
+    crank, rank = (asympt.pole_coefficients(kind, r, 2, 192) for kind in ("crank", "rank"))
+    c = crank[0]
+    gamma = mp.factorial(r) * c * mp.pi ** (-r) * mp.mpf(2) ** (r - 3)
+    delta = mp.factorial(r) * (crank[1] - rank[1]) * mp.pi ** (1 - r) * mp.mpf(2) ** (r - 4)
+    print(f"r={r}: c={mp.nstr(c, 10)} gamma={mp.nstr(gamma, 10)} "
+          f"delta={mp.nstr(delta, 10)}")
 
 print("\npole coefficients C_0..C_3, S(e^-t) ~ sum_k C_k t^(k-r):")
 for kind in ("crank", "rank"):

@@ -1,4 +1,4 @@
-"""High-precision asymptotic constants, the pole expansion, and main terms.
+"""High-precision pole expansion, the main terms read off it, and q-series.
 
 Everything numeric runs on mpmath under an explicit working precision in
 bits (requested precision plus guard bits); callers pass `prec`, values come
@@ -15,25 +15,20 @@ the circle method's integrand `circle.gf_numeric`.
 
 `pole_coefficients` derives the whole pole expansion
 S(e^{-t}) ~ sum_k C_k t^{k-r} of either Lambert sum in closed form, a
-finite Bernoulli-eta sum per coefficient.  Constants, for order r >= 1,
-with eta the alternating zeta (mpmath's `altzeta`; the Bessel-form main
-term takes I_{r-3/2} from `besseli`):
+finite Bernoulli-eta sum per coefficient, with eta the alternating zeta
+(mpmath's `altzeta`).  Every main term is read off it, for order r >= 1:
 
-  leading pole coefficient      c_r  = eta(r) = C_0
-  moment main term              gamma_r = r! eta(r) pi^{-r} 2^{r-3}
-  difference main term          delta_r = r! pi^{-r+1} 2^{r-5} eta(r-2)
-  Bessel-form main term         c~_r = c_r pi^{-r+1} 2^{r-5/2}
+  leading pole coefficient      c_r = C_0 = eta(r)
+  moment main term              gamma_r = r! C_0 pi^{-r} 2^{r-3}
+  difference main term          delta_r = r! (C_1(crank) - C_1(rank)) pi^{1-r} 2^{r-4}
+  Bessel-form main term         c~_r = C_0 pi^{1-r} 2^{r-5/2}
 
-delta_r = r! pi^{-r+1} 2^{r-4} (C_1(crank) - C_1(rank)), and that difference
-is exactly eta(r-2)/2 (see `pole_coefficients`), so delta_r needs no
-subleading constant.  `resolve_constants` builds the frozen bundle of
-c_r, gamma_r and delta_r at the caller's precision.
+C_1(crank) - C_1(rank) = eta(r-2)/2, so delta_r is the paper's
+r! pi^{1-r} 2^{r-5} eta(r-2).  `main_term` takes I_{r-3/2} from `besseli`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
 from typing import Literal
 
 import mpmath as mp
@@ -43,8 +38,6 @@ from .errors import NonConvergent, OversizeRequest
 
 __all__ = [
     "log_integer",
-    "AsymptoticConstants",
-    "resolve_constants",
     "pole_coefficients",
     "main_term",
     "s_series_eval",
@@ -119,41 +112,6 @@ def pole_coefficients(kind: Kind, r: int, K: int, prec: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Constants bundle.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AsymptoticConstants:
-    """All main-term constants for one order r.  Built only by
-    `resolve_constants`."""
-
-    r: int
-    precision_bits: int
-    c: mp.mpf
-    gamma: mp.mpf
-    delta: mp.mpf
-
-    @property
-    def c_tilde(self) -> mp.mpf:
-        with mp.workprec(self.precision_bits):
-            return self.c * mp.pi ** (-self.r + 1) * mp.mpf(2) ** (self.r - mp.mpf(5) / 2)
-
-
-@lru_cache(maxsize=None)
-def resolve_constants(r: int, prec: int = 256) -> AsymptoticConstants:
-    """Every constant for order r at precision prec."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    with mp.workprec(prec + GUARD_BITS):
-        c = mp.altzeta(r)
-        gamma = mp.factorial(r) * c * mp.pi ** (-r) * mp.mpf(2) ** (r - 3)
-        delta = mp.factorial(r) * mp.pi ** (1 - r) * mp.mpf(2) ** (r - 5) * mp.altzeta(r - 2)
-    with mp.workprec(prec):
-        return AsymptoticConstants(r=r, precision_bits=prec, c=+c, gamma=+gamma, delta=+delta)
-
-
-# ---------------------------------------------------------------------------
 # Main terms in log-space.
 # ---------------------------------------------------------------------------
 
@@ -164,35 +122,36 @@ def main_term(
     N: int,
     prec: int = 256,
 ) -> mp.mpf:
-    """Natural log of the (positive) asymptotic main term: gamma_r
-    N^{r/2-1} e^{pi sqrt N} (moment), delta_r N^{r/2-3/2} e^{pi sqrt N}
-    (difference) or c~_r N^{r/2-3/4} I_{r-3/2}(pi sqrt N) (symmetrized).
+    """Natural log of the (positive) main term
+    C/(2 sqrt pi) (2 sqrt N/pi)^nu I_nu(pi sqrt N), nu = r - j - 3/2, with C
+    read off `pole_coefficients`: C_0 (symmetrized), r! C_0 (moment), both
+    at j = 0, and r! (C_1(crank) - C_1(rank)) at j = 1 (difference).
 
-    Log-space keeps e^{pi sqrt N} finite for any N.  The constants are
-    `resolve_constants(r, prec)`; crank and rank share every flavor's.
+    Moment and difference take I_nu's leading term e^z/sqrt(2 pi z), which
+    makes them gamma_r N^{r/2-1} e^{pi sqrt N} and
+    delta_r N^{r/2-3/2} e^{pi sqrt N}.  Log-space keeps e^{pi sqrt N} finite
+    for any N; crank and rank share every flavor's main term.
     """
+    if flavor not in ("moment", "difference", "symmetrized"):
+        raise ValueError(f"unknown flavor {flavor!r}")
+    if r < 1:
+        raise ValueError("r must be >= 1")
     if N < 1:
         raise ValueError("N must be >= 1")
-    consts = resolve_constants(r, prec)
-    with mp.workprec(prec + GUARD_BITS):
-        nv = mp.mpf(N)
-        if flavor == "moment":
-            result = mp.log(consts.gamma) + (mp.mpf(r) / 2 - 1) * mp.log(nv) + mp.pi * mp.sqrt(nv)
-        elif flavor == "difference":
-            result = (
-                mp.log(consts.delta)
-                + (mp.mpf(r) / 2 - mp.mpf(3) / 2) * mp.log(nv)
-                + mp.pi * mp.sqrt(nv)
-            )
-        elif flavor == "symmetrized":
-            arg = mp.pi * mp.sqrt(nv)
-            result = (
-                mp.log(consts.c_tilde)
-                + (mp.mpf(r) / 2 - mp.mpf(3) / 4) * mp.log(nv)
-                + mp.log(mp.besseli(mp.mpf(r) - mp.mpf(3) / 2, arg))
-            )
+    wp = prec + GUARD_BITS
+    j = 1 if flavor == "difference" else 0
+    with mp.workprec(wp):
+        C = pole_coefficients("crank", r, j + 1, wp)[j]
+        if j:
+            C -= pole_coefficients("rank", r, 2, wp)[1]
+        z = mp.pi * mp.sqrt(N)
+        nu = r - j - mp.mpf(3) / 2
+        if flavor == "symmetrized":
+            log_i = mp.log(mp.besseli(nu, z))
         else:
-            raise ValueError(f"unknown flavor {flavor!r}")
+            C *= mp.factorial(r)
+            log_i = z - mp.log(2 * mp.pi * z) / 2
+        result = mp.log(C / (2 * mp.sqrt(mp.pi))) + nu * mp.log(2 * mp.sqrt(N) / mp.pi) + log_i
     with mp.workprec(prec):
         return +result
 

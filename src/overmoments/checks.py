@@ -125,15 +125,15 @@ def residual(budget: int) -> list[dict]:
                     "slopes " + ", ".join(f"K={K}: {sl:.3f}" for K, sl in zip(orders, slopes)),
                 )
             )
-    # delta_r comes from eta(r-2); the pole expansion builds C_1 from
-    # Bernoulli numbers, and delta_r = r! pi^{1-r} 2^{r-4} (C_1(crank) - C_1(rank))
+    # converge's difference main term reads delta_r off the pole expansion,
+    # whose C_1 is built from Bernoulli numbers; at N = 1 its log is
+    # log delta_r + pi, against the closed form r! pi^{1-r} 2^{r-5} eta(r-2)
     with mp.workprec(256):
         ok = True
         for r in range(1, 9):
-            gap = (asympt.pole_coefficients("crank", r, 2, 256)[1]
-                   - asympt.pole_coefficients("rank", r, 2, 256)[1])
-            pole = mp.factorial(r) * mp.pi ** (1 - r) * mp.mpf(2) ** (r - 4) * gap
-            if abs(asympt.resolve_constants(r, 256).delta - pole) > mp.mpf(10) ** (-60):
+            delta = mp.factorial(r) * mp.pi ** (1 - r) * mp.mpf(2) ** (r - 5) * mp.altzeta(r - 2)
+            gap = asympt.main_term("difference", r, 1, 256) - mp.pi - mp.log(delta)
+            if abs(gap) > mp.mpf(10) ** (-60):
                 ok = False
         checks.append(check("difference-constant-vs-pole-expansion", ok))
     q20 = float(asympt.eta_quotient_check(mp.mpc(0, 0.05)))

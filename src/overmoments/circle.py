@@ -251,7 +251,11 @@ def p_segment(s, N: int) -> mp.mpf:
     v^s e^{(pi sqrt N / 2)(v + 1/v)} dv, by conjugate symmetry equal to
     (1/pi) integral_0^1 Re[(1+it)^s e^{(pi sqrt N/2)((1+it) + 1/(1+it))}] dt,
     by mp.quad on fixed panels.  Raises QuadratureFailure when its error
-    estimate is above SEGMENT_TOL/4 of the value."""
+    estimate is above SEGMENT_TOL/4 of the value, and OversizeRequest before
+    any quadrature above MAJOR_ARC_N_CAP, where the working precision grows
+    like sqrt N and the time with it."""
+    if N > MAJOR_ARC_N_CAP:
+        raise OversizeRequest(f"Bessel segment capped at N={MAJOR_ARC_N_CAP}")
     wp = working_precision(N)
     with mp.workprec(wp):
         half = mp.pi * mp.sqrt(N) / 2

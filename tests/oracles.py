@@ -11,7 +11,7 @@ from typing import Sequence
 
 import mpmath as mp
 
-from overmoments.asympt import GUARD_BITS, pole_coefficients, resolve_constants
+from overmoments.asympt import GUARD_BITS, pole_coefficients
 from overmoments.circle import gf_numeric, p_segment, working_precision
 from overmoments.errors import QuadratureFailure
 from overmoments.genfunc import standard_shift
@@ -368,10 +368,9 @@ def i1_main_terms_direct(r: int, N: int) -> mp.mpf:
     """Major-arc integral, in x-space, of the two-term pole approximation
     c_r X^{-r} + d_r X^{1-r}, X = -2 pi i tau, times the prefactor's closed
     form sqrt(-i tau/2) e^{pi i/(8 tau)}: the K = 2 case of the Bessel main
-    term, with d_r = C_1 of the crank sum."""
+    term, with c_r = C_0 and d_r = C_1 of the crank sum."""
     wp = working_precision(N)
-    c = resolve_constants(r, wp).c
-    d = pole_coefficients("crank", r, 2, wp)[1]
+    c, d = pole_coefficients("crank", r, 2, wp)
     with mp.workprec(wp):
         y = 1 / (4 * mp.sqrt(N))
 
@@ -394,10 +393,10 @@ def i1_main_terms_bessel(r: int, N: int) -> mp.mpf:
     with c~_r = c_r pi^{-r+1} 2^{r-5/2} and d~_r = d_r pi^{-r+2} 2^{r-7/2}.
     P_s differs from the Bessel function by an exponentially small amount."""
     wp = working_precision(N)
-    c_tilde = resolve_constants(r, wp).c_tilde
-    d = pole_coefficients("crank", r, 2, wp)[1]
+    c, d = pole_coefficients("crank", r, 2, wp)
     with mp.workprec(wp):
         nv = mp.mpf(N)
+        c_tilde = c * mp.pi ** (-r + 1) * mp.mpf(2) ** (r - mp.mpf(5) / 2)
         d_tilde = d * mp.pi ** (-r + 2) * mp.mpf(2) ** (r - mp.mpf(7) / 2)
         lead = c_tilde * nv ** (mp.mpf(r) / 2 - mp.mpf(3) / 4) * p_segment(mp.mpf(1) / 2 - r, N)
         sub = d_tilde * nv ** (mp.mpf(r) / 2 - mp.mpf(5) / 4) * p_segment(mp.mpf(3) / 2 - r, N)

@@ -1,6 +1,5 @@
-"""Asymptotic layer: constants, main terms, the pole expansion."""
+"""Asymptotic layer: the pole expansion and the main terms read off it."""
 
-import dataclasses
 import math
 import time
 
@@ -13,11 +12,16 @@ from overmoments.errors import NonConvergent, OversizeRequest
 from overmoments.series import EXACT_TRUNC_CAP
 
 
+def eta(r, prec):
+    """c_r = eta(r), read off the pole expansion as C_0."""
+    return asympt.pole_coefficients("crank", r, 1, prec)[0]
+
+
 def test_eta_classical_values():
     # c_r = eta(r): ln 2 at r = 1, pi^2/12 at r = 2
     with mp.workprec(200):
-        assert abs(asympt.resolve_constants(1, 200).c - mp.log(2)) < mp.mpf(2) ** -190
-        assert abs(asympt.resolve_constants(2, 200).c - mp.pi**2 / 12) < mp.mpf(2) ** -190
+        assert abs(eta(1, 200) - mp.log(2)) < mp.mpf(2) ** -190
+        assert abs(eta(2, 200) - mp.pi**2 / 12) < mp.mpf(2) ** -190
 
 
 def test_eta_matches_brute_averaged_partial_sums():
@@ -28,34 +32,34 @@ def test_eta_matches_brute_averaged_partial_sums():
     s_n = math.fsum(terms[:-1])
     s_n1 = math.fsum(terms)
     oracle = (s_n + s_n1) / 2
-    assert abs(float(asympt.resolve_constants(3, 64).c) - oracle) < 1e-12
+    assert abs(float(eta(3, 64)) - oracle) < 1e-12
 
 
 def test_eta_against_zeta_factor():
     with mp.workprec(120):
         for s in (2, 3, 4, 6):
             ref = (1 - mp.mpf(2) ** (1 - s)) * mp.zeta(s)
-            assert abs(asympt.resolve_constants(s, 120).c - ref) < 1e-15
+            assert abs(eta(s, 120) - ref) < 1e-15
 
 
 def test_constants_small_r():
-    cs2 = asympt.resolve_constants(2, 160)
     with mp.workprec(160):
-        assert abs(cs2.c - mp.pi**2 / 12) < mp.mpf(2) ** -150
-    cs1 = asympt.resolve_constants(1, 160)
-    with mp.workprec(160):
-        assert abs(cs1.gamma - mp.log(2) / (4 * mp.pi)) < mp.mpf(2) ** -150
+        assert abs(eta(2, 160) - mp.pi**2 / 12) < mp.mpf(2) ** -150
+        # the moment main term at N = 1 is log gamma_1 + pi
+        gamma1 = mp.e ** (asympt.main_term("moment", 1, 1, 160) - mp.pi)
+        assert abs(gamma1 - mp.log(2) / (4 * mp.pi)) < mp.mpf(2) ** -150
     for r in range(1, 9):
-        assert asympt.resolve_constants(r, 96).c > 0
+        assert eta(r, 96) > 0
 
 
 def test_bessel_matches_power_series():
-    # log c~_r + (r/2 - 3/4) log N + log I_{r-3/2}(pi sqrt N), the Bessel
-    # factor summed from its defining power series
+    # log c~_r + (r/2 - 3/4) log N + log I_{r-3/2}(pi sqrt N), with
+    # c~_r = c_r pi^{-r+1} 2^{r-5/2}, the Bessel factor summed from its
+    # defining power series
     N = 10
     for r in (1, 3, 6):
         with mp.workprec(200):
-            c_tilde = asympt.resolve_constants(r, 200).c_tilde
+            c_tilde = eta(r, 200) * mp.pi ** (-r + 1) * mp.mpf(2) ** (r - mp.mpf(5) / 2)
             bessel = bessel_i_series(r - mp.mpf(3) / 2, mp.pi * mp.sqrt(N), 200, terms=80)
             want = mp.log(c_tilde) + (mp.mpf(r) / 2 - mp.mpf(3) / 4) * mp.log(N) + mp.log(bessel)
         got = asympt.main_term("symmetrized", r, N, 200)
@@ -63,10 +67,10 @@ def test_bessel_matches_power_series():
 
 
 def test_main_term_moment_is_plugin():
-    cs = asympt.resolve_constants(2, 128)
+    # gamma_2 = 2! eta(2) pi^-2 2^-1 = 1/12
     got = asympt.main_term("moment", 2, 10_000, 128)
     with mp.workprec(128):
-        want = mp.log(cs.gamma) + mp.pi * 100  # (r/2 - 1) log N vanishes at r=2
+        want = mp.log(mp.mpf(1) / 12) + mp.pi * 100  # (r/2 - 1) log N vanishes at r=2
         assert abs(got - want) < mp.mpf(2) ** -100
 
 
@@ -199,14 +203,6 @@ def test_pole_coefficients_confirm_the_printed_readings():
             assert matches == want[kind] | ({"zeta_shifted"} if odd_crank else set()), (kind, r)
 
 
-def test_constants_are_frozen():
-    cs = asympt.resolve_constants(3, 128)
-    delta = cs.delta
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        cs.delta = 0
-    assert asympt.resolve_constants(3, 128).delta == delta
-
-
 def test_zeta_shifted_variant_undefined_at_r2():
     cands = subleading_candidates("crank", 2, 96)
     assert cands["zeta_shifted"] is None  # literal form hits the zeta pole
@@ -217,20 +213,37 @@ def test_zeta_shifted_variant_undefined_at_r2():
 
 def test_delta_values():
     # delta_r = r! pi^{-r+1} 2^{r-5} eta(r-2), which is r! pi^{-r+1} 2^{r-4}
-    # times C_1(crank) - C_1(rank) = eta(r-2)/2
+    # times C_1(crank) - C_1(rank) = eta(r-2)/2; the difference main term at
+    # N = 1 is log delta_r + pi
+    def delta(r):
+        log_delta = asympt.main_term("difference", r, 1, 160) - mp.pi
+        assert isinstance(log_delta, mp.mpf)  # delta_r > 0
+        return mp.e**log_delta
+
     with mp.workprec(160):
-        cs = asympt.resolve_constants(1, 160)
-        assert abs(cs.delta - mp.mpf(1) / 64) < mp.mpf(2) ** -140
-        cs4 = asympt.resolve_constants(4, 160)
-        assert abs(cs4.delta - 1 / mp.pi) < mp.mpf(2) ** -140
+        assert abs(delta(1) - mp.mpf(1) / 64) < mp.mpf(2) ** -140
+        assert abs(delta(4) - 1 / mp.pi) < mp.mpf(2) ** -140
         for r in range(1, 17):
-            csr = asympt.resolve_constants(r, 160)
             scale = mp.factorial(r) * mp.pi ** (-r + 1) * mp.mpf(2) ** (r - 5)
             want = scale * mp.altzeta(r - 2)
-            assert abs(csr.delta - want) < mp.mpf(2) ** -150 * want
+            assert abs(delta(r) - want) < mp.mpf(2) ** -150 * want
             c1 = [asympt.pole_coefficients(kind, r, 2, 160)[1] for kind in ("crank", "rank")]
             assert abs(2 * scale * (c1[0] - c1[1]) - want) < mp.mpf(2) ** -150 * want
-            assert csr.delta > 0
+
+
+@pytest.mark.parametrize(
+    "flavor, r, N",
+    [("moment", 0, 100), ("difference", -1, 100), ("symmetrized", 3, 0), ("power", 3, 100)],
+)
+def test_main_term_refuses_bad_arguments_before_evaluating(flavor, r, N, monkeypatch):
+    # r < 1 and N < 1 have no main term, and the command line refuses them
+    # first, so only a library caller reaches these guards
+    def fail(*args):
+        raise AssertionError("evaluated before the guards")
+
+    monkeypatch.setattr(asympt, "pole_coefficients", fail)
+    with pytest.raises(ValueError):
+        asympt.main_term(flavor, r, N, 64)
 
 
 def test_eta_quotient_check_matches_product_loop():

@@ -401,6 +401,21 @@ def test_p_segment_real_and_bessel_pathway():
     assert isinstance(p, mp.mpf)
 
 
+@pytest.mark.parametrize(
+    "segment",
+    [lambda N: circle.p_segment(-mp.mpf(5) / 2, N), lambda N: circle.bessel_pathway_check(3, N)],
+    ids=["p_segment", "bessel_pathway_check"],
+)
+def test_bessel_segment_refuses_n_past_the_cap_before_quadrature(segment, monkeypatch):
+    # the segment's working precision grows like sqrt N: 6.3 s at N = 10^4
+    def quad(*args, **kwargs):
+        raise AssertionError("quadrature ran past the cap")
+
+    monkeypatch.setattr(mp, "quad", quad)
+    with pytest.raises(OversizeRequest, match="capped"):
+        segment(circle.MAJOR_ARC_N_CAP + 1)
+
+
 def test_major_arc_main_terms_two_parametrizations_agree():
     # the K = 2 oracle in x-space and as P-segments
     direct = i1_main_terms_direct(3, 49)

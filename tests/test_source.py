@@ -100,3 +100,23 @@ def test_no_concurrency_in_src():
                 continue
             found += [f"{path.name}:{node.lineno}" for n in names if n.split(".")[0] in banned]
     assert not found, found
+
+
+def test_eta_is_read_only_in_the_pole_expansion():
+    # every main term reads eta off `asympt.pole_coefficients`; the residual
+    # suite's closed form of delta_r is the one independent second side.
+    # Each read of `altzeta` is charged to its innermost function
+    readers = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        owner = {}
+        for node in ast.walk(tree):  # breadth first: inner functions come later
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(n), node.name) for n in ast.walk(node))
+        readers |= {
+            f"{path.stem}.{owner.get(id(node), '<module>')}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "altzeta"
+            or isinstance(node, ast.alias) and node.name.endswith("altzeta")
+        }
+    assert readers <= {"asympt.pole_coefficients", "checks.residual"}, readers
