@@ -1,17 +1,18 @@
 """High-precision pole expansion, the main terms read off it, and q-series.
 
-Everything numeric runs on mpmath under an explicit working precision in
-bits (requested precision plus guard bits); callers pass `prec`, values come
-back rounded to that precision.  Exact big integers are turned into logs via
-mpf conversion, which keeps the top bits of the mantissa and is accurate to
-working precision regardless of the integer's size.
+The pole expansion and the main terms run on mpmath under an explicit
+working precision in bits (requested precision plus guard bits); callers
+pass `prec`, values come back rounded to that precision.  Exact big integers
+are turned into logs via mpf conversion, accurate to working precision
+regardless of the integer's size.
 
 The two q-series behind every numeric check have their only numeric
 evaluators here: `s_series_eval` (the crank and rank Lambert sums) and
 `overpartition_numeric` (the prefactor (-q)oo/(q)oo as 1/theta_4(q)).  Both
-return unrounded at their working precision, so each caller rounds once:
-the pole-expansion order checks, the automorphic prefactor check, and
-the circle method's integrand `circle.gf_numeric`.
+sum in integers at a scale 2^W, where a floored product is off by under a
+unit 2^-W per part and q^k by under 3k units, and return unrounded at their
+working precision, so each caller rounds once: the pole-expansion order
+checks, the automorphic prefactor check, and the integrand `circle.gf_numeric`.
 
 `pole_coefficients` derives the whole pole expansion
 S(e^{-t}) ~ sum_k C_k t^{k-r} of either Lambert sum in closed form, a
@@ -29,12 +30,14 @@ r! pi^{1-r} 2^{r-5} eta(r-2).  `main_term` takes I_{r-3/2} from `besseli`.
 
 from __future__ import annotations
 
+from math import expm1, isqrt, log2
 from typing import Literal
 
 import mpmath as mp
 
 from . import genfunc
 from .errors import NonConvergent, OversizeRequest
+from .series import check_order
 
 __all__ = [
     "log_integer",
@@ -46,10 +49,8 @@ __all__ = [
 ]
 
 GUARD_BITS = 32
-# overpartition_numeric's guard bits pi^2/(4t ln 2) + 8, t = -log|q|, grow
-# without bound as |q| -> 1, and its time with them: 0.05 s at q = 0.999
-# (3566 bits), 10 s at 0.9999 (35604 bits) on a 2-vCPU Xeon.  The closest
-# caller, the major arc's rho' at N = 10^4 and tol = 1e-8, needs 566
+# the guard bits of overpartition_numeric, pi^2/(4t ln 2) + 8 at t = -log|q|,
+# grow as |q| -> 1: the major arc's rho' at N = 10^4 and tol = 1e-8 needs 566
 THETA4_GUARD_BITS_CAP = 4096
 
 Kind = Literal["crank", "rank"]
@@ -161,61 +162,81 @@ def main_term(
 # ---------------------------------------------------------------------------
 
 
+def _mul(x: tuple, y: tuple, W: int) -> tuple:
+    """Product of two complex numbers held as int pairs at scale 2^W, floored."""
+    (a, b), (c, d) = x, y
+    return (a * c - b * d) >> W, (a * d + b * c) >> W
+
+
+def _pow(x: tuple, k: int, W: int) -> tuple:
+    """x^k, k >= 0, at scale 2^W by binary powering."""
+    if k < 2:
+        return x if k else (1 << W, 0)
+    half = _pow(_mul(x, x, W), k >> 1, W)
+    return _mul(half, x, W) if k & 1 else half
+
+
 def s_series_eval(kind: Kind, r: int, q, prec: int = 256):
     """Lambert sum of the crank or rank moment series at complex q, |q| < 1.
 
     The same sum as `genfunc.lambert_sum` under the weight binom(m+s, r), in
-    its summed form q^{e(n)} / (1-q^n)^r (times 1/(1+q^n) and 2 for the
-    rank), at the standard binomial shift s.  The exponent is
-    e(n) = (n^2 + (2(r-s)-1)n)/2 (crank) or n^2 + (r-s)n (rank), and powers
-    of q are built by recurrence: e(n) steps by n + r - s (crank) or
-    2n + 1 + r - s (rank).  Summation stops on a certified tail bound
-    below 2^-(prec+8) relative, whose powers of |q| come by the same
-    recurrence.  The value comes back unrounded at the working precision
-    prec + 16, so callers round once.  Raises NonConvergent outside |q| < 1.
+    its summed form q^{e(n)} / D_n, D_n = (1-q^n)^r (times 1+q^n and 2 for
+    the rank), at the standard binomial shift s: e(n) = (n^2 + (2(r-s)-1)n)/2
+    (crank) or n^2 + (r-s)n (rank), with q^{e(n)} by recurrence.  Summation
+    stops once the certified tail bound 2|q|^{e(n+1)}/(1-|q|^{n+1})^{r+1} is
+    below 2^-(prec+8) max(1, |S|), tested in log2 with a bit to spare.
+    With m = deg D_n and G >= log2 1/(1-|q|), term n is off by under
+    2^{2mG} (3e(n) + 3mn + 2m + 2) units 2^-W, and n terms, doubled for the
+    rank, by 2^{2mG+3} (n+m+1)^3; so W = prec + 16 + 2mG + 3 bits(n+m+1), n
+    bounded in advance by the tail rule, holds S to 2^-(prec+13) absolute.
+    Refuses r < 0 (ValueError) and r > EXACT_ORDER_CAP (OversizeRequest)
+    before any work, since W grows with r; NonConvergent outside |q| < 1.
     """
-    if kind not in ("crank", "rank"):
-        raise ValueError("kind must be 'crank' or 'rank'")
+    if kind not in ("crank", "rank") or r < 0:
+        raise ValueError("kind must be 'crank' or 'rank', and r >= 0")
+    check_order(r)
     with mp.workprec(prec + 16):
         qv = mp.mpc(q)
         absq = abs(qv)
         if absq >= 1:
             raise NonConvergent("|q| must be < 1")
-        eps = mp.mpf(2) ** (-(prec + 8))
-        # q^{e(n)} and |q|^{e(n+1)} by recurrence: e(n+1) - e(n) = de grows by dde per step
-        d = r - genfunc.standard_shift(r)
-        e, de, dde = (d, d + 1, 1) if kind == "crank" else (d + 1, d + 3, 2)
-        qe, step, lift = qv**e, qv**de, qv**dde
-        ae, astep, alift = absq ** (e + de), absq ** (de + dde), absq**dde
-        qn, an = mp.mpc(1), absq
-        total = mp.mpc(0)
-        n = 1
-        while True:
-            qn *= qv
-            an *= absq
-            den = (1 - qn) ** r if kind == "crank" else (1 - qn) ** r * (1 + qn)
-            total += qe / den if n % 2 == 1 else -qe / den
-            # certified tail: the next term bounds the remainder up to the
-            # geometric factor 1/(1 - |q|), absorbed into the 2x margin
-            if 2 * ae / (1 - an) ** (r + 1) < eps * max(1, abs(total)):
-                break
-            qe, step = qe * step, step * lift
-            ae, astep = ae * astep, astep * alift
-            n += 1
-        return total * 2 if kind == "rank" else total
+        lnq, log2q, G = float(mp.log(absq)), float(mp.log(absq, 2)), 1 - mp.mag(1 - absq)
+    rank = kind == "rank"
+    n_max, m = isqrt((prec + 12 + (r + 1) * G) << (G + 1)) + 1, r + rank
+    W = prec + 16 + 2 * m * G + 3 * (n_max + m + 1).bit_length()
+    one, qx = 1 << W, (int(mp.ldexp(qv.real, W)), int(mp.ldexp(qv.imag, W)))
+    d = r - genfunc.standard_shift(r)
+    e, de, dde = (d + 1, d + 3, 2) if rank else (d, d + 1, 1)
+    qe, step, lift = _pow(qx, e, W), _pow(qx, de, W), _pow(qx, dde, W)
+    qn, re, im, n = (one, 0), 0, 0, 1
+    while True:
+        qn = _mul(qn, qx, W)
+        c, f = _mul(_pow((one - qn[0], -qn[1]), r, W), (one + rank * qn[0], rank * qn[1]), W)
+        (a, b), norm, sign = qe, c * c + f * f, 1 if n % 2 == 1 else -1
+        re += sign * (((a * c + b * f) << W) // norm)
+        im += sign * (((b * c - a * f) << W) // norm)
+        e, de = e + de, de + dde
+        # log2 of twice the bound, plus the spare bit, against log2 max(1, |S|) or less
+        tail = 2 + e * log2q - (r + 1) * log2(-expm1((n + 1) * lnq))
+        if tail < max(max(abs(re), abs(im)).bit_length() - 1 - W, 0) - (prec + 8):
+            break
+        qe, step, n = _mul(qe, step, W), _mul(step, lift, W), n + 1
+    with mp.workprec(prec + 16):  # the rank's factor 2 goes on the exponent
+        return mp.mpc(mp.mpf((re, rank - W)), mp.mpf((im, rank - W)))
 
 
 def overpartition_numeric(q, prec: int = 256):
     """The prefactor (-q)oo/(q)oo = 1/theta_4(q) at complex q, |q| < 1.
 
     theta_4 = 1 + 2 sum (-1)^k q^{k^2}, with q^{(k+1)^2} = q^{k^2} q^{2k+1},
-    summed until |q|^{k^2} < 2^-bits.  By the product formula
-    |theta_4(q)| >= theta_4(|q|) >= e^{-pi^2/(4t)}, t = -log|q|, so
-    pi^2/(4t ln 2) + 8 guard bits above prec + 16 keep the quotient at full
-    relative precision as q -> 1.  The value comes back unrounded at that
-    working precision, so callers round once.  Raises NonConvergent outside
-    |q| < 1, and OversizeRequest before any summing when the guard bits pass
-    THETA4_GUARD_BITS_CAP.
+    summed over K = floor(sqrt(bits ln 2/t)) + 1 terms, so |q|^{K^2} < 2^-bits.
+    By the product formula |theta_4(q)| >= theta_4(|q|) >= e^{-pi^2/(4t)},
+    t = -log|q|, so pi^2/(4t ln 2) + 8 guard bits above prec + 16 keep the
+    quotient at full relative precision as q -> 1.  q^{k^2} is off by under
+    2 sqrt(2) k^2 units 2^-W and theta_4 by 2(K+1)^3, so W = bits + 3 bits(K+1)
+    + 1 holds theta_4 to 2^-(prec+24) relative, the quotient to 2^-(prec+23).
+    Raises NonConvergent outside |q| < 1, and OversizeRequest before any
+    summing when the guard bits pass THETA4_GUARD_BITS_CAP.
     """
     with mp.workprec(prec + 16):
         qv = mp.mpc(q)
@@ -231,12 +252,16 @@ def overpartition_numeric(q, prec: int = 256):
         )
     bits = prec + 16 + guard
     with mp.workprec(bits):
-        q2, odd, square, theta = qv * qv, qv, mp.mpc(1), mp.mpc(0)
-        for k in range(1, int(mp.sqrt(bits * mp.ln2 / t)) + 2):
-            square *= odd
-            odd *= q2
-            theta += square if k % 2 == 0 else -square
-        return 1 / (1 + 2 * theta)
+        K = int(mp.sqrt(bits * mp.ln2 / t)) + 1
+    W = bits + 3 * (K + 1).bit_length() + 1
+    odd = int(mp.ldexp(qv.real, W)), int(mp.ldexp(qv.imag, W))
+    q2, square, re, im = _mul(odd, odd, W), (1 << W, 0), 1 << W, 0
+    for k in range(1, K + 1):
+        square, odd, sign = _mul(square, odd, W), _mul(odd, q2, W), 2 if k % 2 == 0 else -2
+        re, im = re + sign * square[0], im + sign * square[1]
+    norm = re * re + im * im
+    with mp.workprec(bits):
+        return mp.mpc(mp.mpf(((re << 2 * W) // norm, -W)), mp.mpf(((-im << 2 * W) // norm, -W)))
 
 
 # ---------------------------------------------------------------------------

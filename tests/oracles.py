@@ -11,9 +11,9 @@ from typing import Sequence
 
 import mpmath as mp
 
-from overmoments.asympt import GUARD_BITS, pole_coefficients
+from overmoments.asympt import GUARD_BITS, THETA4_GUARD_BITS_CAP, pole_coefficients
 from overmoments.circle import gf_numeric, p_segment, working_precision
-from overmoments.errors import QuadratureFailure
+from overmoments.errors import NonConvergent, OversizeRequest, QuadratureFailure
 from overmoments.genfunc import standard_shift
 
 
@@ -162,6 +162,67 @@ def bessel_i_series(order, x, prec: int = 256, terms: int = 60) -> mp.mpf:
         result = total
     with mp.workprec(prec):
         return +result
+
+
+def s_series_mpmath(kind, r: int, q, prec: int = 256):
+    """The Lambert sum of `asympt.s_series_eval` summed in mpmath at prec + 16
+    bits: the loop that the fixed-point kernel replaced, with the same powers
+    by recurrence and the same certified stopping rule."""
+    if kind not in ("crank", "rank"):
+        raise ValueError("kind must be 'crank' or 'rank'")
+    with mp.workprec(prec + 16):
+        qv = mp.mpc(q)
+        absq = abs(qv)
+        if absq >= 1:
+            raise NonConvergent("|q| must be < 1")
+        eps = mp.mpf(2) ** (-(prec + 8))
+        # q^{e(n)} and |q|^{e(n+1)} by recurrence: e(n+1) - e(n) = de grows by dde per step
+        d = r - standard_shift(r)
+        e, de, dde = (d, d + 1, 1) if kind == "crank" else (d + 1, d + 3, 2)
+        qe, step, lift = qv**e, qv**de, qv**dde
+        ae, astep, alift = absq ** (e + de), absq ** (de + dde), absq**dde
+        qn, an = mp.mpc(1), absq
+        total = mp.mpc(0)
+        n = 1
+        while True:
+            qn *= qv
+            an *= absq
+            den = (1 - qn) ** r if kind == "crank" else (1 - qn) ** r * (1 + qn)
+            total += qe / den if n % 2 == 1 else -qe / den
+            # certified tail: the next term bounds the remainder up to the
+            # geometric factor 1/(1 - |q|), absorbed into the 2x margin
+            if 2 * ae / (1 - an) ** (r + 1) < eps * max(1, abs(total)):
+                break
+            qe, step = qe * step, step * lift
+            ae, astep = ae * astep, astep * alift
+            n += 1
+        return total * 2 if kind == "rank" else total
+
+
+def overpartition_mpmath(q, prec: int = 256):
+    """1/theta_4(q) as `asympt.overpartition_numeric` gives it, summed in
+    mpmath at the same guard bits and term count: the loop that the
+    fixed-point kernel replaced."""
+    with mp.workprec(prec + 16):
+        qv = mp.mpc(q)
+        absq = abs(qv)
+        if absq >= 1:
+            raise NonConvergent("|q| must be < 1")
+        t = -mp.log(absq)
+        guard = int(mp.ceil(mp.pi**2 / (4 * t * mp.ln2))) + 8
+    if guard > THETA4_GUARD_BITS_CAP:
+        raise OversizeRequest(
+            f"1/theta_4 at |q| = {mp.nstr(absq, 8)} needs {guard} guard bits,"
+            f" capped at {THETA4_GUARD_BITS_CAP}"
+        )
+    bits = prec + 16 + guard
+    with mp.workprec(bits):
+        q2, odd, square, theta = qv * qv, qv, mp.mpc(1), mp.mpc(0)
+        for k in range(1, int(mp.sqrt(bits * mp.ln2 / t)) + 2):
+            square *= odd
+            odd *= q2
+            theta += square if k % 2 == 0 else -square
+        return 1 / (1 + 2 * theta)
 
 
 def rho_crank(r: int) -> Fraction:

@@ -9,7 +9,7 @@ import pytest
 from oracles import bessel_i_series, rho_crank, rho_rank, subleading_candidates
 from overmoments import asympt, genfunc
 from overmoments.errors import NonConvergent, OversizeRequest
-from overmoments.series import EXACT_TRUNC_CAP
+from overmoments.series import EXACT_ORDER_CAP, EXACT_TRUNC_CAP
 
 
 def eta(r, prec):
@@ -244,6 +244,21 @@ def test_main_term_refuses_bad_arguments_before_evaluating(flavor, r, N, monkeyp
     monkeypatch.setattr(asympt, "pole_coefficients", fail)
     with pytest.raises(ValueError):
         asympt.main_term(flavor, r, N, 64)
+
+
+@pytest.mark.parametrize(
+    "r, error", [(-1, ValueError), (EXACT_ORDER_CAP + 1, OversizeRequest)]
+)
+def test_s_series_eval_refuses_bad_order_before_any_work(r, error, monkeypatch):
+    # the integer scale grows linearly in r, and binary powering never ends
+    # on a negative exponent; |q| = 2 would raise NonConvergent, so the
+    # order is refused before q is even looked at
+    def fail(*args):
+        raise AssertionError("summed before the guards")
+
+    monkeypatch.setattr(asympt, "_mul", fail)
+    with pytest.raises(error):
+        asympt.s_series_eval("crank", r, 2, 64)
 
 
 def test_eta_quotient_check_matches_product_loop():

@@ -8,10 +8,13 @@ from oracles import (
     arc_quadrature,
     i1_main_terms_bessel,
     i1_main_terms_direct,
+    overpartition_mpmath,
+    s_series_mpmath,
     searched_truncation,
 )
 from overmoments import asympt, circle, genfunc, moments
 from overmoments.errors import NonConvergent, OversizeRequest, QuadratureFailure
+from overmoments.series import EXACT_TRUNC_CAP
 
 
 class Stopped(Exception):
@@ -39,33 +42,16 @@ def horner_eval(series, q):
 
 
 def direct_product_oracle(kind, r, q, prec):
-    """prod (1+q^k)/(1-q^k) run to convergence times the Lambert sum with
-    every power taken as q**e: the direct evaluation the theta_4 prefactor
-    and the power recurrences replaced."""
-    shift = genfunc.standard_shift(r)
+    """prod (1+q^k)/(1-q^k) run to convergence times the mpmath Lambert
+    loop: the direct evaluation the theta_4 prefactor replaced."""
     with mp.workprec(prec + 16):
         qv = mp.mpc(q)
-        absq = abs(qv)
-        eps = mp.mpf(2) ** (-(prec + 8))
         pref = mp.mpc(1)
         qk = mp.mpc(1)
-        for _ in range(int((prec + 16) * mp.log(2) / -mp.log(absq)) + 2):
+        for _ in range(int((prec + 16) * mp.log(2) / -mp.log(abs(qv))) + 2):
             qk *= qv
             pref *= (1 + qk) / (1 - qk)
-        total = mp.mpc(0)
-        n = 1
-        while True:
-            if kind == "crank":
-                e = (n * n + (2 * (r - shift) - 1) * n) // 2
-                den = (1 - qv**n) ** r
-            else:
-                e = n * n + (r - shift) * n
-                den = (1 - qv**n) ** r * (1 + qv**n)
-            total += (-1) ** (n + 1) * qv**e / den
-            if 2 * absq**e / (1 - absq**n) ** (r + 1) < eps * max(1, abs(total)):
-                break
-            n += 1
-        return pref * total * (2 if kind == "rank" else 1)
+        return pref * s_series_mpmath(kind, r, q, prec)
 
 
 @pytest.mark.parametrize("N, x", [(10_000, 0), (10_000, 5e-4), (60, 0), (60, 0.02)])
@@ -82,27 +68,84 @@ def test_gf_numeric_matches_direct_product(N, x):
             assert abs(got - ref) < mp.mpf(2) ** (-(wp - 20)) * abs(ref)
 
 
-@pytest.mark.parametrize("kind, r", [("crank", 3), ("rank", 4)])
-def test_s_series_eval_tail_bound_certifies_the_value(kind, r, monkeypatch):
-    # the stopping rule's tail bound, its powers of |q| by recurrence, holds
-    # the sum to 2^-(prec+8) relative: against the sum at 64 more bits the
-    # value agrees to 2^-(prec+7), rounding included.  Points: the residual
-    # suite's real q at 224 bits, and full-circle samples on the radius and
-    # at the precision the trapezoidal rule picks
+def kernel_points(monkeypatch, kind, r) -> list:
+    """(label, q, prec) where the numeric q-series are checked: the residual
+    suite's real q at 224 bits, the full-circle samples for N = 7, 60, 200
+    on the radius and at the precision the trapezoidal rule picks, at
+    j = 0, 1, M/4, M/2, the N = 10^4 saddle at x = 0 and 5e-4, and e^{-6 pi}
+    far from the circle."""
     with mp.workprec(224):
-        points = [(mp.e ** (-mp.pi / (2 * mp.sqrt(N))), 224) for N in (10**3, 10**5)]
+        points = [
+            (f"residual N={N}", mp.e ** (-mp.pi / (2 * mp.sqrt(N))), 224) for N in (10**3, 10**5)
+        ]
     recorded = stop_at(monkeypatch, circle, "_circle_samples")
     for N in (7, 60, 200):
         with pytest.raises(Stopped):
             circle._trapezoid_coefficient(kind, r, N, 1e-8)
         _, _, M, rho, wp = recorded[-1]
         with mp.workprec(wp):
-            points += [(rho * mp.expjpi(mp.mpf(2 * j) / M), wp) for j in (0, 1, M // 4, M // 2)]
-    for q, prec in points:
-        got = asympt.s_series_eval(kind, r, q, prec)
-        ref = asympt.s_series_eval(kind, r, q, prec + 64)
+            points += [
+                (f"circle N={N} j={j}", rho * mp.expjpi(mp.mpf(2 * j) / M), wp)
+                for j in (0, 1, M // 4, M // 2)
+            ]
+    wp = circle.working_precision(10**4)
+    with mp.workprec(wp):
+        rho = mp.e ** (-mp.pi / 200)
+        points += [(f"saddle N=10^4 x={x}", rho * mp.expjpi(2 * mp.mpf(x)), wp) for x in (0, 5e-4)]
+    with mp.workprec(120):
+        points.append(("e^{-6 pi}", mp.e ** (-6 * mp.pi), 120))
+    return points
+
+
+def misses(points, got, ref) -> list:
+    """The labels of the points where |got(q, prec) - ref(q, prec)| is above
+    2^-(prec+7) max(1, |ref|), each with its error in units of 2^-prec."""
+    out = []
+    for label, q, prec in points:
+        a, b = got(q, prec), ref(q, prec)
         with mp.workprec(prec + 64):
-            assert abs(got - ref) <= mp.mpf(2) ** -(prec + 7) * max(1, abs(ref))
+            err = abs(a - b) / max(1, abs(b))
+            if err > mp.mpf(2) ** -(prec + 7):
+                out.append(f"{label}: {mp.nstr(err * mp.mpf(2) ** prec, 3)}")
+    return out
+
+
+@pytest.mark.parametrize("kind, r", [("crank", 3), ("rank", 4)])
+def test_s_series_eval_tail_bound_certifies_the_value(kind, r, monkeypatch):
+    # the stopping rule's tail bound holds the sum to 2^-(prec+8) relative:
+    # against the sum at 64 more bits the value agrees to 2^-(prec+7),
+    # rounding included
+    points = kernel_points(monkeypatch, kind, r)
+    assert misses(
+        points,
+        lambda q, p: asympt.s_series_eval(kind, r, q, p),
+        lambda q, p: asympt.s_series_eval(kind, r, q, p + 64),
+    ) == []
+
+
+@pytest.mark.parametrize("r", [0, 1, 2, 3, 4, 6, 8])
+@pytest.mark.parametrize("kind", ["crank", "rank"])
+def test_s_series_eval_matches_mpmath_loop(kind, r, monkeypatch):
+    # the fixed-point kernel against the mpmath loop it replaced, within
+    # 2^-(prec+7) relative; r = 8 at N = 10^5 needs the most headroom
+    points = kernel_points(monkeypatch, kind, r)
+    assert misses(
+        points,
+        lambda q, p: asympt.s_series_eval(kind, r, q, p),
+        lambda q, p: s_series_mpmath(kind, r, q, p),
+    ) == []
+
+
+@pytest.mark.parametrize("kind, r", [("crank", 3), ("rank", 8)])
+def test_overpartition_numeric_matches_mpmath_loop(kind, r, monkeypatch):
+    # 1/theta_4 against the mpmath loop it replaced, within 2^-(prec+7)
+    # relative, on the circle samples of two (kind, r), whose radii differ;
+    # x = 0 at N = 10^4 cancels theta_4 down to e^{-50 pi}, and the radius
+    # of N = EXACT_TRUNC_CAP needs 1022 guard bits
+    points = kernel_points(monkeypatch, kind, r)
+    with mp.workprec(64):
+        points.append(("N=EXACT_TRUNC_CAP", mp.e ** (-mp.pi / (2 * mp.sqrt(EXACT_TRUNC_CAP))), 64))
+    assert misses(points, asympt.overpartition_numeric, overpartition_mpmath) == []
 
 
 def test_gf_numeric_matches_series_at_real_q():
