@@ -52,6 +52,12 @@ GUARD_BITS = 32
 # the guard bits of overpartition_numeric, pi^2/(4t ln 2) + 8 at t = -log|q|,
 # grow as |q| -> 1: the major arc's rho' at N = 10^4 and tol = 1e-8 needs 566
 THETA4_GUARD_BITS_CAP = 4096
+# the term bound n_max of s_series_eval grows like sqrt(prec 2^G) as |q| -> 1,
+# G = log2 1/(1-|q|): the residual suite at N = 10^5 needs 387 terms and the
+# major arc at N = 10^4 needs 536.  2^16 terms take about 0.17 s (crank r = 3,
+# 64 bits) and 0.7 s (rank r = 8, 517 bits) on a 2-vCPU Xeon; 1 - |q| = 10^-12
+# would need 2.3e7
+LAMBERT_TERMS_CAP = 1 << 16
 
 Kind = Literal["crank", "rank"]
 
@@ -190,7 +196,9 @@ def s_series_eval(kind: Kind, r: int, q, prec: int = 256):
     rank, by 2^{2mG+3} (n+m+1)^3; so W = prec + 16 + 2mG + 3 bits(n+m+1), n
     bounded in advance by the tail rule, holds S to 2^-(prec+13) absolute.
     Refuses r < 0 (ValueError) and r > EXACT_ORDER_CAP (OversizeRequest)
-    before any work, since W grows with r; NonConvergent outside |q| < 1.
+    before any work, since W grows with r; NonConvergent outside |q| < 1;
+    and OversizeRequest before any summing when n_max passes
+    LAMBERT_TERMS_CAP.
     """
     if kind not in ("crank", "rank") or r < 0:
         raise ValueError("kind must be 'crank' or 'rank', and r >= 0")
@@ -203,6 +211,11 @@ def s_series_eval(kind: Kind, r: int, q, prec: int = 256):
         lnq, log2q, G = float(mp.log(absq)), float(mp.log(absq, 2)), 1 - mp.mag(1 - absq)
     rank = kind == "rank"
     n_max, m = isqrt((prec + 12 + (r + 1) * G) << (G + 1)) + 1, r + rank
+    if n_max > LAMBERT_TERMS_CAP:
+        raise OversizeRequest(
+            f"Lambert sum at |q| = {mp.nstr(absq, 8)} may need {n_max} terms,"
+            f" capped at {LAMBERT_TERMS_CAP}"
+        )
     W = prec + 16 + 2 * m * G + 3 * (n_max + m + 1).bit_length()
     one, qx = 1 << W, (int(mp.ldexp(qv.real, W)), int(mp.ldexp(qv.imag, W)))
     d = r - genfunc.standard_shift(r)

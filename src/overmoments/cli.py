@@ -20,7 +20,7 @@ import mpmath as mp
 
 from . import asympt, checks, genfunc, moments
 from .errors import OversizeRequest, QuadratureFailure
-from .series import check_order, check_trunc
+from .series import check_order, check_trunc, theta4_quotient_at
 
 PREC_MIN, PREC_MAX = 64, 4096
 
@@ -177,16 +177,9 @@ def _converge_row(flavor: str, r: int, N: int, prec: int, exact: int) -> dict:
 
 
 def _convergence_rows(flavor: str, kind: str, r: int, grid: list[int], prec: int):
-    nmax = max(grid)
-    if flavor == "moment":
-        exact_vals = moments.positive_moment_values(kind, r, nmax)
-    elif flavor == "difference":
-        exact_vals = moments.ospt_values(r, nmax)
-    else:
-        exact_vals = moments.symmetrized_moment_values(kind, r, nmax)
+    numerator = moments.numerator(flavor, kind, r, max(grid))
     rows = []
-    for N in grid:
-        exact = exact_vals[N]
+    for N, exact in zip(grid, theta4_quotient_at(numerator, grid)):
         if exact <= 0:
             raise ValueError(f"exact value at N={N} is not positive")
         rows.append(_converge_row(flavor, r, N, prec, exact))

@@ -58,6 +58,7 @@ from .series import (
 __all__ = [
     "standard_shift",
     "lambert_sum",
+    "binomial_weight",
     "crank_binomial_series",
     "rank_binomial_series",
     "crank_two_variable",
@@ -99,8 +100,10 @@ def lambert_sum(kind: str, weight: Callable[[int], int], trunc: int) -> list[int
         c[e + n :: n] = map(add if n % 2 else sub, c[e + n :: n], terms)
 
 
-def _binomial(r: int, shift: int | None) -> Callable[[int], int]:
-    """Weight binom(m+shift, r), shift defaulting to the standard one."""
+def binomial_weight(r: int, shift: int | None = None) -> Callable[[int], int]:
+    """Weight binom(m+shift, r) of the symmetrized series, shift defaulting
+    to the standard one; refuses r < 0, r > EXACT_ORDER_CAP and a shift
+    outside -1..r-1 before any series is built."""
     if shift is None:
         shift = standard_shift(r)
     if r < 0:
@@ -114,13 +117,13 @@ def _binomial(r: int, shift: int | None) -> Callable[[int], int]:
 def crank_binomial_series(r: int, trunc: int, shift: int | None = None) -> list[int]:
     """Series whose q^n coefficient is sum_{m>=1} binom(m+shift, r) M(m, n),
     M counting overpartitions of n by residual crank."""
-    return divide_by_theta4(lambert_sum("crank", _binomial(r, shift), trunc), trunc)
+    return divide_by_theta4(lambert_sum("crank", binomial_weight(r, shift), trunc), trunc)
 
 
 def rank_binomial_series(r: int, trunc: int, shift: int | None = None) -> list[int]:
     """Series whose q^n coefficient is sum_{m>=1} binom(m+shift, r) N(m, n),
     N counting overpartitions of n by rank."""
-    return divide_by_theta4(lambert_sum("rank", _binomial(r, shift), trunc), trunc)
+    return divide_by_theta4(lambert_sum("rank", binomial_weight(r, shift), trunc), trunc)
 
 
 def _columns(trunc: int) -> list[dict[int, int]]:

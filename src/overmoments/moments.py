@@ -8,9 +8,11 @@ generating series exclusively.
 Both come from the one weighted Lambert sum `genfunc.lambert_sum`: the
 power moment of order r puts the integer weights m^r - (m-1)^r on its
 terms, so no change of basis between the two families is needed.  Every
-series is its Lambert sum divided by theta_4(q), the reciprocal of the
-prefactor (-q)oo/(q)oo; ospt takes crank minus rank before the one
-division.
+series is its Lambert sum (`numerator`, one per flavor) divided by
+theta_4(q), the reciprocal of the prefactor (-q)oo/(q)oo; ospt takes crank
+minus rank before the one division.  A caller that needs a few
+coefficients only reads them off the same numerator with
+`series.theta4_quotient_at`.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ __all__ = [
     "symmetrized_moment_values",
     "positive_moment_values",
     "ospt_values",
+    "numerator",
 ]
 
 Kind = Literal["rank", "crank"]
@@ -72,14 +75,7 @@ def ospt(r: int, N: int, crank_table: StatTable, rank_table: StatTable) -> int:
 # ---------------------------------------------------------------------------
 
 
-def symmetrized_moment_values(kind: Kind, r: int, trunc: int) -> list[int]:
-    """Symmetrized positive moments of order r >= 0 for all N <= trunc, from
-    the q-series."""
-    if kind == "crank":
-        return genfunc.crank_binomial_series(r, trunc)
-    if kind == "rank":
-        return genfunc.rank_binomial_series(r, trunc)
-    raise ValueError("kind must be 'rank' or 'crank'")
+Flavor = Literal["moment", "difference", "symmetrized"]
 
 
 def _power_sum(kind: Kind, r: int, trunc: int) -> list[int]:
@@ -90,14 +86,34 @@ def _power_sum(kind: Kind, r: int, trunc: int) -> list[int]:
     return genfunc.lambert_sum(kind, lambda m: m**r, trunc)
 
 
+def numerator(flavor: Flavor, kind: Kind, r: int, trunc: int) -> list[int]:
+    """The Lambert sum c through q^trunc whose quotient c / theta_4 is the
+    exact series of flavor: the symmetrized moments (binomial weight), the
+    positive power moments (m^r), or ospt (crank minus rank m^r, kind
+    ignored), as `converge` names them."""
+    if flavor == "symmetrized":
+        return genfunc.lambert_sum(kind, genfunc.binomial_weight(r), trunc)
+    if flavor == "moment":
+        return _power_sum(kind, r, trunc)
+    if flavor == "difference":
+        diff = _power_sum("crank", r, trunc)
+        for n, v in enumerate(_power_sum("rank", r, trunc)):
+            diff[n] -= v
+        return diff
+    raise ValueError(f"unknown flavor {flavor!r}")
+
+
+def symmetrized_moment_values(kind: Kind, r: int, trunc: int) -> list[int]:
+    """Symmetrized positive moments of order r >= 0 for all N <= trunc, from
+    the q-series."""
+    return divide_by_theta4(numerator("symmetrized", kind, r, trunc), trunc)
+
+
 def positive_moment_values(kind: Kind, r: int, trunc: int) -> list[int]:
     """Positive power moments for all N <= trunc, from the q-series."""
-    return divide_by_theta4(_power_sum(kind, r, trunc), trunc)
+    return divide_by_theta4(numerator("moment", kind, r, trunc), trunc)
 
 
 def ospt_values(r: int, trunc: int) -> list[int]:
     """ospt_r(N) = crank minus rank positive moment, for all N <= trunc."""
-    diff = _power_sum("crank", r, trunc)
-    for n, v in enumerate(_power_sum("rank", r, trunc)):
-        diff[n] -= v
-    return divide_by_theta4(diff, trunc)
+    return divide_by_theta4(numerator("difference", "crank", r, trunc), trunc)

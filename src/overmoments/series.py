@@ -7,16 +7,24 @@ arbitrary precision from the start (overpartition counts pass 2^63 near
 n = 160).  A two-variable table M(m, n) or N(m, n) is a `StatTable`, one
 {m: count} column per n.
 
-Every exact moment series is a Lambert sum times the overpartition
-prefactor (-q)oo/(q)oo, which equals 1/theta_4(q).  theta_4 has only
-sqrt(trunc) nonzero coefficients, so the prefactor is applied by dividing
-by theta_4 (`divide_by_theta4`, a sparse recurrence) and no dense product
-is ever formed.
+Every exact moment series is a Lambert sum c times the overpartition
+prefactor (-q)oo/(q)oo, which equals 1/theta_4(q) = sum pbar(n) q^n.
+theta_4 has only sqrt(trunc) nonzero coefficients, so a whole series is
+divided by theta_4 (`divide_by_theta4`, a sparse recurrence of
+sum_{n<=trunc} isqrt(n) big-int additions) and no dense product is ever
+formed.  pbar itself is the same for every moment series, so
+`overpartition_gf` computes it once per process and extends it only when a
+larger truncation is asked for; a caller that needs the quotient at a few
+indices only (`theta4_quotient_at`) reads each as the dot product
+sum_k c[k] pbar(N-k), N + 1 multiply-adds, and falls back to the division
+when those outnumber its additions.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from math import isqrt
+from operator import mul
 from typing import Sequence
 
 from .errors import OutOfRange, OversizeRequest
@@ -26,12 +34,15 @@ __all__ = [
     "check_trunc",
     "check_order",
     "divide_by_theta4",
+    "theta4_quotient_at",
     "overpartition_gf",
     "euler_product",
 ]
 
 # pbar(n) has about pi sqrt(n) / ln 2 bits, so the table alone holds about
-# 2 pi trunc^{3/2} / (3 ln 2) bits: 34 MB at the cap, 12 GB at trunc = 10^7
+# 2 pi trunc^{3/2} / (3 ln 2) bits: 34 MB at the cap, 12 GB at trunc = 10^7.
+# overpartition_gf keeps the largest table asked for resident for the life of
+# the process: about 0.9 MB at trunc = 10^4 and 34 MB at the cap
 EXACT_TRUNC_CAP = 200_000
 # a weight m^r has r log2(m) bits: 0.6 KB at this cap and m = EXACT_TRUNC_CAP,
 # but 415 MB for m = 10 at r = 10^9
@@ -107,10 +118,44 @@ def divide_by_theta4(coeffs: Sequence[int], trunc: int) -> list[int]:
     return y
 
 
+# pbar(0..len - 1), grown by overpartition_gf and read by theta4_quotient_at
+_pbar: list[int] = []
+
+
 def overpartition_gf(trunc: int) -> list[int]:
     """Overpartition counting series (-q)_inf / (q)_inf = 1 / theta_4(q)
-    = sum pbar(n) q^n, so pbar(n) = 2 sum_{k>=1} (-1)^{k+1} pbar(n - k^2)."""
-    return divide_by_theta4([1], trunc)
+    = sum pbar(n) q^n, so pbar(n) = 2 sum_{k>=1} (-1)^{k+1} pbar(n - k^2).
+
+    Divided out once per process, again only for a larger trunc; each call
+    returns a fresh list, so no caller can change what the next one reads.
+    """
+    check_trunc(trunc)
+    if len(_pbar) <= trunc:
+        _pbar[:] = divide_by_theta4([1], trunc)
+    return _pbar[: trunc + 1]
+
+
+def theta4_quotient_at(coeffs: Sequence[int], indices: Sequence[int]) -> list[int]:
+    """[q^N] c(q) / theta_4(q) for each N in indices, for integer c: equal to
+    divide_by_theta4(coeffs, max(indices))[N], duplicates and order kept.
+
+    Each is the dot product sum_{k<=N} c[k] pbar(N-k) with the memoized
+    pbar, N + 1 multiply-adds, unless their total over indices passes the
+    sum_{n<=nmax} isqrt(n) additions of one division through nmax =
+    max(indices), which is then made instead.
+    """
+    if min(indices) < 0:
+        raise ValueError("indices must be >= 0")
+    nmax = max(indices)
+    check_trunc(nmax)
+    root = isqrt(nmax)
+    division = sum(k * (min((k + 1) ** 2, nmax + 1) - k * k) for k in range(1, root + 1))
+    if sum(indices) + len(indices) > division:
+        quotient = divide_by_theta4(coeffs, nmax)
+        return [quotient[N] for N in indices]
+    overpartition_gf(nmax)
+    top = len(_pbar) - 1  # pbar(N), pbar(N-1), .., pbar(0) without a copy
+    return [sum(map(mul, coeffs, islice(reversed(_pbar), top - N, None))) for N in indices]
 
 
 class StatTable:

@@ -261,6 +261,19 @@ def test_s_series_eval_refuses_bad_order_before_any_work(r, error, monkeypatch):
         asympt.s_series_eval("crank", r, 2, 64)
 
 
+def test_s_series_eval_refuses_q_near_one_before_any_work(monkeypatch):
+    # at 1 - |q| = 10^-12 the tail rule allows 2.3e7 terms, about a minute
+    # of summing; the term bound is refused before the first product
+    def fail(*args):
+        raise AssertionError("summed before the guards")
+
+    monkeypatch.setattr(asympt, "_mul", fail)
+    with mp.workprec(64):
+        q = 1 - mp.mpf(10) ** -12
+    with pytest.raises(OversizeRequest):
+        asympt.s_series_eval("crank", 3, q, 64)
+
+
 def test_eta_quotient_check_matches_product_loop():
     # oracle: the prefactor as prod (1+q^k)/(1-q^k), run to the working epsilon
     prec = 256

@@ -238,6 +238,27 @@ def test_converge_table_is_byte_identical(flavor, kind, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == CONVERGE_DIGESTS[flavor, kind]
 
 
+def test_converge_tables_share_one_theta4_division(monkeypatch, tmp_path):
+    # four tables on one grid read their coefficients off one pbar: the
+    # empty memo forces that one division, whatever ran before
+    from overmoments import genfunc, moments, series
+
+    calls = []
+    divide = series.divide_by_theta4
+
+    def counted(coeffs, trunc):
+        calls.append(trunc)
+        return divide(coeffs, trunc)
+
+    monkeypatch.setattr(series, "_pbar", [])
+    for module in (series, moments, genfunc):
+        monkeypatch.setattr(module, "divide_by_theta4", counted)
+    for kind, r in (("crank", 3), ("crank", 4), ("rank", 3), ("rank", 4)):
+        assert run(["converge", "--flavor", "symmetrized", "--kind", kind, "--r", str(r),
+                    "--grid", "100,400,1600", "--out", str(tmp_path / "out")]) == 0
+    assert calls == [1600]
+
+
 @pytest.mark.parametrize("flavor", ["moment", "symmetrized", "difference"])
 def test_converge_any_flavor_at_r9(flavor, tmp_path):
     # difference ratios 0.462, 0.685, 0.829 on this grid

@@ -18,13 +18,14 @@ from oracles import (
     pochhammer_q,
     theta4,
 )
-from overmoments import genfunc, moments
+from overmoments import genfunc, moments, series
 from overmoments.errors import OversizeRequest
 from overmoments.series import (
     EXACT_TRUNC_CAP,
     divide_by_theta4,
     euler_product,
     overpartition_gf,
+    theta4_quotient_at,
 )
 
 
@@ -154,6 +155,67 @@ def test_divide_by_theta4_matches_kronecker_product(c, trunc):
     assert quotient == _kron_mul(overpartition_gf(trunc), c, trunc)
     # ... and multiplying the quotient back by theta_4 restores c
     assert _kron_mul(theta4(trunc), quotient, trunc) == (c + [0] * (trunc + 1))[: trunc + 1]
+
+
+def count_divisions(monkeypatch) -> list:
+    """Patch series.divide_by_theta4 to record the truncation of each call."""
+    calls = []
+
+    def counted(coeffs, trunc):
+        calls.append(trunc)
+        return divide_by_theta4(coeffs, trunc)
+
+    monkeypatch.setattr(series, "divide_by_theta4", counted)
+    return calls
+
+
+# sum_{n<=60} isqrt(n) = 287 additions divide through q^60; the dot sets
+# need fewer multiply-adds (sum of N + 1), the division sets more, and
+# dividing through q^0 makes no additions at all
+QUOTIENT_INDEX_SETS = [
+    ([0], "division"),
+    ([60], "dot"),
+    ([17, 0, 60, 17, 5, 59], "dot"),
+    ([60, 60, 60, 60, 60], "division"),
+    (list(range(60, -1, -1)), "division"),
+]
+
+
+@pytest.mark.parametrize("indices, path", QUOTIENT_INDEX_SETS)
+def test_theta4_quotient_at_matches_division(indices, path, monkeypatch):
+    nmax = max(indices)
+    # the memo is filled, past nmax, so only the division path divides
+    overpartition_gf(nmax + 7)
+    calls = count_divisions(monkeypatch)
+    rng = random.Random(nmax + len(indices))
+    for size in (nmax + 1, nmax // 2 + 1):  # a short numerator is zero-padded
+        c = [rng.randint(-(2**80), 2**80) for _ in range(size)]
+        full = divide_by_theta4(c, nmax)
+        calls.clear()
+        assert theta4_quotient_at(c, indices) == [full[N] for N in indices]
+        assert calls == ([nmax] if path == "division" else [])
+
+
+def test_theta4_quotient_at_refuses_bad_indices():
+    with pytest.raises(ValueError):
+        theta4_quotient_at([1], [3, -1])
+    with pytest.raises(OversizeRequest):
+        theta4_quotient_at([1], [0, EXACT_TRUNC_CAP + 1])
+
+
+def test_overpartition_gf_memo_cannot_be_corrupted(monkeypatch):
+    monkeypatch.setattr(series, "_pbar", [])
+    calls = count_divisions(monkeypatch)
+    first = overpartition_gf(10)
+    first[3] = -1
+    first.append(7)
+    assert overpartition_gf(10) == [1, 2, 4, 8, 14, 24, 40, 64, 100, 154, 232]
+    assert overpartition_gf(4) == [1, 2, 4, 8, 14]
+    assert calls == [10]
+    # a larger truncation after a smaller one divides again, from scratch
+    assert overpartition_gf(300) == mul(pochhammer_q(1, 300), invert(pochhammer_q(-1, 300)))
+    assert overpartition_gf(10)[3] == 8
+    assert calls == [10, 300]
 
 
 def test_pochhammer_minus_pentagonal_pattern():
