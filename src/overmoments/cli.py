@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
+from itertools import chain, repeat
 from typing import Sequence
 
 import mpmath as mp
@@ -84,9 +85,14 @@ def _output(path: str | None):
     """sys.stdout for None or "-", else the file at path, closed on exit."""
     if path is None or path == "-":
         yield sys.stdout
-    else:
-        with open(path, "w") as fp:
-            yield fp
+        return
+    try:
+        fp = open(path, "w")
+    except OSError as exc:
+        # main reports it as a usage error, exit 2
+        raise ValueError(f"cannot open --out: {exc}") from None
+    with fp:
+        yield fp
 
 
 # ---------------------------------------------------------------------------
@@ -120,40 +126,37 @@ def cmd_series(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _verdict(N: int, v: int) -> str:
+    if N == 0:
+        return "not-applicable"
+    return "positive" if v > 0 else "zero" if v == 0 else "negative"
+
+
 def cmd_ospt(args) -> int:
+    """One order's values resident at a time: each order's rows are written
+    as soon as its division is done, so memory does not grow with --r."""
     nmax = max(args.N)
     check_trunc(nmax)
     check_order(max(args.r))
-    indices = list(args.N)  # after the size guard; every order's rows share its ints
-    rows = []
-    for r in args.r:
-        vals = moments.ospt_values(r, nmax)
-        for N in indices:
-            v = vals[N]
-            if N == 0:
-                verdict = "not-applicable"
-            elif v > 0:
-                verdict = "positive"
-            elif v == 0:
-                verdict = "zero"
-            else:
-                verdict = "negative"
-            rows.append((r, N, v, verdict))
+    csv = args.format == "csv"
+    seps = chain([""], repeat(", "))  # json.dump's item separator
     with _output(args.out) as fp:
-        if args.format == "csv":
-            fp.write("r,N,ospt,verdict\n")
-            for r, N, v, verdict in rows:
-                fp.write(f"{r},{N},{v},{verdict}\n")
-        else:
-            json.dump(
-                [
-                    {"r": r, "N": N, "ospt": str(v), "verdict": verdict}
-                    for r, N, v, verdict in rows
-                ],
-                fp,
-                sort_keys=True,
-            )
-            fp.write("\n")
+        fp.write("r,N,ospt,verdict\n" if csv else "[")
+        for r in args.r:
+            vals = moments.ospt_values(r, nmax)
+            if csv:
+                fp.writelines(f"{r},{N},{vals[N]},{_verdict(N, vals[N])}\n" for N in args.N)
+            else:
+                fp.writelines(
+                    sep + json.dumps(
+                        {"r": r, "N": N, "ospt": str(vals[N]), "verdict": _verdict(N, vals[N])},
+                        sort_keys=True,
+                    )
+                    for sep, N in zip(seps, args.N)
+                )
+            del vals
+        if not csv:
+            fp.write("]\n")
     return 0
 
 
@@ -297,7 +300,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ValueError as exc:
-        # the library's argument validation: a usage error, not a traceback
+        # the library's argument validation and an unopenable --out: a
+        # usage error, not a traceback
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
     except (OversizeRequest, QuadratureFailure) as exc:
         print(f"resource guard: {exc}", file=sys.stderr)

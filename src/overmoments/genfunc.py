@@ -77,26 +77,28 @@ def lambert_sum(kind: str, weight: Callable[[int], int], trunc: int) -> list[int
     q^trunc: no overpartition prefactor, the rank sum including its factor 2.
 
     weight(m) - weight(m-1), with weight(0) := 0, goes on q^{E(n)+nm} with
-    sign (-1)^{n+1}, the rank's factor 2 folded into these steps; for the
-    rank each n-progression is then divided by 1 + q^n through the prefix
-    recurrence d_m = step_m - d_{m-1}.  weight is called once per m <= trunc.
+    sign (-1)^{n+1}, the rank's factor 2 folded into these steps.  For the
+    rank each n-progression is divided by 1 + q^n, which in the index m is
+    the prefix recurrence d_m = step_m - d_{m-1}; it does not depend on n,
+    so it runs once, and progression n reads the first (trunc - E(n)) // n
+    of the d_m.  weight is called once per m <= trunc.
     """
     check_trunc(trunc)
     if kind not in ("crank", "rank"):
         raise ValueError("kind must be 'crank' or 'rank'")
     scale = 1 if kind == "crank" else 2
-    steps, prev = [0] * (trunc + 1), 0
+    terms, prev = [0] * trunc, 0  # terms[m - 1] = step_m, or d_m for the rank
     for m in range(1, trunc + 1):
         w = weight(m)
-        steps[m], prev = scale * (w - prev), w
+        terms[m - 1], prev = scale * (w - prev), w
+    if kind == "rank":
+        terms = list(accumulate(terms, lambda d, step: step - d))
     c = [0] * (trunc + 1)
     for n in count(1):
         e = n * (n - 1) // 2 if kind == "crank" else n * n
         if e + n > trunc:
             return c
-        terms = steps[1 : (trunc - e) // n + 1]
-        if kind == "rank":
-            terms = accumulate(terms, lambda d, step: step - d)
+        # map stops at the progression's end: its first (trunc - e) // n terms
         c[e + n :: n] = map(add if n % 2 else sub, c[e + n :: n], terms)
 
 

@@ -18,6 +18,7 @@ coefficients only reads them off the same numerator with
 from __future__ import annotations
 
 from math import comb
+from operator import sub
 from typing import Literal
 
 from . import genfunc
@@ -96,10 +97,7 @@ def numerator(flavor: Flavor, kind: Kind, r: int, trunc: int) -> list[int]:
     if flavor == "moment":
         return _power_sum(kind, r, trunc)
     if flavor == "difference":
-        diff = _power_sum("crank", r, trunc)
-        for n, v in enumerate(_power_sum("rank", r, trunc)):
-            diff[n] -= v
-        return diff
+        return list(map(sub, _power_sum("crank", r, trunc), _power_sum("rank", r, trunc)))
     raise ValueError(f"unknown flavor {flavor!r}")
 
 

@@ -172,6 +172,71 @@ def test_ospt_csv_is_byte_identical(tmp_path):
     )
 
 
+def test_ospt_json_is_byte_identical(tmp_path, capsys):
+    # SHA-256 recorded while the whole table was built before json.dump wrote it
+    out = tmp_path / "ospt.json"
+    argv = ["ospt", "--r", "1:3", "--N", "0:200", "--format", "json"]
+    assert run(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "ba349408bdcc7011ec7e57f79e2a7b300cc8c936328e40e8a032e2182796dd0d"
+    )
+    capsys.readouterr()
+    assert run(argv + ["--out", "-"]) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
+def test_ospt_memory_does_not_grow_with_orders(tmp_path):
+    # each order's values are freed once its rows are written, so six orders
+    # peak about where the largest one alone does (1.05 times).  With every
+    # order held to the end it was 3.7 times, and 1.37 times with only the
+    # `del` left out.  The yardstick is the largest order, not r = 1,
+    # because order 6 alone peaks about 1.8 times as high as order 1; a
+    # first small run keeps one-off first-call allocations out of both peaks.
+    import tracemalloc
+
+    def peak(orders, indices="0:2000"):
+        tracemalloc.start()
+        try:
+            assert run(["ospt", "--r", orders, "--N", indices,
+                        "--out", str(tmp_path / "ospt.csv")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak("1:1", "0:10")
+    assert peak("1:6") <= 1.1 * peak("6:6")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["series", "--kind", "crank", "--r", "3", "--trunc", "10"],
+        ["ospt", "--r", "1:2", "--N", "0:10"],
+        ["converge", "--flavor", "moment", "--r", "2", "--grid", "100"],
+        ["verify", "--suite", "proposition"],
+    ],
+)
+def test_unopenable_out_exits_2(argv, tmp_path, capsys):
+    # used to finish the work, then die with a FileNotFoundError traceback
+    # and exit 1, which verify reserves for a failed check
+    path = tmp_path / "no-such-dir" / "x"
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--out", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "cannot open --out" in err[0] and str(path) in err[0]
+
+
+def test_ospt_opens_out_before_any_division(tmp_path):
+    # six divisions through 200000 would take minutes
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        run(["ospt", "--r", "1:6", "--N", "1:200000",
+             "--out", str(tmp_path / "no-such-dir" / "x")])
+    assert exc.value.code == 2
+    assert time.perf_counter() - start < 2
+
+
 def test_budget_guard_exit_3(tmp_path):
     out = tmp_path / "r.json"
     assert run(["verify", "--suite", "oracle", "--budget", "10",
