@@ -168,7 +168,12 @@ def main_term(
 # ---------------------------------------------------------------------------
 
 
-def _mul(x: tuple, y: tuple, W: int) -> tuple:
+def fixed(z, W: int) -> tuple:
+    """The complex number z as an int pair at scale 2^W, truncated."""
+    return int(mp.ldexp(z.real, W)), int(mp.ldexp(z.imag, W))
+
+
+def cmul(x: tuple, y: tuple, W: int) -> tuple:
     """Product of two complex numbers held as int pairs at scale 2^W, floored."""
     (a, b), (c, d) = x, y
     return (a * c - b * d) >> W, (a * d + b * c) >> W
@@ -178,8 +183,18 @@ def _pow(x: tuple, k: int, W: int) -> tuple:
     """x^k, k >= 0, at scale 2^W by binary powering."""
     if k < 2:
         return x if k else (1 << W, 0)
-    half = _pow(_mul(x, x, W), k >> 1, W)
-    return _mul(half, x, W) if k & 1 else half
+    half = _pow(cmul(x, x, W), k >> 1, W)
+    return cmul(half, x, W) if k & 1 else half
+
+
+def _evaluate(q, prec: int, setup, *args):
+    """Run at q the kernel of setup(*args, |q|, prec) -> (W, kernel); unrounded."""
+    with mp.workprec(prec + 16):
+        qv = mp.mpc(q)
+        W, kernel = setup(*args, abs(qv), prec)
+    re, im = kernel(fixed(qv, W))
+    with mp.workprec(W):
+        return mp.mpc(mp.mpf((re, -W)), mp.mpf((im, -W)))
 
 
 def s_series_eval(kind: Kind, r: int, q, prec: int = 256):
@@ -195,17 +210,21 @@ def s_series_eval(kind: Kind, r: int, q, prec: int = 256):
     2^{2mG} (3e(n) + 3mn + 2m + 2) units 2^-W, and n terms, doubled for the
     rank, by 2^{2mG+3} (n+m+1)^3; so W = prec + 16 + 2mG + 3 bits(n+m+1), n
     bounded in advance by the tail rule, holds S to 2^-(prec+13) absolute.
-    Refuses r < 0 (ValueError) and r > EXACT_ORDER_CAP (OversizeRequest)
-    before any work, since W grows with r; NonConvergent outside |q| < 1;
-    and OversizeRequest before any summing when n_max passes
-    LAMBERT_TERMS_CAP.
+    `s_series_kernel` sets up log|q|, G, n_max and W once per |q|, and its
+    integer kernel sums at each q of that modulus.  Refuses r < 0
+    (ValueError) and r > EXACT_ORDER_CAP (OversizeRequest) before any work,
+    since W grows with r; NonConvergent outside |q| < 1; and OversizeRequest
+    before any summing when n_max passes LAMBERT_TERMS_CAP.
     """
+    return _evaluate(q, prec, s_series_kernel, kind, r)
+
+
+def s_series_kernel(kind: Kind, r: int, absq, prec: int) -> tuple:
+    """(W, kernel), kernel: q 2^W -> S(q) 2^W as int pairs, for |q| = absq."""
     if kind not in ("crank", "rank") or r < 0:
         raise ValueError("kind must be 'crank' or 'rank', and r >= 0")
     check_order(r)
     with mp.workprec(prec + 16):
-        qv = mp.mpc(q)
-        absq = abs(qv)
         if absq >= 1:
             raise NonConvergent("|q| must be < 1")
         lnq, log2q, G = float(mp.log(absq)), float(mp.log(absq, 2)), 1 - mp.mag(1 - absq)
@@ -217,25 +236,26 @@ def s_series_eval(kind: Kind, r: int, q, prec: int = 256):
             f" capped at {LAMBERT_TERMS_CAP}"
         )
     W = prec + 16 + 2 * m * G + 3 * (n_max + m + 1).bit_length()
-    one, qx = 1 << W, (int(mp.ldexp(qv.real, W)), int(mp.ldexp(qv.imag, W)))
-    d = r - genfunc.standard_shift(r)
-    e, de, dde = (d + 1, d + 3, 2) if rank else (d, d + 1, 1)
-    qe, step, lift = _pow(qx, e, W), _pow(qx, de, W), _pow(qx, dde, W)
-    qn, re, im, n = (one, 0), 0, 0, 1
-    while True:
-        qn = _mul(qn, qx, W)
-        c, f = _mul(_pow((one - qn[0], -qn[1]), r, W), (one + rank * qn[0], rank * qn[1]), W)
-        (a, b), norm, sign = qe, c * c + f * f, 1 if n % 2 == 1 else -1
-        re += sign * (((a * c + b * f) << W) // norm)
-        im += sign * (((b * c - a * f) << W) // norm)
-        e, de = e + de, de + dde
-        # log2 of twice the bound, plus the spare bit, against log2 max(1, |S|) or less
-        tail = 2 + e * log2q - (r + 1) * log2(-expm1((n + 1) * lnq))
-        if tail < max(max(abs(re), abs(im)).bit_length() - 1 - W, 0) - (prec + 8):
-            break
-        qe, step, n = _mul(qe, step, W), _mul(step, lift, W), n + 1
-    with mp.workprec(prec + 16):  # the rank's factor 2 goes on the exponent
-        return mp.mpc(mp.mpf((re, rank - W)), mp.mpf((im, rank - W)))
+    one, d = 1 << W, r - genfunc.standard_shift(r)
+
+    def kernel(qx: tuple) -> tuple:
+        e, de, dde = (d + 1, d + 3, 2) if rank else (d, d + 1, 1)
+        qe, step, lift = _pow(qx, e, W), _pow(qx, de, W), _pow(qx, dde, W)
+        qn, re, im, n = (one, 0), 0, 0, 1
+        while True:
+            qn = cmul(qn, qx, W)
+            c, f = cmul(_pow((one - qn[0], -qn[1]), r, W), (one + rank * qn[0], rank * qn[1]), W)
+            (a, b), norm, sign = qe, c * c + f * f, 1 if n % 2 == 1 else -1
+            re += sign * (((a * c + b * f) << W) // norm)
+            im += sign * (((b * c - a * f) << W) // norm)
+            e, de = e + de, de + dde
+            # log2 of twice the bound, plus the spare bit, against log2 max(1, |S|) or less
+            tail = 2 + e * log2q - (r + 1) * log2(-expm1((n + 1) * lnq))
+            if tail < max(max(abs(re), abs(im)).bit_length() - 1 - W, 0) - (prec + 8):
+                return re << rank, im << rank  # the rank's factor 2
+            qe, step, n = cmul(qe, step, W), cmul(step, lift, W), n + 1
+
+    return W, kernel
 
 
 def overpartition_numeric(q, prec: int = 256):
@@ -248,12 +268,16 @@ def overpartition_numeric(q, prec: int = 256):
     quotient at full relative precision as q -> 1.  q^{k^2} is off by under
     2 sqrt(2) k^2 units 2^-W and theta_4 by 2(K+1)^3, so W = bits + 3 bits(K+1)
     + 1 holds theta_4 to 2^-(prec+24) relative, the quotient to 2^-(prec+23).
-    Raises NonConvergent outside |q| < 1, and OversizeRequest before any
-    summing when the guard bits pass THETA4_GUARD_BITS_CAP.
+    `overpartition_kernel` sets up t, the guard bits, K and W once per |q|
+    for an integer kernel per q.  Raises NonConvergent outside |q| < 1, and
+    OversizeRequest before any summing past THETA4_GUARD_BITS_CAP.
     """
+    return _evaluate(q, prec, overpartition_kernel)
+
+
+def overpartition_kernel(absq, prec: int) -> tuple:
+    """(W, kernel), kernel: q 2^W -> 2^W / theta_4(q) as int pairs, for |q| = absq."""
     with mp.workprec(prec + 16):
-        qv = mp.mpc(q)
-        absq = abs(qv)
         if absq >= 1:
             raise NonConvergent("|q| must be < 1")
         t = -mp.log(absq)
@@ -267,14 +291,16 @@ def overpartition_numeric(q, prec: int = 256):
     with mp.workprec(bits):
         K = int(mp.sqrt(bits * mp.ln2 / t)) + 1
     W = bits + 3 * (K + 1).bit_length() + 1
-    odd = int(mp.ldexp(qv.real, W)), int(mp.ldexp(qv.imag, W))
-    q2, square, re, im = _mul(odd, odd, W), (1 << W, 0), 1 << W, 0
-    for k in range(1, K + 1):
-        square, odd, sign = _mul(square, odd, W), _mul(odd, q2, W), 2 if k % 2 == 0 else -2
-        re, im = re + sign * square[0], im + sign * square[1]
-    norm = re * re + im * im
-    with mp.workprec(bits):
-        return mp.mpc(mp.mpf(((re << 2 * W) // norm, -W)), mp.mpf(((-im << 2 * W) // norm, -W)))
+
+    def kernel(odd: tuple) -> tuple:
+        q2, square, re, im = cmul(odd, odd, W), (1 << W, 0), 1 << W, 0
+        for k in range(1, K + 1):
+            square, odd, sign = cmul(square, odd, W), cmul(odd, q2, W), 2 if k % 2 == 0 else -2
+            re, im = re + sign * square[0], im + sign * square[1]
+        norm = re * re + im * im
+        return (re << 2 * W) // norm, (-im << 2 * W) // norm
+
+    return W, kernel
 
 
 # ---------------------------------------------------------------------------

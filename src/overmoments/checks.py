@@ -16,7 +16,7 @@ from __future__ import annotations
 import mpmath as mp
 
 from . import asympt, circle, combinat, genfunc, moments
-from .series import overpartition_gf
+from .series import overpartition_gf, theta4_quotient_at
 
 __all__ = ["BUDGET", "check", "oracle", "proposition", "residual", "wright", "SUITES"]
 
@@ -149,11 +149,11 @@ def residual(budget: int) -> list[dict]:
 
 
 def wright(budget: int) -> list[dict]:
-    rels = []
+    rels, grid = [], (7, 25, 60)
     for kind in ("crank", "rank"):
         for r in (1, 2, 3, 4):
-            for N in (7, 25, 60):
-                exact = moments.symmetrized_moment_values(kind, r, N)[N]
+            numerator = moments.numerator("symmetrized", kind, r, max(grid))
+            for N, exact in zip(grid, theta4_quotient_at(numerator, grid)):
                 approx = circle.cauchy_coefficient(kind, r, N, tol=1e-8)
                 rels.append(float(abs(approx - exact) / exact) if exact else float(abs(approx)))
     worst = max(rels)
@@ -164,10 +164,11 @@ def wright(budget: int) -> list[dict]:
             f"{len(rels)} coefficients, worst relative error {worst:.3e}",
         )
     ]
+    grid = (25, 49, 100)
+    numerator = moments.numerator("symmetrized", "crank", 3, max(grid))
     fractions = [
-        float(circle.major_arc_coefficient("crank", 3, N, tol=1e-8))
-        / genfunc.crank_binomial_series(3, N)[N]
-        for N in (25, 49, 100)
+        float(circle.major_arc_coefficient("crank", 3, N, tol=1e-8)) / exact
+        for N, exact in zip(grid, theta4_quotient_at(numerator, grid))
     ]
     dist = [abs(f - 1) for f in fractions]
     checks.append(

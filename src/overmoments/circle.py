@@ -22,15 +22,19 @@ coefficients; `major_arc_coefficient` truncates it where the tail bound
 falls below tol/4, and the minor arc is a_N minus the major arc.
 
 Working precision is pi sqrt(N)/ln 2 + 64 bits so that
-exponential-scale cancellation between arcs cannot swamp a result.
+exponential-scale cancellation between arcs cannot swamp a result; the
+inner sums run in integers, at scales set by the budgets their docstrings state.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import mpmath as mp
 
 from . import moments
-from .asympt import overpartition_numeric, s_series_eval
+from .asympt import cmul, fixed, overpartition_kernel, overpartition_numeric
+from .asympt import s_series_eval, s_series_kernel
 from .errors import OversizeRequest, QuadratureFailure
 from .series import EXACT_TRUNC_CAP
 
@@ -64,10 +68,8 @@ def gf_numeric(kind: str, r: int, q, prec: int = 256):
     The prefactor goes first, so its guard-bit cap refuses q too close to the
     unit circle before any summing.  Raises NonConvergent outside |q| < 1.
     """
-    pref = overpartition_numeric(q, prec)
-    total = s_series_eval(kind, r, q, prec)
     with mp.workprec(prec):
-        return total * pref
+        return overpartition_numeric(q, prec) * s_series_eval(kind, r, q, prec)
 
 
 # ---------------------------------------------------------------------------
@@ -75,12 +77,14 @@ def gf_numeric(kind: str, r: int, q, prec: int = 256):
 # ---------------------------------------------------------------------------
 
 
-def _circle_samples(kind, r, M, rho, wp) -> list:
-    """F(rho e^{2 pi i j/M}) for j = 0..M/2; the other half are conjugates."""
-    return [
-        gf_numeric(kind, r, rho * mp.expjpi(mp.mpf(2 * j) / M), wp)
-        for j in range(M // 2 + 1)
-    ]
+def _circle_samples(kind, r, M, rho, prec) -> tuple:
+    """(W, [F(rho e^{2 pi i j/M}) 2^W as int pairs for j = 0..M/2]), the other
+    half being conjugates: exact products of kernels set up once per circle."""
+    wt, theta = overpartition_kernel(rho, prec)
+    ws, lambert = s_series_kernel(kind, r, rho, prec)
+    with mp.workprec(prec):
+        points = [rho * mp.expjpi(mp.mpf(2 * j) / M) for j in range(M // 2 + 1)]
+    return wt + ws, [cmul(theta(fixed(q, wt)), lambert(fixed(q, ws)), 0) for q in points]
 
 
 def _aliasing_radius(peak, outer, M, target) -> tuple:
@@ -105,7 +109,10 @@ def _trapezoid_coefficient(kind, r, N, tol) -> tuple:
     F(rho) rho^{-N} / (2 sqrt(2) n^{3/4}).  The samples cancel from
     F(rho_s) rho_s^{-N} down to a_N, so they carry working_precision(n) plus
     the bits of F(rho_s) rho_s^{-N} / (F(rho) rho^{-N}), the headroom the
-    saddle circle had: three real evaluations and M/2 + 1 complex ones.
+    saddle circle had: three real evaluations and M/2 + 1 complex ones.  The
+    sum runs in integers: the samples F_j are exact kernel products, and the
+    twiddles e^{-2 pi i N j/M} come by rotation at scale 2^Z, Z = sp + 32,
+    each off by under 2^{9-Z}; nothing else rounds before the value.
 
     The max(., 1) is the integer floor, so a zero coefficient passes at
     B <= tol/4.  Should a_N be far below the saddle estimate, the rule keeps
@@ -128,13 +135,13 @@ def _trapezoid_coefficient(kind, r, N, tol) -> tuple:
             radius, b = _aliasing_radius(peak, outer, M, target)
             lost = gf_numeric(kind, r, radius, wp).real * radius ** (-N) / upper
         sp = wp + max(mp.mag(lost), 0)
-        with mp.workprec(sp):
-            samples = _circle_samples(kind, r, M, radius, sp)
-            total = mp.mpf(0)
-            for j, f in enumerate(samples):
-                term = (f * mp.expjpi(-mp.mpf(2 * (N * j % M)) / M)).real
-                total += term if 0 < j < M // 2 else term / 2
-            value = 2 * total / M * radius ** (-N)
+        W, samples = _circle_samples(kind, r, M, radius, sp)
+        with mp.workprec(Z := sp + 32):
+            total, twiddle, step = 0, (1 << Z, 0), fixed(mp.expjpi(-mp.mpf(2 * N) / M), Z)
+            for j, (re, im) in enumerate(samples):
+                total += (re * twiddle[0] - im * twiddle[1]) << (0 < j < M // 2)
+                twiddle = cmul(twiddle, step, Z)
+            value = mp.ldexp(total, -W - Z) / M * radius ** (-N)
             floor = max(value - b, 1)
             if b <= quarter * floor:
                 break
@@ -166,8 +173,9 @@ def _major_arc(kind, r, N, tol) -> tuple:
     one real evaluation the smallest T >= 2N with B(T) <= tol/4 is
     N - 1 + ceil(s), d s = W(d x^N head/(tol/4)), d = -log x, W the Lambert
     function; B(T) <= tol/4 < B(T-1) is checked, moving T by one should s
-    round across an integer.  The bound is absolute, and the minor arc is
-    taken before rounding, so it is as accurate as the major arc.
+    round across an integer.  The bound is absolute, `_sinc_sum` holds the sum
+    to 2^-64 absolute, and the minor arc is taken before rounding, so it is as
+    accurate as the major arc.
     """
     wp = working_precision(N)
     with mp.workprec(wp):
@@ -189,23 +197,47 @@ def _major_arc(kind, r, N, tol) -> tuple:
     if T > EXACT_TRUNC_CAP:
         raise QuadratureFailure(f"major arc needs more than {EXACT_TRUNC_CAP} coefficients")
     series = moments.symmetrized_moment_values(kind, r, T)
-    # the terms sum in size to F(rho) rho^{-N}, about a_N N^{3/4}, and the
-    # sines come from rotating by e^{2 pi i y}, one rounding per term: these
-    # bits hold the sum to 2^-64 absolute
-    bits = max(wp, series[N].bit_length() + N.bit_length() + 64) + T.bit_length()
-    with mp.workprec(bits):
+    major = _sinc_sum(series, N)
+    with mp.workprec(wp):
+        return +major, series[N] - major, +b, series
+
+
+def _sinc_sum(series, N) -> mp.mpf:
+    """The major arc sum_m a_m Im(u^{m-N}) / (pi (m-N)) + 2y a_N over a_0..a_T,
+    u = rho e^{2 pi i y}, unrounded and within 2^-64 absolute.  w = u^{m-N}
+    is an int pair times 2^-E, times u at scale 2^p and floored each step.
+    Every span steps, having lost at most 32 bits, w is shifted back to the
+    p = floor(top) + 2 bits(T+1) + 103 bits its remaining terms need, where
+    2^top bounds max(a_m, 1) rho^{m-N} from there on, and u is truncated to
+    p bits; so w stays above 2^{p-34}, off by under (m+1) 2^{36-p} relative,
+    and each of the T + 1 terms is off by under (T+1) 2^{top+36-p} and its
+    floor by 2^{top+34-p}: together under 2^-65."""
+    T, lg = len(series) - 1, float(mp.pi / (2 * mp.sqrt(N) * mp.ln2))  # log2 1/rho
+    span, guard = int(32 / lg), 2 * (T + 1).bit_length() + 103
+    # tops[m]: log2 of a bound on max(a_j, 1) rho^{j-N} for every j >= m
+    sizes = [a.bit_length() + (N - m) * lg for m, a in enumerate(series)]
+    tops = list(accumulate(reversed(sizes), max))[::-1]
+    P = int(tops[0]) + guard
+    with mp.workprec(P + 32):
         y = 1 / (4 * mp.sqrt(N))
         u = mp.e ** (-mp.pi / (2 * mp.sqrt(N))) * mp.expjpi(2 * y)
-        w = u ** -N  # rho^{m-N} e^{2 pi i (m-N) y} at m = 0
-        total = mp.mpf(0)
-        for k, a in enumerate(series, -N):
+        E = P - mp.mag(w := u**-N)
+        (ur, ui), (wr, wi) = fixed(u, P), fixed(w, E)
+    total, p = 0, P
+    for start in range(0, T + 1, span):
+        d, p = p - guard - int(tops[start]), guard + int(tops[start])
+        wr, wi, total, E = wr >> d, wi >> d, total >> d, E - d
+        vr, vi = ur >> (P - p), ui >> (P - p)
+        plus, minus = vr + vi, vi - vr  # w u in three products
+        for k, a in enumerate(series[start : start + span], start - N):
             if a and k:
-                total += a * w.imag / k
-            w *= u
-        major = total / mp.pi + 2 * y * series[N]
-        minor = series[N] - major
-    with mp.workprec(wp):
-        return +major, +minor, +b, series
+                total += a * wi // k
+            lead = vr * (wr + wi)
+            wr, wi = (lead - wi * plus) >> p, (lead + wr * minus) >> p
+        s = max(p - max(abs(wr), abs(wi)).bit_length(), 0)
+        wr, wi, total, E = wr << s, wi << s, total << s, E + s
+    with mp.workprec(P):
+        return mp.ldexp(total, -E) / mp.pi + 2 * y * series[N]
 
 
 def _check(r, tol) -> None:

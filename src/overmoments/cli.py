@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager
 from itertools import chain, repeat
@@ -298,6 +299,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # an unwritable --out is refused now, but opened after the work: a tripped guard leaves none
+        if args.out not in (None, "-") and not os.access(os.path.dirname(args.out) or ".", os.W_OK):
+            raise ValueError(f"cannot open --out {args.out}: its directory is not writable")
         return args.func(args)
     except ValueError as exc:
         # the library's argument validation and an unopenable --out: a

@@ -368,6 +368,41 @@ def _adaptive_quad(f, panels, rel_tol, prec: int, abs_floor, max_panels: int = 2
         return total_val
 
 
+def trapezoid_mpmath(kind, r, N, M, rho, prec) -> mp.mpf:
+    """(2/M) rho^{-N} sum_j' Re(F(rho e^{2 pi i j/M}) e^{-2 pi i N j/M}) over
+    j = 0..M/2, the end terms halved, summed in mpmath at prec with one
+    `circle.gf_numeric` call per sample: the sample sum that the integer one
+    in `circle._trapezoid_coefficient` replaced."""
+    with mp.workprec(prec):
+        total = mp.mpf(0)
+        for j in range(M // 2 + 1):
+            f = gf_numeric(kind, r, rho * mp.expjpi(mp.mpf(2 * j) / M), prec)
+            term = (f * mp.expjpi(-mp.mpf(2 * (N * j % M)) / M)).real
+            total += term if 0 < j < M // 2 else term / 2
+        return 2 * total / M * rho ** (-N)
+
+
+def sinc_sum_mpmath(series, N: int, extra: int = 0) -> mp.mpf:
+    """The major arc's sinc sum over the coefficients a_0..a_T,
+    sum_m a_m Im(u^{m-N}) / (pi (m-N)) + 2y a_N, u = e^{-pi/(2 sqrt N)}
+    e^{2 pi i y}, y = 1/(4 sqrt N), rotating one mpc by u per coefficient at
+    bits(a_N) + bits(N) + 64 + bits(T) + extra bits: the loop that the
+    integer sum `circle._sinc_sum` replaced.  The terms sum in size to about
+    a_N N^{3/4}, so at extra = 0 it holds the sum to about 2^-64 absolute."""
+    T = len(series) - 1
+    bits = max(working_precision(N), series[N].bit_length() + N.bit_length() + 64)
+    with mp.workprec(bits + T.bit_length() + extra):
+        y = 1 / (4 * mp.sqrt(N))
+        u = mp.e ** (-mp.pi / (2 * mp.sqrt(N))) * mp.expjpi(2 * y)
+        w = u**-N  # rho^{m-N} e^{2 pi i (m-N) y} at m = 0
+        total = mp.mpf(0)
+        for k, a in enumerate(series, -N):
+            if a and k:
+                total += a * w.imag / k
+            w *= u
+        return total / mp.pi + 2 * y * series[N]
+
+
 def arc_quadrature(kind, r, N, x_lo, x_hi, tol) -> mp.mpf:
     """The Cauchy integral of a_N over the arc x_lo <= |x| <= x_hi of
     |q| = e^{-pi/(2 sqrt N)} by adaptive quadrature of `circle.gf_numeric`:

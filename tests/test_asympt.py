@@ -256,7 +256,7 @@ def test_s_series_eval_refuses_bad_order_before_any_work(r, error, monkeypatch):
     def fail(*args):
         raise AssertionError("summed before the guards")
 
-    monkeypatch.setattr(asympt, "_mul", fail)
+    monkeypatch.setattr(asympt, "cmul", fail)
     with pytest.raises(error):
         asympt.s_series_eval("crank", r, 2, 64)
 
@@ -267,7 +267,7 @@ def test_s_series_eval_refuses_q_near_one_before_any_work(monkeypatch):
     def fail(*args):
         raise AssertionError("summed before the guards")
 
-    monkeypatch.setattr(asympt, "_mul", fail)
+    monkeypatch.setattr(asympt, "cmul", fail)
     with mp.workprec(64):
         q = 1 - mp.mpf(10) ** -12
     with pytest.raises(OversizeRequest):

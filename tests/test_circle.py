@@ -11,6 +11,8 @@ from oracles import (
     overpartition_mpmath,
     s_series_mpmath,
     searched_truncation,
+    sinc_sum_mpmath,
+    trapezoid_mpmath,
 )
 from overmoments import asympt, circle, genfunc, moments
 from overmoments.errors import NonConvergent, OversizeRequest, QuadratureFailure
@@ -237,13 +239,19 @@ def test_trapezoid_points_and_evaluations_on_the_wright_grid(monkeypatch):
     # M/2 + 1 complex samples at the fewest points, plus three real
     # evaluations: the saddle estimate, the aliasing bound and F(rho_s)
     calls = []
-    evaluate = circle.gf_numeric
+    evaluate, samples_of = circle.gf_numeric, circle._circle_samples
 
     def counted(*args):
         calls.append(args)
         return evaluate(*args)
 
+    def sampled(*args):
+        scale, samples = samples_of(*args)
+        calls.extend(samples)
+        return scale, samples
+
     monkeypatch.setattr(circle, "gf_numeric", counted)
+    monkeypatch.setattr(circle, "_circle_samples", sampled)
     for kind in ("crank", "rank"):
         for r in (1, 2, 3, 4):
             for N in (7, 25, 60):
@@ -252,6 +260,28 @@ def test_trapezoid_points_and_evaluations_on_the_wright_grid(monkeypatch):
                 assert M == N + 2 - N % 2
                 if (kind, r, N) == ("crank", 3, 60):
                     assert len(calls) == 35 == M // 2 + 4
+
+
+def test_trapezoid_sum_matches_the_mpmath_sum_on_the_wright_grid(monkeypatch):
+    # the integer sample sum against the mpmath one it replaced, at the
+    # radius and precision the rule chose: within 2^-(wp-8) relative
+    recorded = []
+    samples_of = circle._circle_samples
+
+    def record(*args):
+        recorded.append(args)
+        return samples_of(*args)
+
+    monkeypatch.setattr(circle, "_circle_samples", record)
+    for kind in ("crank", "rank"):
+        for r in (1, 2, 3, 4):
+            for N in (7, 25, 60):
+                value, _, M = circle._trapezoid_coefficient(kind, r, N, 1e-8)
+                _, _, _, radius, prec = recorded[-1]
+                ref = trapezoid_mpmath(kind, r, N, M, radius, prec)
+                wp = circle.working_precision(N)
+                with mp.workprec(wp):
+                    assert abs(value - ref) <= mp.mpf(2) ** -(wp - 8) * abs(ref), (kind, r, N)
 
 
 @pytest.mark.parametrize(
@@ -295,9 +325,10 @@ def test_trapezoid_samples_recover_every_coefficient(monkeypatch):
     N = 60
     value, bound, M = circle._trapezoid_coefficient("crank", 3, N, 1e-11)
     assert bound < mp.mpf(1) / 4
-    (_, _, _, rho, prec), samples = recorded[-1]
-    assert len(samples) == M // 2 + 1
+    (_, _, _, rho, prec), (scale, pairs) = recorded[-1]
+    assert len(pairs) == M // 2 + 1
     with mp.workprec(prec):
+        samples = [mp.mpc(mp.ldexp(a, -scale), mp.ldexp(b, -scale)) for a, b in pairs]
         recovered = []
         for n in range(N + 1):
             total = mp.mpf(0)
@@ -383,6 +414,28 @@ def test_closed_form_truncation_against_the_search(N, monkeypatch):
         assert -3 <= T - searched <= 2, (kind, r, T, searched)
         if (kind, r) == ("crank", 3):
             assert T == searched
+
+
+@pytest.mark.parametrize(
+    "kind, r, N",
+    [("crank", 3, N) for N in (25, 49, 98, 100, 400, 1600)] + [("rank", 4, 25), ("rank", 4, 400)],
+)
+def test_sinc_sum_matches_the_mpmath_loop(kind, r, N, monkeypatch):
+    # rounded to working precision the integer sum equals the mpmath loop it
+    # replaced; unrounded it is within its stated 2^-64 absolute of that loop
+    # run at 64 more bits
+    unrounded = []
+    sinc = circle._sinc_sum
+
+    def record(*args):
+        unrounded.append(sinc(*args))
+        return unrounded[-1]
+
+    monkeypatch.setattr(circle, "_sinc_sum", record)
+    major, _, _, series = circle._major_arc(kind, r, N, 1e-8)
+    with mp.workprec(circle.working_precision(N)):
+        assert major == +sinc_sum_mpmath(series, N)
+    assert abs(unrounded[-1] - sinc_sum_mpmath(series, N, 64)) < mp.mpf(2) ** -64
 
 
 def test_truncation_cap_is_checked_before_any_series(monkeypatch):

@@ -9,7 +9,10 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from overmoments import checks, cli, genfunc
 from overmoments.cli import main
 
 
@@ -227,6 +230,32 @@ def test_unopenable_out_exits_2(argv, tmp_path, capsys):
     assert len(err) == 1 and "cannot open --out" in err[0] and str(path) in err[0]
 
 
+@pytest.mark.parametrize(
+    "argv, module, name",
+    [
+        (["series", "--kind", "crank", "--r", "3", "--trunc", "10"], genfunc,
+         "crank_binomial_series"),
+        (["converge", "--flavor", "moment", "--r", "2", "--grid", "100"], cli,
+         "_convergence_rows"),
+        (["verify", "--suite", "oracle"], checks.SUITES, "oracle"),
+    ],
+    ids=["series", "converge", "verify"],
+)
+def test_unwritable_out_is_refused_before_the_work(argv, module, name, tmp_path, monkeypatch):
+    # verify --suite oracle used to run the whole suite, about 2 s, before
+    # the missing directory exited 2
+    def work(*args, **kwargs):
+        raise AssertionError("the work ran before --out was checked")
+
+    if isinstance(module, dict):
+        monkeypatch.setitem(module, name, work)
+    else:
+        monkeypatch.setattr(module, name, work)
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--out", str(tmp_path / "no-such-dir" / "x")])
+    assert exc.value.code == 2
+
+
 def test_ospt_opens_out_before_any_division(tmp_path):
     # six divisions through 200000 would take minutes
     start = time.perf_counter()
@@ -389,3 +418,81 @@ def test_quadrature_failure_exits_3(tmp_path, monkeypatch, capsys):
     out = tmp_path / "wright.json"
     assert run(["verify", "--suite", "wright", "--out", str(out)]) == 3
     assert "resource guard: forced" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Random argument vectors: every exit is one of the documented codes.
+# ---------------------------------------------------------------------------
+
+def number(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+def span(lo, hi):
+    return st.tuples(st.integers(lo, hi), st.integers(lo, hi)).map(
+        lambda p: "{}:{}".format(*sorted(p)))
+
+
+def flags(required, optional):
+    """argv fragments: every required --flag and some optional ones, each
+    with a drawn value, then at most one stray token."""
+    parts = [v.map(lambda x, f=f: [f"--{f}", x]) for f, v in required.items()]
+    parts += [
+        st.one_of(st.just([]), v.map(lambda x, f=f: [f"--{f}", x])) for f, v in optional.items()
+    ]
+    parts.append(st.sampled_from([[]] * 10 + [["x"], ["1.5"], ["1:2:3"], ["--bogus"], ["--r"]]))
+    return st.tuples(*parts).map(lambda drawn: [a for part in drawn for a in part])
+
+
+FORMATS = st.sampled_from(["csv", "json", "xml"])
+KINDS = st.sampled_from(["crank", "rank", "mock"])
+MALFORMED_VERIFY = [
+    ["--suite", "bogus"], ["--suite"], ["--budget", "-1"], ["--budget", "x"],
+    ["--workers", "2"], ["--bogus"], ["--out"],
+]
+ARGV = {
+    "series": flags(
+        {"kind": KINDS, "r": number(-2, 8), "trunc": number(-1, 40)},
+        {"shift": number(-2, 8), "format": FORMATS},
+    ),
+    "ospt": flags({"r": span(0, 8), "N": span(-1, 40)}, {"format": FORMATS}),
+    "converge": flags(
+        {
+            "flavor": st.sampled_from(["moment", "difference", "symmetrized", "mean"]),
+            "r": number(-1, 8),
+            "grid": st.lists(st.integers(-1, 400), min_size=1, max_size=3).map(
+                lambda grid: ",".join(map(str, grid))),
+        },
+        {
+            "kind": KINDS,
+            "prec": st.sampled_from(["64", "200", "63", "4097", "x"]),
+            "workers": st.sampled_from(["1", "1", "2"]),
+            "format": FORMATS,
+        },
+    ),
+    # a valid verify runs a whole suite, so only malformed flags are drawn
+    "verify": st.lists(st.sampled_from(MALFORMED_VERIFY), min_size=1, max_size=3).map(
+        lambda drawn: [a for part in drawn for a in part]),
+}
+
+
+def exit_status(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("command", sorted(ARGV))
+def test_random_argument_vectors_exit_with_a_documented_code(command, tmp_path_factory):
+    # exit 0 ok, 1 check failed, 2 usage error, 3 guard tripped; any other
+    # exception escaping main fails the test
+    folder = tmp_path_factory.mktemp(command)
+    outs = st.sampled_from(["-", str(folder / "out"), str(folder / "missing" / "out")])
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(ARGV[command], st.one_of(st.just([]), outs.map(lambda out: ["--out", out])))
+    def exits_documented(argv, out):
+        assert exit_status([command] + argv + out) in (0, 1, 2, 3)
+
+    exits_documented()
