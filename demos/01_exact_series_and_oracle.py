@@ -8,11 +8,10 @@ coefficient for coefficient.
 
 from overmoments import (
     build_table,
-    crank_binomial_series,
     enumerate_overpartitions,
+    moment_series,
     overpartition_gf,
     rank,
-    rank_binomial_series,
     residual_crank_weights,
 )
 
@@ -34,11 +33,11 @@ print("crank column at n=1:", crank_table.column(1), " (the weighted value at 1)
 
 # --- moment generating series ----------------------------------------------
 
-print("\nsymmetrized rank series, order 3:", rank_binomial_series(3, 10))
-print("symmetrized crank series, order 3:", crank_binomial_series(3, 10))
+print("\nsymmetrized rank series, order 3:", moment_series("symmetrized", "rank", 3, 10))
+print("symmetrized crank series, order 3:", moment_series("symmetrized", "crank", 3, 10))
 
 # the two quoted sample expansions and their resolved identities
 print("\nquoted expansion 2q^3+8q^4+...  = rank series r=3:",
-      rank_binomial_series(3, 7)[3:])
+      moment_series("symmetrized", "rank", 3, 7)[3:])
 print("quoted expansion q^2+6q^3+...   = crank series r=4 with shift 2:",
-      crank_binomial_series(4, 7, shift=2)[2:])
+      moment_series("symmetrized", "crank", 4, 7, shift=2)[2:])

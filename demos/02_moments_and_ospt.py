@@ -7,8 +7,7 @@ moments dominate the rank moments, and their difference (the ospt function)
 stays strictly positive.
 """
 
-from overmoments import build_table, ospt_values, positive_moment
-from overmoments.moments import positive_moment_values
+from overmoments import build_table, moment_series, positive_moment
 
 # --- Lambert-sum weights ----------------------------------------------------
 
@@ -23,15 +22,15 @@ rank_table = build_table("rank", 20)
 print("\ncrank positive moments r=2, n<=12 (table):",
       [positive_moment(crank_table, 2, n) for n in range(13)])
 print("same values from the generating series:   ",
-      positive_moment_values("crank", 2, 12))
+      moment_series("moment", "crank", 2, 12))
 
 # --- ospt positivity ---------------------------------------------------------
 
 print("\nospt_r(N) for small N:")
 for r in (1, 2, 3):
-    vals = ospt_values(r, 16)
+    vals = moment_series("difference", "crank", r, 16)
     print(f"  r={r}:", vals[1:])
 
-big = ospt_values(1, 500)
+big = moment_series("difference", "crank", 1, 500)
 print("\nospt_1 positive for every N <= 500:", all(v > 0 for v in big[1:]))
 print("ospt_1(500) has", len(str(big[500])), "digits")

@@ -9,8 +9,7 @@ and the exact data confirms the resulting delta_r.
 
 import mpmath as mp
 
-from overmoments import asympt
-from overmoments.moments import ospt_values, positive_moment_values
+from overmoments import asympt, moment_series
 
 mp.mp.dps = 30
 
@@ -35,8 +34,8 @@ for kind in ("crank", "rank"):
 
 r = 3
 grid = (400, 900, 1600, 2500)
-exact = positive_moment_values("crank", r, max(grid))
-diff = ospt_values(r, max(grid))
+exact = moment_series("moment", "crank", r, max(grid))
+diff = moment_series("difference", "crank", r, max(grid))
 print(f"\nexact / main term, crank r={r}:")
 for N in grid:
     lg = asympt.log_integer(exact[N], 192)

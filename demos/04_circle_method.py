@@ -8,17 +8,14 @@ and the segment integral P_s reproducing the modified Bessel function.
 
 import mpmath as mp
 
-from overmoments import circle, genfunc
+from overmoments import circle, moment_series
 
 mp.mp.dps = 25
 
 # --- full circle = exact coefficient ----------------------------------------
 
 for kind, r, N in (("rank", 3, 7), ("crank", 3, 30)):
-    builder = (
-        genfunc.crank_binomial_series if kind == "crank" else genfunc.rank_binomial_series
-    )
-    exact = builder(r, N)[N]
+    exact = moment_series("symmetrized", kind, r, N)[N]
     approx = circle.cauchy_coefficient(kind, r, N, tol=1e-8)
     print(f"{kind} r={r} N={N}: exact {exact}, quadrature {mp.nstr(approx, 12)}")
 
@@ -26,7 +23,7 @@ for kind, r, N in (("rank", 3, 7), ("crank", 3, 30)):
 
 print("\nmajor-arc fraction of the coefficient (crank, r=3):")
 for N in (25, 49, 100):
-    exact = genfunc.crank_binomial_series(3, N)[N]
+    exact = moment_series("symmetrized", "crank", 3, N)[N]
     major = circle.major_arc_coefficient("crank", 3, N, tol=1e-8)
     print(f"  N={N:3d}: {mp.nstr(major / exact, 10)}")
 

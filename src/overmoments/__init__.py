@@ -1,7 +1,8 @@
 """Exact and asymptotic positive crank/rank moments of overpartitions.
 
-Exact layer: big-integer q-series (`series`, `genfunc`), a combinatorial
-enumeration oracle (`combinat`), and moment algebra (`moments`).  Numeric
+Exact layer: big-integer q-series (`series`), one entry point for every
+exact moment series (`genfunc.moment_series`), a combinatorial enumeration
+oracle (`combinat`) and the moments read off its tables (`moments`).  Numeric
 layer: asymptotic constants and residual checks (`asympt`) and circle-method
 coefficient recovery (`circle`).  The paper's checks are the suites of
 `checks`; the `cli` module drives batch jobs and runs those suites.
@@ -21,20 +22,8 @@ from .errors import (
     OvermomentsError,
     QuadratureFailure,
 )
-from .genfunc import (
-    crank_binomial_series,
-    crank_two_variable,
-    rank_binomial_series,
-    rank_two_variable,
-)
-from .moments import (
-    ospt,
-    ospt_values,
-    positive_moment,
-    positive_moment_values,
-    symmetrized_positive_moment,
-    symmetrized_moment_values,
-)
+from .genfunc import crank_two_variable, moment_series, rank_two_variable
+from .moments import ospt, positive_moment, symmetrized_positive_moment
 from .series import StatTable, overpartition_gf
 
 __version__ = "0.1.0"
@@ -47,16 +36,12 @@ __all__ = [
     "rank",
     "residual_crank_weights",
     "overpartition_gf",
-    "crank_binomial_series",
+    "moment_series",
     "crank_two_variable",
-    "rank_binomial_series",
     "rank_two_variable",
     "ospt",
-    "ospt_values",
     "positive_moment",
-    "positive_moment_values",
     "symmetrized_positive_moment",
-    "symmetrized_moment_values",
     "OvermomentsError",
     "OversizeRequest",
     "OutOfRange",

@@ -42,7 +42,7 @@ def oracle(budget: int) -> list[dict]:
     for kind in ("rank", "crank"):
         ok = True
         for r in range(1, 7):
-            ser = moments.symmetrized_moment_values(kind, r, nmax)
+            ser = genfunc.moment_series("symmetrized", kind, r, nmax)
             for n in range(nmax + 1):
                 if ser[n] != moments.symmetrized_positive_moment(tables[kind], r, n):
                     ok = False
@@ -63,18 +63,14 @@ def proposition(budget: int) -> list[dict]:
     }
     ok = True
     for r in range(0, 7):
-        for shift in range(-1, max(r, 1)):
-            if r == 0 and shift != -1:
-                continue
-            cs = genfunc.crank_binomial_series(r, nmax, shift=shift)
-            rs = genfunc.rank_binomial_series(r, nmax, shift=shift)
-            for n in range(nmax + 1):
-                if cs[n] != moments.symmetrized_positive_moment(tables["crank"], r, n, shift):
-                    ok = False
-                if rs[n] != moments.symmetrized_positive_moment(tables["rank"], r, n, shift):
-                    ok = False
+        for shift in range(-1, max(r, 0)):
+            for kind, table in tables.items():
+                ser = genfunc.moment_series("symmetrized", kind, r, nmax, shift)
+                for n in range(nmax + 1):
+                    if ser[n] != moments.symmetrized_positive_moment(table, r, n, shift):
+                        ok = False
     checks.append(check("generalized-shift-identity", ok))
-    sr3 = genfunc.rank_binomial_series(3, 7)
+    sr3 = genfunc.moment_series("symmetrized", "rank", 3, 7)
     checks.append(
         check(
             "sample-expansion-rank-r3",
@@ -82,7 +78,7 @@ def proposition(budget: int) -> list[dict]:
             "coefficients q^3..q^7",
         )
     )
-    sc4 = genfunc.crank_binomial_series(4, 7, shift=2)
+    sc4 = genfunc.moment_series("symmetrized", "crank", 4, 7, shift=2)
     checks.append(
         check(
             "sample-expansion-crank-r4-shift2",
@@ -152,7 +148,7 @@ def wright(budget: int) -> list[dict]:
     rels, grid = [], (7, 25, 60)
     for kind in ("crank", "rank"):
         for r in (1, 2, 3, 4):
-            numerator = moments.numerator("symmetrized", kind, r, max(grid))
+            numerator = genfunc.numerator("symmetrized", kind, r, max(grid))
             for N, exact in zip(grid, theta4_quotient_at(numerator, grid)):
                 approx = circle.cauchy_coefficient(kind, r, N, tol=1e-8)
                 rels.append(float(abs(approx - exact) / exact) if exact else float(abs(approx)))
@@ -165,7 +161,7 @@ def wright(budget: int) -> list[dict]:
         )
     ]
     grid = (25, 49, 100)
-    numerator = moments.numerator("symmetrized", "crank", 3, max(grid))
+    numerator = genfunc.numerator("symmetrized", "crank", 3, max(grid))
     fractions = [
         float(circle.major_arc_coefficient("crank", 3, N, tol=1e-8)) / exact
         for N, exact in zip(grid, theta4_quotient_at(numerator, grid))

@@ -32,7 +32,7 @@ from itertools import accumulate
 
 import mpmath as mp
 
-from . import moments
+from . import genfunc
 from .asympt import cmul, fixed, overpartition_kernel, overpartition_numeric
 from .asympt import s_series_eval, s_series_kernel
 from .errors import OversizeRequest, QuadratureFailure
@@ -196,7 +196,7 @@ def _major_arc(kind, r, N, tol) -> tuple:
             raise QuadratureFailure(f"major arc tail bound above tol/4 at T={T}")
     if T > EXACT_TRUNC_CAP:
         raise QuadratureFailure(f"major arc needs more than {EXACT_TRUNC_CAP} coefficients")
-    series = moments.symmetrized_moment_values(kind, r, T)
+    series = genfunc.moment_series("symmetrized", kind, r, T)
     major = _sinc_sum(series, N)
     with mp.workprec(wp):
         return +major, series[N] - major, +b, series

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import mpmath as mp
 
-from . import asympt, checks, genfunc, moments
+from . import asympt, checks, genfunc
 from .errors import OversizeRequest, QuadratureFailure
 from .series import check_order, check_trunc, theta4_quotient_at
 
@@ -102,10 +102,7 @@ def _output(path: str | None):
 
 
 def cmd_series(args) -> int:
-    if args.kind == "crank":
-        ser = genfunc.crank_binomial_series(args.r, args.trunc, shift=args.shift)
-    else:
-        ser = genfunc.rank_binomial_series(args.r, args.trunc, shift=args.shift)
+    ser = genfunc.moment_series("symmetrized", args.kind, args.r, args.trunc, args.shift)
     manifest = genfunc.series_manifest(args.kind, args.r, args.trunc, ser)
     with _output(args.out) as fp:
         if args.format == "csv":
@@ -144,7 +141,7 @@ def cmd_ospt(args) -> int:
     with _output(args.out) as fp:
         fp.write("r,N,ospt,verdict\n" if csv else "[")
         for r in args.r:
-            vals = moments.ospt_values(r, nmax)
+            vals = genfunc.moment_series("difference", "crank", r, nmax)
             if csv:
                 fp.writelines(f"{r},{N},{vals[N]},{_verdict(N, vals[N])}\n" for N in args.N)
             else:
@@ -181,7 +178,7 @@ def _converge_row(flavor: str, r: int, N: int, prec: int, exact: int) -> dict:
 
 
 def _convergence_rows(flavor: str, kind: str, r: int, grid: list[int], prec: int):
-    numerator = moments.numerator(flavor, kind, r, max(grid))
+    numerator = genfunc.numerator(flavor, kind, r, max(grid))
     rows = []
     for N, exact in zip(grid, theta4_quotient_at(numerator, grid)):
         if exact <= 0:
@@ -299,9 +296,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # an unwritable --out is refused now, but opened after the work: a tripped guard leaves none
-        if args.out not in (None, "-") and not os.access(os.path.dirname(args.out) or ".", os.W_OK):
-            raise ValueError(f"cannot open --out {args.out}: its directory is not writable")
+        # an unopenable --out is refused now, but opened after the work: a tripped guard leaves none
+        if args.out not in (None, "-"):
+            if os.path.isdir(args.out):
+                raise ValueError(f"cannot open --out {args.out}: it is a directory")
+            if not os.access(os.path.dirname(args.out) or ".", os.W_OK):
+                raise ValueError(f"cannot open --out {args.out}: its directory is not writable")
         return args.func(args)
     except ValueError as exc:
         # the library's argument validation and an unopenable --out: a

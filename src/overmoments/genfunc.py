@@ -14,10 +14,15 @@ symmetrized series of order r:
   crank:  (-q)oo/(q)oo * sum_{n>=1} (-1)^{n+1} q^{(n^2+(2(r-s)-1)n)/2} / (1-q^n)^r
   rank: 2*(-q)oo/(q)oo * sum_{n>=1} (-1)^{n+1} q^{n^2+(r-s)n} / ((1+q^n)(1-q^n)^r)
 
-and with w(m) = m^r it is the positive power moment (`moments`).  The
-standard symmetrized series use s = floor((r-1)/2).  The prefactor
-(-q)oo/(q)oo is 1/theta_4(q), so each series is its Lambert sum divided by
-theta_4 (`series.divide_by_theta4`).
+and with w(m) = m^r it is the positive power moment.  The standard
+symmetrized series use s = floor((r-1)/2).  The prefactor (-q)oo/(q)oo is
+1/theta_4(q), so each series is its Lambert sum divided by theta_4.  The
+paper's three exact series are named by flavor, as `converge` names them:
+"symmetrized" (binomial weight, any shift), "moment" (m^r) and "difference"
+(ospt, the crank sum minus the rank sum before the one division).
+`numerator` builds the Lambert sum of a flavor, and `moment_series`, its
+quotient by theta_4 (`series.divide_by_theta4`), is the one entry point to
+every exact moment series.
 
 Every identity here is cross-checked against enumeration in the test suite;
 the shift parameter exists because two widely quoted sample expansions
@@ -40,10 +45,11 @@ z-degree is bounded by n, so no z-truncation policy is needed).
 from __future__ import annotations
 
 import hashlib
+from functools import partial
 from itertools import accumulate, count
 from math import comb
 from operator import add, sub
-from typing import Callable
+from typing import Callable, Literal
 
 from .errors import OversizeRequest
 from .series import (
@@ -59,12 +65,14 @@ __all__ = [
     "standard_shift",
     "lambert_sum",
     "binomial_weight",
-    "crank_binomial_series",
-    "rank_binomial_series",
+    "numerator",
+    "moment_series",
     "crank_two_variable",
     "rank_two_variable",
     "series_manifest",
 ]
+
+Flavor = Literal["moment", "difference", "symmetrized"]
 
 
 def standard_shift(r: int) -> int:
@@ -116,16 +124,50 @@ def binomial_weight(r: int, shift: int | None = None) -> Callable[[int], int]:
     return lambda m: comb(m + shift, r)
 
 
-def crank_binomial_series(r: int, trunc: int, shift: int | None = None) -> list[int]:
-    """Series whose q^n coefficient is sum_{m>=1} binom(m+shift, r) M(m, n),
-    M counting overpartitions of n by residual crank."""
-    return divide_by_theta4(lambert_sum("crank", binomial_weight(r, shift), trunc), trunc)
+def _power_weight(r: int) -> Callable[[int], int]:
+    """Weight m^r of the positive power moments; refuses r < 1 and
+    r > EXACT_ORDER_CAP before any series is built."""
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    check_order(r)
+    return lambda m: m**r
 
 
-def rank_binomial_series(r: int, trunc: int, shift: int | None = None) -> list[int]:
-    """Series whose q^n coefficient is sum_{m>=1} binom(m+shift, r) N(m, n),
-    N counting overpartitions of n by rank."""
-    return divide_by_theta4(lambert_sum("rank", binomial_weight(r, shift), trunc), trunc)
+def numerator(
+    flavor: Flavor, kind: str, r: int, trunc: int, shift: int | None = None
+) -> list[int]:
+    """The Lambert sum c through q^trunc whose quotient c / theta_4 is the
+    exact series of flavor, as `converge` names them: the symmetrized
+    moments (binom(m+shift, r), shift defaulting to the standard one), the
+    positive power moments (m^r), or ospt (crank minus rank m^r, kind
+    ignored).  Only the symmetrized flavor takes a shift."""
+    if shift is not None and flavor != "symmetrized":
+        raise ValueError(f"shift applies to the symmetrized flavor only, not {flavor!r}")
+    if flavor == "symmetrized":
+        return lambert_sum(kind, binomial_weight(r, shift), trunc)
+    if flavor == "moment":
+        return lambert_sum(kind, _power_weight(r), trunc)
+    if flavor == "difference":
+        weight = _power_weight(r)
+        crank, rank = (lambert_sum(k, weight, trunc) for k in ("crank", "rank"))
+        return list(map(sub, crank, rank))
+    raise ValueError(f"unknown flavor {flavor!r}")
+
+
+def moment_series(
+    flavor: Flavor, kind: str, r: int, trunc: int, shift: int | None = None
+) -> list[int]:
+    """The exact series of flavor for every N <= trunc: its `numerator`
+    divided by theta_4.  The one entry point that divides a whole moment
+    series; a caller that needs a few coefficients reads them off the
+    numerator with `series.theta4_quotient_at` instead."""
+    return divide_by_theta4(numerator(flavor, kind, r, trunc, shift), trunc)
+
+
+# read by the circle_cauchy output check of perfbench/workloads.py, which
+# takes its true coefficients through these names
+crank_binomial_series = partial(moment_series, "symmetrized", "crank")
+rank_binomial_series = partial(moment_series, "symmetrized", "rank")
 
 
 def _columns(trunc: int) -> list[dict[int, int]]:
@@ -168,35 +210,28 @@ def crank_two_variable(trunc: int) -> StatTable:
 
 def rank_two_variable(trunc: int) -> StatTable:
     """Rank table N(m, n) from the two-variable rank series
-    sum_{n>=0} (-1)_n q^{n(n+1)/2} / ((zq)_n (z^{-1}q)_n).
+    sum_{n>=0} T_n, T_n = (-1)_n q^{n(n+1)/2} / ((zq)_n (z^{-1}q)_n).
 
-    The n-sum is finite: n(n+1)/2 > trunc terminates it.  (-1)_n is the
-    finite product prod_{j=0}^{n-1} (1 + q^j), with (-1)_0 = 1.
+    Each term is the previous one times one factor, a shift and two
+    geometric series, T_n = T_{n-1} (1 + q^{n-1}) q^n / ((1 - zq^n)(1 - z^{-1}q^n))
+    with T_0 = 1, and the sum stops once n(n+1)/2 > trunc.
     """
-    total = _columns(trunc)
-    n = 0
-    while n * (n + 1) // 2 <= trunc:
-        offset = n * (n + 1) // 2
-        # (-1)_n shifted by q^offset, as a plain q-series
-        c = [0] * (trunc + 1)
-        c[offset] = 1
-        for j in range(n):  # factors (1 + q^j), j = 0..n-1
-            if j == 0:
-                for i in range(trunc + 1):
-                    c[i] *= 2
-            else:
-                for i in range(trunc, j - 1, -1):
-                    c[i] += c[i - j]
-        term = [{0: v} if v else {} for v in c]
-        # divide by (zq)_n (z^{-1}q)_n
-        for j in range(1, n + 1):
-            _mul_geometric(term, j, +1)
-            _mul_geometric(term, j, -1)
+    total, term = _columns(trunc), _columns(trunc)
+    term[0][0] = 1
+    for n in count(1):
         for dst, src in zip(total, term):
             for m, v in src.items():
                 dst[m] = dst.get(m, 0) + v
-        n += 1
-    return StatTable(total)
+        if n * (n + 1) // 2 > trunc:
+            return StatTable(total)
+        # times 1 + q^{n-1}, high powers first, short of the n that q^n drops
+        for i in range(trunc - n, n - 2, -1):
+            dst = term[i]
+            for m, v in list(term[i - n + 1].items()):  # a copy: at n = 1 it is dst
+                dst[m] = dst.get(m, 0) + v
+        term = [{} for _ in range(n)] + term[: trunc + 1 - n]
+        _mul_geometric(term, n, +1)
+        _mul_geometric(term, n, -1)
 
 
 def series_manifest(kind: str, r: int, trunc: int, series: list[int]) -> dict:

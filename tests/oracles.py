@@ -17,42 +17,13 @@ from overmoments.errors import NonConvergent, OversizeRequest, QuadratureFailure
 from overmoments.genfunc import standard_shift
 
 
-def _kron_mul(a: Sequence[int], b: Sequence[int], trunc: int) -> list[int]:
-    """Product of integer coefficient lists, truncated at `trunc`.
-
-    One signed big-int multiply (Kronecker substitution): each operand packs
-    as sum_i a_i 2^(w i) with signed a_i, so the product packs the signed
-    convolution coefficients c_k.  The slot width w is sized so that
-    |c_k| < 2^(w-1); adding 2^(w-1) to every slot of the low trunc+1 slots
-    makes each one a digit in [0, 2^w) with no borrow between neighbours,
-    and unpacking subtracts that bias again.
-    """
-    a = a[: trunc + 1]
-    b = b[: trunc + 1]
-    maxa = max(map(abs, a), default=0)
-    maxb = max(map(abs, b), default=0)
-    slots = trunc + 1
-    if maxa == 0 or maxb == 0:
-        return [0] * slots
-    # one spare bit for the sign, rounded up to whole bytes
-    wbytes = (maxa * maxb * min(len(a), len(b))).bit_length() // 8 + 1
-    half = 1 << (8 * wbytes - 1)
-    half_slot = half.to_bytes(wbytes, "little")
-
-    def bias(n: int) -> int:
-        return int.from_bytes(half_slot * n, "little")
-
-    def pack(coeffs: Sequence[int]) -> int:
-        # |c| <= max(maxa, maxb) < half, so every biased slot is a digit
-        data = b"".join((c + half).to_bytes(wbytes, "little") for c in coeffs)
-        return int.from_bytes(data, "little") - bias(len(coeffs))
-
-    biased = (pack(a) * pack(b) + bias(slots)) & ((1 << (8 * wbytes * slots)) - 1)
-    data = biased.to_bytes(wbytes * slots, "little")
-    return [
-        int.from_bytes(data[i * wbytes : (i + 1) * wbytes], "little") - half
-        for i in range(slots)
-    ]
+def schoolbook(a: Sequence[int], b: Sequence[int], trunc: int) -> list[int]:
+    """Truncated convolution by the O(n^2) definition."""
+    out = [0] * (trunc + 1)
+    for i, x in enumerate(a[: trunc + 1]):
+        for j, y in enumerate(b[: trunc + 1 - i]):
+            out[i + j] += x * y
+    return out
 
 
 def mul(*factors: Sequence[int]) -> list[int]:
@@ -60,7 +31,7 @@ def mul(*factors: Sequence[int]) -> list[int]:
     trunc = min(map(len, factors)) - 1
     product = list(factors[0][: trunc + 1])
     for f in factors[1:]:
-        product = _kron_mul(product, f, trunc)
+        product = schoolbook(product, f, trunc)
     return product
 
 
@@ -78,11 +49,11 @@ def invert(a: Sequence[int]) -> list[int]:
     known = 0  # exact through q^known
     while known < trunc:
         known = min(2 * known + 1, trunc)
-        t = _kron_mul(inv, a[: known + 1], known)
+        t = schoolbook(inv, a[: known + 1], known)
         t[0] = 2 - t[0]
         for i in range(1, known + 1):
             t[i] = -t[i]
-        inv = _kron_mul(inv, t, known)
+        inv = schoolbook(inv, t, known)
     return inv
 
 

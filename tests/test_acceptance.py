@@ -75,7 +75,7 @@ def exact_moments():
     """Positive power moments for r = 1..6, both kinds, N <= 2500."""
     trunc = max(GRID)
     return {
-        (kind, r): moments.positive_moment_values(kind, r, trunc)
+        (kind, r): genfunc.moment_series("moment", kind, r, trunc)
         for kind in ("crank", "rank")
         for r in range(1, 7)
     }
@@ -160,7 +160,7 @@ def test_a8_basis_change_and_constant_identity(residual_suite):
     for kind in ("crank", "rank"):
         for r in range(1, 7):
             sym_vals = {
-                l: moments.symmetrized_moment_values(kind, l, nmax)
+                l: genfunc.moment_series("symmetrized", kind, l, nmax)
                 for l in range(1, r + 1)
             }
             bc = basis_change(r)

@@ -14,7 +14,7 @@ from oracles import (
     sinc_sum_mpmath,
     trapezoid_mpmath,
 )
-from overmoments import asympt, circle, genfunc, moments
+from overmoments import asympt, circle, genfunc
 from overmoments.errors import NonConvergent, OversizeRequest, QuadratureFailure
 from overmoments.series import EXACT_TRUNC_CAP
 
@@ -156,11 +156,8 @@ def test_overpartition_numeric_matches_mpmath_loop(kind, r, monkeypatch):
 def test_gf_numeric_matches_series_at_real_q():
     with mp.workprec(160):
         q = mp.mpf(3) / 10
-        for kind, builder in (
-            ("crank", genfunc.crank_binomial_series),
-            ("rank", genfunc.rank_binomial_series),
-        ):
-            ref = horner_eval(builder(3, 200), q)
+        for kind in ("crank", "rank"):
+            ref = horner_eval(genfunc.moment_series("symmetrized", kind, 3, 200), q)
             got = circle.gf_numeric(kind, 3, q, 160)
             assert abs(got.imag) < mp.mpf(2) ** -140
             assert abs(got.real - ref) < mp.mpf(10) ** -25
@@ -170,7 +167,7 @@ def test_gf_numeric_small_q_leading_order():
     with mp.workprec(120):
         q = mp.mpf(1) / 1000
         got = circle.gf_numeric("crank", 3, q, 120)
-        series = genfunc.crank_binomial_series(3, 10)
+        series = genfunc.moment_series("symmetrized", "crank", 3, 10)
         lead = series[2] * q**2  # first nonzero coefficient sits at q^2
         assert abs(got / lead - 1) < mp.mpf(1) / 100
 
@@ -203,7 +200,7 @@ def test_cauchy_coefficient_zero_at_n0():
 
 
 def test_cauchy_coefficient_matches_series_midrange():
-    exact = genfunc.rank_binomial_series(2, 25)[25]
+    exact = genfunc.moment_series("symmetrized", "rank", 2, 25)[25]
     got = circle.cauchy_coefficient("rank", 2, 25, tol=1e-8)
     assert abs(got - exact) / exact < 1e-8
 
@@ -213,8 +210,7 @@ def test_cauchy_coefficient_matches_series_midrange():
     [("crank", 3, 60), ("rank", 4, 25), ("crank", 1, 7), ("crank", 8, 200), ("rank", 8, 200)],
 )
 def test_trapezoid_bound_certifies_the_error(kind, r, N):
-    builder = genfunc.crank_binomial_series if kind == "crank" else genfunc.rank_binomial_series
-    exact = builder(r, N)[N]
+    exact = genfunc.moment_series("symmetrized", kind, r, N)[N]
     value, bound, M = circle._trapezoid_coefficient(kind, r, N, 1e-8)
     assert M == N + 2 - N % 2
     assert abs(value - exact) <= bound <= mp.mpf(1e-8) / 4 * exact
@@ -226,7 +222,7 @@ def test_trapezoid_bound_certifies_every_zero_coefficient():
     zeros = 0
     for kind in ("crank", "rank"):
         for r in range(9):
-            series = moments.symmetrized_moment_values(kind, r, circle.FULL_CIRCLE_N_CAP)
+            series = genfunc.moment_series("symmetrized", kind, r, circle.FULL_CIRCLE_N_CAP)
             for N in (n for n, a in enumerate(series) if a == 0):
                 value, bound, M = circle._trapezoid_coefficient(kind, r, N, 1e-8)
                 assert M == N + 2 - N % 2
@@ -336,7 +332,7 @@ def test_trapezoid_samples_recover_every_coefficient(monkeypatch):
                 term = (f * mp.expjpi(-mp.mpf(2 * (n * j % M)) / M)).real
                 total += term if 0 < j < M // 2 else term / 2
             recovered.append(int(mp.nint(2 * total / M * rho ** (-n))))
-    assert recovered == genfunc.crank_binomial_series(3, N)
+    assert recovered == genfunc.moment_series("symmetrized", "crank", 3, N)
     assert recovered[N] == int(mp.nint(value))
 
 
@@ -393,14 +389,14 @@ def test_closed_form_truncation_against_the_search(N, monkeypatch):
         return calls[-1][1]
 
     monkeypatch.setattr(circle, "gf_numeric", counted)
-    truncations = stop_at(monkeypatch, moments, "symmetrized_moment_values")
+    truncations = stop_at(monkeypatch, genfunc, "moment_series")
     for kind, r in (("crank", 0), ("crank", 3), ("crank", 8), ("rank", 0), ("rank", 4), ("rank", 6)):
         calls.clear()
         with pytest.raises(Stopped):
             circle._major_arc(kind, r, N, 1e-8)
         assert len(calls) == 1
         (_, _, outer, wp), peak = calls[0]
-        T = truncations[-1][2]
+        T = truncations[-1][3]
         assert T > 2 * N
         with mp.workprec(wp):
             rho = mp.e ** (-mp.pi / (2 * mp.sqrt(N)))
@@ -440,7 +436,7 @@ def test_sinc_sum_matches_the_mpmath_loop(kind, r, N, monkeypatch):
 
 def test_truncation_cap_is_checked_before_any_series(monkeypatch):
     # crank r = 3 at N = 100 needs T = 791
-    built = stop_at(monkeypatch, moments, "symmetrized_moment_values")
+    built = stop_at(monkeypatch, genfunc, "moment_series")
     monkeypatch.setattr(circle, "EXACT_TRUNC_CAP", 790)
     with pytest.raises(QuadratureFailure, match="more than 790 coefficients"):
         circle._major_arc("crank", 3, 100, 1e-8)

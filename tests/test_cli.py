@@ -64,7 +64,7 @@ def test_series_json_manifest(tmp_path):
     run(["series", "--kind", "rank", "--r", "3", "--trunc", "7",
          "--format", "json", "--out", str(out)])
     payload = json.loads(out.read_text())
-    ser = genfunc.rank_binomial_series(3, 7)
+    ser = genfunc.moment_series("symmetrized", "rank", 3, 7)
     manifest = genfunc.series_manifest("rank", 3, 7, ser)
     assert payload["checksum"] == manifest["checksum"]
     assert payload["coefficients"] == [str(c) for c in ser]
@@ -85,7 +85,7 @@ def test_outputs_are_deterministic(tmp_path):
     run(argv + ["--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
     manifest = genfunc.series_manifest(
-        "crank", 5, 200, genfunc.crank_binomial_series(5, 200)
+        "crank", 5, 200, genfunc.moment_series("symmetrized", "crank", 5, 200)
     )
     assert json.loads(a.read_text())["checksum"] == manifest["checksum"]
     a2, b2 = tmp_path / "a2.csv", tmp_path / "b2.csv"
@@ -233,8 +233,7 @@ def test_unopenable_out_exits_2(argv, tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, module, name",
     [
-        (["series", "--kind", "crank", "--r", "3", "--trunc", "10"], genfunc,
-         "crank_binomial_series"),
+        (["series", "--kind", "crank", "--r", "3", "--trunc", "10"], genfunc, "moment_series"),
         (["converge", "--flavor", "moment", "--r", "2", "--grid", "100"], cli,
          "_convergence_rows"),
         (["verify", "--suite", "oracle"], checks.SUITES, "oracle"),
@@ -243,7 +242,8 @@ def test_unopenable_out_exits_2(argv, tmp_path, capsys):
 )
 def test_unwritable_out_is_refused_before_the_work(argv, module, name, tmp_path, monkeypatch):
     # verify --suite oracle used to run the whole suite, about 2 s, before
-    # the missing directory exited 2
+    # a missing directory, or an existing directory given as the file,
+    # exited 2
     def work(*args, **kwargs):
         raise AssertionError("the work ran before --out was checked")
 
@@ -251,9 +251,10 @@ def test_unwritable_out_is_refused_before_the_work(argv, module, name, tmp_path,
         monkeypatch.setitem(module, name, work)
     else:
         monkeypatch.setattr(module, name, work)
-    with pytest.raises(SystemExit) as exc:
-        run(argv + ["--out", str(tmp_path / "no-such-dir" / "x")])
-    assert exc.value.code == 2
+    for out in (tmp_path / "no-such-dir" / "x", tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--out", str(out)])
+        assert exc.value.code == 2
 
 
 def test_ospt_opens_out_before_any_division(tmp_path):
@@ -335,7 +336,7 @@ def test_converge_table_is_byte_identical(flavor, kind, tmp_path):
 def test_converge_tables_share_one_theta4_division(monkeypatch, tmp_path):
     # four tables on one grid read their coefficients off one pbar: the
     # empty memo forces that one division, whatever ran before
-    from overmoments import genfunc, moments, series
+    from overmoments import genfunc, series
 
     calls = []
     divide = series.divide_by_theta4
@@ -345,7 +346,7 @@ def test_converge_tables_share_one_theta4_division(monkeypatch, tmp_path):
         return divide(coeffs, trunc)
 
     monkeypatch.setattr(series, "_pbar", [])
-    for module in (series, moments, genfunc):
+    for module in (series, genfunc):
         monkeypatch.setattr(module, "divide_by_theta4", counted)
     for kind, r in (("crank", 3), ("crank", 4), ("rank", 3), ("rank", 4)):
         assert run(["converge", "--flavor", "symmetrized", "--kind", kind, "--r", str(r),

@@ -9,13 +9,17 @@ from math import comb
 import pytest
 
 from oracles import lambert_term, rho_crank, rho_rank
-from overmoments import genfunc
+from overmoments import genfunc, moments
 from overmoments.errors import OversizeRequest
 from overmoments.series import TWO_VARIABLE_TRUNC_CAP
 
 
 def _binomial(r, shift):
     return lambda m: comb(m + shift, r)
+
+
+def _symmetrized(kind, r, trunc, shift=None):
+    return genfunc.moment_series("symmetrized", kind, r, trunc, shift)
 
 
 def test_rho_values():
@@ -41,8 +45,8 @@ def test_standard_shift():
 
 def test_constant_coefficient_vanishes():
     for r in range(1, 7):
-        assert genfunc.crank_binomial_series(r, 6)[0] == 0
-        assert genfunc.rank_binomial_series(r, 6)[0] == 0
+        assert _symmetrized("crank", r, 6)[0] == 0
+        assert _symmetrized("rank", r, 6)[0] == 0
 
 
 def test_every_coefficient_is_nonnegative():
@@ -50,27 +54,52 @@ def test_every_coefficient_is_nonnegative():
     # the weights binom(m + s, r) are >= 0 for m >= 1 and s >= -1
     for r in range(0, 7):
         for shift in range(-1, max(r, 0)):
-            for build in (genfunc.crank_binomial_series, genfunc.rank_binomial_series):
-                assert min(build(r, 3000, shift=shift)) >= 0, (build, r, shift)
+            for kind in ("crank", "rank"):
+                assert min(_symmetrized(kind, r, 3000, shift)) >= 0, (kind, r, shift)
 
 
 def test_quoted_sample_expansions():
     # identified against the oracle: the first is the rank series of order 3,
     # the second the crank series of order 4 with binomial shift 2
-    sr3 = genfunc.rank_binomial_series(3, 7)
+    sr3 = _symmetrized("rank", 3, 7)
     assert sr3[3:] == [2, 8, 24, 60, 134]
-    sc4_shift2 = genfunc.crank_binomial_series(4, 7, shift=2)
+    sc4_shift2 = _symmetrized("crank", 4, 7, shift=2)
     assert sc4_shift2[2:] == [1, 6, 22, 63, 159, 358]
     # the standard-shift crank series of order 4 is a different expansion
-    sc4 = genfunc.crank_binomial_series(4, 7)
+    sc4 = _symmetrized("crank", 4, 7)
     assert sc4[3:] == [1, 6, 22, 64, 160]
 
 
 def test_shift_domain_is_validated():
     with pytest.raises(ValueError):
-        genfunc.crank_binomial_series(3, 5, shift=3)
+        _symmetrized("crank", 3, 5, shift=3)
     with pytest.raises(ValueError):
-        genfunc.rank_binomial_series(3, 5, shift=-2)
+        _symmetrized("rank", 3, 5, shift=-2)
+
+
+@pytest.mark.parametrize("flavor", ["moment", "difference"])
+@pytest.mark.parametrize("entry", [genfunc.numerator, genfunc.moment_series])
+def test_shift_is_refused_outside_the_symmetrized_flavor(flavor, entry):
+    # the power weight m^r has no shift; one given is refused, not ignored,
+    # even when it equals the standard shift
+    for shift in (-1, 0, 1):
+        with pytest.raises(ValueError, match="symmetrized flavor only"):
+            entry(flavor, "crank", 3, 5, shift)
+
+
+def test_unknown_flavor_is_refused():
+    with pytest.raises(ValueError, match="unknown flavor"):
+        genfunc.moment_series("power", "crank", 3, 5)
+
+
+@pytest.mark.parametrize("r, N", [(0, 12), (1, 7), (3, 60), (8, 200)])
+def test_benchmark_aliases_equal_moment_series(r, N):
+    # the circle_cauchy check takes its true coefficients through the two
+    # genfunc names, and the baseline run its ospt through moments.ospt_values
+    assert genfunc.crank_binomial_series(r, N) == _symmetrized("crank", r, N)
+    assert genfunc.rank_binomial_series(r, N) == _symmetrized("rank", r, N)
+    if r >= 1:
+        assert moments.ospt_values(r, N) == genfunc.moment_series("difference", "crank", r, N)
 
 
 def test_two_variable_basics():
@@ -122,13 +151,11 @@ def test_lambert_sums_compose_from_single_terms():
 
 
 def test_manifest_checksum_is_deterministic():
-    s1 = genfunc.rank_binomial_series(3, 20)
+    s1 = _symmetrized("rank", 3, 20)
     m1 = genfunc.series_manifest("rank", 3, 20, s1)
-    m2 = genfunc.series_manifest("rank", 3, 20, genfunc.rank_binomial_series(3, 20))
+    m2 = genfunc.series_manifest("rank", 3, 20, _symmetrized("rank", 3, 20))
     assert m1 == m2
-    m3 = genfunc.series_manifest(
-        "rank", 4, 20, genfunc.rank_binomial_series(4, 20)
-    )
+    m3 = genfunc.series_manifest("rank", 4, 20, _symmetrized("rank", 4, 20))
     assert m3["checksum"] != m1["checksum"]
     assert set(m1) == {"kind", "r", "trunc", "checksum"}
 
@@ -136,7 +163,7 @@ def test_manifest_checksum_is_deterministic():
 def test_export_helpers():
     import hashlib
 
-    ser = genfunc.crank_binomial_series(2, 4)
+    ser = _symmetrized("crank", 2, 4)
     manifest = genfunc.series_manifest("crank", 2, 4, ser)
     assert manifest["kind"] == "crank" and manifest["r"] == 2 and manifest["trunc"] == 4
     lines = "\n".join(str(c) for c in ser)

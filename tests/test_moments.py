@@ -8,6 +8,7 @@ import pytest
 from oracles import basis_change
 from overmoments import moments
 from overmoments.combinat import build_table
+from overmoments.genfunc import moment_series
 from overmoments.errors import OutOfRange
 
 NMAX = 15
@@ -101,7 +102,7 @@ def test_power_moment_from_symmetrized_via_basis_change():
 def test_series_backed_values_match_tables():
     for kind, table in (("crank", CRANK), ("rank", RANK)):
         for r in range(0, 7):
-            sym = moments.symmetrized_moment_values(kind, r, NMAX)
+            sym = moment_series("symmetrized", kind, r, NMAX)
             for n in range(NMAX + 1):
                 assert sym[n] == moments.symmetrized_positive_moment(table, r, n)
             if r == 0:
@@ -109,7 +110,7 @@ def test_series_backed_values_match_tables():
                 with pytest.raises(OutOfRange):
                     moments.positive_moment(table, 0, NMAX)
                 continue
-            pow_ = moments.positive_moment_values(kind, r, NMAX)
+            pow_ = moment_series("moment", kind, r, NMAX)
             for n in range(NMAX + 1):
                 assert pow_[n] == moments.positive_moment(table, r, n)
 
@@ -119,7 +120,7 @@ def test_power_moments_match_basis_change_oracle():
     # one theta_4 division per order and kind
     trunc = 600
     sym = {
-        (kind, l): moments.symmetrized_moment_values(kind, l, trunc)
+        (kind, l): moment_series("symmetrized", kind, l, trunc)
         for kind in ("crank", "rank")
         for l in range(1, 7)
     }
@@ -135,9 +136,9 @@ def test_power_moments_match_basis_change_oracle():
                 acc = sum((w * sym[(kind, l)][n] for w, l in weights), Fraction(0))
                 assert acc.denominator == 1
                 vals.append(acc.numerator)
-            assert moments.positive_moment_values(kind, r, trunc) == vals
+            assert moment_series("moment", kind, r, trunc) == vals
             power[kind] = vals
-        assert moments.ospt_values(r, trunc) == [
+        assert moment_series("difference", "crank", r, trunc) == [
             c - k for c, k in zip(power["crank"], power["rank"])
         ]
 
@@ -145,7 +146,7 @@ def test_power_moments_match_basis_change_oracle():
 def test_ospt_values():
     assert moments.ospt(1, 0, CRANK, RANK) == 0
     assert moments.ospt(1, 1, CRANK, RANK) == 1
-    series = moments.ospt_values(3, NMAX)
+    series = moment_series("difference", "crank", 3, NMAX)
     for n in range(NMAX + 1):
         assert moments.ospt(3, n, CRANK, RANK) == series[n]
     assert moments.ospt(3, 10, CRANK, RANK) == series[10] > 0

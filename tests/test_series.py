@@ -1,5 +1,5 @@
 """Series core: the theta_4 division and classical product identities,
-checked with the Kronecker multiply, Newton inversion and product oracles
+checked with the schoolbook multiply, Newton inversion and product oracles
 of `oracles`."""
 
 import random
@@ -9,16 +9,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
-    _kron_mul,
     invert,
     lambert_term,
     mul,
     one,
     pentagonal_support,
     pochhammer_q,
+    schoolbook,
     theta4,
 )
-from overmoments import genfunc, moments, series
+from overmoments import genfunc, series
 from overmoments.errors import OversizeRequest
 from overmoments.series import (
     EXACT_TRUNC_CAP,
@@ -42,46 +42,16 @@ def brute_partitions(n, cap=None):
     return out
 
 
-def schoolbook(a, b, trunc):
-    """Truncated convolution by the O(n^2) definition (test oracle)."""
-    out = [0] * (trunc + 1)
-    for i, x in enumerate(a[: trunc + 1]):
-        for j, y in enumerate(b[: trunc + 1 - i]):
-            out[i + j] += x * y
-    return out
-
-
 @st.composite
-def signed_coeffs(draw, max_bits=70, max_size=12):
+def signed_coeffs(draw, max_bits, max_size):
     """Signed coefficients of at most k bits, biased towards 0 and +-(2^k - 1)."""
     top = 2 ** draw(st.integers(1, max_bits)) - 1
     value = st.one_of(st.sampled_from([top, -top, 0]), st.integers(-top, top))
     return draw(st.lists(value, max_size=max_size))
 
 
-@settings(max_examples=400, deadline=None)
-@given(a=signed_coeffs(), b=signed_coeffs(), trunc=st.integers(0, 24))
-@example(a=[0, 0, 0], b=[-5, 7, -1], trunc=4)  # one operand all zero
-@example(a=[-3, 2, 0, -1, 5], b=[4, -4, 1, 9], trunc=1)  # trunc below both lengths
-@example(a=[255] * 4, b=[-255] * 9, trunc=12)  # |c_k| at the slot bound
-def test_kron_mul_matches_schoolbook(a, b, trunc):
-    assert _kron_mul(a, b, trunc) == schoolbook(a, b, trunc)
-
-
-def test_kron_mul_at_slot_boundary():
-    # all coefficients at +-(2^k - 1): the middle convolution coefficient
-    # reaches the slot bound maxa * maxb * min(len) exactly, for bounds on
-    # both sides of every byte boundary
-    for k in range(1, 33):
-        top = 2**k - 1
-        for n in range(1, 6):
-            for sa, sb in ((1, 1), (1, -1), (-1, -1)):
-                a, b = [sa * top] * n, [sb * top] * (n + 2)
-                assert _kron_mul(a, b, 2 * n) == schoolbook(a, b, 2 * n)
-
-
 def test_mul_difference_of_squares():
-    assert _kron_mul([1, 1], [1, -1], 5) == [1, 0, -1, 0, 0, 0]
+    assert mul([1, 1, 0, 0, 0, 0], [1, -1, 0, 0, 0, 0]) == [1, 0, -1, 0, 0, 0]
 
 
 def test_mul_identity():
@@ -152,9 +122,9 @@ def test_ring_axioms_random():
 def test_divide_by_theta4_matches_kronecker_product(c, trunc):
     quotient = divide_by_theta4(c, trunc)
     # dividing by theta_4 is multiplying by (-q)oo/(q)oo ...
-    assert quotient == _kron_mul(overpartition_gf(trunc), c, trunc)
+    assert quotient == schoolbook(overpartition_gf(trunc), c, trunc)
     # ... and multiplying the quotient back by theta_4 restores c
-    assert _kron_mul(theta4(trunc), quotient, trunc) == (c + [0] * (trunc + 1))[: trunc + 1]
+    assert schoolbook(theta4(trunc), quotient, trunc) == (c + [0] * (trunc + 1))[: trunc + 1]
 
 
 def count_divisions(monkeypatch) -> list:
@@ -268,11 +238,11 @@ def test_overpartition_gf_size_guard():
     # before allocating anything
     for build in (
         overpartition_gf,
-        lambda trunc: genfunc.crank_binomial_series(3, trunc),
-        lambda trunc: genfunc.rank_binomial_series(3, trunc),
-        lambda trunc: moments.ospt_values(1, trunc),
-        lambda trunc: moments.positive_moment_values("crank", 2, trunc),
-        lambda trunc: moments.symmetrized_moment_values("rank", 2, trunc),
+        lambda trunc: genfunc.moment_series("symmetrized", "crank", 3, trunc),
+        lambda trunc: genfunc.moment_series("symmetrized", "rank", 3, trunc, shift=2),
+        lambda trunc: genfunc.moment_series("moment", "crank", 2, trunc),
+        lambda trunc: genfunc.moment_series("difference", "crank", 1, trunc),
+        lambda trunc: genfunc.numerator("moment", "rank", 2, trunc),
     ):
         with pytest.raises(OversizeRequest):
             build(EXACT_TRUNC_CAP + 1)

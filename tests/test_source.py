@@ -102,10 +102,9 @@ def test_no_concurrency_in_src():
     assert not found, found
 
 
-def test_eta_is_read_only_in_the_pole_expansion():
-    # every main term reads eta off `asympt.pole_coefficients`; the residual
-    # suite's closed form of delta_r is the one independent second side.
-    # Each read of `altzeta` is charged to its innermost function
+def _readers(name: str) -> set[str]:
+    """Every "module.function" in src/ that reads `name`, as an attribute, a
+    bare name or an import, each read charged to its innermost function."""
     readers = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
@@ -116,7 +115,28 @@ def test_eta_is_read_only_in_the_pole_expansion():
         readers |= {
             f"{path.stem}.{owner.get(id(node), '<module>')}"
             for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and node.attr == "altzeta"
-            or isinstance(node, ast.alias) and node.name.endswith("altzeta")
+            if isinstance(node, ast.Attribute) and node.attr == name
+            or isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.alias) and node.name.endswith(name)
         }
+    return readers
+
+
+def test_eta_is_read_only_in_the_pole_expansion():
+    # every main term reads eta off `asympt.pole_coefficients`; the residual
+    # suite's closed form of delta_r is the one independent second side
+    readers = _readers("altzeta")
     assert readers <= {"asympt.pole_coefficients", "checks.residual"}, readers
+
+
+def test_one_entry_point_divides_a_moment_series():
+    # every exact moment series is `genfunc.moment_series`; besides it only
+    # the pbar memo and the quotient at a few indices divide by theta_4.
+    # genfunc's <module> read is its import
+    readers = _readers("divide_by_theta4")
+    assert readers == {
+        "genfunc.<module>",
+        "genfunc.moment_series",
+        "series.overpartition_gf",
+        "series.theta4_quotient_at",
+    }, readers
