@@ -2,7 +2,7 @@
 
 `verify --suite S` writes the report of `SUITES[S]`, and the acceptance
 tests run the same suites, so each grid and each gate lives here once.  A
-suite takes the enumeration budget and returns a list of checks
+suite takes no argument and returns a list of checks
 `{"name", "passed", "detail"}`:
 
   oracle       exact series and two-variable series against enumeration
@@ -18,22 +18,19 @@ import mpmath as mp
 from . import asympt, circle, combinat, genfunc, moments
 from .series import overpartition_gf, theta4_quotient_at
 
-__all__ = ["BUDGET", "check", "oracle", "proposition", "residual", "wright", "SUITES"]
-
-# enumeration budget `verify` runs with unless --budget says otherwise
-BUDGET = 10_000_000
+__all__ = ["check", "oracle", "proposition", "residual", "wright", "SUITES"]
 
 
 def check(name: str, passed: bool, detail: str = "") -> dict:
     return {"name": name, "passed": bool(passed), "detail": detail}
 
 
-def oracle(budget: int) -> list[dict]:
+def oracle() -> list[dict]:
     nmax = 25
     checks = []
     tables = {}
     for kind in ("rank", "crank"):
-        table = combinat.build_table(kind, nmax, budget=budget)
+        table = combinat.build_table(kind, nmax)
         tables[kind] = table
         pbar = overpartition_gf(nmax)
         sums_ok = all(table.column_sum(n) == pbar[n] for n in range(nmax + 1))
@@ -54,13 +51,10 @@ def oracle(budget: int) -> list[dict]:
     return checks
 
 
-def proposition(budget: int) -> list[dict]:
+def proposition() -> list[dict]:
     nmax = 16
     checks = []
-    tables = {
-        kind: combinat.build_table(kind, nmax, budget=budget)
-        for kind in ("rank", "crank")
-    }
+    tables = {kind: combinat.build_table(kind, nmax) for kind in ("rank", "crank")}
     ok = True
     for r in range(0, 7):
         for shift in range(-1, max(r, 0)):
@@ -95,7 +89,7 @@ def proposition(budget: int) -> list[dict]:
     return checks
 
 
-def residual(budget: int) -> list[dict]:
+def residual() -> list[dict]:
     # the K-term pole expansion's relative residual decays like N^{-K/2}:
     # its log-log slope over N = 10^3..10^5, at t = pi / (2 sqrt N), must
     # lie within 0.1 of -K/2.  Rank r = 5, K = 4 is the worst case at 0.067;
@@ -144,7 +138,7 @@ def residual(budget: int) -> list[dict]:
     return checks
 
 
-def wright(budget: int) -> list[dict]:
+def wright() -> list[dict]:
     rels, grid = [], (7, 25, 60)
     for kind in ("crank", "rank"):
         for r in (1, 2, 3, 4):

@@ -1,11 +1,12 @@
 """Batch command-line front end.
 
 Subcommands: series (exact coefficients), ospt (positivity table),
-converge (main-term ratio tables), verify (the pass/fail report of one
-suite of `checks`).  This module only parses, dispatches and writes.
-Outputs are deterministic: identical arguments produce byte-identical
-files.  Exit codes: 0 success, 1 check failure, 2 usage error, 3 resource
-guard tripped.
+converge (main-term ratio tables, worked at `PREC` bits), verify (the
+pass/fail report of one suite of `checks`).  This module only parses,
+dispatches and writes; each resource guard is a cap of the library module
+it guards, not an option.  Outputs are deterministic: identical arguments
+produce byte-identical files.  Exit codes: 0 success, 1 check failure,
+2 usage error, 3 resource guard tripped.
 """
 
 from __future__ import annotations
@@ -24,7 +25,12 @@ from . import asympt, checks, genfunc
 from .errors import OversizeRequest, QuadratureFailure
 from .series import check_order, check_trunc, theta4_quotient_at
 
-PREC_MIN, PREC_MAX = 64, 4096
+# converge's working precision.  A table prints its logs to 30 digits, about
+# 100 bits, and its ratio as a double, off by at most pi sqrt(N) 2^-PREC <
+# 2^(11-PREC) for N <= EXACT_TRUNC_CAP; 256 bits cover both with 140 to
+# spare.  Tables at 256 and 4096 bits are identical; at 64 the logs go wrong
+# past the 19th digit
+PREC = 256
 
 
 def _parse_range(text: str) -> range:
@@ -60,25 +66,11 @@ def _parse_order(text: str) -> int:
     return _at_least([int(text)], 1, "r")[0]
 
 
-def _parse_budget(text: str) -> int:
-    """Enumeration budget >= 0."""
-    return _at_least([int(text)], 0, "budget")[0]
-
-
 def _parse_grid(text: str) -> list[int]:
     vals = [int(v) for v in text.split(",") if v]
     if not vals:
         raise argparse.ArgumentTypeError("empty grid")
     return _at_least(vals, 0, "N")
-
-
-def _check_prec(value: str) -> int:
-    prec = int(value)
-    if not PREC_MIN <= prec <= PREC_MAX:
-        raise argparse.ArgumentTypeError(
-            f"precision {prec} outside [{PREC_MIN}, {PREC_MAX}]"
-        )
-    return prec
 
 
 @contextmanager
@@ -163,10 +155,10 @@ def cmd_ospt(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _converge_row(flavor: str, r: int, N: int, prec: int, exact: int) -> dict:
-    log_exact = asympt.log_integer(exact, prec)
-    log_main = asympt.main_term(flavor, r, N, prec)
-    with mp.workprec(prec):
+def _converge_row(flavor: str, r: int, N: int, exact: int) -> dict:
+    log_exact = asympt.log_integer(exact, PREC)
+    log_main = asympt.main_term(flavor, r, N, PREC)
+    with mp.workprec(PREC):
         ratio = mp.e ** (log_exact - log_main)
         return {
             "N": N,
@@ -177,13 +169,13 @@ def _converge_row(flavor: str, r: int, N: int, prec: int, exact: int) -> dict:
         }
 
 
-def _convergence_rows(flavor: str, kind: str, r: int, grid: list[int], prec: int):
+def _convergence_rows(flavor: str, kind: str, r: int, grid: list[int]):
     numerator = genfunc.numerator(flavor, kind, r, max(grid))
     rows = []
     for N, exact in zip(grid, theta4_quotient_at(numerator, grid)):
         if exact <= 0:
             raise ValueError(f"exact value at N={N} is not positive")
-        rows.append(_converge_row(flavor, r, N, prec, exact))
+        rows.append(_converge_row(flavor, r, N, exact))
     return rows
 
 
@@ -195,7 +187,7 @@ def _monotone_verdict(rows) -> str | None:
 
 
 def cmd_converge(args) -> int:
-    rows = _convergence_rows(args.flavor, args.kind, args.r, args.grid, args.prec)
+    rows = _convergence_rows(args.flavor, args.kind, args.r, args.grid)
     verdict = _monotone_verdict(rows)
     with _output(args.out) as fp:
         if args.format == "csv":
@@ -205,7 +197,7 @@ def cmd_converge(args) -> int:
                     f"{row['N']},{row['log_exact']},{row['log_main']},"
                     f"{row['ratio']!r},{row['residual']!r}\n"
                 )
-            fp.write(f"# prec_bits={args.prec}\n")
+            fp.write(f"# prec_bits={PREC}\n")
             if verdict is not None:
                 fp.write(f"# verdict={verdict}\n")
         else:
@@ -214,7 +206,7 @@ def cmd_converge(args) -> int:
                     "flavor": args.flavor,
                     "kind": args.kind,
                     "r": args.r,
-                    "prec_bits": args.prec,
+                    "prec_bits": PREC,
                     "rows": rows,
                     "verdict": verdict,
                 },
@@ -231,7 +223,7 @@ def cmd_converge(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = checks.SUITES[args.suite](args.budget)
+    results = checks.SUITES[args.suite]()
     passed = all(c["passed"] for c in results)
     report = {"suite": args.suite, "passed": passed, "checks": results}
     with _output(args.out) as fp:
@@ -275,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("crank", "rank"), default="crank")
     p.add_argument("--r", type=_parse_order, required=True)
     p.add_argument("--grid", type=_parse_grid, required=True, metavar="N1,N2,...")
-    p.add_argument("--prec", type=_check_prec, default=256)
     # only 1 is accepted, so older command lines that pass it still run
     p.add_argument("--workers", type=int, choices=(1,), default=1, help=argparse.SUPPRESS)
     p.add_argument("--out", default=None)
@@ -285,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a named check suite")
     p.add_argument("--suite", choices=sorted(checks.SUITES), required=True)
     p.add_argument("--workers", type=int, choices=(1,), default=1, help=argparse.SUPPRESS)
-    p.add_argument("--budget", type=_parse_budget, default=checks.BUDGET)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
 

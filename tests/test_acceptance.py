@@ -12,6 +12,7 @@ grids and gates are the ones `verify` uses, defined once in `checks`:
       r <= 6, < 2 min
   A3  |ratio - 1| strictly decreasing on {400, 900, 1600, 2500}, < 0.5 at 2500
   A4  difference ratio trend decreasing, ratio within [0.3, 3] at 2500
+      (A3 and A4 read the rows `converge` writes, from `cli._convergence_rows`)
   A5  ospt_r(N) > 0 exactly for 1 <= r <= 6, 1 <= N <= 500
   A6  residual suite: the K-term pole expansion's relative residual has
       log-log slope within 0.1 of -K/2 over N = 10^3..10^5, K = 2, 4, 8,
@@ -27,11 +28,10 @@ import time
 from fractions import Fraction
 from math import factorial
 
-import mpmath as mp
 import pytest
 
 from oracles import basis_change
-from overmoments import asympt, checks, genfunc, moments
+from overmoments import checks, cli, genfunc, moments
 
 GRID = (400, 900, 1600, 2500)
 RS = (2, 3, 4)
@@ -49,7 +49,7 @@ def _verdict(name: str, ok: bool, detail: str = "") -> None:
 def _run_suite(suite: str) -> tuple[list[dict], float]:
     """The checks of one `verify` suite at its defaults, and the seconds taken."""
     t0 = time.time()
-    results = checks.SUITES[suite](checks.BUDGET)
+    results = checks.SUITES[suite]()
     return results, time.time() - t0
 
 
@@ -70,17 +70,6 @@ def residual_suite():
     return _run_suite("residual")[0]
 
 
-@pytest.fixture(scope="module")
-def exact_moments():
-    """Positive power moments for r = 1..6, both kinds, N <= 2500."""
-    trunc = max(GRID)
-    return {
-        (kind, r): genfunc.moment_series("moment", kind, r, trunc)
-        for kind in ("crank", "rank")
-        for r in range(1, 7)
-    }
-
-
 def test_a1_quoted_sample_expansions():
     # label resolution, checked against enumeration: the first quoted list is
     # the rank series at r=3 (standard shift); the second is the crank series
@@ -94,17 +83,12 @@ def test_a2_oracle_equivalence():
     _suite_verdict("A2", results, elapsed < 120, f"{elapsed:.1f}s")
 
 
-def test_a3_moment_main_term_convergence(exact_moments):
+def test_a3_moment_main_term_convergence():
     ok = True
     details = []
     for r in RS:
         for kind in ("crank", "rank"):
-            dist = []
-            for N in GRID:
-                log_exact = asympt.log_integer(exact_moments[(kind, r)][N], 256)
-                log_main = asympt.main_term("moment", r, N, 256)
-                with mp.workprec(256):
-                    dist.append(float(abs(mp.e ** (log_exact - log_main) - 1)))
+            dist = [row["residual"] for row in cli._convergence_rows("moment", kind, r, GRID)]
             if not all(b < a for a, b in zip(dist, dist[1:])):
                 ok = False
             if not dist[-1] < 0.5:
@@ -113,20 +97,13 @@ def test_a3_moment_main_term_convergence(exact_moments):
     _verdict("A3", ok, "final |ratio-1| " + " ".join(details))
 
 
-def test_a4_difference_main_term_convergence(exact_moments):
+def test_a4_difference_main_term_convergence():
     ok = True
     details = []
     for r in RS:
-        dist = []
-        final_ratio = None
-        for N in GRID:
-            diff = exact_moments[("crank", r)][N] - exact_moments[("rank", r)][N]
-            log_exact = asympt.log_integer(diff, 256)
-            log_main = asympt.main_term("difference", r, N, 256)
-            with mp.workprec(256):
-                ratio = mp.e ** (log_exact - log_main)
-            final_ratio = float(ratio)
-            dist.append(float(abs(ratio - 1)))
+        rows = cli._convergence_rows("difference", "crank", r, GRID)
+        dist = [row["residual"] for row in rows]
+        final_ratio = rows[-1]["ratio"]
         if not all(b < a for a, b in zip(dist, dist[1:])):
             ok = False
         if not 0.3 <= final_ratio <= 3:
@@ -135,13 +112,10 @@ def test_a4_difference_main_term_convergence(exact_moments):
     _verdict("A4", ok, "ratio at N=2500 " + " ".join(details))
 
 
-def test_a5_ospt_positivity(exact_moments):
-    ok = True
-    for r in range(1, 7):
-        for N in range(1, 501):
-            value = exact_moments[("crank", r)][N] - exact_moments[("rank", r)][N]
-            if value <= 0:
-                ok = False
+def test_a5_ospt_positivity():
+    ok = all(
+        v > 0 for r in range(1, 7) for v in genfunc.moment_series("difference", "crank", r, 500)[1:]
+    )
     _verdict("A5", ok, "ospt_r(N) > 0 exactly for r <= 6, 1 <= N <= 500")
 
 

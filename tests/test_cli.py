@@ -1,5 +1,6 @@
 """Command-line interface: formats, determinism, exit codes."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from overmoments import checks, cli, genfunc
+from overmoments import checks, cli, combinat, genfunc
 from overmoments.cli import main
 
 
@@ -31,7 +32,7 @@ VERIFY_DIGESTS = {
 }
 
 # SHA-256 of `converge --flavor F --kind K --r 3 --grid 100,400,1600` (csv,
-# default --prec); difference and symmetrized recorded while the subleading
+# at 256 bits); difference and symmetrized recorded while the subleading
 # fit still ran at the caller's precision, moment while the power moments
 # still went through the rational basis change, symmetrized rank while the
 # Bessel factor still came from a hand-rolled recurrence
@@ -152,14 +153,12 @@ def test_usage_errors_exit_2():
          "invalid choice: 0 (choose from 1)"),
         (["verify", "--suite", "oracle", "--workers", "2"],
          "invalid choice: 2 (choose from 1)"),
-        (["verify", "--suite", "oracle", "--budget", "-1"], "budget must be >= 0, got -1"),
     ],
 )
 def test_out_of_range_arguments_exit_2(argv, message, capsys):
     # negative N used to index the value list from its end; r < 1 and the
     # library's ValueErrors used to escape as a traceback with exit 1;
-    # --workers is accepted only as 1, so 0 and 2 are both usage errors;
-    # --budget -1 used to trip the enumeration guard with exit 3
+    # --workers is accepted only as 1, so 0 and 2 are both usage errors
     with pytest.raises(SystemExit) as exc:
         run(argv)
     assert exc.value.code == 2
@@ -267,10 +266,13 @@ def test_ospt_opens_out_before_any_division(tmp_path):
     assert time.perf_counter() - start < 2
 
 
-def test_budget_guard_exit_3(tmp_path):
+def test_budget_guard_exit_3(tmp_path, monkeypatch, capsys):
+    # the enumeration budget is a module cap, so only a smaller cap trips it
+    monkeypatch.setattr(combinat, "ENUMERATION_BUDGET", 10)
     out = tmp_path / "r.json"
-    assert run(["verify", "--suite", "oracle", "--budget", "10",
-                "--out", str(out)]) == 3
+    assert run(["verify", "--suite", "oracle", "--out", str(out)]) == 3
+    assert "exceeds budget 10" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -298,11 +300,37 @@ def test_verify_proposition_suite(tmp_path):
     assert "sample-expansion-crank-r4-shift2" in names
 
 
-def test_precision_flag_validation():
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["converge", "--flavor", "moment", "--r", "2", "--grid", "100", "--prec", "512"],
+        ["verify", "--suite", "oracle", "--budget", "10"],
+    ],
+    ids=["converge-prec", "verify-budget"],
+)
+def test_removed_options_are_usage_errors(argv, capsys):
+    # the working precision and the enumeration budget are the constants
+    # cli.PREC and combinat.ENUMERATION_BUDGET
     with pytest.raises(SystemExit) as exc:
-        run(["converge", "--flavor", "moment", "--r", "2", "--grid", "100",
-             "--prec", "32"])
+        run(argv)
     assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_command_line_census():
+    # every option of every subcommand; a new one is an edit here
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        name: [s for a in p._actions for s in a.option_strings if a.dest != "help"]
+        for name, p in sub.choices.items()
+    }
+    assert options == {
+        "series": ["--kind", "--r", "--trunc", "--shift", "--out", "--format"],
+        "ospt": ["--r", "--N", "--out", "--format"],
+        "converge": ["--flavor", "--kind", "--r", "--grid", "--workers", "--out", "--format"],
+        "verify": ["--suite", "--workers", "--out"],
+    }
 
 
 def test_workers_1_is_accepted_and_changes_nothing(tmp_path):
@@ -401,7 +429,7 @@ def test_failed_check_exits_1(tmp_path, monkeypatch):
     from overmoments import checks
 
     monkeypatch.setitem(
-        checks.SUITES, "oracle", lambda budget: [checks.check("forced", False)]
+        checks.SUITES, "oracle", lambda: [checks.check("forced", False)]
     )
     out = tmp_path / "fail.json"
     assert run(["verify", "--suite", "oracle", "--out", str(out)]) == 1
@@ -441,14 +469,18 @@ def flags(required, optional):
     parts += [
         st.one_of(st.just([]), v.map(lambda x, f=f: [f"--{f}", x])) for f, v in optional.items()
     ]
-    parts.append(st.sampled_from([[]] * 10 + [["x"], ["1.5"], ["1:2:3"], ["--bogus"], ["--r"]]))
+    parts.append(st.sampled_from([[]] * 10 + MALFORMED))
     return st.tuples(*parts).map(lambda drawn: [a for part in drawn for a in part])
 
 
+# stray tokens, each a usage error in every subcommand
+MALFORMED = [
+    ["x"], ["1.5"], ["1:2:3"], ["--bogus"], ["--r"], ["--prec", "256"], ["--budget", "10"],
+]
 FORMATS = st.sampled_from(["csv", "json", "xml"])
 KINDS = st.sampled_from(["crank", "rank", "mock"])
 MALFORMED_VERIFY = [
-    ["--suite", "bogus"], ["--suite"], ["--budget", "-1"], ["--budget", "x"],
+    ["--suite", "bogus"], ["--suite"], ["--budget", "10"], ["--prec", "256"],
     ["--workers", "2"], ["--bogus"], ["--out"],
 ]
 ARGV = {
@@ -466,7 +498,6 @@ ARGV = {
         },
         {
             "kind": KINDS,
-            "prec": st.sampled_from(["64", "200", "63", "4097", "x"]),
             "workers": st.sampled_from(["1", "1", "2"]),
             "format": FORMATS,
         },

@@ -2,6 +2,7 @@
 
 import pytest
 
+from overmoments import combinat
 from overmoments.combinat import (
     Overpartition,
     build_table,
@@ -117,9 +118,10 @@ def test_gf_sourced_table_matches_enumeration():
             assert enum.column(n) == gf.column(n)
 
 
-def test_budget_guard():
+def test_budget_guard(monkeypatch):
+    monkeypatch.setattr(combinat, "ENUMERATION_BUDGET", 1000)
     with pytest.raises(OversizeRequest):
-        build_table("rank", 60, budget=1000)
+        build_table("rank", 60)
 
 
 def test_out_of_range():
