@@ -29,6 +29,7 @@ inner sums run in integers, at scales set by the budgets their docstrings state.
 from __future__ import annotations
 
 from itertools import accumulate
+from math import isfinite
 
 import mpmath as mp
 
@@ -36,7 +37,7 @@ from . import genfunc
 from .asympt import cmul, fixed, overpartition_kernel, overpartition_numeric
 from .asympt import s_series_eval, s_series_kernel
 from .errors import OversizeRequest, QuadratureFailure
-from .series import EXACT_TRUNC_CAP
+from .series import EXACT_TRUNC_CAP, check_kind, check_order
 
 __all__ = [
     "working_precision",
@@ -240,11 +241,13 @@ def _sinc_sum(series, N) -> mp.mpf:
         return mp.ldexp(total, -E) / mp.pi + 2 * y * series[N]
 
 
-def _check(r, tol) -> None:
+def _check(kind, r, tol) -> None:
     """The guards both the full circle and the major arc run before any
     evaluation.  The certified bounds need every a_m >= 0, hence r >= 0."""
-    if r < 0:
-        raise ValueError("order r must be >= 0")
+    check_kind(kind)
+    check_order(r)
+    if not isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol}")
     if tol < MIN_TOL:
         raise ValueError(f"tol {tol} tighter than supported minimum {MIN_TOL}")
 
@@ -254,7 +257,7 @@ def cauchy_coefficient(kind: str, r: int, N: int, tol: float = MIN_TOL) -> mp.mp
     exact integer coefficient, relative (absolute when it is zero), at
     M = N + 2 - N % 2 points.  Raises QuadratureFailure when the aliasing
     bound misses tol/4 at TRAPEZOID_TRIES radii."""
-    _check(r, tol)
+    _check(kind, r, tol)
     if N > FULL_CIRCLE_N_CAP:
         raise OversizeRequest(f"full circle capped at N={FULL_CIRCLE_N_CAP}")
     if N < 0:
@@ -265,7 +268,7 @@ def cauchy_coefficient(kind: str, r: int, N: int, tol: float = MIN_TOL) -> mp.mp
 def major_arc_coefficient(kind: str, r: int, N: int, tol: float = MIN_TOL) -> mp.mpf:
     """Contribution of |x| <= 1/(4 sqrt N) only; the sinc sum's tail is below
     tol/4 absolute."""
-    _check(r, tol)
+    _check(kind, r, tol)
     if N > MAJOR_ARC_N_CAP:
         raise OversizeRequest(f"major arc capped at N={MAJOR_ARC_N_CAP}")
     if N < 1:
@@ -283,9 +286,11 @@ def p_segment(s, N: int) -> mp.mpf:
     v^s e^{(pi sqrt N / 2)(v + 1/v)} dv, by conjugate symmetry equal to
     (1/pi) integral_0^1 Re[(1+it)^s e^{(pi sqrt N/2)((1+it) + 1/(1+it))}] dt,
     by mp.quad on fixed panels.  Raises QuadratureFailure when its error
-    estimate is above SEGMENT_TOL/4 of the value, and OversizeRequest before
-    any quadrature above MAJOR_ARC_N_CAP, where the working precision grows
-    like sqrt N and the time with it."""
+    estimate is above SEGMENT_TOL/4 of the value, and before any quadrature
+    ValueError below N = 0 and OversizeRequest above MAJOR_ARC_N_CAP, where
+    the working precision grows like sqrt N and the time with it."""
+    if N < 0:
+        raise ValueError("N must be >= 0")
     if N > MAJOR_ARC_N_CAP:
         raise OversizeRequest(f"Bessel segment capped at N={MAJOR_ARC_N_CAP}")
     wp = working_precision(N)

@@ -16,10 +16,10 @@ with the two-variable crank series (whose q^1 coefficient is z - 1 + 1/z).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Literal
+from typing import Iterator
 
 from .errors import OversizeRequest
-from .series import StatTable, overpartition_gf
+from .series import Kind, StatTable, check_kind, overpartition_gf
 
 __all__ = [
     "Overpartition",
@@ -29,8 +29,6 @@ __all__ = [
     "partition_crank",
     "build_table",
 ]
-
-Kind = Literal["rank", "crank"]
 
 # most overpartitions `build_table` lists; the suites list 121,855 per kind
 # (`oracle`, n <= 25) and 6,793 (`proposition`, n <= 16)
@@ -53,29 +51,19 @@ class Overpartition:
         if not self.overlined <= set(self.parts):
             raise ValueError("overlined values must occur among the parts")
 
+    def _barred(self) -> Iterator[tuple[int, bool]]:
+        """Each part with whether it carries the overline: the first
+        occurrence of an overlined value, which in a non-increasing sequence
+        is a part that differs from the one before it."""
+        with_prev = zip(self.parts, (0,) + self.parts)  # parts are >= 1
+        return ((p, p in self.overlined and p != prev) for p, prev in with_prev)
+
     def non_overlined_subpartition(self) -> tuple[int, ...]:
         """Parts left after removing the first occurrence of each overlined value."""
-        seen: set[int] = set()
-        out = []
-        for p in self.parts:
-            if p in self.overlined and p not in seen:
-                seen.add(p)
-                continue
-            out.append(p)
-        return tuple(out)
+        return tuple(p for p, barred in self._barred() if not barred)
 
     def __str__(self) -> str:
-        if not self.parts:
-            return "(empty)"
-        seen: set[int] = set()
-        bits = []
-        for p in self.parts:
-            if p in self.overlined and p not in seen:
-                seen.add(p)
-                bits.append(f"{p}~")
-            else:
-                bits.append(str(p))
-        return "+".join(bits)
+        return "+".join(f"{p}~" if barred else str(p) for p, barred in self._barred()) or "(empty)"
 
 
 def _partitions(n: int, cap: int) -> Iterator[tuple[int, ...]]:
@@ -136,23 +124,17 @@ def residual_crank_weights(op: Overpartition) -> list[tuple[int, int]]:
     return [(partition_crank(sub), 1)]
 
 
-def estimated_enumeration_count(nmax: int) -> int:
-    """Exact total number of overpartitions with weight <= nmax."""
-    return sum(overpartition_gf(nmax))
-
-
 def build_table(kind: Kind, nmax: int) -> StatTable:
     """The rank or crank table through n = nmax, by walking every
     overpartition; refuses with OversizeRequest when there are more than
     `ENUMERATION_BUDGET` of them."""
-    if kind not in ("rank", "crank"):
-        raise ValueError("kind must be 'rank' or 'crank'")
+    check_kind(kind)
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
-    total = estimated_enumeration_count(nmax)
+    total = sum(overpartition_gf(nmax))  # every overpartition of weight <= nmax
     if total > ENUMERATION_BUDGET:
         raise OversizeRequest(
-            f"enumeration of ~{total} overpartitions exceeds budget {ENUMERATION_BUDGET}"
+            f"enumeration of {total} overpartitions exceeds budget {ENUMERATION_BUDGET}"
         )
     cols = [dict() for _ in range(nmax + 1)]
     for n, col in enumerate(cols):

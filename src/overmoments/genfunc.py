@@ -54,7 +54,9 @@ from typing import Callable, Literal
 from .errors import OversizeRequest
 from .series import (
     TWO_VARIABLE_TRUNC_CAP,
+    Kind,
     StatTable,
+    check_kind,
     check_order,
     check_trunc,
     divide_by_theta4,
@@ -80,7 +82,7 @@ def standard_shift(r: int) -> int:
     return (r - 1) // 2 if r >= 1 else -1
 
 
-def lambert_sum(kind: str, weight: Callable[[int], int], trunc: int) -> list[int]:
+def lambert_sum(kind: Kind, weight: Callable[[int], int], trunc: int) -> list[int]:
     """sum_{m>=1} weight(m) [z^m] of the crank or rank Lambert part, through
     q^trunc: no overpartition prefactor, the rank sum including its factor 2.
 
@@ -92,8 +94,7 @@ def lambert_sum(kind: str, weight: Callable[[int], int], trunc: int) -> list[int
     of the d_m.  weight is called once per m <= trunc.
     """
     check_trunc(trunc)
-    if kind not in ("crank", "rank"):
-        raise ValueError("kind must be 'crank' or 'rank'")
+    check_kind(kind)
     scale = 1 if kind == "crank" else 2
     terms, prev = [0] * trunc, 0  # terms[m - 1] = step_m, or d_m for the rank
     for m in range(1, trunc + 1):
@@ -114,11 +115,9 @@ def binomial_weight(r: int, shift: int | None = None) -> Callable[[int], int]:
     """Weight binom(m+shift, r) of the symmetrized series, shift defaulting
     to the standard one; refuses r < 0, r > EXACT_ORDER_CAP and a shift
     outside -1..r-1 before any series is built."""
+    check_order(r)
     if shift is None:
         shift = standard_shift(r)
-    if r < 0:
-        raise ValueError("order r must be >= 0")
-    check_order(r)
     if not -1 <= shift <= max(r - 1, -1):
         raise ValueError(f"shift {shift} outside supported range -1..{r - 1}")
     return lambda m: comb(m + shift, r)
@@ -127,9 +126,7 @@ def binomial_weight(r: int, shift: int | None = None) -> Callable[[int], int]:
 def _power_weight(r: int) -> Callable[[int], int]:
     """Weight m^r of the positive power moments; refuses r < 1 and
     r > EXACT_ORDER_CAP before any series is built."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    check_order(r)
+    check_order(r, least=1)
     return lambda m: m**r
 
 

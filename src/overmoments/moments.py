@@ -15,19 +15,14 @@ from functools import partial
 from math import comb
 
 from . import genfunc
-from .series import StatTable
+from .series import StatTable, check_order
 
 __all__ = ["positive_moment", "symmetrized_positive_moment", "ospt"]
-
-def _check_order(r: int, least: int = 1) -> None:
-    # an N outside the table is refused by StatTable.column, with OutOfRange
-    if r < least:
-        raise ValueError(f"moment order r={r} must be >= {least}")
 
 
 def positive_moment(table: StatTable, r: int, N: int) -> int:
     """sum_{m>=1} m^r T(m, N)."""
-    _check_order(r)
+    check_order(r, least=1)
     return sum(m**r * v for m, v in table.column(N).items() if m >= 1)
 
 
@@ -36,7 +31,7 @@ def symmetrized_positive_moment(
 ) -> int:
     """sum_{m>=1} binom(m+shift, r) T(m, N) for r >= 0; shift defaults to
     floor((r-1)/2), which is -1 at r = 0."""
-    _check_order(r, least=0)
+    check_order(r)
     if shift is None:
         shift = genfunc.standard_shift(r)
     return sum(

@@ -25,7 +25,7 @@ from __future__ import annotations
 from itertools import islice
 from math import isqrt
 from operator import mul
-from typing import Sequence
+from typing import Literal, Sequence
 
 from .errors import OutOfRange, OversizeRequest
 
@@ -33,6 +33,7 @@ __all__ = [
     "StatTable",
     "check_trunc",
     "check_order",
+    "check_kind",
     "divide_by_theta4",
     "theta4_quotient_at",
     "overpartition_gf",
@@ -52,6 +53,8 @@ EXACT_ORDER_CAP = 256
 # 48 MB peak, at this cap on a 2-vCPU Xeon
 TWO_VARIABLE_TRUNC_CAP = 400
 
+Kind = Literal["crank", "rank"]
+
 
 def euler_product(trunc: int) -> list[int]:
     """(q^2; q^2)_infinity through q^trunc, via the pentagonal number theorem.
@@ -60,17 +63,10 @@ def euler_product(trunc: int) -> list[int]:
     (-1)^k.  O(sqrt(trunc)) nonzero terms.
     """
     c = [0] * (trunc + 1)
-    c[0] = 1
-    k = 1
-    while True:
-        placed = False
+    for k in range(isqrt(trunc) + 1):  # past isqrt(trunc), k(3k-1) >= k^2 > trunc
         for e in (k * (3 * k - 1), k * (3 * k + 1)):
             if e <= trunc:
                 c[e] = (-1) ** k
-                placed = True
-        if not placed:
-            break
-        k += 1
     return c
 
 
@@ -84,11 +80,21 @@ def check_trunc(trunc: int) -> None:
         raise OversizeRequest(f"exact series capped at trunc={EXACT_TRUNC_CAP}, got {trunc}")
 
 
-def check_order(r: int) -> None:
-    """Refuse a moment order above EXACT_ORDER_CAP with OversizeRequest,
-    before any weight is built."""
+def check_order(r: int, least: int = 0) -> None:
+    """Refuse a moment order before any weight is built: ValueError below
+    least, OversizeRequest above EXACT_ORDER_CAP.  The one order rule; every
+    entry point that takes an order calls it first."""
+    if r < least:
+        raise ValueError(f"order r must be >= {least}, got {r}")
     if r > EXACT_ORDER_CAP:
         raise OversizeRequest(f"exact moments capped at order r={EXACT_ORDER_CAP}, got {r}")
+
+
+def check_kind(kind: str) -> None:
+    """Refuse a statistic other than the crank and the rank with ValueError.
+    The one kind rule; every entry point that takes a kind calls it first."""
+    if kind not in ("crank", "rank"):
+        raise ValueError("kind must be 'crank' or 'rank'")
 
 
 def divide_by_theta4(coeffs: Sequence[int], trunc: int) -> list[int]:
@@ -144,8 +150,8 @@ def theta4_quotient_at(coeffs: Sequence[int], indices: Sequence[int]) -> list[in
     sum_{n<=nmax} isqrt(n) additions of one division through nmax =
     max(indices), which is then made instead.
     """
-    if min(indices) < 0:
-        raise ValueError("indices must be >= 0")
+    if not indices or min(indices) < 0:
+        raise ValueError("indices must be non-empty and >= 0")
     nmax = max(indices)
     check_trunc(nmax)
     root = isqrt(nmax)

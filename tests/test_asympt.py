@@ -246,6 +246,38 @@ def test_main_term_refuses_bad_arguments_before_evaluating(flavor, r, N, monkeyp
         asympt.main_term(flavor, r, N, 64)
 
 
+@pytest.mark.parametrize("flavor", ["moment", "difference", "symmetrized"])
+def test_main_term_refuses_an_order_past_the_cap_before_evaluating(flavor, monkeypatch):
+    # the same order rule as the exact series, series.check_order
+    def fail(*args):
+        raise AssertionError("evaluated before the guards")
+
+    monkeypatch.setattr(asympt, "pole_coefficients", fail)
+    with pytest.raises(OversizeRequest, match=f"r={EXACT_ORDER_CAP}"):
+        asympt.main_term(flavor, EXACT_ORDER_CAP + 1, 100, 64)
+
+
+@pytest.mark.parametrize(
+    "kind, r, K, error",
+    [
+        ("rank", 3, asympt.POLE_TERMS_CAP + 1, OversizeRequest),
+        ("crank", EXACT_ORDER_CAP + 1, 2, OversizeRequest),
+        ("crank", -1, 2, ValueError),
+        ("partition", 3, 2, ValueError),
+    ],
+)
+def test_pole_coefficients_refuse_bad_arguments_before_any_work(kind, r, K, error, monkeypatch):
+    # the time grows faster than K^2 (3.3 s at K = 400 and 64 bits); nothing
+    # of the expansion is computed before the guards
+    def fail(*args):
+        raise AssertionError("expanded before the guards")
+
+    for name in ("bernoulli", "altzeta", "factorial"):
+        monkeypatch.setattr(asympt.mp, name, fail)
+    with pytest.raises(error):
+        asympt.pole_coefficients(kind, r, K, 64)
+
+
 @pytest.mark.parametrize(
     "r, error", [(-1, ValueError), (EXACT_ORDER_CAP + 1, OversizeRequest)]
 )

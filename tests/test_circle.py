@@ -16,7 +16,7 @@ from oracles import (
 )
 from overmoments import asympt, circle, genfunc
 from overmoments.errors import NonConvergent, OversizeRequest, QuadratureFailure
-from overmoments.series import EXACT_TRUNC_CAP
+from overmoments.series import EXACT_ORDER_CAP, EXACT_TRUNC_CAP
 
 
 class Stopped(Exception):
@@ -485,6 +485,40 @@ def test_negative_order_is_refused_before_any_evaluation(coefficient, monkeypatc
     monkeypatch.setattr(circle, "gf_numeric", evaluated)
     with pytest.raises(ValueError, match="order r must be >= 0"):
         coefficient("rank", -2, 10)
+
+
+@pytest.mark.parametrize("coefficient", [circle.cauchy_coefficient, circle.major_arc_coefficient])
+@pytest.mark.parametrize(
+    "kind, r, tol, error",
+    [
+        ("crank", 3, float("nan"), ValueError),
+        ("crank", 3, float("inf"), ValueError),
+        ("rank", EXACT_ORDER_CAP + 1, 1e-8, OversizeRequest),
+        ("partition", 3, 1e-8, ValueError),
+    ],
+)
+def test_bad_tol_order_or_kind_is_refused_before_any_evaluation(
+    coefficient, kind, r, tol, error, monkeypatch
+):
+    # a nan tol passed tol < MIN_TOL and failed deep in the quadrature with
+    # "cannot convert inf or nan to int"; an order past the cap was refused
+    # only once the theta_4 kernel was set up
+    def evaluated(*args):
+        raise AssertionError("evaluated before the guards")
+
+    monkeypatch.setattr(circle, "gf_numeric", evaluated)
+    with pytest.raises(error):
+        coefficient(kind, r, 10, tol)
+
+
+def test_p_segment_refuses_negative_n_before_quadrature(monkeypatch):
+    # it used to raise TypeError from int() of a complex working precision
+    def quad(*args, **kwargs):
+        raise AssertionError("quadrature ran on a negative N")
+
+    monkeypatch.setattr(mp, "quad", quad)
+    with pytest.raises(ValueError, match="N must be >= 0"):
+        circle.p_segment(-2.5, -1)
 
 
 def test_p_segment_real_and_bessel_pathway():

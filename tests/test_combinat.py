@@ -135,3 +135,18 @@ def test_out_of_range():
 def test_str_rendering():
     assert str(op([2, 1], [2])) == "2~+1"
     assert str(op([])) == "(empty)"
+
+
+def test_overlines_sit_on_first_occurrences():
+    # the seen-set definition: the first occurrence of each overlined value
+    # is barred, every other part is not
+    for n in range(9):
+        for x in enumerate_overpartitions(n):
+            seen, barred = set(), []
+            for p in x.parts:
+                barred.append(p in x.overlined and p not in seen)
+                seen.add(p)
+            rest = tuple(p for p, b in zip(x.parts, barred) if not b)
+            assert x.non_overlined_subpartition() == rest
+            shown = "+".join(f"{p}~" if b else str(p) for p, b in zip(x.parts, barred))
+            assert str(x) == (shown or "(empty)")

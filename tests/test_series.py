@@ -171,6 +171,29 @@ def test_theta4_quotient_at_refuses_bad_indices():
         theta4_quotient_at([1], [3, -1])
     with pytest.raises(OversizeRequest):
         theta4_quotient_at([1], [0, EXACT_TRUNC_CAP + 1])
+    with pytest.raises(ValueError, match="indices"):
+        theta4_quotient_at([1], [])
+
+
+@pytest.mark.parametrize(
+    "r, least, message",
+    [(-1, 0, "order r must be >= 0, got -1"), (0, 1, "order r must be >= 1, got 0")],
+)
+def test_check_order_names_the_least_order(r, least, message):
+    with pytest.raises(ValueError, match=message):
+        series.check_order(r, least)
+    series.check_order(least, least)
+    series.check_order(series.EXACT_ORDER_CAP, least)
+    with pytest.raises(OversizeRequest, match=f"capped at order r={series.EXACT_ORDER_CAP}"):
+        series.check_order(series.EXACT_ORDER_CAP + 1, least)
+
+
+def test_check_kind_accepts_the_two_statistics_only():
+    for kind in ("crank", "rank"):
+        series.check_kind(kind)
+    for kind in ("Crank", "partition", ""):
+        with pytest.raises(ValueError, match="kind must be 'crank' or 'rank'"):
+            series.check_kind(kind)
 
 
 def test_overpartition_gf_memo_cannot_be_corrupted(monkeypatch):
@@ -204,6 +227,8 @@ def test_pochhammer_minus_matches_pentagonal_theorem_to_1000():
             assert c == 0
     # (q^2;q^2)oo = (q;q)oo (-q;q)oo, pentagonal at the even exponents
     assert euler_product(t) == mul(pochhammer_q(1, t), p)
+    for t in range(12):  # the short ends, where the last pentagonal term falls
+        assert euler_product(t) == mul(pochhammer_q(1, t), pochhammer_q(-1, t))
 
 
 def test_pochhammer_plus_counts_distinct_partitions():

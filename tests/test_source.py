@@ -102,24 +102,32 @@ def test_no_concurrency_in_src():
     assert not found, found
 
 
-def _readers(name: str) -> set[str]:
-    """Every "module.function" in src/ that reads `name`, as an attribute, a
-    bare name or an import, each read charged to its innermost function."""
-    readers = set()
+def _functions_with(match) -> set[str]:
+    """Every "module.function" in src/ holding a node for which match(node)
+    is true, each node charged to its innermost function."""
+    found = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         owner = {}
         for node in ast.walk(tree):  # breadth first: inner functions come later
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 owner.update((id(n), node.name) for n in ast.walk(node))
-        readers |= {
+        found |= {
             f"{path.stem}.{owner.get(id(node), '<module>')}"
             for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and node.attr == name
-            or isinstance(node, ast.Name) and node.id == name
-            or isinstance(node, ast.alias) and node.name.endswith(name)
+            if match(node)
         }
-    return readers
+    return found
+
+
+def _readers(name: str) -> set[str]:
+    """Every "module.function" in src/ that reads `name`, as an attribute, a
+    bare name or an import."""
+    return _functions_with(
+        lambda node: isinstance(node, ast.Attribute) and node.attr == name
+        or isinstance(node, ast.Name) and node.id == name
+        or isinstance(node, ast.alias) and node.name.endswith(name)
+    )
 
 
 def test_eta_is_read_only_in_the_pole_expansion():
@@ -140,3 +148,37 @@ def test_one_entry_point_divides_a_moment_series():
         "series.overpartition_gf",
         "series.theta4_quotient_at",
     }, readers
+
+
+def _is_kind_membership(node) -> bool:
+    # kind in ("crank", "rank"), kind not in {"rank", "crank"}, ...
+    return isinstance(node, ast.Compare) and any(
+        isinstance(op, (ast.In, ast.NotIn))
+        and isinstance(right, (ast.Tuple, ast.List, ast.Set))
+        and {"crank", "rank"} <= {e.value for e in right.elts if isinstance(e, ast.Constant)}
+        for op, right in zip(node.ops, node.comparators)
+    )
+
+
+def _is_order_floor_raise(node) -> bool:
+    # if r < least: raise ..., also as 0 > r, r <= 0 or part of a longer test
+    def below(compare):
+        sides = [compare.left, *compare.comparators]
+        return any(
+            isinstance(left, ast.Name) and left.id == "r" and isinstance(op, (ast.Lt, ast.LtE))
+            or isinstance(right, ast.Name) and right.id == "r" and isinstance(op, (ast.Gt, ast.GtE))
+            for left, op, right in zip(sides, compare.ops, sides[1:])
+        )
+
+    return (
+        isinstance(node, ast.If)
+        and any(isinstance(n, ast.Compare) and below(n) for n in ast.walk(node.test))
+        and any(isinstance(n, ast.Raise) for stmt in node.body for n in ast.walk(stmt))
+    )
+
+
+def test_one_owner_for_the_kind_and_order_rules():
+    # which statistics exist and which orders are valid is written once, in
+    # series; every entry point that takes a kind or an order calls these
+    assert _functions_with(_is_kind_membership) == {"series.check_kind"}
+    assert _functions_with(_is_order_floor_raise) == {"series.check_order"}
