@@ -12,7 +12,8 @@ evaluators here: `s_series_eval` (the crank and rank Lambert sums) and
 sum in integers at a scale 2^W, where a floored product is off by under a
 unit 2^-W per part and q^k by under 3k units, and return unrounded at their
 working precision, so each caller rounds once: the pole-expansion order
-checks, the automorphic prefactor check, and the integrand `circle.gf_numeric`.
+checks and the automorphic prefactor check.  The circle method's integrand
+is the exact product of their two kernels, rounded once (`circle.gf_numeric`).
 
 `pole_coefficients` derives the whole pole expansion
 S(e^{-t}) ~ sum_k C_k t^{k-r} of either Lambert sum in closed form, a

@@ -6,10 +6,10 @@ e^{pi sqrt N / 2}.  The major arc is |x| <= y, where the integrand carries
 essentially all of the coefficient; the minor arc |x| in [y, 1/2] is
 exponentially smaller (~ e^{3 pi sqrt N / 4} against e^{pi sqrt N}).
 
-Every coefficient a_m of the moment series is >= 0, so a_m <= F(rho')
-rho'^{-m} for any rho < rho' < 1: one real evaluation of the series bounds
-every coefficient past a point, and both truncations below are certified
-that way.
+Every coefficient a_m of the integrand F(q) = S(q)/theta_4(q), the moment
+series, is >= 0, so a_m <= F(rho') rho'^{-m} for any rho < rho' < 1: one
+real evaluation of F bounds every coefficient past a point, and both
+truncations below are certified that way.
 
 On the full circle the integrand is periodic and analytic, so the
 trapezoidal rule converges geometrically, and the integral is the same on
@@ -34,8 +34,7 @@ from math import isfinite
 import mpmath as mp
 
 from . import genfunc
-from .asympt import cmul, fixed, overpartition_kernel, overpartition_numeric
-from .asympt import s_series_eval, s_series_kernel
+from .asympt import cmul, fixed, overpartition_kernel, s_series_kernel
 from .errors import OversizeRequest, QuadratureFailure
 from .series import EXACT_TRUNC_CAP, check_kind, check_order
 
@@ -60,17 +59,23 @@ def working_precision(N: int) -> int:
     return int(mp.pi * mp.sqrt(N) / mp.log(2)) + 64
 
 
-def gf_numeric(kind: str, r: int, q, prec: int = 256):
-    """Evaluate the full moment series at complex q, |q| < 1: the prefactor
-    `asympt.overpartition_numeric` (1/theta_4(q), with guard bits against its
-    cancellation as q -> 1) times the Lambert sum `asympt.s_series_eval`.
+def _integrand(kind, r, absq, prec) -> tuple:
+    """(W, kernel), kernel: q -> F(q) 2^W as an int pair, |q| = absq, the exact
+    product of the asympt kernels; 1/theta_4's goes first, so that its guard-bit
+    cap refuses q near the unit circle before any summing."""
+    wt, theta = overpartition_kernel(absq, prec)
+    ws, lambert = s_series_kernel(kind, r, absq, prec)
+    return wt + ws, lambda q: cmul(theta(fixed(q, wt)), lambert(fixed(q, ws)), 0)
 
-    Both factors come back unrounded; their product is rounded once to prec.
-    The prefactor goes first, so its guard-bit cap refuses q too close to the
-    unit circle before any summing.  Raises NonConvergent outside |q| < 1.
-    """
+
+def gf_numeric(kind: str, r: int, q, prec: int = 256):
+    """The full moment series F(q) at complex q from `_integrand`, rounded once
+    to prec.  Raises NonConvergent outside |q| < 1."""
+    with mp.workprec(prec + 16):
+        W, kernel = _integrand(kind, r, abs(q := mp.mpc(q)), prec)
+    re, im = kernel(q)
     with mp.workprec(prec):
-        return overpartition_numeric(q, prec) * s_series_eval(kind, r, q, prec)
+        return mp.mpc(mp.mpf((re, -W)), mp.mpf((im, -W)))
 
 
 # ---------------------------------------------------------------------------
@@ -79,13 +84,10 @@ def gf_numeric(kind: str, r: int, q, prec: int = 256):
 
 
 def _circle_samples(kind, r, M, rho, prec) -> tuple:
-    """(W, [F(rho e^{2 pi i j/M}) 2^W as int pairs for j = 0..M/2]), the other
-    half being conjugates: exact products of kernels set up once per circle."""
-    wt, theta = overpartition_kernel(rho, prec)
-    ws, lambert = s_series_kernel(kind, r, rho, prec)
+    """(W, [F(rho e^{2 pi i j/M}) 2^W as int pairs, j = 0..M/2]); the rest are conjugates."""
+    W, kernel = _integrand(kind, r, rho, prec)
     with mp.workprec(prec):
-        points = [rho * mp.expjpi(mp.mpf(2 * j) / M) for j in range(M // 2 + 1)]
-    return wt + ws, [cmul(theta(fixed(q, wt)), lambert(fixed(q, ws)), 0) for q in points]
+        return W, [kernel(rho * mp.expjpi(mp.mpf(2 * j) / M)) for j in range(M // 2 + 1)]
 
 
 def _aliasing_radius(peak, outer, M, target) -> tuple:
@@ -293,8 +295,7 @@ def p_segment(s, N: int) -> mp.mpf:
         raise ValueError("N must be >= 0")
     if N > MAJOR_ARC_N_CAP:
         raise OversizeRequest(f"Bessel segment capped at N={MAJOR_ARC_N_CAP}")
-    wp = working_precision(N)
-    with mp.workprec(wp):
+    with mp.workprec(working_precision(N)):
         half = mp.pi * mp.sqrt(N) / 2
         sv = mp.mpf(s)
 
@@ -310,11 +311,10 @@ def p_segment(s, N: int) -> mp.mpf:
 
 def bessel_pathway_check(r: int, N: int) -> mp.mpf:
     """|P_{-r+1/2} - I_{r-3/2}(pi sqrt N)| / e^{3 pi sqrt N / 4}; bounded in N."""
+    check_order(r)
     if N < 16:
         raise ValueError("N must be >= 16")
-    wp = working_precision(N)
-    s = mp.mpf(1) / 2 - r
-    P = p_segment(s, N)
-    with mp.workprec(wp):
+    P = p_segment(s := mp.mpf(1) / 2 - r, N)
+    with mp.workprec(working_precision(N)):
         I = mp.besseli(-s - 1, mp.pi * mp.sqrt(N))
         return abs(P - I) / mp.e ** (3 * mp.pi * mp.sqrt(N) / 4)

@@ -44,33 +44,23 @@ def _parse_range(text: str) -> range:
     return range(int(text), int(text) + 1)
 
 
-def _at_least(values: Sequence[int], least: int, name: str) -> Sequence[int]:
-    low = min(values)
-    if low < least:
-        raise argparse.ArgumentTypeError(f"{name} must be >= {least}, got {low}")
+def _indices(values: Sequence[int]) -> Sequence[int]:
+    """The values, each a coefficient index N >= 0."""
+    if (low := min(values)) < 0:
+        raise argparse.ArgumentTypeError(f"N must be >= 0, got {low}")
     return values
-
-
-def _parse_orders(text: str) -> Sequence[int]:
-    """Range of moment orders, each r >= 1."""
-    return _at_least(_parse_range(text), 1, "r")
 
 
 def _parse_indices(text: str) -> Sequence[int]:
     """Range of coefficient indices, each N >= 0."""
-    return _at_least(_parse_range(text), 0, "N")
-
-
-def _parse_order(text: str) -> int:
-    """One moment order r >= 1."""
-    return _at_least([int(text)], 1, "r")[0]
+    return _indices(_parse_range(text))
 
 
 def _parse_grid(text: str) -> list[int]:
     vals = [int(v) for v in text.split(",") if v]
     if not vals:
         raise argparse.ArgumentTypeError("empty grid")
-    return _at_least(vals, 0, "N")
+    return _indices(vals)
 
 
 @contextmanager
@@ -125,9 +115,10 @@ def _verdict(N: int, v: int) -> str:
 def cmd_ospt(args) -> int:
     """One order's values resident at a time: each order's rows are written
     as soon as its division is done, so memory does not grow with --r."""
+    check_order(args.r[0], least=1)  # --r ascends, so its ends bound every order
+    check_order(args.r[-1])
     nmax = max(args.N)
     check_trunc(nmax)
-    check_order(max(args.r))
     csv = args.format == "csv"
     seps = chain([""], repeat(", "))  # json.dump's item separator
     with _output(args.out) as fp:
@@ -187,6 +178,7 @@ def _monotone_verdict(rows) -> str | None:
 
 
 def cmd_converge(args) -> int:
+    check_order(args.r, least=1)
     rows = _convergence_rows(args.flavor, args.kind, args.r, args.grid)
     verdict = _monotone_verdict(rows)
     with _output(args.out) as fp:
@@ -255,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_series)
 
     p = sub.add_parser("ospt", help="exact ospt values with positivity verdicts")
-    p.add_argument("--r", type=_parse_orders, required=True, metavar="A:B")
+    p.add_argument("--r", type=_parse_range, required=True, metavar="A:B")
     p.add_argument("--N", type=_parse_indices, required=True, metavar="A:B")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -265,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flavor", choices=("moment", "difference", "symmetrized"),
                    required=True)
     p.add_argument("--kind", choices=("crank", "rank"), default="crank")
-    p.add_argument("--r", type=_parse_order, required=True)
+    p.add_argument("--r", type=int, required=True)
     p.add_argument("--grid", type=_parse_grid, required=True, metavar="N1,N2,...")
     # only 1 is accepted, so older command lines that pass it still run
     p.add_argument("--workers", type=int, choices=(1,), default=1, help=argparse.SUPPRESS)
@@ -287,11 +279,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         # an unopenable --out is refused now, but opened after the work: a tripped guard leaves none
-        if args.out not in (None, "-"):
-            if os.path.isdir(args.out):
-                raise ValueError(f"cannot open --out {args.out}: it is a directory")
-            if not os.access(os.path.dirname(args.out) or ".", os.W_OK):
-                raise ValueError(f"cannot open --out {args.out}: its directory is not writable")
+        if (out := args.out) not in (None, "-"):
+            parent = os.path.dirname(out) or "."
+            if os.path.isdir(out) or not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
+                raise ValueError(f"cannot open --out {out}: not a file in a writable directory")
         return args.func(args)
     except ValueError as exc:
         # the library's argument validation and an unopenable --out: a

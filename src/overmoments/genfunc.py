@@ -19,10 +19,12 @@ symmetrized series use s = floor((r-1)/2).  The prefactor (-q)oo/(q)oo is
 1/theta_4(q), so each series is its Lambert sum divided by theta_4.  The
 paper's three exact series are named by flavor, as `converge` names them:
 "symmetrized" (binomial weight, any shift), "moment" (m^r) and "difference"
-(ospt, the crank sum minus the rank sum before the one division).
-`numerator` builds the Lambert sum of a flavor, and `moment_series`, its
-quotient by theta_4 (`series.divide_by_theta4`), is the one entry point to
-every exact moment series.
+(ospt, the crank sum minus the rank sum before the one division).  ospt_2(n)
+counts smallest parts, summed over the overpartitions of n whose smallest
+part is not overlined, so ospt_2(n) >= 1 for every n >= 1 (the one-part
+overpartition (n)).  `numerator` builds the Lambert sum of a flavor, and
+`moment_series`, its quotient by theta_4 (`series.divide_by_theta4`), is the
+one entry point to every exact moment series.
 
 Every identity here is cross-checked against enumeration in the test suite;
 the shift parameter exists because two widely quoted sample expansions

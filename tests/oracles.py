@@ -108,6 +108,66 @@ def lambert_term(
     return c
 
 
+def divisor_sums(k: int, trunc: int) -> list[int]:
+    """sigma_k(n) = sum_{d | n} d^k for n = 0..trunc, sigma_k(0) = 0, by a sieve."""
+    sigma = [0] * (trunc + 1)
+    for d in range(1, trunc + 1):
+        power = d**k
+        for m in range(d, trunc + 1, d):
+            sigma[m] += power
+    return sigma
+
+
+def crank_power_numerator(r: int, trunc: int) -> list[int]:
+    """The crank Lambert sum under the weight m^r, for r = 2, 4, 6, in closed
+    form.  The residual-crank series is (-q)oo times the partition crank
+    series, so, as for Atkin and Garvan's crank moments, the numerator is a
+    polynomial in the Eisenstein series S_k = sum sigma_k(n) q^n and, by
+    Ramanujan's identities, linear in the n^j sigma_k(n):
+      r = 2:  c = sigma_1
+      r = 4:  2c = 7 sigma_3 + (1 - 6n) sigma_1
+      r = 6:  16c = 93 sigma_5 - 210n sigma_3 + 120n^2 sigma_1 + 70 sigma_3
+                    - 60n sigma_1 + 3 sigma_1
+    ValueError for any other r, or where the scale does not divide."""
+    if r not in (2, 4, 6):
+        raise ValueError(f"closed form known for r = 2, 4, 6 only, got {r}")
+    s1, s3, s5 = (divisor_sums(k, trunc) for k in (1, 3, 5))
+    scale, scaled = {
+        2: (1, lambda n: s1[n]),
+        4: (2, lambda n: 7 * s3[n] + (1 - 6 * n) * s1[n]),
+        6: (16, lambda n: 93 * s5[n] + (70 - 210 * n) * s3[n]
+            + (120 * n * n - 60 * n + 3) * s1[n]),
+    }[r]
+    out = []
+    for n in range(trunc + 1):
+        c, rest = divmod(scaled(n), scale)
+        if rest:
+            raise ValueError(f"{scale} does not divide the r = {r} form at n = {n}")
+        out.append(c)
+    return out
+
+
+def overpartition_spt(trunc: int) -> list[int]:
+    """[q^n] sum_{m>=1} q^m/(1-q^m)^2 (-q^{m+1})oo/(q^{m+1})oo through q^trunc:
+    the number of smallest parts, summed over the overpartitions of n whose
+    smallest part m is not overlined.  q^m/(1-q^m)^2 = sum_f f q^{fm} counts
+    the f copies of m, and the product lists the parts above m.  The product
+    is built down from m = trunc, one factor (1+q^m)/(1-q^m) per step."""
+    total, above = [0] * (trunc + 1), one(trunc)
+    for m in range(trunc, 0, -1):
+        term = list(above)
+        for _ in range(2):  # over (1 - q^m)^2
+            for n in range(m, trunc + 1):
+                term[n] += term[n - m]
+        for n in range(m, trunc + 1):  # times q^m
+            total[n] += term[n - m]
+        for n in range(trunc, m - 1, -1):  # times 1 + q^m
+            above[n] += above[n - m]
+        for n in range(m, trunc + 1):  # over 1 - q^m
+            above[n] += above[n - m]
+    return total
+
+
 def pentagonal_support(limit: int) -> set[int]:
     """Generalized pentagonal numbers k(3k-1)/2, |k| >= 0, up to limit."""
     out = {0}

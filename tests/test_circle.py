@@ -521,6 +521,18 @@ def test_p_segment_refuses_negative_n_before_quadrature(monkeypatch):
         circle.p_segment(-2.5, -1)
 
 
+@pytest.mark.parametrize("r, error", [(300, OversizeRequest), (-1, ValueError)])
+def test_bessel_pathway_refuses_a_bad_order_before_quadrature(r, error, monkeypatch):
+    # r = 300 used to run 0.2 s of quadrature and raise QuadratureFailure,
+    # where every other order-taking entry point refuses it at once
+    def quad(*args, **kwargs):
+        raise AssertionError("quadrature ran on a bad order")
+
+    monkeypatch.setattr(mp, "quad", quad)
+    with pytest.raises(error):
+        circle.bessel_pathway_check(r, 16)
+
+
 def test_p_segment_real_and_bessel_pathway():
     with pytest.raises(ValueError):
         circle.bessel_pathway_check(3, 9)

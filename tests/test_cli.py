@@ -236,13 +236,14 @@ def test_unopenable_out_exits_2(argv, tmp_path, capsys):
         (["converge", "--flavor", "moment", "--r", "2", "--grid", "100"], cli,
          "_convergence_rows"),
         (["verify", "--suite", "oracle"], checks.SUITES, "oracle"),
+        (["ospt", "--r", "1:2", "--N", "1:10"], genfunc, "moment_series"),
     ],
-    ids=["series", "converge", "verify"],
+    ids=["series", "converge", "verify", "ospt"],
 )
 def test_unwritable_out_is_refused_before_the_work(argv, module, name, tmp_path, monkeypatch):
     # verify --suite oracle used to run the whole suite, about 2 s, before
-    # a missing directory, or an existing directory given as the file,
-    # exited 2
+    # a missing directory, an existing directory given as the file, or a
+    # regular file given as the directory exited 2
     def work(*args, **kwargs):
         raise AssertionError("the work ran before --out was checked")
 
@@ -250,7 +251,8 @@ def test_unwritable_out_is_refused_before_the_work(argv, module, name, tmp_path,
         monkeypatch.setitem(module, name, work)
     else:
         monkeypatch.setattr(module, name, work)
-    for out in (tmp_path / "no-such-dir" / "x", tmp_path):
+    (tmp_path / "file").write_text("")
+    for out in (tmp_path / "no-such-dir" / "x", tmp_path, tmp_path / "file" / "x"):
         with pytest.raises(SystemExit) as exc:
             run(argv + ["--out", str(out)])
         assert exc.value.code == 2

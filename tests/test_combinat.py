@@ -12,7 +12,7 @@ from overmoments.combinat import (
     residual_crank_weights,
 )
 from overmoments.errors import OutOfRange, OversizeRequest
-from overmoments.genfunc import crank_two_variable, rank_two_variable
+from overmoments.genfunc import crank_two_variable, moment_series, rank_two_variable
 from overmoments.series import overpartition_gf
 
 
@@ -150,3 +150,15 @@ def test_overlines_sit_on_first_occurrences():
             assert x.non_overlined_subpartition() == rest
             shown = "+".join(f"{p}~" if b else str(p) for p, b in zip(x.parts, barred))
             assert str(x) == (shown or "(empty)")
+
+
+def test_ospt_2_counts_smallest_parts():
+    # ospt_2(n) is the number of smallest parts, summed over the
+    # overpartitions of n whose smallest part is not overlined
+    counts = [0] * 16
+    for n in range(1, 16):
+        for o in enumerate_overpartitions(n):
+            smallest = o.parts[-1]
+            if smallest not in o.overlined:
+                counts[n] += o.parts.count(smallest)
+    assert counts == moment_series("difference", "crank", 2, 15)

@@ -8,7 +8,7 @@ from math import comb
 
 import pytest
 
-from oracles import lambert_term, rho_crank, rho_rank
+from oracles import crank_power_numerator, lambert_term, overpartition_spt, rho_crank, rho_rank
 from overmoments import genfunc, moments
 from overmoments.errors import OversizeRequest
 from overmoments.series import TWO_VARIABLE_TRUNC_CAP
@@ -148,6 +148,22 @@ def test_lambert_sums_compose_from_single_terms():
     # q^1, n=2 subtracts 1, 3, 5 at q^3, q^5, q^7, n=3 adds 1 at q^6
     expected = [0, 1, 3, 4, 7, 6, 12, 8, 15]
     assert genfunc.lambert_sum("crank", lambda m: m * m, 8) == expected
+
+
+@pytest.mark.parametrize("r", [2, 4, 6])
+def test_even_crank_numerators_match_their_eisenstein_forms(r):
+    # the only check of the power-weight crank numerators beyond n = 600
+    # that does not run the Lambert loop itself
+    trunc = 20_000
+    assert genfunc.numerator("moment", "crank", r, trunc) == crank_power_numerator(r, trunc)
+
+
+def test_ospt_2_is_the_overpartition_spt():
+    # a third exact path to ospt_2, through neither Lambert sum nor the
+    # theta_4 division; it counts smallest parts, so ospt_2(n) >= 1 for n >= 1
+    spt = overpartition_spt(400)
+    assert genfunc.moment_series("difference", "crank", 2, 400) == spt
+    assert min(spt[1:]) >= 1
 
 
 def test_manifest_checksum_is_deterministic():

@@ -4,6 +4,7 @@ import ast
 import importlib
 import pathlib
 import pkgutil
+import re
 
 import overmoments
 
@@ -160,8 +161,25 @@ def _is_kind_membership(node) -> bool:
     )
 
 
+def _names_the_order(node) -> bool:
+    # a raise whose message reads "... r must be >= ...", or leaves the name
+    # to its caller, as "{name} must be >= ..." does; each interpolation
+    # reads as {}
+    if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args):
+        return False
+    message = node.exc.args[0]
+    parts = message.values if isinstance(message, ast.JoinedStr) else [message]
+    text = "".join(
+        part.value if isinstance(part, ast.Constant) and isinstance(part.value, str) else "{}"
+        for part in parts
+    )
+    return re.search(r"(?<![\w}])(r|\{\}) must be >", text) is not None
+
+
 def _is_order_floor_raise(node) -> bool:
-    # if r < least: raise ..., also as 0 > r, r <= 0 or part of a longer test
+    # if r < least: raise ..., also as 0 > r, r <= 0 or part of a longer test;
+    # or a floor on any name whose raise names the order, as in
+    # if low < least: raise ValueError(f"{name} must be >= {least}")
     def below(compare):
         sides = [compare.left, *compare.comparators]
         return any(
@@ -170,10 +188,12 @@ def _is_order_floor_raise(node) -> bool:
             for left, op, right in zip(sides, compare.ops, sides[1:])
         )
 
-    return (
-        isinstance(node, ast.If)
-        and any(isinstance(n, ast.Compare) and below(n) for n in ast.walk(node.test))
-        and any(isinstance(n, ast.Raise) for stmt in node.body for n in ast.walk(stmt))
+    if not isinstance(node, ast.If):
+        return False
+    compares = [n for n in ast.walk(node.test) if isinstance(n, ast.Compare)]
+    raises = [n for stmt in node.body for n in ast.walk(stmt) if isinstance(n, ast.Raise)]
+    return bool(compares and raises) and (
+        any(map(below, compares)) or any(map(_names_the_order, raises))
     )
 
 
