@@ -32,13 +32,12 @@ r! pi^{1-r} 2^{r-5} eta(r-2).  `main_term` takes I_{r-3/2} from `besseli`.
 from __future__ import annotations
 
 from math import expm1, isqrt, log2
-from typing import Literal
 
 import mpmath as mp
 
 from . import genfunc
-from .errors import NonConvergent, OversizeRequest
-from .series import Kind, check_kind, check_order
+from .errors import NonConvergent
+from .series import Kind, check_kind, check_order, check_size
 
 __all__ = [
     "log_integer",
@@ -95,12 +94,12 @@ def pole_coefficients(kind: Kind, r: int, K: int, prec: int) -> list:
     (B_1 = -1/2), exponentiated by g_n = sum_{k<=n} k l_k g_{n-k} / n.
     g_0 = 1 and g_1 = s - r/2 + 1/2 for both kinds, so C_0 = eta(r) and
     C_1(crank) - C_1(rank) = eta(r-2)/2.  Refuses a bad kind or order, and
-    K above POLE_TERMS_CAP (OversizeRequest), before any Bernoulli number.
+    K below 0 (ValueError) or above POLE_TERMS_CAP (OversizeRequest), before
+    any Bernoulli number.
     """
     check_kind(kind)
     check_order(r)
-    if K > POLE_TERMS_CAP:
-        raise OversizeRequest(f"pole expansion capped at K={POLE_TERMS_CAP} terms, got {K}")
+    check_size("K", K, 0, POLE_TERMS_CAP, "pole expansion")
     s = genfunc.standard_shift(r)
     with mp.workprec(prec + GUARD_BITS):
         half = mp.mpf(1) / 2
@@ -129,12 +128,7 @@ def pole_coefficients(kind: Kind, r: int, K: int, prec: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-def main_term(
-    flavor: Literal["moment", "difference", "symmetrized"],
-    r: int,
-    N: int,
-    prec: int = 256,
-) -> mp.mpf:
+def main_term(flavor: genfunc.Flavor, r: int, N: int, prec: int = 256) -> mp.mpf:
     """Natural log of the (positive) main term
     C/(2 sqrt pi) (2 sqrt N/pi)^nu I_nu(pi sqrt N), nu = r - j - 3/2, with C
     read off `pole_coefficients`: C_0 (symmetrized), r! C_0 (moment), both
@@ -144,13 +138,12 @@ def main_term(
     makes them gamma_r N^{r/2-1} e^{pi sqrt N} and
     delta_r N^{r/2-3/2} e^{pi sqrt N}.  Log-space keeps e^{pi sqrt N} finite
     for any N; crank and rank share every flavor's main term.  Refuses r
-    outside 1..EXACT_ORDER_CAP and N < 1 before any evaluation.
+    outside 1..EXACT_ORDER_CAP and N < 1 before any evaluation; N has no
+    cap, since the work does not grow with it.
     """
-    if flavor not in ("moment", "difference", "symmetrized"):
-        raise ValueError(f"unknown flavor {flavor!r}")
+    genfunc.check_flavor(flavor)
     check_order(r, least=1)
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    check_size("N", N, 1)
     wp = prec + GUARD_BITS
     j = 1 if flavor == "difference" else 0
     with mp.workprec(wp):
@@ -235,11 +228,7 @@ def s_series_kernel(kind: Kind, r: int, absq, prec: int) -> tuple:
         lnq, log2q, G = float(mp.log(absq)), float(mp.log(absq, 2)), 1 - mp.mag(1 - absq)
     rank = kind == "rank"
     n_max, m = isqrt((prec + 12 + (r + 1) * G) << (G + 1)) + 1, r + rank
-    if n_max > LAMBERT_TERMS_CAP:
-        raise OversizeRequest(
-            f"Lambert sum at |q| = {mp.nstr(absq, 8)} may need {n_max} terms,"
-            f" capped at {LAMBERT_TERMS_CAP}"
-        )
+    check_size("terms", n_max, 0, LAMBERT_TERMS_CAP, "Lambert sum")
     W = prec + 16 + 2 * m * G + 3 * (n_max + m + 1).bit_length()
     one, d = 1 << W, r - genfunc.standard_shift(r)
 
@@ -287,11 +276,7 @@ def overpartition_kernel(absq, prec: int) -> tuple:
             raise NonConvergent("|q| must be < 1")
         t = -mp.log(absq)
         guard = int(mp.ceil(mp.pi**2 / (4 * t * mp.ln2))) + 8
-    if guard > THETA4_GUARD_BITS_CAP:
-        raise OversizeRequest(
-            f"1/theta_4 at |q| = {mp.nstr(absq, 8)} needs {guard} guard bits,"
-            f" capped at {THETA4_GUARD_BITS_CAP}"
-        )
+    check_size("guard bits", guard, 0, THETA4_GUARD_BITS_CAP, "1/theta_4")
     bits = prec + 16 + guard
     with mp.workprec(bits):
         K = int(mp.sqrt(bits * mp.ln2 / t)) + 1

@@ -35,8 +35,8 @@ import mpmath as mp
 
 from . import genfunc
 from .asympt import cmul, fixed, overpartition_kernel, s_series_kernel
-from .errors import OversizeRequest, QuadratureFailure
-from .series import EXACT_TRUNC_CAP, check_kind, check_order
+from .errors import QuadratureFailure
+from .series import EXACT_TRUNC_CAP, check_kind, check_order, check_size
 
 __all__ = [
     "working_precision",
@@ -260,10 +260,7 @@ def cauchy_coefficient(kind: str, r: int, N: int, tol: float = MIN_TOL) -> mp.mp
     M = N + 2 - N % 2 points.  Raises QuadratureFailure when the aliasing
     bound misses tol/4 at TRAPEZOID_TRIES radii."""
     _check(kind, r, tol)
-    if N > FULL_CIRCLE_N_CAP:
-        raise OversizeRequest(f"full circle capped at N={FULL_CIRCLE_N_CAP}")
-    if N < 0:
-        raise ValueError("N must be >= 0")
+    check_size("N", N, 0, FULL_CIRCLE_N_CAP, "full circle")
     return _trapezoid_coefficient(kind, r, N, tol)[0]
 
 
@@ -271,10 +268,7 @@ def major_arc_coefficient(kind: str, r: int, N: int, tol: float = MIN_TOL) -> mp
     """Contribution of |x| <= 1/(4 sqrt N) only; the sinc sum's tail is below
     tol/4 absolute."""
     _check(kind, r, tol)
-    if N > MAJOR_ARC_N_CAP:
-        raise OversizeRequest(f"major arc capped at N={MAJOR_ARC_N_CAP}")
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    check_size("N", N, 1, MAJOR_ARC_N_CAP, "major arc")
     return _major_arc(kind, r, N, tol)[0]
 
 
@@ -291,10 +285,7 @@ def p_segment(s, N: int) -> mp.mpf:
     estimate is above SEGMENT_TOL/4 of the value, and before any quadrature
     ValueError below N = 0 and OversizeRequest above MAJOR_ARC_N_CAP, where
     the working precision grows like sqrt N and the time with it."""
-    if N < 0:
-        raise ValueError("N must be >= 0")
-    if N > MAJOR_ARC_N_CAP:
-        raise OversizeRequest(f"Bessel segment capped at N={MAJOR_ARC_N_CAP}")
+    check_size("N", N, 0, MAJOR_ARC_N_CAP, "Bessel segment")
     with mp.workprec(working_precision(N)):
         half = mp.pi * mp.sqrt(N) / 2
         sv = mp.mpf(s)
@@ -312,8 +303,7 @@ def p_segment(s, N: int) -> mp.mpf:
 def bessel_pathway_check(r: int, N: int) -> mp.mpf:
     """|P_{-r+1/2} - I_{r-3/2}(pi sqrt N)| / e^{3 pi sqrt N / 4}; bounded in N."""
     check_order(r)
-    if N < 16:
-        raise ValueError("N must be >= 16")
+    check_size("N", N, 16)  # p_segment caps it
     P = p_segment(s := mp.mpf(1) / 2 - r, N)
     with mp.workprec(working_precision(N)):
         I = mp.besseli(-s - 1, mp.pi * mp.sqrt(N))

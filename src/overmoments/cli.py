@@ -4,9 +4,12 @@ Subcommands: series (exact coefficients), ospt (positivity table),
 converge (main-term ratio tables, worked at `PREC` bits), verify (the
 pass/fail report of one suite of `checks`).  This module only parses,
 dispatches and writes; each resource guard is a cap of the library module
-it guards, not an option.  Outputs are deterministic: identical arguments
-produce byte-identical files.  Exit codes: 0 success, 1 check failure,
-2 usage error, 3 resource guard tripped.
+it guards, not an option.  The order and size rules are the library's
+(`series.check_order`, `check_size`, `check_trunc`): ospt checks the ends of
+its ascending --r and --N ranges, O(1) however long they are, and converge
+the least N of its grid, each before any output or work.  Outputs are
+deterministic: identical arguments produce byte-identical files.  Exit
+codes: 0 success, 1 check failure, 2 usage error, 3 resource guard tripped.
 """
 
 from __future__ import annotations
@@ -17,13 +20,13 @@ import os
 import sys
 from contextlib import contextmanager
 from itertools import chain, repeat
-from typing import Sequence
+from typing import get_args
 
 import mpmath as mp
 
 from . import asympt, checks, genfunc
 from .errors import OversizeRequest, QuadratureFailure
-from .series import check_order, check_trunc, theta4_quotient_at
+from .series import Kind, check_order, check_size, check_trunc, theta4_quotient_at
 
 # converge's working precision.  A table prints its logs to 30 digits, about
 # 100 bits, and its ratio as a double, off by at most pi sqrt(N) 2^-PREC <
@@ -44,23 +47,11 @@ def _parse_range(text: str) -> range:
     return range(int(text), int(text) + 1)
 
 
-def _indices(values: Sequence[int]) -> Sequence[int]:
-    """The values, each a coefficient index N >= 0."""
-    if (low := min(values)) < 0:
-        raise argparse.ArgumentTypeError(f"N must be >= 0, got {low}")
-    return values
-
-
-def _parse_indices(text: str) -> Sequence[int]:
-    """Range of coefficient indices, each N >= 0."""
-    return _indices(_parse_range(text))
-
-
 def _parse_grid(text: str) -> list[int]:
     vals = [int(v) for v in text.split(",") if v]
     if not vals:
         raise argparse.ArgumentTypeError("empty grid")
-    return _indices(vals)
+    return vals
 
 
 @contextmanager
@@ -115,10 +106,11 @@ def _verdict(N: int, v: int) -> str:
 def cmd_ospt(args) -> int:
     """One order's values resident at a time: each order's rows are written
     as soon as its division is done, so memory does not grow with --r."""
-    check_order(args.r[0], least=1)  # --r ascends, so its ends bound every order
+    # --r and --N ascend, so their ends bound every order and index
+    check_order(args.r[0], least=1)
     check_order(args.r[-1])
-    nmax = max(args.N)
-    check_trunc(nmax)
+    check_size("N", args.N[0], 0)
+    check_trunc(nmax := args.N[-1])
     csv = args.format == "csv"
     seps = chain([""], repeat(", "))  # json.dump's item separator
     with _output(args.out) as fp:
@@ -179,6 +171,7 @@ def _monotone_verdict(rows) -> str | None:
 
 def cmd_converge(args) -> int:
     check_order(args.r, least=1)
+    check_size("N", min(args.grid), 0)
     rows = _convergence_rows(args.flavor, args.kind, args.r, args.grid)
     verdict = _monotone_verdict(rows)
     with _output(args.out) as fp:
@@ -237,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("series", help="write exact series coefficients")
-    p.add_argument("--kind", choices=("crank", "rank"), required=True)
+    p.add_argument("--kind", choices=get_args(Kind), required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--trunc", type=int, required=True)
     p.add_argument("--shift", type=int, default=None,
@@ -248,15 +241,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ospt", help="exact ospt values with positivity verdicts")
     p.add_argument("--r", type=_parse_range, required=True, metavar="A:B")
-    p.add_argument("--N", type=_parse_indices, required=True, metavar="A:B")
+    p.add_argument("--N", type=_parse_range, required=True, metavar="A:B")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_ospt)
 
     p = sub.add_parser("converge", help="main-term ratio table over an N grid")
-    p.add_argument("--flavor", choices=("moment", "difference", "symmetrized"),
-                   required=True)
-    p.add_argument("--kind", choices=("crank", "rank"), default="crank")
+    p.add_argument("--flavor", choices=get_args(genfunc.Flavor), required=True)
+    p.add_argument("--kind", choices=get_args(Kind), default="crank")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--grid", type=_parse_grid, required=True, metavar="N1,N2,...")
     # only 1 is accepted, so older command lines that pass it still run

@@ -18,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import OversizeRequest
-from .series import Kind, StatTable, check_kind, overpartition_gf
+from .series import Kind, StatTable, check_kind, check_size, overpartition_gf
 
 __all__ = [
     "Overpartition",
@@ -82,8 +81,7 @@ def enumerate_overpartitions(n: int) -> Iterator[Overpartition]:
     the part sequence, then overline patterns by bitmask over the distinct
     values (most significant bit = largest value).
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    check_size("n", n, 0)
     for parts in _partitions(n, n):
         distinct = sorted(set(parts), reverse=True)
         d = len(distinct)
@@ -129,13 +127,9 @@ def build_table(kind: Kind, nmax: int) -> StatTable:
     overpartition; refuses with OversizeRequest when there are more than
     `ENUMERATION_BUDGET` of them."""
     check_kind(kind)
-    if nmax < 0:
-        raise ValueError("nmax must be >= 0")
+    check_size("nmax", nmax, 0)
     total = sum(overpartition_gf(nmax))  # every overpartition of weight <= nmax
-    if total > ENUMERATION_BUDGET:
-        raise OversizeRequest(
-            f"enumeration of {total} overpartitions exceeds budget {ENUMERATION_BUDGET}"
-        )
+    check_size("overpartitions", total, 0, ENUMERATION_BUDGET, f"enumeration through n={nmax}")
     cols = [dict() for _ in range(nmax + 1)]
     for n, col in enumerate(cols):
         for op in enumerate_overpartitions(n):

@@ -51,21 +51,22 @@ from functools import partial
 from itertools import accumulate, count
 from math import comb
 from operator import add, sub
-from typing import Callable, Literal
+from typing import Callable, Literal, get_args
 
-from .errors import OversizeRequest
 from .series import (
     TWO_VARIABLE_TRUNC_CAP,
     Kind,
     StatTable,
     check_kind,
     check_order,
+    check_size,
     check_trunc,
     divide_by_theta4,
     euler_product,
 )
 
 __all__ = [
+    "check_flavor",
     "standard_shift",
     "lambert_sum",
     "binomial_weight",
@@ -77,6 +78,13 @@ __all__ = [
 ]
 
 Flavor = Literal["moment", "difference", "symmetrized"]
+
+
+def check_flavor(flavor: str) -> None:
+    """Refuse a flavor that `Flavor` does not name with ValueError.  The one
+    flavor rule; every entry point that takes a flavor calls it first."""
+    if flavor not in get_args(Flavor):
+        raise ValueError(f"unknown flavor {flavor!r}")
 
 
 def standard_shift(r: int) -> int:
@@ -140,17 +148,16 @@ def numerator(
     moments (binom(m+shift, r), shift defaulting to the standard one), the
     positive power moments (m^r), or ospt (crank minus rank m^r, kind
     ignored).  Only the symmetrized flavor takes a shift."""
+    check_flavor(flavor)
     if shift is not None and flavor != "symmetrized":
         raise ValueError(f"shift applies to the symmetrized flavor only, not {flavor!r}")
     if flavor == "symmetrized":
         return lambert_sum(kind, binomial_weight(r, shift), trunc)
     if flavor == "moment":
         return lambert_sum(kind, _power_weight(r), trunc)
-    if flavor == "difference":
-        weight = _power_weight(r)
-        crank, rank = (lambert_sum(k, weight, trunc) for k in ("crank", "rank"))
-        return list(map(sub, crank, rank))
-    raise ValueError(f"unknown flavor {flavor!r}")
+    weight = _power_weight(r)  # the difference flavor
+    crank, rank = (lambert_sum(k, weight, trunc) for k in ("crank", "rank"))
+    return list(map(sub, crank, rank))
 
 
 def moment_series(
@@ -172,12 +179,7 @@ rank_binomial_series = partial(moment_series, "symmetrized", "rank")
 def _columns(trunc: int) -> list[dict[int, int]]:
     """trunc + 1 empty z-columns, one per power of q.  Refuses trunc above
     TWO_VARIABLE_TRUNC_CAP with OversizeRequest before allocating."""
-    if trunc < 0:
-        raise ValueError("trunc must be >= 0")
-    if trunc > TWO_VARIABLE_TRUNC_CAP:
-        raise OversizeRequest(
-            f"two-variable series capped at trunc={TWO_VARIABLE_TRUNC_CAP}, got {trunc}"
-        )
+    check_size("trunc", trunc, 0, TWO_VARIABLE_TRUNC_CAP, "two-variable series")
     return [dict() for _ in range(trunc + 1)]
 
 

@@ -12,7 +12,6 @@ against these sums.
 from __future__ import annotations
 
 from functools import partial
-from math import comb
 
 from . import genfunc
 from .series import StatTable, check_order
@@ -29,16 +28,11 @@ def positive_moment(table: StatTable, r: int, N: int) -> int:
 def symmetrized_positive_moment(
     table: StatTable, r: int, N: int, shift: int | None = None
 ) -> int:
-    """sum_{m>=1} binom(m+shift, r) T(m, N) for r >= 0; shift defaults to
-    floor((r-1)/2), which is -1 at r = 0."""
-    check_order(r)
-    if shift is None:
-        shift = genfunc.standard_shift(r)
-    return sum(
-        comb(m + shift, r) * v
-        for m, v in table.column(N).items()
-        if m >= 1 and m + shift >= r
-    )
+    """sum_{m>=1} binom(m+shift, r) T(m, N) for r >= 0, under the series'
+    shift rule (`genfunc.binomial_weight`): shift defaults to floor((r-1)/2),
+    which is -1 at r = 0, and one outside -1..r-1 is refused."""
+    weight = genfunc.binomial_weight(r, shift)
+    return sum(weight(m) * v for m, v in table.column(N).items() if m >= 1)
 
 
 def ospt(r: int, N: int, crank_table: StatTable, rank_table: StatTable) -> int:

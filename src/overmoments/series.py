@@ -31,6 +31,7 @@ from .errors import OutOfRange, OversizeRequest
 
 __all__ = [
     "StatTable",
+    "check_size",
     "check_trunc",
     "check_order",
     "check_kind",
@@ -70,24 +71,28 @@ def euler_product(trunc: int) -> list[int]:
     return c
 
 
+def check_size(name: str, value: int, least: int, cap: int | None = None, what: str = "") -> None:
+    """The one floor-and-cap rule: ValueError when value is below least,
+    OversizeRequest when it is above cap (a size in log space has none).
+    Every size guard in the package calls it before any work."""
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    if cap is not None and value > cap:
+        raise OversizeRequest(f"{what} capped at {name}={cap}, got {value}")
+
+
 def check_trunc(trunc: int) -> None:
     """Refuse a truncation before anything is allocated: ValueError below 0,
     OversizeRequest above EXACT_TRUNC_CAP.  Every exact entry point calls it
     first."""
-    if trunc < 0:
-        raise ValueError("trunc must be >= 0")
-    if trunc > EXACT_TRUNC_CAP:
-        raise OversizeRequest(f"exact series capped at trunc={EXACT_TRUNC_CAP}, got {trunc}")
+    check_size("trunc", trunc, 0, EXACT_TRUNC_CAP, "exact series")
 
 
 def check_order(r: int, least: int = 0) -> None:
     """Refuse a moment order before any weight is built: ValueError below
     least, OversizeRequest above EXACT_ORDER_CAP.  The one order rule; every
     entry point that takes an order calls it first."""
-    if r < least:
-        raise ValueError(f"order r must be >= {least}, got {r}")
-    if r > EXACT_ORDER_CAP:
-        raise OversizeRequest(f"exact moments capped at order r={EXACT_ORDER_CAP}, got {r}")
+    check_size("order r", r, least, EXACT_ORDER_CAP, "exact moments")
 
 
 def check_kind(kind: str) -> None:
@@ -150,8 +155,9 @@ def theta4_quotient_at(coeffs: Sequence[int], indices: Sequence[int]) -> list[in
     sum_{n<=nmax} isqrt(n) additions of one division through nmax =
     max(indices), which is then made instead.
     """
-    if not indices or min(indices) < 0:
-        raise ValueError("indices must be non-empty and >= 0")
+    if not indices:
+        raise ValueError("indices must be non-empty")
+    check_size("N", min(indices), 0)
     nmax = max(indices)
     check_trunc(nmax)
     root = isqrt(nmax)

@@ -264,6 +264,7 @@ def test_main_term_refuses_an_order_past_the_cap_before_evaluating(flavor, monke
         ("crank", EXACT_ORDER_CAP + 1, 2, OversizeRequest),
         ("crank", -1, 2, ValueError),
         ("partition", 3, 2, ValueError),
+        ("crank", 3, -1, ValueError),
     ],
 )
 def test_pole_coefficients_refuse_bad_arguments_before_any_work(kind, r, K, error, monkeypatch):

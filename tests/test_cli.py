@@ -146,7 +146,8 @@ def test_usage_errors_exit_2():
          "r must be >= 1, got 0"),
         (["converge", "--flavor", "moment", "--r", "2", "--grid", "100,-5"],
          "N must be >= 0, got -5"),
-        (["series", "--kind", "crank", "--r", "3", "--trunc", "-1"], "trunc must be >= 0"),
+        (["series", "--kind", "crank", "--r", "3", "--trunc", "-1"],
+         "trunc must be >= 0, got -1"),
         (["series", "--kind", "crank", "--r", "3", "--trunc", "5", "--shift", "7"],
          "shift 7 outside supported range -1..2"),
         (["converge", "--flavor", "moment", "--r", "2", "--grid", "100", "--workers", "0"],
@@ -273,7 +274,7 @@ def test_budget_guard_exit_3(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(combinat, "ENUMERATION_BUDGET", 10)
     out = tmp_path / "r.json"
     assert run(["verify", "--suite", "oracle", "--out", str(out)]) == 3
-    assert "exceeds budget 10" in capsys.readouterr().err
+    assert "capped at overpartitions=10, got " in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -290,6 +291,25 @@ def test_exact_trunc_guard_exit_3(argv, tmp_path, capsys):
     assert run(argv + ["--out", str(tmp_path / "out")]) == 3
     assert "capped at trunc=200000" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["--N", "1:1000000000000"], 3, "capped at trunc=200000, got 1000000000000"),
+        (["--N=-1000000000000:2"], 2, "N must be >= 0, got -1000000000000"),
+    ],
+)
+def test_ospt_checks_the_ends_of_n_at_once(argv, code, message):
+    # min and max of the --N range used to iterate it, for hours at 10^12
+    # before the guard; a signal cannot interrupt that loop in C, so the
+    # command runs in a child process that the timeout kills
+    proc = subprocess.run(
+        [sys.executable, "-m", "overmoments", "ospt", "--r", "1", *argv],
+        capture_output=True, timeout=2, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == code
+    assert proc.stderr.decode().splitlines()[-1].endswith(message)
 
 
 def test_verify_proposition_suite(tmp_path):

@@ -88,8 +88,10 @@ def test_shift_is_refused_outside_the_symmetrized_flavor(flavor, entry):
 
 
 def test_unknown_flavor_is_refused():
-    with pytest.raises(ValueError, match="unknown flavor"):
-        genfunc.moment_series("power", "crank", 3, 5)
+    # the flavor is checked first, so a shift does not hide a bad flavor
+    for shift in (None, 1):
+        with pytest.raises(ValueError, match="unknown flavor"):
+            genfunc.moment_series("power", "crank", 3, 5, shift)
 
 
 @pytest.mark.parametrize("r, N", [(0, 12), (1, 7), (3, 60), (8, 200)])

@@ -152,6 +152,17 @@ def test_ospt_values():
     assert moments.ospt(3, 10, CRANK, RANK) == series[10] > 0
 
 
+@pytest.mark.parametrize("shift", [7, -3])
+def test_symmetrized_oracle_refuses_a_shift_the_series_refuses(shift):
+    # the oracle and moment_series share one shift rule: a shift outside
+    # -1..r-1 used to return a sum (5733 at shift 7, 16 at shift -3)
+    message = f"shift {shift} outside supported range -1..2"
+    with pytest.raises(ValueError, match=message):
+        moment_series("symmetrized", "crank", 3, 8, shift)
+    with pytest.raises(ValueError, match=message):
+        moments.symmetrized_positive_moment(CRANK, 3, 8, shift=shift)
+
+
 def test_out_of_range():
     with pytest.raises(OutOfRange):
         moments.positive_moment(CRANK, 1, NMAX + 1)

@@ -152,11 +152,18 @@ def test_one_entry_point_divides_a_moment_series():
 
 
 def _is_kind_membership(node) -> bool:
-    # kind in ("crank", "rank"), kind not in {"rank", "crank"}, ...
+    # kind in ("crank", "rank"), kind not in {"rank", "crank"}, ..., or a
+    # membership test on two or more of the flavor names
+    def names(right):
+        return {e.value for e in right.elts if isinstance(e, ast.Constant)}
+
     return isinstance(node, ast.Compare) and any(
         isinstance(op, (ast.In, ast.NotIn))
         and isinstance(right, (ast.Tuple, ast.List, ast.Set))
-        and {"crank", "rank"} <= {e.value for e in right.elts if isinstance(e, ast.Constant)}
+        and (
+            {"crank", "rank"} <= names(right)
+            or len(names(right) & {"moment", "difference", "symmetrized"}) >= 2
+        )
         for op, right in zip(node.ops, node.comparators)
     )
 
@@ -199,6 +206,27 @@ def _is_order_floor_raise(node) -> bool:
 
 def test_one_owner_for_the_kind_and_order_rules():
     # which statistics exist and which orders are valid is written once, in
-    # series; every entry point that takes a kind or an order calls these
+    # series, and the flavors are read off genfunc.Flavor; every entry point
+    # that takes a kind or an order calls these.  The order's floor is the
+    # size rule's, with the name "order r" left to its caller
     assert _functions_with(_is_kind_membership) == {"series.check_kind"}
-    assert _functions_with(_is_order_floor_raise) == {"series.check_order"}
+    assert _functions_with(_is_order_floor_raise) == {"series.check_size"}
+
+
+def _constructs_oversize_request(node) -> bool:
+    return isinstance(node, ast.Call) and "OversizeRequest" in ast.unparse(node.func)
+
+
+def _is_floor_raise(node) -> bool:
+    # if ...: raise ValueError("... must be >= ..."), on any name
+    return isinstance(node, ast.If) and any(
+        isinstance(n, ast.Raise) and "must be >" in ast.unparse(n) for n in ast.walk(node)
+    )
+
+
+def test_one_owner_for_the_size_rule():
+    # every floor and cap on a trunc, order, N, K, term count or budget is
+    # series.check_size: OversizeRequest is built nowhere else, and no other
+    # if refuses a value with "must be >="
+    assert _functions_with(_constructs_oversize_request) == {"series.check_size"}
+    assert _functions_with(_is_floor_raise) == {"series.check_size"}
