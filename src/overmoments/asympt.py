@@ -238,7 +238,9 @@ def s_series_kernel(kind: Kind, r: int, absq, prec: int) -> tuple:
         qn, re, im, n = (one, 0), 0, 0, 1
         while True:
             qn = cmul(qn, qx, W)
-            c, f = cmul(_pow((one - qn[0], -qn[1]), r, W), (one + rank * qn[0], rank * qn[1]), W)
+            c, f = _pow((one - qn[0], -qn[1]), r, W)
+            if rank:  # times 1 + q^n; the crank's factor is 1
+                c, f = cmul((c, f), (one + qn[0], qn[1]), W)
             (a, b), norm, sign = qe, c * c + f * f, 1 if n % 2 == 1 else -1
             re += sign * (((a * c + b * f) << W) // norm)
             im += sign * (((b * c - a * f) << W) // norm)

@@ -9,13 +9,16 @@ suite takes no argument and returns a list of checks
   proposition  the generalized shift identity and the quoted sample expansions
   residual     pole-expansion orders, delta_r from the pole expansion, the prefactor
   wright       circle-method coefficients against the exact ones
+
+Imports: oracle and proposition are exact and load the exact layer only;
+residual imports mpmath and `asympt`, and wright imports `circle`, inside
+the suite, so importing this module (as the command line's parser does for
+the suite names) loads no numeric module.
 """
 
 from __future__ import annotations
 
-import mpmath as mp
-
-from . import asympt, circle, combinat, genfunc, moments
+from . import combinat, genfunc, moments
 from .series import overpartition_gf, theta4_quotient_at
 
 __all__ = ["check", "oracle", "proposition", "residual", "wright", "SUITES"]
@@ -95,6 +98,10 @@ def residual() -> list[dict]:
     # lie within 0.1 of -K/2.  Rank r = 5, K = 4 is the worst case at 0.067;
     # its slope is 0.13 off over 100..10^5 and 0.09999 off over 10^3..10^4,
     # so N = 100 is left out and no single decade is gated
+    import mpmath as mp
+
+    from . import asympt
+
     checks = []
     prec, orders = 224, (2, 4, 8)
     for kind in ("crank", "rank"):
@@ -139,6 +146,8 @@ def residual() -> list[dict]:
 
 
 def wright() -> list[dict]:
+    from . import circle
+
     rels, grid = [], (7, 25, 60)
     for kind in ("crank", "rank"):
         for r in (1, 2, 3, 4):

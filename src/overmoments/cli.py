@@ -10,6 +10,12 @@ its ascending --r and --N ranges, O(1) however long they are, and converge
 the least N of its grid, each before any output or work.  Outputs are
 deterministic: identical arguments produce byte-identical files.  Exit
 codes: 0 success, 1 check failure, 2 usage error, 3 resource guard tripped.
+
+Imports: the exact commands (series, ospt, verify --suite oracle|proposition)
+load the exact layer only.  mpmath and `asympt` are imported inside
+`_converge_row`, and `checks` imports the numeric modules inside the suites
+that use them, so only converge and verify --suite residual|wright pay for
+them; `genfunc.series_manifest` loads hashlib for series --format json.
 """
 
 from __future__ import annotations
@@ -22,9 +28,7 @@ from contextlib import contextmanager
 from itertools import chain, repeat
 from typing import get_args
 
-import mpmath as mp
-
-from . import asympt, checks, genfunc
+from . import checks, genfunc
 from .errors import OversizeRequest, QuadratureFailure
 from .series import Kind, check_order, check_size, check_trunc, theta4_quotient_at
 
@@ -76,13 +80,13 @@ def _output(path: str | None):
 
 def cmd_series(args) -> int:
     ser = genfunc.moment_series("symmetrized", args.kind, args.r, args.trunc, args.shift)
-    manifest = genfunc.series_manifest(args.kind, args.r, args.trunc, ser)
     with _output(args.out) as fp:
         if args.format == "csv":
             fp.write("n,coefficient\n")
             for n, c in enumerate(ser):
                 fp.write(f"{n},{c}\n")
         else:
+            manifest = genfunc.series_manifest(args.kind, args.r, args.trunc, ser)
             json.dump(
                 {**manifest, "shift": args.shift, "coefficients": [str(c) for c in ser]},
                 fp,
@@ -139,6 +143,10 @@ def cmd_ospt(args) -> int:
 
 
 def _converge_row(flavor: str, r: int, N: int, exact: int) -> dict:
+    import mpmath as mp
+
+    from . import asympt
+
     log_exact = asympt.log_integer(exact, PREC)
     log_main = asympt.main_term(flavor, r, N, PREC)
     with mp.workprec(PREC):

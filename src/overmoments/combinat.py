@@ -15,7 +15,7 @@ with the two-variable crank series (whose q^1 coefficient is z - 1 + 1/z).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterator
 
 from .series import Kind, StatTable, check_kind, check_size, overpartition_gf
@@ -34,21 +34,21 @@ __all__ = [
 ENUMERATION_BUDGET = 10_000_000
 
 
-@dataclass(frozen=True)
-class Overpartition:
+class Overpartition(namedtuple("Overpartition", "parts overlined")):
     """parts: non-increasing positive ints; overlined: part values whose
-    first occurrence carries the overline."""
+    first occurrence carries the overline.  Immutable and hashable; a
+    namedtuple rather than a dataclass, which would load inspect and ast."""
 
-    parts: tuple[int, ...]
-    overlined: frozenset[int]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(p < 1 for p in self.parts):
+    def __new__(cls, parts: tuple[int, ...], overlined: frozenset[int]):
+        if any(p < 1 for p in parts):
             raise ValueError("parts must be positive")
-        if any(self.parts[i] < self.parts[i + 1] for i in range(len(self.parts) - 1)):
+        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError("parts must be non-increasing")
-        if not self.overlined <= set(self.parts):
+        if not overlined <= set(parts):
             raise ValueError("overlined values must occur among the parts")
+        return super().__new__(cls, parts, overlined)
 
     def _barred(self) -> Iterator[tuple[int, bool]]:
         """Each part with whether it carries the overline: the first

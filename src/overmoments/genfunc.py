@@ -46,7 +46,6 @@ z-degree is bounded by n, so no z-truncation policy is needed).
 
 from __future__ import annotations
 
-import hashlib
 from functools import partial
 from itertools import accumulate, count
 from math import comb
@@ -237,5 +236,7 @@ def rank_two_variable(trunc: int) -> StatTable:
 
 def series_manifest(kind: str, r: int, trunc: int, series: list[int]) -> dict:
     """JSON-ready manifest with a checksum of the exact coefficients."""
+    import hashlib  # OpenSSL; loaded by series --format json only
+
     digest = hashlib.sha256("\n".join(str(c) for c in series).encode()).hexdigest()
     return {"kind": kind, "r": r, "trunc": trunc, "checksum": digest}

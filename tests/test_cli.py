@@ -447,6 +447,44 @@ def test_module_entry_point_under_optimize(tmp_path):
     assert hashlib.sha256(proc.stdout).hexdigest() == VERIFY_DIGESTS["proposition"]
 
 
+# the numeric stack: mpmath with asympt and circle, hashlib (OpenSSL) and
+# dataclasses (with inspect and ast), about 9 MB and 60 ms of a process
+NUMERIC_STACK = (
+    "mpmath", "hashlib", "dataclasses", "inspect", "overmoments.asympt", "overmoments.circle",
+)
+
+_LOADED_BY = """
+import json, sys
+before = set(sys.modules)
+from overmoments import cli
+
+def run(*argv):
+    if cli.main([*argv, "--out", sys.argv[1]]) != 0:
+        raise SystemExit(f"{argv} failed")
+    print(json.dumps(sorted(m for m in %r if m in sys.modules and m not in before)))
+
+run("ospt", "--r", "1:2", "--N", "1:20")
+run("series", "--kind", "rank", "--r", "3", "--trunc", "30")
+run("verify", "--suite", "proposition")
+run("series", "--kind", "rank", "--r", "3", "--trunc", "30", "--format", "json")
+run("converge", "--flavor", "moment", "--r", "2", "--grid", "100")
+""" % (NUMERIC_STACK,)
+
+
+def test_exact_commands_load_no_numeric_stack(tmp_path):
+    # ospt, series and the exact suites are big-integer work; only series
+    # --format json (its checksum) and converge load what they need of the
+    # stack.  A child interpreter, since this one has loaded everything
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_BY, str(tmp_path / "out")],
+        capture_output=True, timeout=120, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    loaded = [json.loads(line) for line in proc.stdout.decode().splitlines()]
+    assert loaded[:3] == [[], [], []]
+    assert "hashlib" in loaded[3] and "mpmath" not in loaded[3]
+    assert {"mpmath", "overmoments.asympt"} <= set(loaded[4])
+
 def test_failed_check_exits_1(tmp_path, monkeypatch):
     from overmoments import checks
 

@@ -88,6 +88,17 @@ def test_overpartition_validation():
         Overpartition((0,), frozenset())
 
 
+def test_overpartition_is_an_immutable_hashable_value():
+    a, b = op([2, 1], [2]), op([2, 1], [2])
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != op([2, 1], [1])
+    for name in ("parts", "overlined", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, ())
+    assert repr(a) == "Overpartition(parts=(2, 1), overlined=frozenset({2}))"
+    assert str(a) == "2~+1"
+    assert str(op([])) == "(empty)"
+
 def test_rank_table_n3():
     table = build_table("rank", 3)
     assert table.column(3) == {2: 2, 0: 4, -2: 2}  # no m = 1, and none with |m| > n
