@@ -1,10 +1,11 @@
 """Exact q-expansions of the moment generating series.
 
-One production loop, `lambert_sum`, serves both statistics and every
-weight.  The z^m coefficient (m >= 1) of the Lambert part of the crank
-series is sum_{n>=1} (-1)^{n+1} q^{E(n)} (q^{nm} - q^{n(m+1)}) with
-E(n) = n(n-1)/2; the rank one has E(n) = n^2, an extra 1/(1+q^n) and a
-factor 2.  So for any weight w with w(0) := 0 the sum over m telescopes:
+One production loop, behind `lambert_sum` and ospt's numerator, serves
+both statistics and every weight.  The z^m coefficient (m >= 1) of the
+Lambert part of the crank series is
+sum_{n>=1} (-1)^{n+1} q^{E(n)} (q^{nm} - q^{n(m+1)}) with E(n) = n(n-1)/2;
+the rank one has E(n) = n^2, an extra 1/(1+q^n) and a factor 2.  So for
+any weight w with w(0) := 0 the sum over m telescopes:
 
   sum_{m>=1} w(m) [z^m] = sum_{n>=1} (-1)^{n+1} q^{E(n)} sum_{m>=1} (w(m) - w(m-1)) q^{nm}
 
@@ -47,7 +48,7 @@ z-degree is bounded by n, so no z-truncation policy is needed).
 from __future__ import annotations
 
 from functools import partial
-from itertools import accumulate, count
+from itertools import count
 from math import comb
 from operator import add, sub
 from typing import Callable, Literal, get_args
@@ -94,30 +95,46 @@ def standard_shift(r: int) -> int:
 def lambert_sum(kind: Kind, weight: Callable[[int], int], trunc: int) -> list[int]:
     """sum_{m>=1} weight(m) [z^m] of the crank or rank Lambert part, through
     q^trunc: no overpartition prefactor, the rank sum including its factor 2.
-
-    weight(m) - weight(m-1), with weight(0) := 0, goes on q^{E(n)+nm} with
-    sign (-1)^{n+1}, the rank's factor 2 folded into these steps.  For the
-    rank each n-progression is divided by 1 + q^n, which in the index m is
-    the prefix recurrence d_m = step_m - d_{m-1}; it does not depend on n,
-    so it runs once, and progression n reads the first (trunc - E(n)) // n
-    of the d_m.  weight is called once per m <= trunc.
-    """
+    weight is called once per m <= trunc."""
     check_trunc(trunc)
     check_kind(kind)
-    scale = 1 if kind == "crank" else 2
-    terms, prev = [0] * trunc, 0  # terms[m - 1] = step_m, or d_m for the rank
+    c = [0] * (trunc + 1)
+    _add_lambert(c, kind, _steps(weight, trunc), 1)
+    return c
+
+
+def _steps(weight: Callable[[int], int], trunc: int) -> list[int]:
+    """weight(m) - weight(m-1) for m = 1..trunc, with weight(0) := 0, at
+    index m - 1: one weight call per m."""
+    steps, prev = [0] * trunc, 0
     for m in range(1, trunc + 1):
         w = weight(m)
-        terms[m - 1], prev = scale * (w - prev), w
+        steps[m - 1], prev = w - prev, w
+    return steps
+
+
+def _add_lambert(c: list[int], kind: str, steps: list[int], sign: int) -> None:
+    """Add sign (+1 or -1) times the Lambert part with weight steps `steps`
+    to c, in place, through q^(len(c) - 1).
+
+    step_m goes on q^{E(n)+nm} with sign (-1)^{n+1}.  For the rank each
+    n-progression is divided by 1 + q^n, which in the index m is the prefix
+    recurrence d_m = 2 step_m - d_{m-1} (the rank's factor 2 folded in); it
+    does not depend on n, so it runs once, in place over steps, and
+    progression n reads the first (trunc - E(n)) // n of the d_m.
+    """
     if kind == "rank":
-        terms = list(accumulate(terms, lambda d, step: step - d))
-    c = [0] * (trunc + 1)
+        d = 0
+        for i, step in enumerate(steps):
+            steps[i] = d = 2 * step - d
+    trunc = len(c) - 1
+    ops = (sub, add) if sign > 0 else (add, sub)  # indexed by n % 2
     for n in count(1):
         e = n * (n - 1) // 2 if kind == "crank" else n * n
         if e + n > trunc:
-            return c
+            return
         # map stops at the progression's end: its first (trunc - e) // n terms
-        c[e + n :: n] = map(add if n % 2 else sub, c[e + n :: n], terms)
+        c[e + n :: n] = map(ops[n % 2], c[e + n :: n], steps)
 
 
 def binomial_weight(r: int, shift: int | None = None) -> Callable[[int], int]:
@@ -146,7 +163,12 @@ def numerator(
     exact series of flavor, as `converge` names them: the symmetrized
     moments (binom(m+shift, r), shift defaulting to the standard one), the
     positive power moments (m^r), or ospt (crank minus rank m^r, kind
-    ignored).  Only the symmetrized flavor takes a shift."""
+    ignored).  Only the symmetrized flavor takes a shift.
+
+    The list is new, the caller's to keep or to divide in place.  ospt's
+    takes m^r once per m into one step list, adds the crank's progressions
+    to one output, turns the steps into the rank's in place and subtracts
+    the rank's progressions from the same output."""
     check_flavor(flavor)
     if shift is not None and flavor != "symmetrized":
         raise ValueError(f"shift applies to the symmetrized flavor only, not {flavor!r}")
@@ -155,15 +177,19 @@ def numerator(
     if flavor == "moment":
         return lambert_sum(kind, _power_weight(r), trunc)
     weight = _power_weight(r)  # the difference flavor
-    crank, rank = (lambert_sum(k, weight, trunc) for k in ("crank", "rank"))
-    return list(map(sub, crank, rank))
+    check_trunc(trunc)
+    steps, c = _steps(weight, trunc), [0] * (trunc + 1)
+    _add_lambert(c, "crank", steps, 1)
+    _add_lambert(c, "rank", steps, -1)  # steps become the rank's d_m here
+    return c
 
 
 def moment_series(
     flavor: Flavor, kind: str, r: int, trunc: int, shift: int | None = None
 ) -> list[int]:
     """The exact series of flavor for every N <= trunc: its `numerator`
-    divided by theta_4.  The one entry point that divides a whole moment
+    divided by theta_4 in place, so the series is one list from its Lambert
+    sum to its quotient.  The one entry point that divides a whole moment
     series; a caller that needs a few coefficients reads them off the
     numerator with `series.theta4_quotient_at` instead."""
     return divide_by_theta4(numerator(flavor, kind, r, trunc, shift), trunc)
@@ -238,5 +264,8 @@ def series_manifest(kind: str, r: int, trunc: int, series: list[int]) -> dict:
     """JSON-ready manifest with a checksum of the exact coefficients."""
     import hashlib  # OpenSSL; loaded by series --format json only
 
-    digest = hashlib.sha256("\n".join(str(c) for c in series).encode()).hexdigest()
-    return {"kind": kind, "r": r, "trunc": trunc, "checksum": digest}
+    # the SHA-256 of the coefficients joined by newlines, fed one at a time
+    digest = hashlib.sha256()
+    for i, c in enumerate(series):
+        digest.update(f"\n{c}".encode() if i else str(c).encode())
+    return {"kind": kind, "r": r, "trunc": trunc, "checksum": digest.hexdigest()}

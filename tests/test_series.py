@@ -120,11 +120,23 @@ def test_ring_axioms_random():
 @example(c=[1], trunc=40)  # 1 / theta_4 is the overpartition series
 @example(c=[2**199 - 1, -(2**199 - 1)] * 20, trunc=39)  # widest alternating input
 def test_divide_by_theta4_matches_kronecker_product(c, trunc):
-    quotient = divide_by_theta4(c, trunc)
+    quotient = divide_by_theta4(list(c), trunc)
     # dividing by theta_4 is multiplying by (-q)oo/(q)oo ...
     assert quotient == schoolbook(overpartition_gf(trunc), c, trunc)
     # ... and multiplying the quotient back by theta_4 restores c
     assert schoolbook(theta4(trunc), quotient, trunc) == (c + [0] * (trunc + 1))[: trunc + 1]
+
+
+@pytest.mark.parametrize("size, trunc", [(31, 30), (31, 12), (5, 30), (0, 0)])
+def test_divide_by_theta4_divides_in_place(size, trunc):
+    # the list given is cut or zero-padded and returned, each coefficient
+    # replaced by its quotient: one list from numerator to series
+    rng = random.Random(size * 100 + trunc)
+    c = [rng.randint(-(2**64), 2**64) for _ in range(size)]
+    expected = schoolbook(overpartition_gf(trunc), c, trunc)
+    quotient = divide_by_theta4(c, trunc)
+    assert quotient is c
+    assert quotient == expected
 
 
 def count_divisions(monkeypatch) -> list:
@@ -160,10 +172,12 @@ def test_theta4_quotient_at_matches_division(indices, path, monkeypatch):
     rng = random.Random(nmax + len(indices))
     for size in (nmax + 1, nmax // 2 + 1):  # a short numerator is zero-padded
         c = [rng.randint(-(2**80), 2**80) for _ in range(size)]
-        full = divide_by_theta4(c, nmax)
+        full = divide_by_theta4(list(c), nmax)
+        kept = list(c)
         calls.clear()
         assert theta4_quotient_at(c, indices) == [full[N] for N in indices]
         assert calls == ([nmax] if path == "division" else [])
+        assert c == kept  # on either path; the division path divides a copy
 
 
 def test_theta4_quotient_at_refuses_bad_indices():
