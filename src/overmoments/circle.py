@@ -9,13 +9,14 @@ exponentially smaller (~ e^{3 pi sqrt N / 4} against e^{pi sqrt N}).
 Every coefficient a_m of the integrand F(q) = S(q)/theta_4(q), the moment
 series, is >= 0, so a_m <= F(rho') rho'^{-m} for any rho < rho' < 1: one
 real evaluation of F bounds every coefficient past a point, and both
-truncations below are certified that way.
+truncations below are certified that way, to tol/4 absolute.
 
 On the full circle the integrand is periodic and analytic, so the
 trapezoidal rule converges geometrically, and the integral is the same on
 every radius: `cauchy_coefficient` takes the fewest points,
-M = N + 2 - N % 2, on the radius rho_s < rho, solved for in closed form,
-whose aliasing bound is tol/4 of the result.  On the saddle circle the
+M = N + 2 - N % 2, in one pass on the radius rho_s < rho, solved for in
+closed form, whose aliasing bound is tol/8; every nonzero a_N is an integer
+>= 1, so the absolute tol/4 is relative too.  On the saddle circle the
 integrand is sum_m a_m rho^{m-N} e^{2 pi i (m-N) x}, so the major arc
 integrates exactly, term by term, to a sinc sum over the exact
 coefficients; `major_arc_coefficient` truncates it where the tail bound
@@ -50,7 +51,6 @@ __all__ = [
 FULL_CIRCLE_N_CAP = 200
 MAJOR_ARC_N_CAP = 10_000
 MIN_TOL = 1e-8
-TRAPEZOID_TRIES = 3
 SEGMENT_TOL = 1e-10
 
 
@@ -99,7 +99,7 @@ def _aliasing_radius(peak, outer, M, target) -> tuple:
 def _trapezoid_coefficient(kind, r, N, tol) -> tuple:
     """The coefficient a_N by the M-point trapezoidal rule on |q| = rho_s at
     the fewest points, M = N + 2 - N % 2 > N; returns (value, bound, M) with
-    0 <= value - a_N <= bound <= (tol/4) max(value - bound, 1).
+    0 <= value - a_N <= bound <= (tol/4) max(value - bound, 1), in one pass.
 
     The rule gives T_M = sum_{k >= 0} a_{N+kM} rho_s^{kM}.  The bound rests
     on every coefficient a_m being >= 0, which holds because the weights
@@ -107,50 +107,37 @@ def _trapezoid_coefficient(kind, r, N, tol) -> tuple:
     rho'^{-m}, and T_M - a_N is at most B = P x/(1-x), P = F(rho') rho'^{-N},
     x = (rho_s/rho')^M, rho' = e^{-pi/(2 sqrt(N+M))}: one real evaluation.
     The radius is solved for in closed form, x = c/(1+c) with c = target/P,
-    so that B is the target: tol/16 of F(rho) rho^{-N} / n^{3/4} at the
-    saddle rho = e^{-pi/(2 sqrt n)}, n = max(N, 1), where a_N is near
-    F(rho) rho^{-N} / (2 sqrt(2) n^{3/4}).  The samples cancel from
-    F(rho_s) rho_s^{-N} down to a_N, so they carry working_precision(n) plus
-    the bits of F(rho_s) rho_s^{-N} / (F(rho) rho^{-N}), the headroom the
-    saddle circle had: three real evaluations and M/2 + 1 complex ones.  The
-    sum runs in integers: the samples F_j are exact kernel products, and the
-    twiddles e^{-2 pi i N j/M} come by rotation at scale 2^Z, Z = sp + 32,
-    each off by under 2^{9-Z}; nothing else rounds before the value.
+    so that B is the absolute target tol/8, half of tol/4, the other half
+    slack against rounding.  Every nonzero a_N is an integer >= 1, so the
+    absolute tol/4 is relative too; the max(., 1) in the certificate is that
+    integer floor, and a bound that misses it raises QuadratureFailure.
 
-    The max(., 1) is the integer floor, so a zero coefficient passes at
-    B <= tol/4.  Should a_N be far below the saddle estimate, the rule keeps
-    M and retries at target = (tol/4) max(value - B, 1)/2, which passes as
-    value - B <= a_N <= value; past TRAPEZOID_TRIES radii it raises
-    QuadratureFailure.
+    The samples cancel from F(rho_s) rho_s^{-N} down to a_N, and every
+    |F_j| <= F(rho_s) as the coefficients are >= 0, so they carry sp =
+    max(mag(F(rho_s) rho_s^{-N}), 0) + 64 bits, from a second real
+    evaluation: two real evaluations and M/2 + 1 complex ones.  The sum runs
+    in integers: the samples F_j are exact kernel products, and the
+    twiddles e^{-2 pi i N j/M} come by rotation at scale 2^Z, Z = sp + 32,
+    each off by under 2^{9-Z}; nothing else rounds before the value, which
+    is within about 2^-60 absolute of T_M.
     """
-    n = max(N, 1)
     M = N + 2 - N % 2
-    wp = working_precision(n)
+    wp = working_precision(max(N, 1))
     with mp.workprec(wp):
-        rho = mp.e ** (-mp.pi / (2 * mp.sqrt(n)))
         outer = mp.e ** (-mp.pi / (2 * mp.sqrt(N + M)))
-        upper = gf_numeric(kind, r, rho, wp).real * rho ** (-N)
         peak = gf_numeric(kind, r, outer, wp).real * outer ** (-N)
         quarter = mp.mpf(tol) / 4
-        target = quarter * upper / (4 * mp.mpf(n) ** (mp.mpf(3) / 4))
-    for _ in range(TRAPEZOID_TRIES):
-        with mp.workprec(wp):
-            radius, b = _aliasing_radius(peak, outer, M, target)
-            lost = gf_numeric(kind, r, radius, wp).real * radius ** (-N) / upper
-        sp = wp + max(mp.mag(lost), 0)
-        W, samples = _circle_samples(kind, r, M, radius, sp)
-        with mp.workprec(Z := sp + 32):
-            total, twiddle, step = 0, (1 << Z, 0), fixed(mp.expjpi(-mp.mpf(2 * N) / M), Z)
-            for j, (re, im) in enumerate(samples):
-                total += (re * twiddle[0] - im * twiddle[1]) << (0 < j < M // 2)
-                twiddle = cmul(twiddle, step, Z)
-            value = mp.ldexp(total, -W - Z) / M * radius ** (-N)
-            floor = max(value - b, 1)
-            if b <= quarter * floor:
-                break
-            target = quarter * floor / 2
-    else:
-        raise QuadratureFailure(f"aliasing bound above tol/4 at {TRAPEZOID_TRIES} radii")
+        radius, b = _aliasing_radius(peak, outer, M, quarter / 2)
+        sp = max(mp.mag(gf_numeric(kind, r, radius, wp).real * radius ** (-N)), 0) + 64
+    W, samples = _circle_samples(kind, r, M, radius, sp)
+    with mp.workprec(Z := sp + 32):
+        total, twiddle, step = 0, (1 << Z, 0), fixed(mp.expjpi(-mp.mpf(2 * N) / M), Z)
+        for j, (re, im) in enumerate(samples):
+            total += (re * twiddle[0] - im * twiddle[1]) << (0 < j < M // 2)
+            twiddle = cmul(twiddle, step, Z)
+        value = mp.ldexp(total, -W - Z) / M * radius ** (-N)
+        if b > quarter * max(value - b, 1):
+            raise QuadratureFailure("aliasing bound above tol/4")
     with mp.workprec(wp):
         return +value, +b, M
 
@@ -255,10 +242,10 @@ def _check(kind, r, tol) -> None:
 
 
 def cauchy_coefficient(kind: str, r: int, N: int, tol: float = MIN_TOL) -> mp.mpf:
-    """Full-circle Cauchy integral by the trapezoidal rule; within tol of the
-    exact integer coefficient, relative (absolute when it is zero), at
-    M = N + 2 - N % 2 points.  Raises QuadratureFailure when the aliasing
-    bound misses tol/4 at TRAPEZOID_TRIES radii."""
+    """Full-circle Cauchy integral by the trapezoidal rule at
+    M = N + 2 - N % 2 points; within tol/4 absolute of the exact integer
+    coefficient, so within tol/4 relative when it is nonzero.  Raises
+    QuadratureFailure when the aliasing bound misses tol/4."""
     _check(kind, r, tol)
     check_size("N", N, 0, FULL_CIRCLE_N_CAP, "full circle")
     return _trapezoid_coefficient(kind, r, N, tol)[0]

@@ -86,13 +86,15 @@ def cmd_series(args) -> int:
             for n, c in enumerate(ser):
                 fp.write(f"{n},{c}\n")
         else:
+            # json.dump's bytes, with the coefficient strings written one at
+            # a time into the one empty list of the sorted manifest
             manifest = genfunc.series_manifest(args.kind, args.r, args.trunc, ser)
-            json.dump(
-                {**manifest, "shift": args.shift, "coefficients": [str(c) for c in ser]},
-                fp,
-                sort_keys=True,
-            )
-            fp.write("\n")
+            head, tail = json.dumps(
+                {**manifest, "shift": args.shift, "coefficients": []}, sort_keys=True
+            ).split("[]")
+            fp.write(head + "[")
+            fp.writelines(sep + f'"{c}"' for sep, c in zip(chain([""], repeat(", ")), ser))
+            fp.write("]" + tail + "\n")
     return 0
 
 

@@ -1,9 +1,10 @@
 """Acceptance criteria A1-A8.
 
 Each test prints one PASS/FAIL line (run pytest with -s to see them inline).
-A1, A2, A6, A7 and A8's constant check run the `verify` suites of
-`overmoments.checks` and pass when every check they cover passes, so their
-grids and gates are the ones `verify` uses, defined once in `checks`:
+A1, A2, A6, A7 and A8's constant check read the reports of the `verify`
+suites, each run once per pytest run through `cli.main` (the `verify_run`
+fixture), and pass when every check they cover passes, so their grids and
+gates are the ones `verify` uses, defined once in `checks`:
 
   A1  proposition suite: the two quoted sample expansions exactly, the
       generalized shift identity against enumeration for r <= 6, n <= 16;
@@ -24,14 +25,14 @@ grids and gates are the ones `verify` uses, defined once in `checks`:
       r <= 8, with C_1 from `asympt.pole_coefficients`
 """
 
-import time
+import json
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
 from oracles import basis_change
-from overmoments import checks, cli, genfunc, moments
+from overmoments import cli, genfunc, moments
 
 GRID = (400, 900, 1600, 2500)
 RS = (2, 3, 4)
@@ -46,11 +47,11 @@ def _verdict(name: str, ok: bool, detail: str = "") -> None:
     assert ok, line
 
 
-def _run_suite(suite: str) -> tuple[list[dict], float]:
-    """The checks of one `verify` suite at its defaults, and the seconds taken."""
-    t0 = time.time()
-    results = checks.SUITES[suite]()
-    return results, time.time() - t0
+def _suite(verify_run, suite: str) -> tuple[list[dict], float]:
+    """The checks of one `verify` suite's report at its defaults, and the
+    seconds its run took."""
+    _, report, elapsed = verify_run(suite)
+    return json.loads(report)["checks"], elapsed
 
 
 def _suite_verdict(name: str, results: list[dict], ok: bool = True, detail: str = "") -> None:
@@ -64,22 +65,22 @@ def _suite_verdict(name: str, results: list[dict], ok: bool = True, detail: str 
     )
 
 
-@pytest.fixture(scope="module")
-def residual_suite():
-    """The residual suite, run once for A6 and A8."""
-    return _run_suite("residual")[0]
+@pytest.fixture
+def residual_suite(verify_run):
+    """The residual suite's checks, read by A6 and A8."""
+    return _suite(verify_run, "residual")[0]
 
 
-def test_a1_quoted_sample_expansions():
+def test_a1_quoted_sample_expansions(verify_run):
     # label resolution, checked against enumeration: the first quoted list is
     # the rank series at r=3 (standard shift); the second is the crank series
     # at r=4 with binomial shift 2 (not the standard shift 1)
-    results, elapsed = _run_suite("proposition")
+    results, elapsed = _suite(verify_run, "proposition")
     _suite_verdict("A1", results, elapsed < 1.0, f"{elapsed:.3f}s")
 
 
-def test_a2_oracle_equivalence():
-    results, elapsed = _run_suite("oracle")
+def test_a2_oracle_equivalence(verify_run):
+    results, elapsed = _suite(verify_run, "oracle")
     _suite_verdict("A2", results, elapsed < 120, f"{elapsed:.1f}s")
 
 
@@ -123,8 +124,8 @@ def test_a6_pole_expansion_residuals(residual_suite):
     _suite_verdict("A6", [c for c in residual_suite if c["name"] != IDENTITY])
 
 
-def test_a7_wright_pipeline():
-    _suite_verdict("A7", _run_suite("wright")[0])
+def test_a7_wright_pipeline(verify_run):
+    _suite_verdict("A7", _suite(verify_run, "wright")[0])
 
 
 def test_a8_basis_change_and_constant_identity(residual_suite):

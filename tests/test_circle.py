@@ -207,18 +207,23 @@ def test_cauchy_coefficient_matches_series_midrange():
 
 @pytest.mark.parametrize(
     "kind, r, N",
-    [("crank", 3, 60), ("rank", 4, 25), ("crank", 1, 7), ("crank", 8, 200), ("rank", 8, 200)],
+    [
+        ("crank", 3, 60), ("rank", 4, 25), ("crank", 1, 7), ("crank", 8, 200), ("rank", 8, 200),
+        ("crank", 0, 200), ("rank", 8, 3), ("rank", 0, 0),
+    ],
 )
 def test_trapezoid_bound_certifies_the_error(kind, r, N):
+    # the bound is absolute, so it holds for a_N = 0 (rank r = 8 at N = 3,
+    # rank r = 0 at N = 0) as for a_N near 10^37 (crank r = 8 at N = 200)
     exact = genfunc.moment_series("symmetrized", kind, r, N)[N]
     value, bound, M = circle._trapezoid_coefficient(kind, r, N, 1e-8)
     assert M == N + 2 - N % 2
-    assert abs(value - exact) <= bound <= mp.mpf(1e-8) / 4 * exact
+    assert abs(value - exact) <= bound <= mp.mpf(1e-8) / 4
 
 
 def test_trapezoid_bound_certifies_every_zero_coefficient():
     # the certificate's integer floor: every a_N = 0 for r <= 8 passes at
-    # B <= tol/4, after at most one retry with slack
+    # B <= tol/4, on the one radius every coefficient takes
     zeros = 0
     for kind in ("crank", "rank"):
         for r in range(9):
@@ -232,8 +237,9 @@ def test_trapezoid_bound_certifies_every_zero_coefficient():
 
 
 def test_trapezoid_points_and_evaluations_on_the_wright_grid(monkeypatch):
-    # M/2 + 1 complex samples at the fewest points, plus three real
-    # evaluations: the saddle estimate, the aliasing bound and F(rho_s)
+    # M/2 + 1 complex samples at the fewest points, plus two real
+    # evaluations: the aliasing bound and F(rho_s); crank and rank r = 8
+    # at N = 200 once retried on a second radius
     calls = []
     evaluate, samples_of = circle.gf_numeric, circle._circle_samples
 
@@ -248,14 +254,12 @@ def test_trapezoid_points_and_evaluations_on_the_wright_grid(monkeypatch):
 
     monkeypatch.setattr(circle, "gf_numeric", counted)
     monkeypatch.setattr(circle, "_circle_samples", sampled)
-    for kind in ("crank", "rank"):
-        for r in (1, 2, 3, 4):
-            for N in (7, 25, 60):
-                calls.clear()
-                _, _, M = circle._trapezoid_coefficient(kind, r, N, 1e-8)
-                assert M == N + 2 - N % 2
-                if (kind, r, N) == ("crank", 3, 60):
-                    assert len(calls) == 35 == M // 2 + 4
+    cases = [(k, r, N) for k in ("crank", "rank") for r in (1, 2, 3, 4) for N in (7, 25, 60)]
+    for kind, r, N in cases + [("crank", 8, 200), ("rank", 8, 200)]:
+        calls.clear()
+        _, _, M = circle._trapezoid_coefficient(kind, r, N, 1e-8)
+        assert M == N + 2 - N % 2
+        assert len(calls) == M // 2 + 3, (kind, r, N)
 
 
 def test_trapezoid_sum_matches_the_mpmath_sum_on_the_wright_grid(monkeypatch):
@@ -280,14 +284,13 @@ def test_trapezoid_sum_matches_the_mpmath_sum_on_the_wright_grid(monkeypatch):
                     assert abs(value - ref) <= mp.mpf(2) ** -(wp - 8) * abs(ref), (kind, r, N)
 
 
-@pytest.mark.parametrize(
-    "excess, tries", [(1 + 2**-40, 2), (4, None)], ids=["rounded-up", "never-met"]
-)
-def test_trapezoid_retry_has_slack_and_a_cap(excess, tries, monkeypatch):
-    # a_3 = 0 for the rank r = 6, so the first target, from the saddle
-    # estimate, fails.  A bound that rounds just above its target passes at
-    # the retry, whose target has slack; a bound that never meets the
-    # certificate raises after TRAPEZOID_TRIES radii instead of looping
+@pytest.mark.parametrize("excess, passes", [(1 + 2**-40, True), (4, False)],
+                         ids=["rounded-up", "never-met"])
+def test_trapezoid_certificate_on_one_radius(excess, passes, monkeypatch):
+    # a_3 = 0 for the rank r = 6, so the certificate meets its integer
+    # floor: tol/4 absolute.  The target tol/8 leaves slack, so a bound
+    # rounded just above it passes; a bound 4 times over raises.  Either
+    # way the rule solves for one radius and never retries
     radii = []
     solve = circle._aliasing_radius
 
@@ -297,13 +300,12 @@ def test_trapezoid_retry_has_slack_and_a_cap(excess, tries, monkeypatch):
         return radius, excess * bound
 
     monkeypatch.setattr(circle, "_aliasing_radius", rounded_up)
-    if tries is None:
+    if passes:
+        assert abs(circle.cauchy_coefficient("rank", 6, 3)) < 1e-8
+    else:
         with pytest.raises(QuadratureFailure):
             circle.cauchy_coefficient("rank", 6, 3)
-        assert len(radii) == circle.TRAPEZOID_TRIES
-    else:
-        assert abs(circle.cauchy_coefficient("rank", 6, 3)) < 1e-8
-        assert len(radii) == tries
+    assert len(radii) == 1
 
 
 def test_trapezoid_samples_recover_every_coefficient(monkeypatch):

@@ -22,13 +22,13 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # SHA-256 of `verify --suite S` reports with default flags; proposition and
 # oracle recorded while the suites still lived in the cli module, residual
 # when delta_r's check against the pole expansion replaced the constant
-# identity that held by algebra, wright when the full circle moved to
-# N + 2 - N % 2 points on a smaller radius
+# identity that held by algebra, wright when the full circle took one
+# radius for an absolute aliasing target of tol/8
 VERIFY_DIGESTS = {
     "proposition": "c3d8a0db18082dcb03aa841da3581c9b68c7f30938124cc803b730b900e09c94",
     "oracle": "1ea0c023384348200c9ea3222f82de96e06a06c867f5b74588fbc27bdb8ac614",
     "residual": "c1fa84436b6575471943a68917316baab198f53adc35fe3d96b7d03c5f9997d7",
-    "wright": "9934e32ffc92b8f60a74638b38dac82708074511972b22fcf87ea8ce8cedec15",
+    "wright": "8ce555245dae7c1b14482b9c12a3bb739338ed61fe35f695b5cc62fa7cdc4a0b",
 }
 
 # SHA-256 of `converge --flavor F --kind K --r 3 --grid 100,400,1600` (csv,
@@ -69,6 +69,24 @@ def test_series_json_manifest(tmp_path):
     manifest = genfunc.series_manifest("rank", 3, 7, ser)
     assert payload["checksum"] == manifest["checksum"]
     assert payload["coefficients"] == [str(c) for c in ser]
+
+
+@pytest.mark.parametrize(
+    "kind, r, trunc, shift", [("rank", 3, 0, None), ("crank", 4, 300, 2), ("rank", 7, 2000, None)]
+)
+def test_series_json_is_the_json_dump_of_its_manifest(kind, r, trunc, shift, tmp_path):
+    # the coefficient strings are written one at a time, with the bytes
+    # json.dump writes for the whole manifest
+    out = tmp_path / "s.json"
+    argv = ["series", "--kind", kind, "--r", str(r), "--trunc", str(trunc), "--format", "json"]
+    assert run(argv + ([] if shift is None else ["--shift", str(shift)]) + ["--out", str(out)]) == 0
+    ser = genfunc.moment_series("symmetrized", kind, r, trunc, shift)
+    payload = {
+        **genfunc.series_manifest(kind, r, trunc, ser),
+        "shift": shift,
+        "coefficients": [str(c) for c in ser],
+    }
+    assert out.read_text() == json.dumps(payload, sort_keys=True) + "\n"
 
 
 def test_series_trunc_zero(tmp_path):
@@ -369,10 +387,10 @@ def test_workers_1_is_accepted_and_changes_nothing(tmp_path):
 
 
 @pytest.mark.parametrize("suite", sorted(VERIFY_DIGESTS))
-def test_verify_report_is_byte_identical(suite, tmp_path):
-    out = tmp_path / f"{suite}.json"
-    assert run(["verify", "--suite", suite, "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_DIGESTS[suite]
+def test_verify_report_is_byte_identical(suite, verify_run):
+    code, report, _ = verify_run(suite)
+    assert code == 0
+    assert hashlib.sha256(report).hexdigest() == VERIFY_DIGESTS[suite]
 
 
 @pytest.mark.parametrize("flavor, kind", sorted(CONVERGE_DIGESTS))
