@@ -199,8 +199,8 @@ def _evaluate(q, prec: int, setup, *args):
 def s_series_eval(kind: Kind, r: int, q, prec: int = 256):
     """Lambert sum of the crank or rank moment series at complex q, |q| < 1.
 
-    The same sum as `genfunc.lambert_sum` under the weight binom(m+s, r), in
-    its summed form q^{e(n)} / D_n, D_n = (1-q^n)^r (times 1+q^n and 2 for
+    The same sum as the symmetrized `genfunc.numerator`, weight binom(m+s, r),
+    in its summed form q^{e(n)} / D_n, D_n = (1-q^n)^r (times 1+q^n and 2 for
     the rank), at the standard binomial shift s: e(n) = (n^2 + (2(r-s)-1)n)/2
     (crank) or n^2 + (r-s)n (rank), with q^{e(n)} by recurrence.  Summation
     stops once the certified tail bound 2|q|^{e(n+1)}/(1-|q|^{n+1})^{r+1} is

@@ -1,8 +1,8 @@
 """Exact q-expansions of the moment generating series.
 
-One production loop, behind `lambert_sum` and ospt's numerator, serves
-both statistics and every weight.  The z^m coefficient (m >= 1) of the
-Lambert part of the crank series is
+One production loop, behind `numerator`, serves both statistics and
+every weight.  The z^m coefficient (m >= 1) of the Lambert part of the
+crank series is
 sum_{n>=1} (-1)^{n+1} q^{E(n)} (q^{nm} - q^{n(m+1)}) with E(n) = n(n-1)/2;
 the rank one has E(n) = n^2, an extra 1/(1+q^n) and a factor 2.  So for
 any weight w with w(0) := 0 the sum over m telescopes:
@@ -23,9 +23,11 @@ paper's three exact series are named by flavor, as `converge` names them:
 (ospt, the crank sum minus the rank sum before the one division).  ospt_2(n)
 counts smallest parts, summed over the overpartitions of n whose smallest
 part is not overlined, so ospt_2(n) >= 1 for every n >= 1 (the one-part
-overpartition (n)).  `numerator` builds the Lambert sum of a flavor, and
-`moment_series`, its quotient by theta_4 (`series.divide_by_theta4`), is the
-one entry point to every exact moment series.
+overpartition (n)).  `weight` is a flavor's w(m) and its one order and shift
+rule, read by `numerator` and the enumeration sums in `moments` alike;
+`numerator` builds the Lambert sum of a flavor, and `moment_series`, its
+quotient by theta_4 (`series.divide_by_theta4`), is the one entry point to
+every exact moment series.
 
 Every identity here is cross-checked against enumeration in the test suite;
 the shift parameter exists because two widely quoted sample expansions
@@ -55,7 +57,6 @@ from typing import Callable, Literal, get_args
 
 from .series import (
     TWO_VARIABLE_TRUNC_CAP,
-    Kind,
     StatTable,
     check_kind,
     check_order,
@@ -68,8 +69,7 @@ from .series import (
 __all__ = [
     "check_flavor",
     "standard_shift",
-    "lambert_sum",
-    "binomial_weight",
+    "weight",
     "numerator",
     "moment_series",
     "crank_two_variable",
@@ -90,17 +90,6 @@ def check_flavor(flavor: str) -> None:
 def standard_shift(r: int) -> int:
     """Binomial shift floor((r-1)/2) used by the symmetrized moments."""
     return (r - 1) // 2 if r >= 1 else -1
-
-
-def lambert_sum(kind: Kind, weight: Callable[[int], int], trunc: int) -> list[int]:
-    """sum_{m>=1} weight(m) [z^m] of the crank or rank Lambert part, through
-    q^trunc: no overpartition prefactor, the rank sum including its factor 2.
-    weight is called once per m <= trunc."""
-    check_trunc(trunc)
-    check_kind(kind)
-    c = [0] * (trunc + 1)
-    _add_lambert(c, kind, _steps(weight, trunc), 1)
-    return c
 
 
 def _steps(weight: Callable[[int], int], trunc: int) -> list[int]:
@@ -137,10 +126,17 @@ def _add_lambert(c: list[int], kind: str, steps: list[int], sign: int) -> None:
         c[e + n :: n] = map(ops[n % 2], c[e + n :: n], steps)
 
 
-def binomial_weight(r: int, shift: int | None = None) -> Callable[[int], int]:
-    """Weight binom(m+shift, r) of the symmetrized series, shift defaulting
-    to the standard one; refuses r < 0, r > EXACT_ORDER_CAP and a shift
-    outside -1..r-1 before any series is built."""
+def weight(flavor: Flavor, r: int, shift: int | None = None) -> Callable[[int], int]:
+    """w(m) of flavor's series, and the one home of each flavor's order and
+    shift rule: binom(m+shift, r) for "symmetrized" (r >= 0, shift -1..r-1,
+    the standard one by default), m^r for "moment" and "difference" (r >= 1,
+    no shift).  Refuses bad input before any series is built."""
+    check_flavor(flavor)
+    if flavor != "symmetrized":
+        if shift is not None:
+            raise ValueError(f"shift applies to the symmetrized flavor only, not {flavor!r}")
+        check_order(r, least=1)
+        return lambda m: m**r
     check_order(r)
     if shift is None:
         shift = standard_shift(r)
@@ -149,38 +145,23 @@ def binomial_weight(r: int, shift: int | None = None) -> Callable[[int], int]:
     return lambda m: comb(m + shift, r)
 
 
-def _power_weight(r: int) -> Callable[[int], int]:
-    """Weight m^r of the positive power moments; refuses r < 1 and
-    r > EXACT_ORDER_CAP before any series is built."""
-    check_order(r, least=1)
-    return lambda m: m**r
-
-
 def numerator(
     flavor: Flavor, kind: str, r: int, trunc: int, shift: int | None = None
 ) -> list[int]:
-    """The Lambert sum c through q^trunc whose quotient c / theta_4 is the
-    exact series of flavor, as `converge` names them: the symmetrized
-    moments (binom(m+shift, r), shift defaulting to the standard one), the
-    positive power moments (m^r), or ospt (crank minus rank m^r, kind
-    ignored).  Only the symmetrized flavor takes a shift.
-
-    The list is new, the caller's to keep or to divide in place.  ospt's
-    takes m^r once per m into one step list, adds the crank's progressions
-    to one output, turns the steps into the rank's in place and subtracts
-    the rank's progressions from the same output."""
-    check_flavor(flavor)
-    if shift is not None and flavor != "symmetrized":
-        raise ValueError(f"shift applies to the symmetrized flavor only, not {flavor!r}")
-    if flavor == "symmetrized":
-        return lambert_sum(kind, binomial_weight(r, shift), trunc)
-    if flavor == "moment":
-        return lambert_sum(kind, _power_weight(r), trunc)
-    weight = _power_weight(r)  # the difference flavor
+    """sum_{m>=1} weight(m) [z^m] of the kind's Lambert part through q^trunc
+    (no prefactor, the rank's with its factor 2), whose quotient by theta_4
+    is flavor's exact series; ospt's, the difference flavor, is the crank
+    sum minus the rank sum, kind checked but not read.  A new list, the
+    caller's to keep or to divide in place, made in one pass for every
+    flavor: weight(m) once per m into one step list, then one `_add_lambert`
+    per signed statistic, ospt's rank turning the steps into its own."""
+    w = weight(flavor, r, shift)
+    check_kind(kind)
     check_trunc(trunc)
-    steps, c = _steps(weight, trunc), [0] * (trunc + 1)
-    _add_lambert(c, "crank", steps, 1)
-    _add_lambert(c, "rank", steps, -1)  # steps become the rank's d_m here
+    steps, c = _steps(w, trunc), [0] * (trunc + 1)
+    signed = (("crank", 1), ("rank", -1)) if flavor == "difference" else ((kind, 1),)
+    for statistic, sign in signed:
+        _add_lambert(c, statistic, steps, sign)
     return c
 
 

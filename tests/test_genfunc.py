@@ -4,18 +4,13 @@ oracle and proposition suites of `overmoments.checks`, run by the
 acceptance tests A1 and A2."""
 
 from fractions import Fraction
-from math import comb
 
 import pytest
 
 from oracles import crank_power_numerator, lambert_term, overpartition_spt, rho_crank, rho_rank
-from overmoments import genfunc, moments
+from overmoments import genfunc
 from overmoments.errors import OversizeRequest
 from overmoments.series import TWO_VARIABLE_TRUNC_CAP
-
-
-def _binomial(r, shift):
-    return lambda m: comb(m + shift, r)
 
 
 def _symmetrized(kind, r, trunc, shift=None):
@@ -34,7 +29,7 @@ def test_standard_shift_exponent_matches_rho(kind):
     # lowest exponent of the whole sum, which only n = 1 reaches, pins it
     base, rho = (Fraction(1, 2), rho_crank) if kind == "crank" else (1, rho_rank)
     for r in range(1, 9):
-        sums = genfunc.lambert_sum(kind, _binomial(r, genfunc.standard_shift(r)), 20)
+        sums = genfunc.numerator("symmetrized", kind, r, 20)
         lowest = next(n for n, c in enumerate(sums) if c)
         assert lowest == base + Fraction(r, 2) + rho(r), (kind, r)
 
@@ -94,14 +89,21 @@ def test_unknown_flavor_is_refused():
             genfunc.moment_series("power", "crank", 3, 5, shift)
 
 
+@pytest.mark.parametrize("flavor", ["moment", "difference", "symmetrized"])
+@pytest.mark.parametrize("entry", [genfunc.numerator, genfunc.moment_series])
+def test_every_flavor_refuses_an_unknown_kind(flavor, entry):
+    # ospt's numerator reads no kind, but refuses a bad one like every other
+    for kind in ("banana", None):
+        with pytest.raises(ValueError, match="kind must be 'crank' or 'rank'"):
+            entry(flavor, kind, 2, 6)
+
+
 @pytest.mark.parametrize("r, N", [(0, 12), (1, 7), (3, 60), (8, 200)])
 def test_benchmark_aliases_equal_moment_series(r, N):
     # the circle_cauchy check takes its true coefficients through the two
-    # genfunc names, and the baseline run its ospt through moments.ospt_values
+    # genfunc names
     assert genfunc.crank_binomial_series(r, N) == _symmetrized("crank", r, N)
     assert genfunc.rank_binomial_series(r, N) == _symmetrized("rank", r, N)
-    if r >= 1:
-        assert moments.ospt_values(r, N) == genfunc.moment_series("difference", "crank", r, N)
 
 
 def test_two_variable_basics():
@@ -136,7 +138,7 @@ def test_lambert_sums_compose_from_single_terms():
             lambert_term(1, 1, 1, 8), lambert_term(2, 1, 3, 8), lambert_term(3, 1, 6, 8)
         )
     ]
-    assert genfunc.lambert_sum("crank", _binomial(1, 0), 8) == expected
+    assert genfunc.numerator("symmetrized", "crank", 1, 8) == expected
     # rank inner sum for r=1: 2[q^2/((1+q)(1-q)) - q^6/((1+q^2)(1-q^2)) + ...]
     expected = [
         2 * (a - b)
@@ -145,11 +147,11 @@ def test_lambert_sums_compose_from_single_terms():
             lambert_term(2, 1, 6, 8, alternating_factor=True),
         )
     ]
-    assert genfunc.lambert_sum("rank", _binomial(1, 0), 8) == expected
+    assert genfunc.numerator("symmetrized", "rank", 1, 8) == expected
     # the weight m^2 puts 2m - 1 on q^{E(n)+nm}: n=1 gives 1, 3, 5, ... from
     # q^1, n=2 subtracts 1, 3, 5 at q^3, q^5, q^7, n=3 adds 1 at q^6
     expected = [0, 1, 3, 4, 7, 6, 12, 8, 15]
-    assert genfunc.lambert_sum("crank", lambda m: m * m, 8) == expected
+    assert genfunc.numerator("moment", "crank", 2, 8) == expected
 
 
 @pytest.mark.parametrize("r", [2, 4, 6])
@@ -164,7 +166,7 @@ def test_even_crank_numerators_match_their_eisenstein_forms(r):
 def test_difference_numerator_is_crank_minus_rank_lambert_sum(r):
     # ospt's numerator reuses one step list for both statistics, turning it
     # into the rank's in place between the two passes
-    crank, rank = (genfunc.lambert_sum(kind, lambda m: m**r, 400) for kind in ("crank", "rank"))
+    crank, rank = (genfunc.numerator("moment", kind, r, 400) for kind in ("crank", "rank"))
     assert genfunc.numerator("difference", "crank", r, 400) == [a - b for a, b in zip(crank, rank)]
 
 

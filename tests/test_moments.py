@@ -6,10 +6,10 @@ from math import factorial
 import pytest
 
 from oracles import basis_change
-from overmoments import moments
+from overmoments import genfunc, moments
 from overmoments.combinat import build_table
 from overmoments.genfunc import moment_series
-from overmoments.errors import OutOfRange
+from overmoments.errors import OutOfRange, OversizeRequest
 
 NMAX = 15
 CRANK = build_table("crank", NMAX)
@@ -152,15 +152,46 @@ def test_ospt_values():
     assert moments.ospt(3, 10, CRANK, RANK) == series[10] > 0
 
 
-@pytest.mark.parametrize("shift", [7, -3])
-def test_symmetrized_oracle_refuses_a_shift_the_series_refuses(shift):
-    # the oracle and moment_series share one shift rule: a shift outside
-    # -1..r-1 used to return a sum (5733 at shift 7, 16 at shift -3)
-    message = f"shift {shift} outside supported range -1..2"
-    with pytest.raises(ValueError, match=message):
-        moment_series("symmetrized", "crank", 3, 8, shift)
-    with pytest.raises(ValueError, match=message):
-        moments.symmetrized_positive_moment(CRANK, 3, 8, shift=shift)
+REFUSALS = [
+    *(
+        pytest.param(oracle, args, (flavor, "crank", r, 8), error, message, id=f"{flavor}-r{r}")
+        for r, error, message in [
+            (-1, ValueError, "order r must be >= 1, got -1"),
+            (0, ValueError, "order r must be >= 1, got 0"),
+            (257, OversizeRequest, "exact moments capped at order r=256, got 257"),
+        ]
+        for flavor, oracle, args in [
+            ("moment", moments.positive_moment, (CRANK, r, 8)),
+            ("difference", moments.ospt, (r, 8, CRANK, RANK)),
+        ]
+    ),
+    # a shift outside -1..r-1 used to return a sum (5733 at 7, 16 at -3)
+    *(
+        pytest.param(
+            moments.symmetrized_positive_moment, (CRANK, 3, 8, shift),
+            ("symmetrized", "crank", 3, 8, shift),
+            ValueError, f"shift {shift} outside supported range -1..2", id=str(shift),
+        )
+        for shift in (7, -3)
+    ),
+    # the power weight takes no shift; the enumeration sums read genfunc.weight
+    pytest.param(
+        genfunc.weight, ("moment", 3, 1), ("moment", "crank", 3, 8, 1),
+        ValueError, "shift applies to the symmetrized flavor only, not 'moment'", id="moment-shift",
+    ),
+]
+
+
+@pytest.mark.parametrize("oracle, args, series_args, error, message", REFUSALS)
+def test_symmetrized_oracle_refuses_a_shift_the_series_refuses(
+    oracle, args, series_args, error, message
+):
+    # the oracle and moment_series share one order and shift rule,
+    # genfunc.weight: the same exception and message for the same input
+    for call, call_args in ((moment_series, series_args), (oracle, args)):
+        with pytest.raises(error) as caught:
+            call(*call_args)
+        assert type(caught.value) is error and str(caught.value) == message
 
 
 def test_out_of_range():
