@@ -11,9 +11,9 @@ evaluators here: `s_series_eval` (the crank and rank Lambert sums) and
 `overpartition_numeric` (the prefactor (-q)oo/(q)oo as 1/theta_4(q)).  Both
 sum in integers at a scale 2^W, where a floored product is off by under a
 unit 2^-W per part and q^k by under 3k units, and return unrounded at their
-working precision, so each caller rounds once: the pole-expansion order
-checks and the automorphic prefactor check.  The circle method's integrand
-is the exact product of their two kernels, rounded once (`circle.gf_numeric`).
+working precision, so each caller rounds once.  Each kernel takes q and
+fixes it at its own scale, and `evaluate`, the one runner, runs either or
+their exact product, the circle method's integrand (`circle.gf_numeric`).
 
 `pole_coefficients` derives the whole pole expansion
 S(e^{-t}) ~ sum_k C_k t^{k-r} of either Lambert sum in closed form, a
@@ -186,12 +186,11 @@ def _pow(x: tuple, k: int, W: int) -> tuple:
     return cmul(half, x, W) if k & 1 else half
 
 
-def _evaluate(q, prec: int, setup, *args):
+def evaluate(q, prec: int, setup, *args):
     """Run at q the kernel of setup(*args, |q|, prec) -> (W, kernel); unrounded."""
     with mp.workprec(prec + 16):
-        qv = mp.mpc(q)
-        W, kernel = setup(*args, abs(qv), prec)
-    re, im = kernel(fixed(qv, W))
+        W, kernel = setup(*args, abs(qv := mp.mpc(q)), prec)
+    re, im = kernel(qv)
     with mp.workprec(W):
         return mp.mpc(mp.mpf((re, -W)), mp.mpf((im, -W)))
 
@@ -215,11 +214,11 @@ def s_series_eval(kind: Kind, r: int, q, prec: int = 256):
     since W grows with r; NonConvergent outside |q| < 1; and OversizeRequest
     before any summing when n_max passes LAMBERT_TERMS_CAP.
     """
-    return _evaluate(q, prec, s_series_kernel, kind, r)
+    return evaluate(q, prec, s_series_kernel, kind, r)
 
 
 def s_series_kernel(kind: Kind, r: int, absq, prec: int) -> tuple:
-    """(W, kernel), kernel: q 2^W -> S(q) 2^W as int pairs, for |q| = absq."""
+    """(W, kernel), kernel: q -> S(q) 2^W as an int pair, for |q| = absq."""
     check_kind(kind)
     check_order(r)
     with mp.workprec(prec + 16):
@@ -232,7 +231,8 @@ def s_series_kernel(kind: Kind, r: int, absq, prec: int) -> tuple:
     W = prec + 16 + 2 * m * G + 3 * (n_max + m + 1).bit_length()
     one, d = 1 << W, r - genfunc.standard_shift(r)
 
-    def kernel(qx: tuple) -> tuple:
+    def kernel(q) -> tuple:
+        qx = fixed(q, W)
         e, de, dde = (d + 1, d + 3, 2) if rank else (d, d + 1, 1)
         qe, step, lift = _pow(qx, e, W), _pow(qx, de, W), _pow(qx, dde, W)
         qn, re, im, n = (one, 0), 0, 0, 1
@@ -268,11 +268,11 @@ def overpartition_numeric(q, prec: int = 256):
     for an integer kernel per q.  Raises NonConvergent outside |q| < 1, and
     OversizeRequest before any summing past THETA4_GUARD_BITS_CAP.
     """
-    return _evaluate(q, prec, overpartition_kernel)
+    return evaluate(q, prec, overpartition_kernel)
 
 
 def overpartition_kernel(absq, prec: int) -> tuple:
-    """(W, kernel), kernel: q 2^W -> 2^W / theta_4(q) as int pairs, for |q| = absq."""
+    """(W, kernel), kernel: q -> 2^W / theta_4(q) as an int pair, for |q| = absq."""
     with mp.workprec(prec + 16):
         if absq >= 1:
             raise NonConvergent("|q| must be < 1")
@@ -284,7 +284,8 @@ def overpartition_kernel(absq, prec: int) -> tuple:
         K = int(mp.sqrt(bits * mp.ln2 / t)) + 1
     W = bits + 3 * (K + 1).bit_length() + 1
 
-    def kernel(odd: tuple) -> tuple:
+    def kernel(q) -> tuple:
+        odd = fixed(q, W)
         q2, square, re, im = cmul(odd, odd, W), (1 << W, 0), 1 << W, 0
         for k in range(1, K + 1):
             square, odd, sign = cmul(square, odd, W), cmul(odd, q2, W), 2 if k % 2 == 0 else -2

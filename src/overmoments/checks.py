@@ -60,7 +60,7 @@ def proposition() -> list[dict]:
     tables = {kind: combinat.build_table(kind, nmax) for kind in ("rank", "crank")}
     ok = True
     for r in range(0, 7):
-        for shift in range(-1, max(r, 0)):
+        for shift in range(-1, r):
             for kind, table in tables.items():
                 ser = genfunc.moment_series("symmetrized", kind, r, nmax, shift)
                 for n in range(nmax + 1):

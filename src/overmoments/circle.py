@@ -35,7 +35,7 @@ from math import isfinite
 import mpmath as mp
 
 from . import genfunc
-from .asympt import cmul, fixed, overpartition_kernel, s_series_kernel
+from .asympt import cmul, evaluate, fixed, overpartition_kernel, s_series_kernel
 from .errors import QuadratureFailure
 from .series import EXACT_TRUNC_CAP, check_kind, check_order, check_size
 
@@ -65,17 +65,13 @@ def _integrand(kind, r, absq, prec) -> tuple:
     cap refuses q near the unit circle before any summing."""
     wt, theta = overpartition_kernel(absq, prec)
     ws, lambert = s_series_kernel(kind, r, absq, prec)
-    return wt + ws, lambda q: cmul(theta(fixed(q, wt)), lambert(fixed(q, ws)), 0)
+    return wt + ws, lambda q: cmul(theta(q), lambert(q), 0)
 
 
 def gf_numeric(kind: str, r: int, q, prec: int = 256):
-    """The full moment series F(q) at complex q from `_integrand`, rounded once
-    to prec.  Raises NonConvergent outside |q| < 1."""
-    with mp.workprec(prec + 16):
-        W, kernel = _integrand(kind, r, abs(q := mp.mpc(q)), prec)
-    re, im = kernel(q)
-    with mp.workprec(prec):
-        return mp.mpc(mp.mpf((re, -W)), mp.mpf((im, -W)))
+    """The full moment series F(q) at complex q: `_integrand` run by
+    `asympt.evaluate`, unrounded.  Raises NonConvergent outside |q| < 1."""
+    return evaluate(q, prec, _integrand, kind, r)
 
 
 # ---------------------------------------------------------------------------

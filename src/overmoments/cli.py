@@ -15,7 +15,7 @@ Imports: the exact commands (series, ospt, verify --suite oracle|proposition)
 load the exact layer only.  mpmath and `asympt` are imported inside
 `_converge_row`, and `checks` imports the numeric modules inside the suites
 that use them, so only converge and verify --suite residual|wright pay for
-them; `genfunc.series_manifest` loads hashlib for series --format json.
+them; `cmd_series` loads hashlib for the checksum of series --format json.
 """
 
 from __future__ import annotations
@@ -86,12 +86,17 @@ def cmd_series(args) -> int:
             for n, c in enumerate(ser):
                 fp.write(f"{n},{c}\n")
         else:
-            # json.dump's bytes, with the coefficient strings written one at
-            # a time into the one empty list of the sorted manifest
-            manifest = genfunc.series_manifest(args.kind, args.r, args.trunc, ser)
-            head, tail = json.dumps(
-                {**manifest, "shift": args.shift, "coefficients": []}, sort_keys=True
-            ).split("[]")
+            import hashlib  # OpenSSL; loaded by series --format json only
+
+            # the SHA-256 of the coefficients joined by newlines, fed one at a
+            # time; then json.dump's bytes, with the coefficient strings written
+            # one at a time into the one empty list of the sorted manifest
+            digest = hashlib.sha256()
+            for sep, c in zip(chain([""], repeat("\n")), ser):
+                digest.update(f"{sep}{c}".encode())
+            manifest = {"kind": args.kind, "r": args.r, "trunc": args.trunc, "shift": args.shift,
+                        "checksum": digest.hexdigest(), "coefficients": []}
+            head, tail = json.dumps(manifest, sort_keys=True).split("[]")
             fp.write(head + "[")
             fp.writelines(sep + f'"{c}"' for sep, c in zip(chain([""], repeat(", ")), ser))
             fp.write("]" + tail + "\n")
@@ -283,7 +288,8 @@ def main(argv=None) -> int:
         # an unopenable --out is refused now, but opened after the work: a tripped guard leaves none
         if (out := args.out) not in (None, "-"):
             parent = os.path.dirname(out) or "."
-            if os.path.isdir(out) or not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
+            writable = os.path.isdir(parent) and os.access(parent, os.W_OK)
+            if not out or os.path.isdir(out) or not writable:
                 raise ValueError(f"cannot open --out {out}: not a file in a writable directory")
         return args.func(args)
     except ValueError as exc:

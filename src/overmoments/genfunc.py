@@ -74,7 +74,6 @@ __all__ = [
     "moment_series",
     "crank_two_variable",
     "rank_two_variable",
-    "series_manifest",
 ]
 
 Flavor = Literal["moment", "difference", "symmetrized"]
@@ -89,7 +88,7 @@ def check_flavor(flavor: str) -> None:
 
 def standard_shift(r: int) -> int:
     """Binomial shift floor((r-1)/2) used by the symmetrized moments."""
-    return (r - 1) // 2 if r >= 1 else -1
+    return (r - 1) // 2
 
 
 def _steps(weight: Callable[[int], int], trunc: int) -> list[int]:
@@ -140,7 +139,7 @@ def weight(flavor: Flavor, r: int, shift: int | None = None) -> Callable[[int], 
     check_order(r)
     if shift is None:
         shift = standard_shift(r)
-    if not -1 <= shift <= max(r - 1, -1):
+    if not -1 <= shift <= r - 1:
         raise ValueError(f"shift {shift} outside supported range -1..{r - 1}")
     return lambda m: comb(m + shift, r)
 
@@ -240,13 +239,3 @@ def rank_two_variable(trunc: int) -> StatTable:
         _mul_geometric(term, n, +1)
         _mul_geometric(term, n, -1)
 
-
-def series_manifest(kind: str, r: int, trunc: int, series: list[int]) -> dict:
-    """JSON-ready manifest with a checksum of the exact coefficients."""
-    import hashlib  # OpenSSL; loaded by series --format json only
-
-    # the SHA-256 of the coefficients joined by newlines, fed one at a time
-    digest = hashlib.sha256()
-    for i, c in enumerate(series):
-        digest.update(f"\n{c}".encode() if i else str(c).encode())
-    return {"kind": kind, "r": r, "trunc": trunc, "checksum": digest.hexdigest()}

@@ -58,16 +58,21 @@ def test_series_csv(tmp_path):
     assert [int(line.split(",")[1]) for line in lines[1:]] == [0, 0, 0, 2, 8, 24, 60, 134]
 
 
-def test_series_json_manifest(tmp_path):
-    from overmoments import genfunc
+def checksum(ser) -> str:
+    """The series JSON checksum: the SHA-256 of the coefficients' decimal
+    strings joined by newlines."""
+    return hashlib.sha256("\n".join(map(str, ser)).encode()).hexdigest()
 
+
+def test_series_json_manifest(tmp_path):
     out = tmp_path / "sr3.json"
     run(["series", "--kind", "rank", "--r", "3", "--trunc", "7",
          "--format", "json", "--out", str(out)])
     payload = json.loads(out.read_text())
     ser = genfunc.moment_series("symmetrized", "rank", 3, 7)
-    manifest = genfunc.series_manifest("rank", 3, 7, ser)
-    assert payload["checksum"] == manifest["checksum"]
+    assert set(payload) == {"kind", "r", "trunc", "shift", "checksum", "coefficients"}
+    assert (payload["kind"], payload["r"], payload["trunc"]) == ("rank", 3, 7)
+    assert payload["checksum"] == checksum(ser)
     assert payload["coefficients"] == [str(c) for c in ser]
 
 
@@ -75,14 +80,18 @@ def test_series_json_manifest(tmp_path):
     "kind, r, trunc, shift", [("rank", 3, 0, None), ("crank", 4, 300, 2), ("rank", 7, 2000, None)]
 )
 def test_series_json_is_the_json_dump_of_its_manifest(kind, r, trunc, shift, tmp_path):
-    # the coefficient strings are written one at a time, with the bytes
-    # json.dump writes for the whole manifest
+    # the coefficient strings are written one at a time, and the checksum
+    # fed one at a time, with the bytes json.dump writes for the whole
+    # manifest; trunc 0 hashes its one coefficient
     out = tmp_path / "s.json"
     argv = ["series", "--kind", kind, "--r", str(r), "--trunc", str(trunc), "--format", "json"]
     assert run(argv + ([] if shift is None else ["--shift", str(shift)]) + ["--out", str(out)]) == 0
     ser = genfunc.moment_series("symmetrized", kind, r, trunc, shift)
     payload = {
-        **genfunc.series_manifest(kind, r, trunc, ser),
+        "kind": kind,
+        "r": r,
+        "trunc": trunc,
+        "checksum": checksum(ser),
         "shift": shift,
         "coefficients": [str(c) for c in ser],
     }
@@ -96,17 +105,16 @@ def test_series_trunc_zero(tmp_path):
 
 
 def test_outputs_are_deterministic(tmp_path):
-    from overmoments import genfunc
-
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    argv = ["series", "--kind", "crank", "--r", "5", "--trunc", "200", "--format", "json"]
-    run(argv + ["--out", str(a)])
-    run(argv + ["--out", str(b)])
+    a, b, c = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "c.json"
+    argv = ["series", "--kind", "crank", "--trunc", "200", "--format", "json"]
+    run(argv + ["--r", "5", "--out", str(a)])
+    run(argv + ["--r", "5", "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
-    manifest = genfunc.series_manifest(
-        "crank", 5, 200, genfunc.moment_series("symmetrized", "crank", 5, 200)
-    )
-    assert json.loads(a.read_text())["checksum"] == manifest["checksum"]
+    want = checksum(genfunc.moment_series("symmetrized", "crank", 5, 200))
+    assert json.loads(a.read_text())["checksum"] == want
+    # another order, another checksum
+    run(argv + ["--r", "4", "--out", str(c)])
+    assert json.loads(c.read_text())["checksum"] != want
     a2, b2 = tmp_path / "a2.csv", tmp_path / "b2.csv"
     argv = ["ospt", "--r", "1:3", "--N", "0:40"]
     run(argv + ["--out", str(a2)])
@@ -261,8 +269,8 @@ def test_unopenable_out_exits_2(argv, tmp_path, capsys):
 )
 def test_unwritable_out_is_refused_before_the_work(argv, module, name, tmp_path, monkeypatch):
     # verify --suite oracle used to run the whole suite, about 2 s, before
-    # a missing directory, an existing directory given as the file, or a
-    # regular file given as the directory exited 2
+    # a missing directory, an existing directory given as the file, a
+    # regular file given as the directory, or an empty path exited 2
     def work(*args, **kwargs):
         raise AssertionError("the work ran before --out was checked")
 
@@ -271,7 +279,7 @@ def test_unwritable_out_is_refused_before_the_work(argv, module, name, tmp_path,
     else:
         monkeypatch.setattr(module, name, work)
     (tmp_path / "file").write_text("")
-    for out in (tmp_path / "no-such-dir" / "x", tmp_path, tmp_path / "file" / "x"):
+    for out in (tmp_path / "no-such-dir" / "x", tmp_path, tmp_path / "file" / "x", ""):
         with pytest.raises(SystemExit) as exc:
             run(argv + ["--out", str(out)])
         assert exc.value.code == 2

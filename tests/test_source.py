@@ -230,3 +230,28 @@ def test_one_owner_for_the_size_rule():
     # if refuses a value with "must be >="
     assert _functions_with(_constructs_oversize_request) == {"series.check_size"}
     assert _functions_with(_is_floor_raise) == {"series.check_size"}
+
+
+def test_only_the_command_line_reads_hashlib():
+    # the series JSON manifest and its checksum rule live in cli, beside the
+    # bytes they shape; the generating-function code loads no hashlib
+    readers = _readers("hashlib")
+    assert readers and {reader.split(".")[0] for reader in readers} == {"cli"}, readers
+
+
+def _is_fixed_point_conversion(node) -> bool:
+    # mp.mpf((mantissa, -W)): an int read back from a fixed-point scale
+    return (
+        isinstance(node, ast.Call)
+        and ast.unparse(node.func) == "mp.mpf"
+        and len(node.args) == 1
+        and isinstance(node.args[0], ast.Tuple)
+        and isinstance(node.args[0].elts[-1], ast.UnaryOp)
+        and isinstance(node.args[0].elts[-1].op, ast.USub)
+    )
+
+
+def test_one_runner_converts_a_kernel_result():
+    # every numeric q-series, the circle's integrand included, is a kernel
+    # run by asympt.evaluate, which alone turns its int pair into an mpc
+    assert _functions_with(_is_fixed_point_conversion) == {"asympt.evaluate"}
