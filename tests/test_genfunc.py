@@ -3,12 +3,14 @@ the two-variable series.  The comparisons against enumeration are the
 oracle and proposition suites of `overmoments.checks`, run by the
 acceptance tests A1 and A2."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
 from oracles import crank_power_numerator, lambert_term, overpartition_spt, rho_crank, rho_rank
-from overmoments import genfunc
+from overmoments import cli, genfunc
 from overmoments.errors import OversizeRequest
 from overmoments.series import TWO_VARIABLE_TRUNC_CAP
 
@@ -194,3 +196,40 @@ def test_ospt_2_is_the_overpartition_spt():
     spt = overpartition_spt(400)
     assert genfunc.moment_series("difference", "crank", 2, 400) == spt
     assert min(spt[1:]) >= 1
+
+
+def _series_json(tmp_path, kind, r, trunc, name="s.json"):
+    # the manifest of the exact coefficients, as series --format json writes it
+    out = tmp_path / name
+    argv = ["series", "--kind", kind, "--r", str(r), "--trunc", str(trunc), "--format", "json"]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    return out
+
+
+def _joined_sha256(ser) -> str:
+    return hashlib.sha256("\n".join(map(str, ser)).encode()).hexdigest()
+
+
+def test_manifest_checksum_is_deterministic(tmp_path):
+    a = _series_json(tmp_path, "rank", 3, 20, "a.json")
+    b = _series_json(tmp_path, "rank", 3, 20, "b.json")
+    assert a.read_bytes() == b.read_bytes()
+    m1 = json.loads(a.read_text())
+    m3 = json.loads(_series_json(tmp_path, "rank", 4, 20, "c.json").read_text())
+    assert m3["checksum"] != m1["checksum"]
+    assert set(m1) == {"kind", "r", "trunc", "shift", "checksum", "coefficients"}
+
+
+def test_export_helpers(tmp_path):
+    ser = _symmetrized("crank", 2, 4)
+    manifest = json.loads(_series_json(tmp_path, "crank", 2, 4).read_text())
+    assert manifest["kind"] == "crank" and manifest["r"] == 2 and manifest["trunc"] == 4
+    assert manifest["checksum"] == _joined_sha256(ser)
+
+
+def test_manifest_checksum_hashes_the_joined_coefficients(tmp_path):
+    # the coefficients are hashed one at a time, with the digest of their
+    # newline-joined decimal strings; trunc 0 writes one coefficient
+    for trunc in (0, 200):
+        manifest = json.loads(_series_json(tmp_path, "rank", 3, trunc).read_text())
+        assert manifest["checksum"] == _joined_sha256(_symmetrized("rank", 3, trunc))
