@@ -37,7 +37,7 @@ import mpmath as mp
 from . import genfunc
 from .asympt import cmul, evaluate, fixed, overpartition_kernel, s_series_kernel
 from .errors import QuadratureFailure
-from .series import EXACT_TRUNC_CAP, check_kind, check_order, check_size
+from .series import check_kind, check_order, check_size
 
 __all__ = [
     "working_precision",
@@ -180,8 +180,6 @@ def _major_arc(kind, r, N, tol) -> tuple:
             T += 1
         if (b := bound(T)) > target:
             raise QuadratureFailure(f"major arc tail bound above tol/4 at T={T}")
-    if T > EXACT_TRUNC_CAP:
-        raise QuadratureFailure(f"major arc needs more than {EXACT_TRUNC_CAP} coefficients")
     series = genfunc.moment_series("symmetrized", kind, r, T)
     major = _sinc_sum(series, N)
     with mp.workprec(wp):
@@ -191,7 +189,7 @@ def _major_arc(kind, r, N, tol) -> tuple:
 def _sinc_sum(series, N) -> mp.mpf:
     """The major arc sum_m a_m Im(u^{m-N}) / (pi (m-N)) + 2y a_N over a_0..a_T,
     u = rho e^{2 pi i y}, unrounded and within 2^-64 absolute.  w = u^{m-N}
-    is an int pair times 2^-E, times u at scale 2^p and floored each step.
+    is an int pair times 2^-E, times u at scale 2^p by `cmul`, floored.
     Every span steps, having lost at most 32 bits, w is shifted back to the
     p = floor(top) + 2 bits(T+1) + 103 bits its remaining terms need, where
     2^top bounds max(a_m, 1) rho^{m-N} from there on, and u is truncated to
@@ -214,12 +212,10 @@ def _sinc_sum(series, N) -> mp.mpf:
         d, p = p - guard - int(tops[start]), guard + int(tops[start])
         wr, wi, total, E = wr >> d, wi >> d, total >> d, E - d
         vr, vi = ur >> (P - p), ui >> (P - p)
-        plus, minus = vr + vi, vi - vr  # w u in three products
         for k, a in enumerate(series[start : start + span], start - N):
             if a and k:
                 total += a * wi // k
-            lead = vr * (wr + wi)
-            wr, wi = (lead - wi * plus) >> p, (lead + wr * minus) >> p
+            wr, wi = cmul((wr, wi), (vr, vi), p)
         s = max(p - max(abs(wr), abs(wi)).bit_length(), 0)
         wr, wi, total, E = wr << s, wi << s, total << s, E + s
     with mp.workprec(P):

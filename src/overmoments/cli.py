@@ -6,14 +6,15 @@ pass/fail report of one suite of `checks`).  This module only parses,
 dispatches and writes; each resource guard is a cap of the library module
 it guards, not an option.  The order and size rules are the library's
 (`series.check_order`, `check_size`, `check_trunc`): ospt checks the ends of
-its ascending --r and --N ranges, O(1) however long they are, and converge
-the least N of its grid, each before any output or work.  Outputs are
-deterministic: identical arguments produce byte-identical files.  Exit
-codes: 0 success, 1 check failure, 2 usage error, 3 resource guard tripped.
+its ascending --r and --N ranges, O(1) however long they are, before any
+output or work; converge's --r and --grid meet `asympt.main_term`'s rules
+before its numerator is built.  Outputs are deterministic: identical
+arguments produce byte-identical files.  Exit codes: 0 success, 1 check
+failure, 2 usage error, 3 resource guard tripped.
 
 Imports: the exact commands (series, ospt, verify --suite oracle|proposition)
-load the exact layer only.  mpmath and `asympt` are imported inside
-`_converge_row`, and `checks` imports the numeric modules inside the suites
+load the exact layer only.  mpmath and `asympt` are imported inside the
+converge functions, and `checks` imports the numeric modules inside the suites
 that use them, so only converge and verify --suite residual|wright pay for
 them; `cmd_series` loads hashlib for the checksum of series --format json.
 """
@@ -149,13 +150,9 @@ def cmd_ospt(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _converge_row(flavor: str, r: int, N: int, exact: int) -> dict:
+def _converge_row(N: int, log_exact, log_main) -> dict:
     import mpmath as mp
 
-    from . import asympt
-
-    log_exact = asympt.log_integer(exact, PREC)
-    log_main = asympt.main_term(flavor, r, N, PREC)
     with mp.workprec(PREC):
         ratio = mp.e ** (log_exact - log_main)
         return {
@@ -168,12 +165,16 @@ def _converge_row(flavor: str, r: int, N: int, exact: int) -> dict:
 
 
 def _convergence_rows(flavor: str, kind: str, r: int, grid: list[int]):
+    from . import asympt
+
+    # main_term's order and N rules refuse bad input before the numerator is built
+    log_mains = [asympt.main_term(flavor, r, N, PREC) for N in grid]
     numerator = genfunc.numerator(flavor, kind, r, max(grid))
     rows = []
-    for N, exact in zip(grid, theta4_quotient_at(numerator, grid)):
+    for N, exact, log_main in zip(grid, theta4_quotient_at(numerator, grid), log_mains):
         if exact <= 0:
             raise ValueError(f"exact value at N={N} is not positive")
-        rows.append(_converge_row(flavor, r, N, exact))
+        rows.append(_converge_row(N, asympt.log_integer(exact, PREC), log_main))
     return rows
 
 
@@ -185,8 +186,6 @@ def _monotone_verdict(rows) -> str | None:
 
 
 def cmd_converge(args) -> int:
-    check_order(args.r, least=1)
-    check_size("N", min(args.grid), 0)
     rows = _convergence_rows(args.flavor, args.kind, args.r, args.grid)
     verdict = _monotone_verdict(rows)
     with _output(args.out) as fp:
@@ -250,15 +249,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trunc", type=int, required=True)
     p.add_argument("--shift", type=int, default=None,
                    help="binomial shift (default floor((r-1)/2))")
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_series)
 
     p = sub.add_parser("ospt", help="exact ospt values with positivity verdicts")
     p.add_argument("--r", type=_parse_range, required=True, metavar="A:B")
     p.add_argument("--N", type=_parse_range, required=True, metavar="A:B")
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_ospt)
 
     p = sub.add_parser("converge", help="main-term ratio table over an N grid")
@@ -268,15 +263,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=_parse_grid, required=True, metavar="N1,N2,...")
     # only 1 is accepted, so older command lines that pass it still run
     p.add_argument("--workers", type=int, choices=(1,), default=1, help=argparse.SUPPRESS)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_converge)
 
     p = sub.add_parser("verify", help="run a named check suite")
     p.add_argument("--suite", choices=sorted(checks.SUITES), required=True)
     p.add_argument("--workers", type=int, choices=(1,), default=1, help=argparse.SUPPRESS)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
+
+    for name, p in sub.choices.items():
+        p.add_argument("--out", default=None)
+        if name != "verify":
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     return parser
 

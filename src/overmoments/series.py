@@ -136,7 +136,7 @@ def divide_by_theta4(coeffs: list[int], trunc: int) -> list[int]:
     return y
 
 
-# pbar(0..len - 1), grown by overpartition_gf and read by theta4_quotient_at
+# pbar(0..len - 1), grown and read by overpartition_gf alone
 _pbar: list[int] = []
 
 
@@ -173,9 +173,8 @@ def theta4_quotient_at(coeffs: Sequence[int], indices: Sequence[int]) -> list[in
     if sum(indices) + len(indices) > division:
         quotient = divide_by_theta4(list(islice(coeffs, nmax + 1)), nmax)
         return [quotient[N] for N in indices]
-    overpartition_gf(nmax)
-    top = len(_pbar) - 1  # pbar(N), pbar(N-1), .., pbar(0) without a copy
-    return [sum(map(mul, coeffs, islice(reversed(_pbar), top - N, None))) for N in indices]
+    pbar = overpartition_gf(nmax)  # one copy; each N reads pbar(N), .., pbar(0) in place
+    return [sum(map(mul, coeffs, islice(reversed(pbar), nmax - N, None))) for N in indices]
 
 
 class StatTable:

@@ -437,10 +437,13 @@ def test_sinc_sum_matches_the_mpmath_loop(kind, r, N, monkeypatch):
 
 
 def test_truncation_cap_is_checked_before_any_series(monkeypatch):
-    # crank r = 3 at N = 100 needs T = 791
-    built = stop_at(monkeypatch, genfunc, "moment_series")
-    monkeypatch.setattr(circle, "EXACT_TRUNC_CAP", 790)
-    with pytest.raises(QuadratureFailure, match="more than 790 coefficients"):
+    # crank r = 3 at N = 100 needs T = 791; the one trunc cap is
+    # series.check_trunc's, met before any Lambert pass
+    from overmoments import series
+
+    built = stop_at(monkeypatch, genfunc, "_steps")
+    monkeypatch.setattr(series, "EXACT_TRUNC_CAP", 790)
+    with pytest.raises(OversizeRequest, match="capped at trunc=790, got 791"):
         circle._major_arc("crank", 3, 100, 1e-8)
     assert built == []
 

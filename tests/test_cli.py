@@ -171,7 +171,7 @@ def test_usage_errors_exit_2():
         (["converge", "--flavor", "moment", "--r", "0", "--grid", "100"],
          "r must be >= 1, got 0"),
         (["converge", "--flavor", "moment", "--r", "2", "--grid", "100,-5"],
-         "N must be >= 0, got -5"),
+         "N must be >= 1, got -5"),
         (["series", "--kind", "crank", "--r", "3", "--trunc", "-1"],
          "trunc must be >= 0, got -1"),
         (["series", "--kind", "crank", "--r", "3", "--trunc", "5", "--shift", "7"],
@@ -190,6 +190,19 @@ def test_out_of_range_arguments_exit_2(argv, message, capsys):
         run(argv)
     assert exc.value.code == 2
     assert capsys.readouterr().err.splitlines()[-1].endswith(message)
+
+
+def test_converge_refuses_n_0_before_the_numerator(monkeypatch, capsys):
+    # converge used to check N >= 0 against main_term's N >= 1, so this grid
+    # built the whole numerator and divided it through 2 10^5 before exit 2
+    def numerator(*args):
+        raise AssertionError("the numerator was built before N was checked")
+
+    monkeypatch.setattr(genfunc, "numerator", numerator)
+    with pytest.raises(SystemExit) as exc:
+        run(["converge", "--flavor", "moment", "--r", "2", "--grid", "0,200000"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith("N must be >= 1, got 0")
 
 
 def test_ospt_csv_is_byte_identical(tmp_path):

@@ -1,7 +1,7 @@
 """Moment algebra: power moments, symmetrized moments, basis change, ospt."""
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, isqrt
 
 import pytest
 
@@ -150,6 +150,19 @@ def test_ospt_values():
     for n in range(NMAX + 1):
         assert moments.ospt(3, n, CRANK, RANK) == series[n]
     assert moments.ospt(3, 10, CRANK, RANK) == series[10] > 0
+
+
+def test_ospt2_is_odd_exactly_at_squares_and_twice_squares():
+    # toggling the overline on the largest part size pairs off every counted
+    # overpartition with a part above its smallest, so ospt_2(n) = sigma(n)
+    # (mod 2), odd exactly at squares and twice squares; this reads every
+    # coefficient of the theta_4 division through 2 10^4, far past what
+    # enumeration reaches
+    trunc = 20_000
+    series = moment_series("difference", "crank", 2, trunc)
+    odd = [n for n in range(1, trunc + 1) if series[n] % 2]
+    squares = [k * k for k in range(1, isqrt(trunc) + 1)]
+    assert odd == sorted(n for n in squares + [2 * s for s in squares] if n <= trunc)
 
 
 REFUSALS = [

@@ -255,3 +255,39 @@ def test_one_runner_converts_a_kernel_result():
     # every numeric q-series, the circle's integrand included, is a kernel
     # run by asympt.evaluate, which alone turns its int pair into an mpc
     assert _functions_with(_is_fixed_point_conversion) == {"asympt.evaluate"}
+
+
+def test_the_exact_trunc_cap_is_read_only_in_series():
+    # series.check_trunc is the one home of the cap; a second check of it
+    # elsewhere can only drift from the first
+    readers = _readers("EXACT_TRUNC_CAP")
+    assert readers and {reader.split(".")[0] for reader in readers} == {"series"}, readers
+
+
+def test_the_pbar_memo_is_read_only_by_overpartition_gf():
+    # every reader takes pbar from overpartition_gf, which alone grows the memo
+    readers = _readers("_pbar")
+    assert readers == {"series.<module>", "series.overpartition_gf"}, readers
+
+
+def test_no_unused_import_in_src():
+    # no linter is a declared dependency, so this is the check: a name an
+    # import binds counts as used where its module reads it or lists it in
+    # __all__
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        imported, read = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name.split(".")[0], node.lineno) for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update((a.asname or a.name, node.lineno) for a in node.names)
+            elif isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                read.update(ast.literal_eval(node.value))
+        unused += [f"{path.name}:{n} {name}" for name, n in imported.items() if name not in read]
+    assert not unused, unused
