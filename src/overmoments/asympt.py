@@ -66,8 +66,7 @@ POLE_TERMS_CAP = 128
 
 def log_integer(value: int, prec: int = 256) -> mp.mpf:
     """Natural log of a positive integer of any size."""
-    if value <= 0:
-        raise ValueError("log_integer needs a positive integer")
+    check_size("value", value, 1)
     with mp.workprec(prec + GUARD_BITS):
         result = mp.log(mp.mpf(value))
     with mp.workprec(prec):

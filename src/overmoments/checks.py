@@ -1,4 +1,4 @@
-"""The paper's checks, as named suites of pass/fail results.
+"""The paper's checks: named pass/fail suites and the convergence table.
 
 `verify --suite S` writes the report of `SUITES[S]`, and the acceptance
 tests run the same suites, so each grid and each gate lives here once.  A
@@ -10,10 +10,13 @@ suite takes no argument and returns a list of checks
   residual     pole-expansion orders, delta_r from the pole expansion, the prefactor
   wright       circle-method coefficients against the exact ones
 
+`converge` is the table the command writes and A3 and A4 read, at `PREC`
+bits; its verdict and wright's major arc read one trend rule, `decreasing`.
+
 Imports: oracle and proposition are exact and load the exact layer only;
-residual imports mpmath and `asympt`, and wright imports `circle`, inside
-the suite, so importing this module (as the command line's parser does for
-the suite names) loads no numeric module.
+converge and residual import mpmath and `asympt`, and wright imports
+`circle`, inside the function, so importing this module (as the command
+line does) loads no numeric module.
 """
 
 from __future__ import annotations
@@ -21,11 +24,51 @@ from __future__ import annotations
 from . import combinat, genfunc, moments
 from .series import overpartition_gf, theta4_quotient_at
 
-__all__ = ["check", "oracle", "proposition", "residual", "wright", "SUITES"]
+__all__ = ["check", "converge", "decreasing", "oracle", "proposition", "residual", "wright",
+           "SUITES"]
+
+# converge's working precision.  A table prints its logs to 30 digits, about
+# 100 bits, and its ratio as a double, off by at most pi sqrt(N) 2^-PREC <
+# 2^(11-PREC) for N <= EXACT_TRUNC_CAP; 256 bits cover both with 140 to
+# spare.  Tables at 256 and 4096 bits are identical; at 64 the logs go wrong
+# past the 19th digit
+PREC = 256
 
 
 def check(name: str, passed: bool, detail: str = "") -> dict:
     return {"name": name, "passed": bool(passed), "detail": detail}
+
+
+def decreasing(values) -> bool:
+    """The one trend rule: each value strictly below the one before it."""
+    return all(b < a for a, b in zip(values, values[1:]))
+
+
+def converge(flavor: str, kind: str, r: int, grid: list[int]) -> dict:
+    """The main-term ratio table over grid: per N the logs of the exact value
+    and of `asympt.main_term` to 30 digits, their ratio and |ratio - 1| as
+    doubles; the verdict says whether those residuals decrease, None for one
+    row.  A non-positive exact value has no log and is refused."""
+    import mpmath as mp
+
+    from . import asympt
+
+    # main_term's order and N rules refuse bad input before the numerator is built
+    log_mains = [asympt.main_term(flavor, r, N, PREC) for N in grid]
+    numerator = genfunc.numerator(flavor, kind, r, max(grid))
+    rows = []
+    for N, exact, log_main in zip(grid, theta4_quotient_at(numerator, grid), log_mains):
+        if exact <= 0:
+            raise ValueError(f"exact value at N={N} is not positive")
+        log_exact = asympt.log_integer(exact, PREC)
+        with mp.workprec(PREC):
+            ratio = mp.e ** (log_exact - log_main)
+            rows.append({"N": N, "log_exact": mp.nstr(log_exact, 30),
+                         "log_main": mp.nstr(log_main, 30), "ratio": float(ratio),
+                         "residual": float(abs(ratio - 1))})
+    res = [row["residual"] for row in rows]
+    verdict = None if len(res) < 2 else "decreasing" if decreasing(res) else "not-decreasing"
+    return dict(flavor=flavor, kind=kind, r=r, prec_bits=PREC, rows=rows, verdict=verdict)
 
 
 def oracle() -> list[dict]:
@@ -169,11 +212,10 @@ def wright() -> list[dict]:
         float(circle.major_arc_coefficient("crank", 3, N, tol=1e-8)) / exact
         for N, exact in zip(grid, theta4_quotient_at(numerator, grid))
     ]
-    dist = [abs(f - 1) for f in fractions]
     checks.append(
         check(
             "major-arc-fraction-approaches-1",
-            all(b < a for a, b in zip(dist, dist[1:])),
+            decreasing([abs(f - 1) for f in fractions]),
             f"fractions {fractions}",
         )
     )

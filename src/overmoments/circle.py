@@ -227,10 +227,9 @@ def _check(kind, r, tol) -> None:
     evaluation.  The certified bounds need every a_m >= 0, hence r >= 0."""
     check_kind(kind)
     check_order(r)
-    if not isfinite(tol):
+    if not isfinite(tol):  # NaN passes the floor's < test
         raise ValueError(f"tol must be finite, got {tol}")
-    if tol < MIN_TOL:
-        raise ValueError(f"tol {tol} tighter than supported minimum {MIN_TOL}")
+    check_size("tol", tol, MIN_TOL)
 
 
 def cauchy_coefficient(kind: str, r: int, N: int, tol: float = MIN_TOL) -> mp.mpf:

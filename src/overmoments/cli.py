@@ -1,7 +1,7 @@
 """Batch command-line front end.
 
 Subcommands: series (exact coefficients), ospt (positivity table),
-converge (main-term ratio tables, worked at `PREC` bits), verify (the
+converge (the main-term ratio table of `checks.converge`), verify (the
 pass/fail report of one suite of `checks`).  This module only parses,
 dispatches and writes; each resource guard is a cap of the library module
 it guards, not an option.  The order and size rules are the library's
@@ -12,11 +12,11 @@ before its numerator is built.  Outputs are deterministic: identical
 arguments produce byte-identical files.  Exit codes: 0 success, 1 check
 failure, 2 usage error, 3 resource guard tripped.
 
-Imports: the exact commands (series, ospt, verify --suite oracle|proposition)
-load the exact layer only.  mpmath and `asympt` are imported inside the
-converge functions, and `checks` imports the numeric modules inside the suites
-that use them, so only converge and verify --suite residual|wright pay for
-them; `cmd_series` loads hashlib for the checksum of series --format json.
+Imports: this module loads no numeric module.  The exact commands (series,
+ospt, verify --suite oracle|proposition) load the exact layer only, and
+`checks` imports the numeric modules inside the functions that use them, so
+only converge and verify --suite residual|wright pay for them; `cmd_series`
+loads hashlib for the checksum of series --format json.
 """
 
 from __future__ import annotations
@@ -31,14 +31,7 @@ from typing import get_args
 
 from . import checks, genfunc
 from .errors import OversizeRequest, QuadratureFailure
-from .series import Kind, check_order, check_size, check_trunc, theta4_quotient_at
-
-# converge's working precision.  A table prints its logs to 30 digits, about
-# 100 bits, and its ratio as a double, off by at most pi sqrt(N) 2^-PREC <
-# 2^(11-PREC) for N <= EXACT_TRUNC_CAP; 256 bits cover both with 140 to
-# spare.  Tables at 256 and 4096 bits are identical; at 64 the logs go wrong
-# past the 19th digit
-PREC = 256
+from .series import Kind, check_order, check_size, check_trunc
 
 
 def _parse_range(text: str) -> range:
@@ -150,68 +143,18 @@ def cmd_ospt(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _converge_row(N: int, log_exact, log_main) -> dict:
-    import mpmath as mp
-
-    with mp.workprec(PREC):
-        ratio = mp.e ** (log_exact - log_main)
-        return {
-            "N": N,
-            "log_exact": mp.nstr(log_exact, 30),
-            "log_main": mp.nstr(log_main, 30),
-            "ratio": float(ratio),
-            "residual": float(abs(ratio - 1)),
-        }
-
-
-def _convergence_rows(flavor: str, kind: str, r: int, grid: list[int]):
-    from . import asympt
-
-    # main_term's order and N rules refuse bad input before the numerator is built
-    log_mains = [asympt.main_term(flavor, r, N, PREC) for N in grid]
-    numerator = genfunc.numerator(flavor, kind, r, max(grid))
-    rows = []
-    for N, exact, log_main in zip(grid, theta4_quotient_at(numerator, grid), log_mains):
-        if exact <= 0:
-            raise ValueError(f"exact value at N={N} is not positive")
-        rows.append(_converge_row(N, asympt.log_integer(exact, PREC), log_main))
-    return rows
-
-
-def _monotone_verdict(rows) -> str | None:
-    if len(rows) < 2:
-        return None
-    res = [row["residual"] for row in rows]
-    return "decreasing" if all(b < a for a, b in zip(res, res[1:])) else "not-decreasing"
-
-
 def cmd_converge(args) -> int:
-    rows = _convergence_rows(args.flavor, args.kind, args.r, args.grid)
-    verdict = _monotone_verdict(rows)
+    table = checks.converge(args.flavor, args.kind, args.r, args.grid)
     with _output(args.out) as fp:
         if args.format == "csv":
             fp.write("N,log_exact,log_main,ratio,residual\n")
-            for row in rows:
-                fp.write(
-                    f"{row['N']},{row['log_exact']},{row['log_main']},"
-                    f"{row['ratio']!r},{row['residual']!r}\n"
-                )
-            fp.write(f"# prec_bits={PREC}\n")
-            if verdict is not None:
-                fp.write(f"# verdict={verdict}\n")
+            # str of a float is its repr
+            fp.writelines(",".join(map(str, row.values())) + "\n" for row in table["rows"])
+            fp.write(f"# prec_bits={table['prec_bits']}\n")
+            if table["verdict"] is not None:
+                fp.write(f"# verdict={table['verdict']}\n")
         else:
-            json.dump(
-                {
-                    "flavor": args.flavor,
-                    "kind": args.kind,
-                    "r": args.r,
-                    "prec_bits": PREC,
-                    "rows": rows,
-                    "verdict": verdict,
-                },
-                fp,
-                sort_keys=True,
-            )
+            json.dump(table, fp, sort_keys=True)
             fp.write("\n")
     return 0
 

@@ -73,10 +73,12 @@ def euler_product(trunc: int) -> list[int]:
     return c
 
 
-def check_size(name: str, value: int, least: int, cap: int | None = None, what: str = "") -> None:
+def check_size(
+    name: str, value: float, least: float, cap: int | None = None, what: str = ""
+) -> None:
     """The one floor-and-cap rule: ValueError when value is below least,
     OversizeRequest when it is above cap (a size in log space has none).
-    Every size guard in the package calls it before any work."""
+    Every floor and cap in the package, a tolerance's too, calls it first."""
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
     if cap is not None and value > cap:

@@ -13,7 +13,7 @@ gates are the ones `verify` uses, defined once in `checks`:
       r <= 6, < 2 min
   A3  |ratio - 1| strictly decreasing on {400, 900, 1600, 2500}, < 0.5 at 2500
   A4  difference ratio trend decreasing, ratio within [0.3, 3] at 2500
-      (A3 and A4 read the rows `converge` writes, from `cli._convergence_rows`)
+      (A3 and A4 read the table `converge` writes, from `checks.converge`)
   A5  ospt_r(N) > 0 exactly for 1 <= r <= 6, 1 <= N <= 500
   A6  residual suite: the K-term pole expansion's relative residual has
       log-log slope within 0.1 of -K/2 over N = 10^3..10^5, K = 2, 4, 8,
@@ -32,7 +32,7 @@ from math import factorial
 import pytest
 
 from oracles import basis_change
-from overmoments import cli, genfunc, moments
+from overmoments import checks, genfunc, moments
 
 GRID = (400, 900, 1600, 2500)
 RS = (2, 3, 4)
@@ -89,8 +89,9 @@ def test_a3_moment_main_term_convergence():
     details = []
     for r in RS:
         for kind in ("crank", "rank"):
-            dist = [row["residual"] for row in cli._convergence_rows("moment", kind, r, GRID)]
-            if not all(b < a for a, b in zip(dist, dist[1:])):
+            table = checks.converge("moment", kind, r, GRID)
+            dist = [row["residual"] for row in table["rows"]]
+            if table["verdict"] != "decreasing":
                 ok = False
             if not dist[-1] < 0.5:
                 ok = False
@@ -102,10 +103,9 @@ def test_a4_difference_main_term_convergence():
     ok = True
     details = []
     for r in RS:
-        rows = cli._convergence_rows("difference", "crank", r, GRID)
-        dist = [row["residual"] for row in rows]
-        final_ratio = rows[-1]["ratio"]
-        if not all(b < a for a, b in zip(dist, dist[1:])):
+        table = checks.converge("difference", "crank", r, GRID)
+        final_ratio = table["rows"][-1]["ratio"]
+        if table["verdict"] != "decreasing":
             ok = False
         if not 0.3 <= final_ratio <= 3:
             ok = False

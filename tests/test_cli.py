@@ -44,6 +44,14 @@ CONVERGE_DIGESTS = {
     ("symmetrized", "rank"): "7eb9b6abd008c49cdc6436312a79ac5ab663877bcdd46b5b8ef58e47ba05e222",
 }
 
+# SHA-256 of `converge --flavor F --kind K --r R --grid 100,400,1600 --format
+# json`, recorded while the table was still built in the cli module
+CONVERGE_JSON_DIGESTS = {
+    ("difference", "crank", 3): "763b3a3474f82877fcecf8e35950aba096883f20415796848e07f9766fd4f4b1",
+    ("moment", "rank", 2): "b11fa8826a647283e862c1d782e1d189bc0851d836a8ed7ab8781f7f1c1757a0",
+    ("symmetrized", "crank", 4): "04b026b41d9db01be568ab5280499585a839e3ed31e40d6f32124a247cfdc928",
+}
+
 
 def run(args):
     return main(args)
@@ -205,6 +213,18 @@ def test_converge_refuses_n_0_before_the_numerator(monkeypatch, capsys):
     assert capsys.readouterr().err.splitlines()[-1].endswith("N must be >= 1, got 0")
 
 
+def test_converge_refuses_a_non_positive_exact_value(tmp_path, capsys):
+    # the symmetrized rank moment of order 3 is 0 at N = 1, which has no log;
+    # the table is refused before --out is opened, so no file is left
+    out = tmp_path / "F"
+    with pytest.raises(SystemExit) as exc:
+        run(["converge", "--flavor", "symmetrized", "--kind", "rank", "--r", "3",
+             "--grid", "1,100", "--out", str(out)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith("exact value at N=1 is not positive")
+    assert not out.exists()
+
+
 def test_ospt_csv_is_byte_identical(tmp_path):
     # SHA-256 of the exact ospt table recorded before the fused pipeline
     out = tmp_path / "ospt.csv"
@@ -273,8 +293,7 @@ def test_unopenable_out_exits_2(argv, tmp_path, capsys):
     "argv, module, name",
     [
         (["series", "--kind", "crank", "--r", "3", "--trunc", "10"], genfunc, "moment_series"),
-        (["converge", "--flavor", "moment", "--r", "2", "--grid", "100"], cli,
-         "_convergence_rows"),
+        (["converge", "--flavor", "moment", "--r", "2", "--grid", "100"], checks, "converge"),
         (["verify", "--suite", "oracle"], checks.SUITES, "oracle"),
         (["ospt", "--r", "1:2", "--N", "1:10"], genfunc, "moment_series"),
     ],
@@ -371,7 +390,7 @@ def test_verify_proposition_suite(tmp_path):
 )
 def test_removed_options_are_usage_errors(argv, capsys):
     # the working precision and the enumeration budget are the constants
-    # cli.PREC and combinat.ENUMERATION_BUDGET
+    # checks.PREC and combinat.ENUMERATION_BUDGET
     with pytest.raises(SystemExit) as exc:
         run(argv)
     assert exc.value.code == 2
@@ -420,6 +439,14 @@ def test_converge_table_is_byte_identical(flavor, kind, tmp_path):
     assert run(["converge", "--flavor", flavor, "--kind", kind, "--r", "3",
                 "--grid", "100,400,1600", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == CONVERGE_DIGESTS[flavor, kind]
+
+
+@pytest.mark.parametrize("flavor, kind, r", sorted(CONVERGE_JSON_DIGESTS))
+def test_converge_json_is_byte_identical(flavor, kind, r, tmp_path):
+    out = tmp_path / f"{flavor}-{kind}-{r}.json"
+    assert run(["converge", "--flavor", flavor, "--kind", kind, "--r", str(r),
+                "--grid", "100,400,1600", "--format", "json", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CONVERGE_JSON_DIGESTS[flavor, kind, r]
 
 
 def test_converge_tables_share_one_theta4_division(monkeypatch, tmp_path):

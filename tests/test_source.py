@@ -218,18 +218,32 @@ def _constructs_oversize_request(node) -> bool:
 
 
 def _is_floor_raise(node) -> bool:
-    # if ...: raise ValueError("... must be >= ..."), on any name
-    return isinstance(node, ast.If) and any(
-        isinstance(n, ast.Raise) and "must be >" in ast.unparse(n) for n in ast.walk(node)
+    # if a < b: raise ValueError(...), with <, <=, > or >= as the test or one
+    # operand of an and/or, on any name and whatever the message says.  A
+    # negated range, as genfunc.weight's shift rule, or a test inside any(),
+    # as combinat's rules on the parts of one overpartition, is not a floor
+    if not isinstance(node, ast.If):
+        return False
+    tests = node.test.values if isinstance(node.test, ast.BoolOp) else [node.test]
+    return any(
+        isinstance(test, ast.Compare)
+        and any(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in test.ops)
+        for test in tests
+    ) and any(
+        isinstance(n, ast.Raise) and n.exc is not None and "ValueError" in ast.unparse(n.exc)
+        for stmt in node.body
+        for n in ast.walk(stmt)
     )
 
 
 def test_one_owner_for_the_size_rule():
-    # every floor and cap on a trunc, order, N, K, term count or budget is
-    # series.check_size: OversizeRequest is built nowhere else, and no other
-    # if refuses a value with "must be >="
+    # every floor and cap on a trunc, order, N, K, term count, budget or
+    # tolerance is series.check_size: OversizeRequest is built nowhere else,
+    # and no other if refuses a compared value with ValueError.  The one
+    # exception is checks.converge, which refuses a computed value, an exact
+    # coefficient that is not positive, not an argument's size
     assert _functions_with(_constructs_oversize_request) == {"series.check_size"}
-    assert _functions_with(_is_floor_raise) == {"series.check_size"}
+    assert _functions_with(_is_floor_raise) == {"series.check_size", "checks.converge"}
 
 
 def test_only_the_command_line_reads_hashlib():
@@ -237,6 +251,13 @@ def test_only_the_command_line_reads_hashlib():
     # bytes they shape; the generating-function code loads no hashlib
     readers = _readers("hashlib")
     assert readers and {reader.split(".")[0] for reader in readers} == {"cli"}, readers
+
+
+def test_the_command_line_reads_no_numeric_module():
+    # cli only parses, dispatches and writes: the numeric stack is loaded
+    # inside checks' functions, converge's table among them
+    readers = set().union(*map(_readers, ("mpmath", "asympt", "circle")))
+    assert not {reader for reader in readers if reader.startswith("cli.")}, readers
 
 
 def _is_fixed_point_conversion(node) -> bool:
