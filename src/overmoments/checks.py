@@ -5,7 +5,7 @@ tests run the same suites, so each grid and each gate lives here once.  A
 suite takes no argument and returns a list of checks
 `{"name", "passed", "detail"}`:
 
-  oracle       exact series and two-variable series against enumeration
+  oracle       every flavor's exact series and the two-variable series against enumeration
   proposition  the generalized shift identity and the quoted sample expansions
   residual     pole-expansion orders, delta_r from the pole expansion, the prefactor
   wright       circle-method coefficients against the exact ones
@@ -24,8 +24,8 @@ from __future__ import annotations
 from . import combinat, genfunc, moments
 from .series import overpartition_gf, theta4_quotient_at
 
-__all__ = ["check", "converge", "decreasing", "oracle", "proposition", "residual", "wright",
-           "SUITES"]
+__all__ = ["check", "converge", "decreasing", "matches_enumeration", "oracle", "proposition",
+           "residual", "wright", "SUITES"]
 
 # converge's working precision.  A table prints its logs to 30 digits, about
 # 100 bits, and its ratio as a double, off by at most pi sqrt(N) 2^-PREC <
@@ -42,6 +42,11 @@ def check(name: str, passed: bool, detail: str = "") -> dict:
 def decreasing(values) -> bool:
     """The one trend rule: each value strictly below the one before it."""
     return all(b < a for a, b in zip(values, values[1:]))
+
+
+def matches_enumeration(series, enumerated) -> bool:
+    """Whether an exact series equals its enumeration sum at every index n."""
+    return all(c == enumerated(n) for n, c in enumerate(series))
 
 
 def converge(flavor: str, kind: str, r: int, grid: list[int]) -> dict:
@@ -76,20 +81,24 @@ def oracle() -> list[dict]:
     checks = []
     tables = {}
     for kind in ("rank", "crank"):
-        table = combinat.build_table(kind, nmax)
-        tables[kind] = table
+        table = tables[kind] = combinat.build_table(kind, nmax)
         pbar = overpartition_gf(nmax)
         sums_ok = all(table.column_sum(n) == pbar[n] for n in range(nmax + 1))
         checks.append(check(f"{kind}-column-sums", sums_ok))
         checks.append(check(f"{kind}-symmetry", table.is_symmetric()))
-    for kind in ("rank", "crank"):
-        ok = True
-        for r in range(1, 7):
-            ser = genfunc.moment_series("symmetrized", kind, r, nmax)
-            for n in range(nmax + 1):
-                if ser[n] != moments.symmetrized_positive_moment(tables[kind], r, n):
-                    ok = False
+    for kind, table in tables.items():
+        ok = all(matches_enumeration(genfunc.moment_series("symmetrized", kind, r, nmax),
+                                     lambda n: moments.symmetrized_positive_moment(table, r, n))
+                 for r in range(1, 7))
         checks.append(check(f"{kind}-series-vs-enumeration", ok))
+        ok = all(matches_enumeration(genfunc.moment_series("moment", kind, r, nmax),
+                                     lambda n: moments.positive_moment(table, r, n))
+                 for r in range(1, 7))
+        checks.append(check(f"{kind}-moment-series-vs-enumeration", ok))
+    ok = all(matches_enumeration(genfunc.moment_series("difference", "crank", r, nmax),
+                                 lambda n: moments.ospt(r, n, tables["crank"], tables["rank"]))
+             for r in range(1, 7))
+    checks.append(check("ospt-series-vs-enumeration", ok))
     for kind, build in (("rank", genfunc.rank_two_variable), ("crank", genfunc.crank_two_variable)):
         two_variable = build(nmax)
         ok = all(two_variable.column(n) == tables[kind].column(n) for n in range(nmax + 1))
@@ -101,14 +110,9 @@ def proposition() -> list[dict]:
     nmax = 16
     checks = []
     tables = {kind: combinat.build_table(kind, nmax) for kind in ("rank", "crank")}
-    ok = True
-    for r in range(0, 7):
-        for shift in range(-1, r):
-            for kind, table in tables.items():
-                ser = genfunc.moment_series("symmetrized", kind, r, nmax, shift)
-                for n in range(nmax + 1):
-                    if ser[n] != moments.symmetrized_positive_moment(table, r, n, shift):
-                        ok = False
+    ok = all(matches_enumeration(genfunc.moment_series("symmetrized", kind, r, nmax, shift),
+                                 lambda n: moments.symmetrized_positive_moment(table, r, n, shift))
+             for r in range(0, 7) for shift in range(-1, r) for kind, table in tables.items())
     checks.append(check("generalized-shift-identity", ok))
     sr3 = genfunc.moment_series("symmetrized", "rank", 3, 7)
     checks.append(

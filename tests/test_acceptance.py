@@ -9,7 +9,7 @@ gates are the ones `verify` uses, defined once in `checks`:
   A1  proposition suite: the two quoted sample expansions exactly, the
       generalized shift identity against enumeration for r <= 6, n <= 16;
       the whole suite in < 1 s
-  A2  oracle suite: exact equality series vs enumeration for n <= 25,
+  A2  oracle suite: every flavor's exact series equals enumeration for n <= 25,
       r <= 6, < 2 min
   A3  |ratio - 1| strictly decreasing on {400, 900, 1600, 2500}, < 0.5 at 2500
   A4  difference ratio trend decreasing, ratio within [0.3, 3] at 2500

@@ -335,6 +335,13 @@ def test_eta_quotient_check_decays():
     assert slope < -0.1
 
 
+@pytest.mark.parametrize("tau", [mp.mpc(0, -0.05), mp.mpc(0.25, 0)])
+def test_eta_quotient_check_refuses_tau_off_the_upper_half_plane(tau):
+    # |q| >= 1 there, where the prefactor's product does not converge
+    with pytest.raises(NonConvergent, match="upper half-plane"):
+        asympt.eta_quotient_check(tau)
+
+
 def test_log_integer():
     with mp.workprec(120):
         assert abs(asympt.log_integer(12345, 120) - mp.log(12345)) < mp.mpf(2) ** -100

@@ -448,6 +448,38 @@ def test_truncation_cap_is_checked_before_any_series(monkeypatch):
     assert built == []
 
 
+class Shifted:
+    """A Lambert W value whose quotient by d is off by k, so that the
+    truncation T the major arc reads off it moves by k."""
+
+    def __init__(self, w, k):
+        self.w, self.k = w, k
+
+    def __truediv__(self, d):
+        return self.w / d + self.k
+
+
+@pytest.mark.parametrize("k", [1, -1])
+def test_major_arc_moves_a_truncation_off_by_one_back(k, monkeypatch):
+    # crank r = 3 at N = 100 reads T = 791 straight off W; one term too many
+    # is given back by T -= 1 and one too few added by T += 1, so the sum,
+    # the minor arc, the bound and the series are those of the unshifted W
+    want = circle._major_arc("crank", 3, 100, 1e-8)
+    lambertw = mp.lambertw
+    monkeypatch.setattr(mp, "lambertw", lambda z: Shifted(lambertw(z), k))
+    assert circle._major_arc("crank", 3, 100, 1e-8) == want
+
+
+def test_major_arc_refuses_a_truncation_two_short(monkeypatch):
+    # T = 789 moves by one to 790, whose tail bound is still above tol/4
+    built = stop_at(monkeypatch, genfunc, "moment_series")
+    lambertw = mp.lambertw
+    monkeypatch.setattr(mp, "lambertw", lambda z: Shifted(lambertw(z), -2))
+    with pytest.raises(QuadratureFailure, match="tail bound above tol/4 at T=790"):
+        circle._major_arc("crank", 3, 100, 1e-8)
+    assert built == []
+
+
 def test_small_n_major_arc_runs():
     val = circle.major_arc_coefficient("crank", 3, 5, tol=1e-8)
     assert mp.isfinite(val)
@@ -536,6 +568,19 @@ def test_bessel_pathway_refuses_a_bad_order_before_quadrature(r, error, monkeypa
     monkeypatch.setattr(mp, "quad", quad)
     with pytest.raises(error):
         circle.bessel_pathway_check(r, 16)
+
+
+def test_p_segment_refuses_a_quadrature_error_above_tol(monkeypatch):
+    # an error estimate of SEGMENT_TOL/4 of the value passes, one above fails
+    for err, fails in ((circle.SEGMENT_TOL / 4, False), (circle.SEGMENT_TOL, True)):
+        monkeypatch.setattr(mp, "quad", lambda f, points, error: (mp.mpf(2), 2 * mp.mpf(err)))
+        if fails:
+            with pytest.raises(QuadratureFailure, match="error estimate .* above tol/4"):
+                circle.p_segment(-mp.mpf(5) / 2, 49)
+        else:
+            value = circle.p_segment(-mp.mpf(5) / 2, 49)
+            with mp.workprec(circle.working_precision(49)):
+                assert value == 2 / mp.pi
 
 
 def test_p_segment_real_and_bessel_pathway():

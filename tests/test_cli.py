@@ -19,14 +19,15 @@ from overmoments.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# SHA-256 of `verify --suite S` reports with default flags; proposition and
-# oracle recorded while the suites still lived in the cli module, residual
+# SHA-256 of `verify --suite S` reports with default flags; proposition
+# recorded while the suites still lived in the cli module, oracle when it
+# added the moment and difference flavors to the symmetrized one, residual
 # when delta_r's check against the pole expansion replaced the constant
 # identity that held by algebra, wright when the full circle took one
 # radius for an absolute aliasing target of tol/8
 VERIFY_DIGESTS = {
     "proposition": "c3d8a0db18082dcb03aa841da3581c9b68c7f30938124cc803b730b900e09c94",
-    "oracle": "1ea0c023384348200c9ea3222f82de96e06a06c867f5b74588fbc27bdb8ac614",
+    "oracle": "cf378e445de0ddf3f459d1ed48be6960c6b75cad85db4e184622ba5aaf56c047",
     "residual": "c1fa84436b6575471943a68917316baab198f53adc35fe3d96b7d03c5f9997d7",
     "wright": "8ce555245dae7c1b14482b9c12a3bb739338ed61fe35f695b5cc62fa7cdc4a0b",
 }
@@ -188,12 +189,14 @@ def test_usage_errors_exit_2():
          "invalid choice: 0 (choose from 1)"),
         (["verify", "--suite", "oracle", "--workers", "2"],
          "invalid choice: 2 (choose from 1)"),
+        (["ospt", "--r", "3:1", "--N", "1:3"], "empty range '3:1'"),
     ],
 )
 def test_out_of_range_arguments_exit_2(argv, message, capsys):
     # negative N used to index the value list from its end; r < 1 and the
-    # library's ValueErrors used to escape as a traceback with exit 1;
-    # --workers is accepted only as 1, so 0 and 2 are both usage errors
+    # library's ValueErrors used to escape as a traceback with exit 1; a
+    # descending range is empty; --workers is accepted only as 1, so 0 and 2
+    # are both usage errors
     with pytest.raises(SystemExit) as exc:
         run(argv)
     assert exc.value.code == 2

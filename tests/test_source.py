@@ -219,12 +219,18 @@ def _constructs_oversize_request(node) -> bool:
 
 def _is_floor_raise(node) -> bool:
     # if a < b: raise ValueError(...), with <, <=, > or >= as the test or one
-    # operand of an and/or, on any name and whatever the message says.  A
-    # negated range, as genfunc.weight's shift rule, or a test inside any(),
-    # as combinat's rules on the parts of one overpartition, is not a floor
+    # operand of an and/or, or a negated range, if not a <= b <= c, on any
+    # name and whatever the message says.  A test inside any(), as
+    # combinat's rules on the parts of one overpartition, and a negated
+    # single comparison, as its subset test on the overlined values, are not
     if not isinstance(node, ast.If):
         return False
     tests = node.test.values if isinstance(node.test, ast.BoolOp) else [node.test]
+    tests = [
+        t.operand if isinstance(t, ast.UnaryOp) and isinstance(t.op, ast.Not)
+        and isinstance(t.operand, ast.Compare) and len(t.operand.ops) > 1 else t
+        for t in tests
+    ]
     return any(
         isinstance(test, ast.Compare)
         and any(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in test.ops)
@@ -239,11 +245,15 @@ def _is_floor_raise(node) -> bool:
 def test_one_owner_for_the_size_rule():
     # every floor and cap on a trunc, order, N, K, term count, budget or
     # tolerance is series.check_size: OversizeRequest is built nowhere else,
-    # and no other if refuses a compared value with ValueError.  The one
-    # exception is checks.converge, which refuses a computed value, an exact
-    # coefficient that is not positive, not an argument's size
+    # and no other if refuses a compared value with ValueError.  Two
+    # exceptions refuse what is not a size: checks.converge a computed value,
+    # an exact coefficient that is not positive, and genfunc.weight a shift
+    # outside -1..r-1, a bad argument at either end, where check_size's
+    # OversizeRequest (exit 3, a tripped guard) would be the wrong error
     assert _functions_with(_constructs_oversize_request) == {"series.check_size"}
-    assert _functions_with(_is_floor_raise) == {"series.check_size", "checks.converge"}
+    assert _functions_with(_is_floor_raise) == {
+        "series.check_size", "checks.converge", "genfunc.weight",
+    }
 
 
 def test_only_the_command_line_reads_hashlib():
