@@ -2,16 +2,16 @@
 
 The pole expansion and the main terms run on mpmath under an explicit
 working precision in bits (requested precision plus guard bits); callers
-pass `prec`, values come back rounded to that precision.  Exact big integers
-are turned into logs via mpf conversion, accurate to working precision
-regardless of the integer's size.
+pass `prec`.  Every numeric function returns its value at the precision it
+computed it in, unrounded, and only the reporting layer rounds, once.
+Exact big integers are turned into logs via mpf conversion, accurate to
+working precision regardless of the integer's size.
 
 The two q-series behind every numeric check have their only numeric
 evaluators here: `s_series_eval` (the crank and rank Lambert sums) and
 `overpartition_numeric` (the prefactor (-q)oo/(q)oo as 1/theta_4(q)).  Both
 sum in integers at a scale 2^W, where a floored product is off by under a
-unit 2^-W per part and q^k by under 3k units, and return unrounded at their
-working precision, so each caller rounds once.  Each kernel takes q and
+unit 2^-W per part and q^k by under 3k units.  Each kernel takes q and
 fixes it at its own scale, and `evaluate`, the one runner, runs either or
 their exact product, the circle method's integrand (`circle.gf_numeric`).
 
@@ -68,9 +68,7 @@ def log_integer(value: int, prec: int = 256) -> mp.mpf:
     """Natural log of a positive integer of any size."""
     check_size("value", value, 1)
     with mp.workprec(prec + GUARD_BITS):
-        result = mp.log(mp.mpf(value))
-    with mp.workprec(prec):
-        return +result
+        return mp.log(mp.mpf(value))
 
 
 # ---------------------------------------------------------------------------
@@ -111,15 +109,13 @@ def pole_coefficients(kind: Kind, r: int, K: int, prec: int) -> list:
         g = [mp.mpf(1)]
         for n in range(1, K):
             g.append(mp.fsum(k * l[k] * g[n - k] for k in range(1, n + 1)) / n)
-        C = [
+        return [
             mp.fsum(
                 g[i] * (-kappa) ** (k - i) / mp.factorial(k - i) * mp.altzeta(r - 2 * k + i)
                 for i in range(k + 1)
             )
             for k in range(K)
         ]
-    with mp.workprec(prec):
-        return [+v for v in C]
 
 
 # ---------------------------------------------------------------------------
@@ -156,9 +152,7 @@ def main_term(flavor: genfunc.Flavor, r: int, N: int, prec: int = 256) -> mp.mpf
         else:
             C *= mp.factorial(r)
             log_i = z - mp.log(2 * mp.pi * z) / 2
-        result = mp.log(C / (2 * mp.sqrt(mp.pi))) + nu * mp.log(2 * mp.sqrt(N) / mp.pi) + log_i
-    with mp.workprec(prec):
-        return +result
+        return mp.log(C / (2 * mp.sqrt(mp.pi))) + nu * mp.log(2 * mp.sqrt(N) / mp.pi) + log_i
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +308,4 @@ def eta_quotient_check(tau, prec: int = 256) -> mp.mpf:
             raise NonConvergent("tau must lie in the upper half-plane")
         pref = overpartition_numeric(mp.e ** (2j * mp.pi * tv), prec + GUARD_BITS)
         closed = mp.sqrt(-1j * tv / 2) * mp.e ** (1j * mp.pi / (8 * tv))
-        result = abs(pref / closed - 1)
-    with mp.workprec(prec):
-        return +result
+        return abs(pref / closed - 1)

@@ -24,7 +24,9 @@ falls below tol/4, and the minor arc is a_N minus the major arc.
 
 Working precision is pi sqrt(N)/ln 2 + 64 bits so that
 exponential-scale cancellation between arcs cannot swamp a result; the
-inner sums run in integers, at scales set by the budgets their docstrings state.
+inner sums run in integers, at scales set by the budgets their docstrings
+state.  Every value comes back at the precision it was computed in,
+unrounded: only the reporting layer rounds, once.
 """
 
 from __future__ import annotations
@@ -130,13 +132,16 @@ def _trapezoid_coefficient(kind, r, N, tol) -> tuple:
     integer floor, and a bound that misses it raises QuadratureFailure.
 
     The samples cancel from F(rho_s) rho_s^{-N} down to a_N, and every
-    |F_j| <= F(rho_s) as the coefficients are >= 0, so they carry sp =
-    max(mag(F(rho_s) rho_s^{-N}), 0) + 64 bits, from a second real
-    evaluation: two real evaluations and M/2 + 1 complex ones.  The sum runs
-    in integers: the samples F_j are exact kernel products, and the
-    twiddles e^{-2 pi i N j/M} come by rotation at scale 2^Z, Z = sp + 32,
-    each off by under 2^{9-Z}; nothing else rounds before the value, which
-    is within about 2^-60 absolute of T_M.
+    |F_j| <= F(rho_s) as the coefficients are >= 0.  The kernels hold F_j to
+    2^-(sp+12) max(1, |S_j|)/|theta_4(q_j)| absolute, which rho_s^{-N} scales
+    even where F < 1, so the samples carry sp = max(mag(F(rho_s)), 0) +
+    mag(rho_s^{-N}) + 64 bits, from a second real evaluation: two real
+    evaluations and M/2 + 1 complex ones.  The sum runs in integers: the
+    samples F_j are exact kernel products, and the twiddles e^{-2 pi i N j/M}
+    come by rotation at scale 2^Z, Z = sp + 32, each off by under 2^{9-Z};
+    nothing else rounds, so the value is within about 2^-60 absolute of
+    T_M, times 1/theta_4(rho') < e^{pi sqrt(N+M)/2} < 2^46 (below
+    FULL_CIRCLE_N_CAP) where F(rho_s) < 1: inside the tol/8 slack.
     """
     M = N + 2 - N % 2
     wp = working_precision(max(N, 1))
@@ -145,7 +150,7 @@ def _trapezoid_coefficient(kind, r, N, tol) -> tuple:
         peak = gf_numeric(kind, r, outer, wp).real * outer ** (-N)
         quarter = mp.mpf(tol) / 4
         radius, b = _aliasing_radius(peak, outer, M, quarter / 2)
-        sp = max(mp.mag(gf_numeric(kind, r, radius, wp).real * radius ** (-N)), 0) + 64
+        sp = max(mp.mag(gf_numeric(kind, r, radius, wp).real), 0) + mp.mag(radius ** (-N)) + 64
     W, samples = _circle_samples(kind, r, M, radius, sp)
     with mp.workprec(Z := sp + 32):
         total, twiddle, step = 0, (1 << Z, 0), fixed(mp.expjpi(-mp.mpf(2 * N) / M), Z)
@@ -155,8 +160,7 @@ def _trapezoid_coefficient(kind, r, N, tol) -> tuple:
         value = mp.ldexp(total, -W - Z) / M * radius ** (-N)
         if b > quarter * max(value - b, 1):
             raise QuadratureFailure("aliasing bound above tol/4")
-    with mp.workprec(wp):
-        return +value, +b, M
+        return value, b, M
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +185,7 @@ def _major_arc(kind, r, N, tol) -> tuple:
     N - 1 + ceil(s), d s = W(d x^N head/(tol/4)), d = -log x, W the Lambert
     function; B(T) <= tol/4 < B(T-1) is checked, moving T by one should s
     round across an integer.  The bound is absolute, `_sinc_sum` holds the sum
-    to 2^-64 absolute, and the minor arc is taken before rounding, so it is as
+    to 2^-64 absolute, and the minor arc is a_N minus it, exactly, so it is as
     accurate as the major arc.
     """
     wp = working_precision(N)
@@ -203,8 +207,7 @@ def _major_arc(kind, r, N, tol) -> tuple:
             raise QuadratureFailure(f"major arc tail bound above tol/4 at T={T}")
     series = genfunc.moment_series("symmetrized", kind, r, T)
     major = _sinc_sum(series, N)
-    with mp.workprec(wp):
-        return +major, series[N] - major, +b, series
+    return major, mp.fsub(series[N], major, exact=True), b, series
 
 
 def _sinc_sum(series, N) -> mp.mpf:

@@ -209,12 +209,16 @@ def test_cauchy_coefficient_matches_series_midrange():
     "kind, r, N",
     [
         ("crank", 3, 60), ("rank", 4, 25), ("crank", 1, 7), ("crank", 8, 200), ("rank", 8, 200),
-        ("crank", 0, 200), ("rank", 8, 3), ("rank", 0, 0),
+        ("crank", 0, 200), ("rank", 8, 3), ("rank", 0, 0), ("crank", 32, 200), ("rank", 64, 200),
+        ("crank", 128, 60), ("rank", 128, 60), ("crank", 256, 200),
     ],
 )
 def test_trapezoid_bound_certifies_the_error(kind, r, N):
     # the bound is absolute, so it holds for a_N = 0 (rank r = 8 at N = 3,
-    # rank r = 0 at N = 0) as for a_N near 10^37 (crank r = 8 at N = 200)
+    # rank r = 0 at N = 0) as for a_N near 10^37 (crank r = 8 at N = 200).
+    # At high order the value carries more bits than working_precision(N)
+    # (a_200 of crank r = 32 has 140), and where F(rho_s) < 1 (r = 128 at
+    # N = 60, a_60 = 0) the samples still need the bits of rho_s^{-N}
     exact = genfunc.moment_series("symmetrized", kind, r, N)[N]
     value, bound, M = circle._trapezoid_coefficient(kind, r, N, 1e-8)
     assert M == N + 2 - N % 2
@@ -416,24 +420,17 @@ def test_closed_form_truncation_against_the_search(N, monkeypatch):
 
 @pytest.mark.parametrize(
     "kind, r, N",
-    [("crank", 3, N) for N in (25, 49, 98, 100, 400, 1600)] + [("rank", 4, 25), ("rank", 4, 400)],
+    [("crank", 3, N) for N in (25, 49, 98, 100, 400, 1600)]
+    + [("rank", 4, 25), ("rank", 4, 400), ("crank", 64, 200), ("rank", 64, 200)],
 )
-def test_sinc_sum_matches_the_mpmath_loop(kind, r, N, monkeypatch):
+def test_sinc_sum_matches_the_mpmath_loop(kind, r, N):
     # rounded to working precision the integer sum equals the mpmath loop it
-    # replaced; unrounded it is within its stated 2^-64 absolute of that loop
-    # run at 64 more bits
-    unrounded = []
-    sinc = circle._sinc_sum
-
-    def record(*args):
-        unrounded.append(sinc(*args))
-        return unrounded[-1]
-
-    monkeypatch.setattr(circle, "_sinc_sum", record)
+    # replaced; as returned, unrounded, it is within its stated 2^-64
+    # absolute of that loop run at 64 more bits
     major, _, _, series = circle._major_arc(kind, r, N, 1e-8)
     with mp.workprec(circle.working_precision(N)):
-        assert major == +sinc_sum_mpmath(series, N)
-    assert abs(unrounded[-1] - sinc_sum_mpmath(series, N, 64)) < mp.mpf(2) ** -64
+        assert +major == +sinc_sum_mpmath(series, N)
+    assert abs(major - sinc_sum_mpmath(series, N, 64)) < mp.mpf(2) ** -64
 
 
 def test_truncation_cap_is_checked_before_any_series(monkeypatch):

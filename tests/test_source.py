@@ -322,3 +322,25 @@ def test_no_unused_import_in_src():
                 read.update(ast.literal_eval(node.value))
         unused += [f"{path.name}:{n} {name}" for name, n in imported.items() if name not in read]
     assert not unused, unused
+
+
+def _rounded_returns(node) -> bool:
+    # return +x, or +x in a returned tuple, list or list comprehension
+    if not isinstance(node, ast.Return) or node.value is None:
+        return False
+    value = node.value
+    parts = [value.elt] if isinstance(value, ast.ListComp) else getattr(value, "elts", [value])
+    return any(isinstance(part, ast.UnaryOp) and isinstance(part.op, ast.UAdd) for part in parts)
+
+
+def test_numeric_functions_return_unrounded():
+    # asympt and circle return each value at the precision they computed it
+    # in; only the reporting layer rounds, once.  A unary plus on the way out
+    # rounds a second time, to a precision that need not fit the value
+    found = [
+        f"{name}:{node.lineno}"
+        for name in ("asympt.py", "circle.py")
+        for node in ast.walk(ast.parse((SRC / name).read_text()))
+        if _rounded_returns(node)
+    ]
+    assert not found, found
