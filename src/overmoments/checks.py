@@ -22,7 +22,7 @@ line does) loads no numeric module.
 from __future__ import annotations
 
 from . import combinat, genfunc, moments
-from .series import overpartition_gf, theta4_quotient_at
+from .series import check_size, overpartition_gf, theta4_quotient_at
 
 __all__ = ["check", "converge", "decreasing", "matches_enumeration", "oracle", "proposition",
            "residual", "wright", "SUITES"]
@@ -53,11 +53,17 @@ def converge(flavor: str, kind: str, r: int, grid: list[int]) -> dict:
     """The main-term ratio table over grid: per N the logs of the exact value
     and of `asympt.main_term` to 30 digits, their ratio and |ratio - 1| as
     doubles; the verdict says whether those residuals decrease, None for one
-    row.  A non-positive exact value has no log and is refused."""
+    row.  It reads their trend in N, so a grid that is not strictly
+    ascending is refused before any work, after its least point meets
+    main_term's N floor.  A non-positive exact value has no log and is
+    refused."""
     import mpmath as mp
 
     from . import asympt
 
+    check_size("N", min(grid), 1)
+    if not decreasing(grid[::-1]):
+        raise ValueError(f"grid must be strictly ascending, got {grid}")
     # main_term's order and N rules refuse bad input before the numerator is built
     log_mains = [asympt.main_term(flavor, r, N, PREC) for N in grid]
     numerator = genfunc.numerator(flavor, kind, r, max(grid))

@@ -69,11 +69,12 @@ MAJOR_ARC_N_CAP = 10_000
 # precision: at crank r = 3, N = 200, the error is 4.8e-12 at tol 1e-8 and
 # 5.4e-20 at 1e-16, and from 1e-17 on it is under the value's last bit
 MIN_TOL = 1e-8
-# p_segment's relative error-estimate limit.  mp.quad's estimates on the
-# fixed panels run from 5.4e-32 down to 1e-78 for N = 16..1600 and r <= 32,
-# so it trips on a failed quadrature only.  From N = 1300 on (r = 3) it
-# admits more than bessel_pathway_check's bound: SEGMENT_TOL/4 of P_s passes
-# e^{3 pi sqrt N / 4} there
+# p_segment's error-estimate limit, relative to the smaller of |P_s| and
+# e^{3 pi sqrt N / 4}, the whole bound bessel_pathway_check tests: from
+# N = 1300 on (r = 3) SEGMENT_TOL/4 of |P_s| alone would pass that bound, and
+# at r = 32, N = 16, |P_s| is 1e-6 of it.  mp.quad's estimates on the fixed
+# panels run from 8e-37 down to 5e-126 of e^{3 pi sqrt N / 4} for
+# N = 16..10^4 and r in {0, 3, 32}, so it trips on a failed quadrature only
 SEGMENT_TOL = 1e-10
 
 
@@ -284,9 +285,10 @@ def p_segment(s, N: int) -> mp.mpf:
     v^s e^{(pi sqrt N / 2)(v + 1/v)} dv, by conjugate symmetry equal to
     (1/pi) integral_0^1 Re[(1+it)^s e^{(pi sqrt N/2)((1+it) + 1/(1+it))}] dt,
     by mp.quad on fixed panels.  Raises QuadratureFailure when its error
-    estimate is above SEGMENT_TOL/4 of the value, and before any quadrature
-    ValueError below N = 0 and OversizeRequest above MAJOR_ARC_N_CAP, where
-    the working precision grows like sqrt N and the time with it."""
+    estimate is above SEGMENT_TOL/4 of min(|P_s|, e^{3 pi sqrt N / 4}), and
+    before any quadrature ValueError below N = 0 and OversizeRequest above
+    MAJOR_ARC_N_CAP, where the working precision grows like sqrt N and the
+    time with it."""
     check_size("N", N, 0, MAJOR_ARC_N_CAP, "Bessel segment")
     with mp.workprec(working_precision(N)):
         half = mp.pi * mp.sqrt(N) / 2
@@ -297,7 +299,7 @@ def p_segment(s, N: int) -> mp.mpf:
             return (v**sv * mp.e ** (half * (v + 1 / v))).real
 
         value, err = mp.quad(integrand, [0, mp.mpf(1) / 4, 1], error=True)
-        if err > mp.mpf(SEGMENT_TOL) / 4 * abs(value):
+        if err > mp.mpf(SEGMENT_TOL) / 4 * min(abs(value), mp.e ** (3 * half / 2)):
             raise QuadratureFailure(f"quadrature error estimate {mp.nstr(err, 5)} above tol/4")
         return value / mp.pi
 

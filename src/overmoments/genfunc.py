@@ -172,7 +172,7 @@ def moment_series(
     sum to its quotient.  The one entry point that divides a whole moment
     series; a caller that needs a few coefficients reads them off the
     numerator with `series.theta4_quotient_at` instead."""
-    return divide_by_theta4(numerator(flavor, kind, r, trunc, shift), trunc)
+    return divide_by_theta4(numerator(flavor, kind, r, trunc, shift))
 
 
 # read by the circle_cauchy output check of perfbench/workloads.py, which

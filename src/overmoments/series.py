@@ -12,14 +12,13 @@ prefactor (-q)oo/(q)oo, which equals 1/theta_4(q) = sum pbar(n) q^n.
 theta_4 has only sqrt(trunc) nonzero coefficients, so a whole series is
 divided by theta_4 (`divide_by_theta4`, a sparse recurrence of
 sum_{n<=trunc} isqrt(n) big-int additions) and no dense product is ever
-formed.  The division works in place on the list it is given, so a series
-is one list from its Lambert sum to its quotient; a caller that keeps the
-numerator divides a copy.  pbar itself is the same for every moment series,
-so `overpartition_gf` computes it once per process and extends it only when
-a larger truncation is asked for; a caller that needs the quotient at a few
-indices only (`theta4_quotient_at`) reads each as the dot product
-sum_k c[k] pbar(N-k), N + 1 multiply-adds, and falls back to the division
-(on a copy) when those outnumber its additions.
+formed.  The division works in place on the whole list it is given, so a
+series is one list from its Lambert sum to its quotient.  pbar itself is the
+same for every moment series, so `overpartition_gf` computes it once per
+process and extends it only when a larger truncation is asked for.  The
+quotient at a few indices (`theta4_quotient_at`) is never a division: each
+is the dot product sum_k c[k] pbar(N-k) with that memo, N + 1
+multiply-adds.
 """
 
 from __future__ import annotations
@@ -106,11 +105,10 @@ def check_kind(kind: str) -> None:
         raise ValueError("kind must be 'crank' or 'rank'")
 
 
-def divide_by_theta4(coeffs: list[int], trunc: int) -> list[int]:
-    """Coefficients of c(q) / theta_4(q) through q^trunc, for integer c, in
-    place: coeffs is cut or zero-padded to trunc + 1 and returned, each
-    coefficient replaced by its quotient as soon as that is known.  A caller
-    that keeps c passes a copy.
+def divide_by_theta4(coeffs: list[int]) -> list[int]:
+    """Coefficients of c(q) / theta_4(q) through q^trunc, trunc =
+    len(coeffs) - 1, for integer c, in place: each coefficient is replaced by
+    its quotient as soon as that is known, and the same list is returned.
 
     theta_4 = 1 + 2 sum_{k>=1} (-1)^k q^{k^2} has constant term 1, so the
     quotient y is integral and follows the sparse recurrence
@@ -119,10 +117,9 @@ def divide_by_theta4(coeffs: list[int], trunc: int) -> list[int]:
     of k with k^2 <= n is fixed, so the odd and even square lists are cut
     once per block instead of tested per step.
     """
-    check_trunc(trunc)
     y = coeffs
-    del y[trunc + 1 :]
-    y += [0] * (trunc + 1 - len(y))
+    trunc = len(y) - 1
+    check_trunc(trunc)
     root = isqrt(trunc)
     odd = [k * k for k in range(1, root + 1, 2)]
     even = [k * k for k in range(2, root + 1, 2)]
@@ -151,30 +148,18 @@ def overpartition_gf(trunc: int) -> list[int]:
     """
     check_trunc(trunc)
     if len(_pbar) <= trunc:
-        _pbar[:] = divide_by_theta4([1], trunc)
+        _pbar[:] = divide_by_theta4([1] + [0] * trunc)
     return _pbar[: trunc + 1]
 
 
 def theta4_quotient_at(coeffs: Sequence[int], indices: Sequence[int]) -> list[int]:
-    """[q^N] c(q) / theta_4(q) for each N in indices, for integer c: equal to
-    divide_by_theta4(coeffs, max(indices))[N], duplicates and order kept.
-
-    Each is the dot product sum_{k<=N} c[k] pbar(N-k) with the memoized
-    pbar, N + 1 multiply-adds, unless their total over indices passes the
-    sum_{n<=nmax} isqrt(n) additions of one division through nmax =
-    max(indices), which is then made instead, on a copy: coeffs is never
-    changed.
-    """
+    """[q^N] c(q) / theta_4(q) for each N in indices, for integer c, duplicates
+    and order kept: each is the dot product sum_{k<=N} c[k] pbar(N-k) with
+    the memoized pbar, N + 1 multiply-adds, and coeffs is never changed."""
     if not indices:
         raise ValueError("indices must be non-empty")
     check_size("N", min(indices), 0)
     nmax = max(indices)
-    check_trunc(nmax)
-    root = isqrt(nmax)
-    division = sum(k * (min((k + 1) ** 2, nmax + 1) - k * k) for k in range(1, root + 1))
-    if sum(indices) + len(indices) > division:
-        quotient = divide_by_theta4(list(islice(coeffs, nmax + 1)), nmax)
-        return [quotient[N] for N in indices]
     pbar = overpartition_gf(nmax)  # one copy; each N reads pbar(N), .., pbar(0) in place
     return [sum(map(mul, coeffs, islice(reversed(pbar), nmax - N, None))) for N in indices]
 

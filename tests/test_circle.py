@@ -580,6 +580,19 @@ def test_p_segment_refuses_a_quadrature_error_above_tol(monkeypatch):
                 assert value == 2 / mp.pi
 
 
+def test_p_segment_refuses_an_error_above_tol_of_the_pathway_scale(monkeypatch):
+    # at N = 1300 a value of I_{3/2}(pi sqrt N)'s size is 27 decades above
+    # e^{3 pi sqrt N / 4}, so an estimate just under SEGMENT_TOL/4 of the
+    # value would pass bessel_pathway_check's whole bound
+    N = 1300
+    with mp.workprec(circle.working_precision(N)):
+        value = mp.besseli(mp.mpf(3) / 2, mp.pi * mp.sqrt(N))
+        err = mp.mpf(circle.SEGMENT_TOL) / 4 * value * mp.mpf(0.99)
+    monkeypatch.setattr(mp, "quad", lambda f, points, error: (value, err))
+    with pytest.raises(QuadratureFailure, match="error estimate .* above tol/4"):
+        circle.p_segment(-mp.mpf(5) / 2, N)
+
+
 def test_p_segment_real_and_bessel_pathway():
     with pytest.raises(ValueError):
         circle.bessel_pathway_check(3, 9)

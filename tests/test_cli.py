@@ -228,6 +228,25 @@ def test_converge_refuses_a_non_positive_exact_value(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("grid", ["1600,400,100", "100,100"])
+def test_converge_refuses_a_grid_not_strictly_ascending(grid, monkeypatch, tmp_path, capsys):
+    # the verdict reads the residuals' trend in N: a converging table on
+    # 1600,400,100 used to read "not-decreasing", and so did any repeated point
+    from overmoments import asympt
+
+    def main_term(*args):
+        raise AssertionError("main_term ran on a grid that is not ascending")
+
+    monkeypatch.setattr(asympt, "main_term", main_term)
+    out = tmp_path / "F"
+    with pytest.raises(SystemExit) as exc:
+        run(["converge", "--flavor", "moment", "--r", "3", "--grid", grid, "--out", str(out)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(
+        f"grid must be strictly ascending, got [{grid.replace(',', ', ')}]")
+    assert not out.exists()
+
+
 def test_ospt_csv_is_byte_identical(tmp_path):
     # SHA-256 of the exact ospt table recorded before the fused pipeline
     out = tmp_path / "ospt.csv"
@@ -460,9 +479,9 @@ def test_converge_tables_share_one_theta4_division(monkeypatch, tmp_path):
     calls = []
     divide = series.divide_by_theta4
 
-    def counted(coeffs, trunc):
-        calls.append(trunc)
-        return divide(coeffs, trunc)
+    def counted(coeffs):
+        calls.append(len(coeffs) - 1)
+        return divide(coeffs)
 
     monkeypatch.setattr(series, "_pbar", [])
     for module in (series, genfunc):

@@ -120,21 +120,22 @@ def test_ring_axioms_random():
 @example(c=[1], trunc=40)  # 1 / theta_4 is the overpartition series
 @example(c=[2**199 - 1, -(2**199 - 1)] * 20, trunc=39)  # widest alternating input
 def test_divide_by_theta4_matches_kronecker_product(c, trunc):
-    quotient = divide_by_theta4(list(c), trunc)
+    padded = (c + [0] * (trunc + 1))[: trunc + 1]
+    quotient = divide_by_theta4(list(padded))
     # dividing by theta_4 is multiplying by (-q)oo/(q)oo ...
     assert quotient == schoolbook(overpartition_gf(trunc), c, trunc)
     # ... and multiplying the quotient back by theta_4 restores c
-    assert schoolbook(theta4(trunc), quotient, trunc) == (c + [0] * (trunc + 1))[: trunc + 1]
+    assert schoolbook(theta4(trunc), quotient, trunc) == padded
 
 
-@pytest.mark.parametrize("size, trunc", [(31, 30), (31, 12), (5, 30), (0, 0)])
-def test_divide_by_theta4_divides_in_place(size, trunc):
-    # the list given is cut or zero-padded and returned, each coefficient
-    # replaced by its quotient: one list from numerator to series
-    rng = random.Random(size * 100 + trunc)
+@pytest.mark.parametrize("size", [1, 6, 31])
+def test_divide_by_theta4_divides_in_place(size):
+    # the list given comes back, each coefficient replaced by its quotient
+    # through q^(size - 1): one list from numerator to series
+    rng = random.Random(size)
     c = [rng.randint(-(2**64), 2**64) for _ in range(size)]
-    expected = schoolbook(overpartition_gf(trunc), c, trunc)
-    quotient = divide_by_theta4(c, trunc)
+    expected = schoolbook(overpartition_gf(size - 1), c, size - 1)
+    quotient = divide_by_theta4(c)
     assert quotient is c
     assert quotient == expected
 
@@ -143,41 +144,52 @@ def count_divisions(monkeypatch) -> list:
     """Patch series.divide_by_theta4 to record the truncation of each call."""
     calls = []
 
-    def counted(coeffs, trunc):
-        calls.append(trunc)
-        return divide_by_theta4(coeffs, trunc)
+    def counted(coeffs):
+        calls.append(len(coeffs) - 1)
+        return divide_by_theta4(coeffs)
 
     monkeypatch.setattr(series, "divide_by_theta4", counted)
     return calls
 
 
-# sum_{n<=60} isqrt(n) = 287 additions divide through q^60; the dot sets
-# need fewer multiply-adds (sum of N + 1), the division sets more, and
-# dividing through q^0 makes no additions at all
+# each end alone, a mixed set with a repeat, one index five times and every
+# index down to 0: none of them divides
 QUOTIENT_INDEX_SETS = [
-    ([0], "division"),
-    ([60], "dot"),
-    ([17, 0, 60, 17, 5, 59], "dot"),
-    ([60, 60, 60, 60, 60], "division"),
-    (list(range(60, -1, -1)), "division"),
+    [0],
+    [60],
+    [17, 0, 60, 17, 5, 59],
+    [60, 60, 60, 60, 60],
+    list(range(60, -1, -1)),
 ]
 
 
-@pytest.mark.parametrize("indices, path", QUOTIENT_INDEX_SETS)
-def test_theta4_quotient_at_matches_division(indices, path, monkeypatch):
+@pytest.mark.parametrize("indices", QUOTIENT_INDEX_SETS)
+def test_theta4_quotient_at_matches_division(indices, monkeypatch):
     nmax = max(indices)
-    # the memo is filled, past nmax, so only the division path divides
+    # the memo is filled, past nmax, so any division would be the quotient's own
     overpartition_gf(nmax + 7)
     calls = count_divisions(monkeypatch)
     rng = random.Random(nmax + len(indices))
     for size in (nmax + 1, nmax // 2 + 1):  # a short numerator is zero-padded
         c = [rng.randint(-(2**80), 2**80) for _ in range(size)]
-        full = divide_by_theta4(list(c), nmax)
+        full = divide_by_theta4(c + [0] * (nmax + 1 - size))
         kept = list(c)
         calls.clear()
         assert theta4_quotient_at(c, indices) == [full[N] for N in indices]
-        assert calls == ([nmax] if path == "division" else [])
-        assert c == kept  # on either path; the division path divides a copy
+        assert calls == []
+        assert c == kept
+
+
+def test_converge_reads_a_long_grid_without_dividing(monkeypatch):
+    # 100 points near 2000 used to outnumber one division's additions and
+    # divide the numerator; every point is now read off the filled memo
+    from overmoments import checks
+
+    overpartition_gf(2000)
+    calls = count_divisions(monkeypatch)
+    table = checks.converge("symmetrized", "crank", 3, list(range(1901, 2001)))
+    assert len(table["rows"]) == 100
+    assert calls == []
 
 
 def test_theta4_quotient_at_refuses_bad_indices():
