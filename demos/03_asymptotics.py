@@ -38,11 +38,10 @@ exact = moment_series("moment", "crank", r, max(grid))
 diff = moment_series("difference", "crank", r, max(grid))
 print(f"\nexact / main term, crank r={r}:")
 for N in grid:
-    lg = asympt.log_integer(exact[N], 192)
     lm = asympt.main_term("moment", r, N, 192)
-    ld = asympt.log_integer(diff[N], 192)
     lmd = asympt.main_term("difference", r, N, 192)
     with mp.workprec(192):
+        lg, ld = mp.log(exact[N]), mp.log(diff[N])
         print(f"  N={N:5d}  moment ratio {mp.nstr(mp.e**(lg-lm), 8)}   "
               f"difference ratio {mp.nstr(mp.e**(ld-lmd), 8)}")
 

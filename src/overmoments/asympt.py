@@ -4,8 +4,6 @@ The pole expansion and the main terms run on mpmath under an explicit
 working precision in bits (requested precision plus guard bits); callers
 pass `prec`.  Every numeric function returns its value at the precision it
 computed it in, unrounded, and only the reporting layer rounds, once.
-Exact big integers are turned into logs via mpf conversion, accurate to
-working precision regardless of the integer's size.
 
 The two q-series behind every numeric check have their only numeric
 evaluators here: `s_series_eval` (the crank and rank Lambert sums) and
@@ -40,7 +38,6 @@ from .errors import NonConvergent
 from .series import Kind, check_kind, check_order, check_size
 
 __all__ = [
-    "log_integer",
     "pole_coefficients",
     "main_term",
     "s_series_eval",
@@ -62,13 +59,6 @@ LAMBERT_TERMS_CAP = 1 << 16
 # time grows faster than K^2: K = 128 takes 0.2 s at 600 bits and K = 400
 # 3.3 s at 64 bits on a 2-vCPU Xeon; a K-term main term needs K <= 40
 POLE_TERMS_CAP = 128
-
-
-def log_integer(value: int, prec: int = 256) -> mp.mpf:
-    """Natural log of a positive integer of any size."""
-    check_size("value", value, 1)
-    with mp.workprec(prec + GUARD_BITS):
-        return mp.log(mp.mpf(value))
 
 
 # ---------------------------------------------------------------------------

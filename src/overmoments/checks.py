@@ -22,7 +22,7 @@ line does) loads no numeric module.
 from __future__ import annotations
 
 from . import combinat, genfunc, moments
-from .series import check_size, overpartition_gf, theta4_quotient_at
+from .series import check_indices, check_size, overpartition_gf, theta4_quotient_at
 
 __all__ = ["check", "converge", "decreasing", "matches_enumeration", "oracle", "proposition",
            "residual", "wright", "SUITES"]
@@ -50,13 +50,13 @@ def matches_enumeration(series, enumerated) -> bool:
 
 
 def converge(flavor: str, kind: str, r: int, grid: list[int]) -> dict:
-    """The main-term ratio table over grid: per N the logs of the exact value
-    and of `asympt.main_term` to 30 digits, their ratio and |ratio - 1| as
-    doubles; the verdict says whether those residuals decrease, None for one
-    row.  It reads their trend in N, so a grid that is not strictly
-    ascending is refused before any work, after its least point meets
-    main_term's N floor.  A non-positive exact value has no log and is
-    refused."""
+    """The main-term ratio table over grid: per N the logs of the exact value,
+    taken here at PREC, and of `asympt.main_term` to 30 digits, their ratio
+    and |ratio - 1| as doubles; the verdict says whether those residuals
+    decrease, None for one row.  It reads their trend in N, so a grid that is
+    not strictly ascending is refused after its least point meets main_term's
+    N floor; then `series.check_indices` and main_term's rules, all before
+    the numerator is built.  A non-positive exact value has no log: refused."""
     import mpmath as mp
 
     from . import asympt
@@ -64,15 +64,15 @@ def converge(flavor: str, kind: str, r: int, grid: list[int]) -> dict:
     check_size("N", min(grid), 1)
     if not decreasing(grid[::-1]):
         raise ValueError(f"grid must be strictly ascending, got {grid}")
-    # main_term's order and N rules refuse bad input before the numerator is built
+    check_indices(grid)
     log_mains = [asympt.main_term(flavor, r, N, PREC) for N in grid]
     numerator = genfunc.numerator(flavor, kind, r, max(grid))
     rows = []
     for N, exact, log_main in zip(grid, theta4_quotient_at(numerator, grid), log_mains):
         if exact <= 0:
             raise ValueError(f"exact value at N={N} is not positive")
-        log_exact = asympt.log_integer(exact, PREC)
         with mp.workprec(PREC):
+            log_exact = mp.log(exact)
             ratio = mp.e ** (log_exact - log_main)
             rows.append({"N": N, "log_exact": mp.nstr(log_exact, 30),
                          "log_main": mp.nstr(log_main, 30), "ratio": float(ratio),
@@ -121,21 +121,11 @@ def proposition() -> list[dict]:
              for r in range(0, 7) for shift in range(-1, r) for kind, table in tables.items())
     checks.append(check("generalized-shift-identity", ok))
     sr3 = genfunc.moment_series("symmetrized", "rank", 3, 7)
-    checks.append(
-        check(
-            "sample-expansion-rank-r3",
-            sr3[3:8] == [2, 8, 24, 60, 134],
-            "coefficients q^3..q^7",
-        )
-    )
+    checks.append(check("sample-expansion-rank-r3", sr3[3:8] == [2, 8, 24, 60, 134],
+                        "coefficients q^3..q^7"))
     sc4 = genfunc.moment_series("symmetrized", "crank", 4, 7, shift=2)
-    checks.append(
-        check(
-            "sample-expansion-crank-r4-shift2",
-            sc4[2:8] == [1, 6, 22, 63, 159, 358],
-            "coefficients q^2..q^7",
-        )
-    )
+    checks.append(check("sample-expansion-crank-r4-shift2", sc4[2:8] == [1, 6, 22, 63, 159, 358],
+                        "coefficients q^2..q^7"))
     # at z = 1 each two-variable series is the overpartition series
     pbar = overpartition_gf(30)
     for kind, build in (("crank", genfunc.crank_two_variable), ("rank", genfunc.rank_two_variable)):

@@ -7,10 +7,11 @@ dispatches and writes; each resource guard is a cap of the library module
 it guards, not an option.  The order and size rules are the library's
 (`series.check_order`, `check_size`, `check_trunc`): ospt checks the ends of
 its ascending --r and --N ranges, O(1) however long they are, before any
-output or work; converge's --r and --grid meet `asympt.main_term`'s rules,
-and its grid must ascend strictly, before its numerator is built.  Outputs
-are deterministic: identical arguments produce byte-identical files.  Exit
-codes: 0 success, 1 check failure, 2 usage error, 3 resource guard tripped.
+output or work; converge's --grid must ascend strictly and meet
+`series.check_indices`, and its --r and --grid `asympt.main_term`'s rules,
+before its numerator is built.  Outputs are deterministic: identical
+arguments produce byte-identical files.  Exit codes: 0 success, 1 check
+failure, 2 usage error, 3 resource guard tripped.
 
 Imports: this module loads no numeric module.  The exact commands (series,
 ospt, verify --suite oracle|proposition) load the exact layer only, and

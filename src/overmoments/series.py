@@ -36,6 +36,7 @@ __all__ = [
     "check_trunc",
     "check_order",
     "check_kind",
+    "check_indices",
     "divide_by_theta4",
     "theta4_quotient_at",
     "overpartition_gf",
@@ -50,6 +51,11 @@ EXACT_TRUNC_CAP = 200_000
 # a weight m^r has r log2(m) bits: 0.6 KB at this cap and m = EXACT_TRUNC_CAP,
 # but 415 MB for m = 10 at r = 10^9
 EXACT_ORDER_CAP = 256
+# theta4_quotient_at's sum (N + 1) multiply-adds may match the additions of one
+# theta_4 division at the cap, sum_{n<=cap} isqrt(n) ~ 2 cap^{3/2}/3; products
+# cost more: the worst accepted grid, 298 points to the cap, takes 26 s and that
+# division 10 s (symmetrized crank r = 3, 2-vCPU Xeon)
+DOT_PRODUCT_CAP = 2 * EXACT_TRUNC_CAP * isqrt(EXACT_TRUNC_CAP) // 3
 # the two-variable series hold about trunc^2 Laurent coefficients and their
 # build time grows about as trunc^4: 0.8 s at trunc = 200 and 12 s (crank),
 # 48 MB peak, at this cap on a 2-vCPU Xeon
@@ -105,6 +111,14 @@ def check_kind(kind: str) -> None:
         raise ValueError("kind must be 'crank' or 'rank'")
 
 
+def check_indices(indices: Sequence[int]) -> None:
+    """Refuse theta4_quotient_at's indices: none, one below 0, or sum (N + 1) past the cap."""
+    if not indices:
+        raise ValueError("indices must be non-empty")
+    check_size("N", min(indices), 0)
+    check_size("sum(N + 1)", sum(indices) + len(indices), 0, DOT_PRODUCT_CAP, "theta_4 quotient")
+
+
 def divide_by_theta4(coeffs: list[int]) -> list[int]:
     """Coefficients of c(q) / theta_4(q) through q^trunc, trunc =
     len(coeffs) - 1, for integer c, in place: each coefficient is replaced by
@@ -156,9 +170,7 @@ def theta4_quotient_at(coeffs: Sequence[int], indices: Sequence[int]) -> list[in
     """[q^N] c(q) / theta_4(q) for each N in indices, for integer c, duplicates
     and order kept: each is the dot product sum_{k<=N} c[k] pbar(N-k) with
     the memoized pbar, N + 1 multiply-adds, and coeffs is never changed."""
-    if not indices:
-        raise ValueError("indices must be non-empty")
-    check_size("N", min(indices), 0)
+    check_indices(indices)
     nmax = max(indices)
     pbar = overpartition_gf(nmax)  # one copy; each N reads pbar(N), .., pbar(0) in place
     return [sum(map(mul, coeffs, islice(reversed(pbar), nmax - N, None))) for N in indices]

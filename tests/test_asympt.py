@@ -340,10 +340,3 @@ def test_eta_quotient_check_refuses_tau_off_the_upper_half_plane(tau):
     # |q| >= 1 there, where the prefactor's product does not converge
     with pytest.raises(NonConvergent, match="upper half-plane"):
         asympt.eta_quotient_check(tau)
-
-
-def test_log_integer():
-    with mp.workprec(120):
-        assert abs(asympt.log_integer(12345, 120) - mp.log(12345)) < mp.mpf(2) ** -100
-        big = 10**500 + 12345
-        assert abs(asympt.log_integer(big, 120) - 500 * mp.log(10)) < 1e-30

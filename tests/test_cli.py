@@ -228,6 +228,38 @@ def test_converge_refuses_a_non_positive_exact_value(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_converge_logs_an_exact_value_beyond_float_range():
+    # the crank moment of order 128 at N = 2000 has over 1024 bits, so no
+    # double holds it; its log, taken at PREC, prints as at 1000 bits
+    import mpmath as mp
+
+    (exact,) = genfunc.moment_series("moment", "crank", 128, 2000)[2000:]
+    assert exact.bit_length() > 1024
+    (row,) = checks.converge("moment", "crank", 128, [2000])["rows"]
+    with mp.workprec(1000):
+        assert row["log_exact"] == mp.nstr(mp.log(exact), 30)
+
+
+def test_converge_refuses_a_dense_grid_before_any_main_term(monkeypatch, tmp_path, capsys):
+    # 596 points from 100001 sum to 59778502 multiply-adds, past what one
+    # theta_4 division at the trunc cap adds; the table used to take about
+    # 15 s of dot products, and nothing bounded a longer grid
+    from overmoments import asympt
+
+    def fail(*args):
+        raise AssertionError("work ran on a grid past the dot-product cap")
+
+    monkeypatch.setattr(asympt, "main_term", fail)
+    monkeypatch.setattr(checks, "theta4_quotient_at", fail)
+    out = tmp_path / "F"
+    grid = ",".join(map(str, range(100_001, 100_597)))
+    assert run(["converge", "--flavor", "symmetrized", "--r", "3", "--grid", grid,
+                "--out", str(out)]) == 3
+    assert capsys.readouterr().err.strip().endswith(
+        "capped at sum(N + 1)=59600000, got 59778502")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("grid", ["1600,400,100", "100,100"])
 def test_converge_refuses_a_grid_not_strictly_ascending(grid, monkeypatch, tmp_path, capsys):
     # the verdict reads the residuals' trend in N: a converging table on

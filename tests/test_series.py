@@ -3,6 +3,7 @@ checked with the schoolbook multiply, Newton inversion and product oracles
 of `oracles`."""
 
 import random
+from math import isqrt
 
 import pytest
 from hypothesis import example, given, settings
@@ -190,6 +191,24 @@ def test_converge_reads_a_long_grid_without_dividing(monkeypatch):
     table = checks.converge("symmetrized", "crank", 3, list(range(1901, 2001)))
     assert len(table["rows"]) == 100
     assert calls == []
+
+
+def test_theta4_quotient_at_refuses_a_dense_grid_before_dividing(monkeypatch):
+    # the dot products may add what one theta_4 division at the trunc cap adds
+    calls = count_divisions(monkeypatch)
+    with pytest.raises(OversizeRequest, match="got 59778502"):
+        theta4_quotient_at([1], range(100_001, 100_597))
+    assert calls == []
+
+
+def test_dot_product_cap_is_one_division_at_the_trunc_cap():
+    # sum_{n<=cap} isqrt(n) additions divide a series through the cap; the
+    # cap on sum (N + 1) is its leading term, within 0.2%
+    additions = sum(map(isqrt, range(EXACT_TRUNC_CAP + 1)))
+    assert abs(series.DOT_PRODUCT_CAP / additions - 1) < 2e-3
+    series.check_indices([series.DOT_PRODUCT_CAP - 1])
+    with pytest.raises(OversizeRequest):
+        series.check_indices([series.DOT_PRODUCT_CAP])
 
 
 def test_theta4_quotient_at_refuses_bad_indices():
