@@ -11,9 +11,10 @@ Every exact moment series is a Lambert sum c times the overpartition
 prefactor (-q)oo/(q)oo, which equals 1/theta_4(q) = sum pbar(n) q^n.
 theta_4 has only sqrt(trunc) nonzero coefficients, so a whole series is
 divided by theta_4 (`divide_by_theta4`, a sparse recurrence of
-sum_{n<=trunc} isqrt(n) big-int additions) and no dense product is ever
-formed.  The division works in place on the whole list it is given, so a
-series is one list from its Lambert sum to its quotient.  pbar itself is the
+sum_{n<=trunc} isqrt(n) big-int additions, most of them summed in C a block
+between squares at a time) and no dense product is ever formed.  The
+division works in place on the whole list it is given, so a series is one
+list from its Lambert sum to its quotient.  pbar itself is the
 same for every moment series, so `overpartition_gf` computes it once per
 process and extends it only when a larger truncation is asked for.  The
 quotient at a few indices (`theta4_quotient_at`) is never a division: each
@@ -23,10 +24,10 @@ multiply-adds.
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import islice, repeat
 from math import isqrt
-from operator import mul
-from typing import Literal, Sequence
+from operator import mul, sub
+from typing import Iterator, Literal, Sequence
 
 from .errors import OutOfRange, OversizeRequest
 
@@ -54,7 +55,7 @@ EXACT_ORDER_CAP = 256
 # theta4_quotient_at's sum (N + 1) multiply-adds may match the additions of one
 # theta_4 division at the cap, sum_{n<=cap} isqrt(n) ~ 2 cap^{3/2}/3; products
 # cost more: the worst accepted grid, 298 points to the cap, takes 26 s and that
-# division 10 s (symmetrized crank r = 3, 2-vCPU Xeon)
+# division 7.4 s (symmetrized crank r = 3, 2-vCPU Xeon)
 DOT_PRODUCT_CAP = 2 * EXACT_TRUNC_CAP * isqrt(EXACT_TRUNC_CAP) // 3
 # the two-variable series hold about trunc^2 Laurent coefficients and their
 # build time grows about as trunc^4: 0.8 s at trunc = 200 and 12 s (crank),
@@ -119,6 +120,15 @@ def check_indices(indices: Sequence[int]) -> None:
     check_size("sum(N + 1)", sum(indices) + len(indices), 0, DOT_PRODUCT_CAP, "theta_4 quotient")
 
 
+def _column_sums(y: list[int], squares: list[int], lo: int, hi: int) -> Iterator[int]:
+    """sum_{s in squares} y[n - s] for n = lo..hi-1, summed in C; zeros when
+    squares is empty, so a block with far squares of one parity only keeps
+    the other's sums."""
+    if not squares:
+        return repeat(0, hi - lo)
+    return map(sum, zip(*[y[lo - s : hi - s] for s in squares]))
+
+
 def divide_by_theta4(coeffs: list[int]) -> list[int]:
     """Coefficients of c(q) / theta_4(q) through q^trunc, trunc =
     len(coeffs) - 1, for integer c, in place: each coefficient is replaced by
@@ -128,8 +138,14 @@ def divide_by_theta4(coeffs: list[int]) -> list[int]:
     quotient y is integral and follows the sparse recurrence
     y[n] = c[n] + 2 (sum_{k odd} y[n - k^2] - sum_{k even} y[n - k^2]):
     O(trunc^{3/2}) big-int additions.  Between consecutive squares the set
-    of k with k^2 <= n is fixed, so the odd and even square lists are cut
-    once per block instead of tested per step.
+    of k with k^2 <= n is fixed, so the work goes block by block: in the
+    block lo = k^2 <= n < hi, a square j^2 past isqrt(hi - 1 - lo) reads
+    only y below lo, final before the block starts, so those far squares
+    are summed per position in C over whole slices; only the ~sqrt(2k)
+    near squares, which read inside the block, run per n in Python.  The
+    additions are the same, so the quotient is too; the block form takes
+    5-20% less time at trunc = 10^4 to 5 10^4 and 15-30% less at 10^5 to
+    2 10^5 (2-vCPU Xeon, python 3.11).
     """
     y = coeffs
     trunc = len(y) - 1
@@ -138,12 +154,19 @@ def divide_by_theta4(coeffs: list[int]) -> list[int]:
     odd = [k * k for k in range(1, root + 1, 2)]
     even = [k * k for k in range(2, root + 1, 2)]
     for k in range(1, root + 1):
-        odd_k, even_k = odd[: (k + 1) // 2], even[: k // 2]
-        for n in range(k * k, min((k + 1) ** 2, trunc + 1)):
-            acc = 0
-            for s in odd_k:
+        lo, hi = k * k, min((k + 1) ** 2, trunc + 1)
+        near = isqrt(hi - 1 - lo)
+        odd_cut, even_cut = (near + 1) // 2, near // 2
+        far = map(
+            sub,
+            _column_sums(y, odd[odd_cut : (k + 1) // 2], lo, hi),
+            _column_sums(y, even[even_cut : k // 2], lo, hi),
+        )
+        odd_near, even_near = odd[:odd_cut], even[:even_cut]
+        for n, acc in zip(range(lo, hi), far):
+            for s in odd_near:
                 acc += y[n - s]
-            for s in even_k:
+            for s in even_near:
                 acc -= y[n - s]
             y[n] += 2 * acc
     return y

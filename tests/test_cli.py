@@ -343,6 +343,19 @@ def test_unopenable_out_exits_2(argv, tmp_path, capsys):
     assert len(err) == 1 and "cannot open --out" in err[0] and str(path) in err[0]
 
 
+def test_out_that_passes_the_directory_check_but_fails_to_open_exits_2(tmp_path, capsys):
+    # a 300-character name sits in a writable directory, so main's check
+    # passes and the open itself fails (ENAMETOOLONG, also as root): the
+    # OSError becomes one usage line, not a traceback
+    path = tmp_path / ("x" * 300)
+    with pytest.raises(SystemExit) as exc:
+        run(["series", "--kind", "crank", "--r", "1", "--trunc", "3", "--out", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "cannot open --out" in err[0] and "File name too long" in err[0]
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "argv, module, name",
     [

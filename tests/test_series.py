@@ -18,6 +18,8 @@ from oracles import (
     pochhammer_q,
     schoolbook,
     theta4,
+    theta4_recurrence,
+    zuckerman_pbar,
 )
 from overmoments import genfunc, series
 from overmoments.errors import OversizeRequest
@@ -139,6 +141,37 @@ def test_divide_by_theta4_divides_in_place(size):
     quotient = divide_by_theta4(c)
     assert quotient is c
     assert quotient == expected
+
+
+def test_divide_by_theta4_matches_the_per_n_recurrence():
+    # the block form sums far squares over whole slices; every partial last
+    # block is here, those whose far squares are all even (trunc 5: block 4..5
+    # reads y[n - 4] only) or all odd (trunc 13: block 9..13 reads y[n - 9])
+    rng = random.Random(400)
+    for trunc in range(401):
+        c = [rng.randint(-(2**200), 2**200) for _ in range(trunc + 1)]
+        assert divide_by_theta4(list(c)) == theta4_recurrence(c), trunc
+
+
+def test_pbar_division_matches_the_per_n_recurrence():
+    unit = one(20_000)
+    assert divide_by_theta4(list(unit)) == theta4_recurrence(unit)
+
+
+# both ends of blocks between squares, the n where a sum to k <= 25 strays
+# past 1/4 (8119, 9999, 10^4) or near it (4181), and scattered n
+ZUCKERMAN_N = sorted(
+    {e for k in (1, 2, 10, 31, 64, 99) for e in (k * k, (k + 1) ** 2 - 1)}
+    | {5, 8, 1000, 4181, 8119, 10_000}
+    | set(random.Random(9).sample(range(1, 10_001), 14))
+)
+
+
+@pytest.mark.parametrize("n", ZUCKERMAN_N)
+def test_pbar_matches_zuckerman_series(n):
+    # an independent construction of pbar(n): a Rademacher-type series, no
+    # theta_4 division; odd k <= 41 rounds each of these n within 0.05 (at 9908)
+    assert abs(zuckerman_pbar(n, 41) - overpartition_gf(n)[n]) < 0.25
 
 
 def count_divisions(monkeypatch) -> list:

@@ -5,10 +5,12 @@ import importlib
 import pathlib
 import pkgutil
 import re
+import sys
 
 import overmoments
 
 SRC = pathlib.Path(overmoments.__file__).parent
+REPO = pathlib.Path(__file__).resolve().parents[1]
 
 
 def test_no_assert_in_src():
@@ -342,4 +344,33 @@ def test_numeric_functions_return_unrounded():
         for node in ast.walk(ast.parse((SRC / name).read_text()))
         if _rounded_returns(node)
     ]
+    assert not found, found
+
+
+def test_imports_are_stdlib_declared_or_own():
+    # a third-party module installed where the tests run but not declared in
+    # pyproject.toml (numpy, scipy, sympy, yaml, ...) imports fine there and
+    # fails on a clean install; pyproject is read as text, since tomllib is
+    # not in python 3.10
+    declared = set(re.findall(
+        r'"([A-Za-z0-9_.-]+)',
+        " ".join(re.findall(r"^(?:dependencies|test) = \[(.*)\]$",
+                            (REPO / "pyproject.toml").read_text(), re.M)),
+    ))
+    assert declared == {"mpmath", "pytest", "hypothesis"}, declared
+    allowed = set(sys.stdlib_module_names) | declared | {"overmoments", "oracles", "conftest"}
+    found = []
+    for path in sorted(p for d in ("src", "tests", "demos") for p in (REPO / d).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                f"{path.relative_to(REPO)}:{node.lineno} {name}"
+                for name in names
+                if name.split(".")[0] not in allowed
+            ]
     assert not found, found
