@@ -205,7 +205,7 @@ def s_series_kernel(kind: Kind, r: int, absq, prec: int) -> tuple:
     check_kind(kind)
     check_order(r)
     with mp.workprec(prec + 16):
-        if absq >= 1:
+        if not absq < 1:  # NaN too
             raise NonConvergent("|q| must be < 1")
         lnq, log2q, G = float(mp.log(absq)), float(mp.log(absq, 2)), 1 - mp.mag(1 - absq)
     rank = kind == "rank"
@@ -257,7 +257,7 @@ def overpartition_numeric(q, prec: int = 256):
 def overpartition_kernel(absq, prec: int) -> tuple:
     """(W, kernel), kernel: q -> 2^W / theta_4(q) as an int pair, for |q| = absq."""
     with mp.workprec(prec + 16):
-        if absq >= 1:
+        if not absq < 1:  # NaN too
             raise NonConvergent("|q| must be < 1")
         t = -mp.log(absq)
         guard = int(mp.ceil(mp.pi**2 / (4 * t * mp.ln2))) + 8
@@ -294,7 +294,7 @@ def eta_quotient_check(tau, prec: int = 256) -> mp.mpf:
     """
     with mp.workprec(prec + GUARD_BITS):
         tv = mp.mpc(tau)
-        if tv.imag <= 0:
+        if not tv.imag > 0:  # NaN too
             raise NonConvergent("tau must lie in the upper half-plane")
         pref = overpartition_numeric(mp.e ** (2j * mp.pi * tv), prec + GUARD_BITS)
         closed = mp.sqrt(-1j * tv / 2) * mp.e ** (1j * mp.pi / (8 * tv))

@@ -25,7 +25,7 @@ multiply-adds.
 from __future__ import annotations
 
 from itertools import islice, repeat
-from math import isqrt
+from math import inf, isqrt
 from operator import mul, sub
 from typing import Iterator, Literal, Sequence
 
@@ -82,11 +82,13 @@ def euler_product(trunc: int) -> list[int]:
 def check_size(
     name: str, value: float, least: float, cap: int | None = None, what: str = ""
 ) -> None:
-    """The one floor-and-cap rule: ValueError when value is below least,
-    OversizeRequest when it is above cap (a size in log space has none).
-    Every floor and cap in the package, a tolerance's too, calls it first."""
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value}")
+    """The one floor-and-cap rule: ValueError when value is below least, NaN
+    or +inf, OversizeRequest above cap (a size in log space has none).  Every
+    floor and cap in the package, a tolerance's too, calls it first."""
+    if not least <= value < inf:  # NaN fails every comparison
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
+        raise ValueError(f"{name} must be finite, got {value}")
     if cap is not None and value > cap:
         raise OversizeRequest(f"{what} capped at {name}={cap}, got {value}")
 
@@ -99,9 +101,11 @@ def check_trunc(trunc: int) -> None:
 
 
 def check_order(r: int, least: int = 0) -> None:
-    """Refuse a moment order before any weight is built: ValueError below
-    least, OversizeRequest above EXACT_ORDER_CAP.  The one order rule; every
-    entry point that takes an order calls it first."""
+    """Refuse a moment order before any weight is built: ValueError when it is
+    not an int or is below least, OversizeRequest above EXACT_ORDER_CAP.  The
+    one order rule; every entry point that takes an order calls it first."""
+    if not isinstance(r, int):
+        raise ValueError(f"order r must be an integer, got {r}")
     check_size("order r", r, least, EXACT_ORDER_CAP, "exact moments")
 
 

@@ -587,6 +587,6 @@ def i1_main_terms_bessel(r: int, N: int) -> mp.mpf:
         nv = mp.mpf(N)
         c_tilde = c * mp.pi ** (-r + 1) * mp.mpf(2) ** (r - mp.mpf(5) / 2)
         d_tilde = d * mp.pi ** (-r + 2) * mp.mpf(2) ** (r - mp.mpf(7) / 2)
-        lead = c_tilde * nv ** (mp.mpf(r) / 2 - mp.mpf(3) / 4) * p_segment(mp.mpf(1) / 2 - r, N)
-        sub = d_tilde * nv ** (mp.mpf(r) / 2 - mp.mpf(5) / 4) * p_segment(mp.mpf(3) / 2 - r, N)
+        lead = c_tilde * nv ** (mp.mpf(r) / 2 - mp.mpf(3) / 4) * p_segment(r, N)
+        sub = d_tilde * nv ** (mp.mpf(r) / 2 - mp.mpf(5) / 4) * p_segment(r - 1, N)
         return lead + sub

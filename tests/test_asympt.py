@@ -158,6 +158,25 @@ def test_s_series_rejects_lower_half_plane():
         asympt.overpartition_numeric(mp.mpc(0.8, 0.8), 64)
 
 
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda q: asympt.s_series_eval("crank", 3, q, 64),
+        lambda q: asympt.overpartition_numeric(q, 64),
+    ],
+    ids=["s_series_eval", "overpartition_numeric"],
+)
+def test_nan_q_is_refused_before_any_summing(evaluate, monkeypatch):
+    # NaN passed |q| >= 1 and failed inside the kernels, with a TypeError on
+    # mpf << mpf or "cannot convert inf or nan to int"
+    def fail(*args):
+        raise AssertionError("summed before the guards")
+
+    monkeypatch.setattr(asympt, "cmul", fail)
+    with pytest.raises(NonConvergent, match=r"\|q\| must be < 1"):
+        evaluate(math.nan)
+
+
 def test_overpartition_numeric_refuses_q_near_one_at_once():
     # 36k guard bits at q = 0.9999, where the sum took 10 s before the cap
     t0 = time.perf_counter()
@@ -340,3 +359,14 @@ def test_eta_quotient_check_refuses_tau_off_the_upper_half_plane(tau):
     # |q| >= 1 there, where the prefactor's product does not converge
     with pytest.raises(NonConvergent, match="upper half-plane"):
         asympt.eta_quotient_check(tau)
+
+
+def test_eta_quotient_check_refuses_a_nan_tau_before_any_summing(monkeypatch):
+    # NaN passed tau.imag <= 0 and failed in the prefactor's sum with
+    # "cannot convert inf or nan to int"
+    def fail(*args):
+        raise AssertionError("summed before the guards")
+
+    monkeypatch.setattr(asympt, "overpartition_numeric", fail)
+    with pytest.raises(NonConvergent, match="upper half-plane"):
+        asympt.eta_quotient_check(mp.mpc(0, mp.nan))

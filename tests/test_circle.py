@@ -552,7 +552,7 @@ def test_p_segment_refuses_negative_n_before_quadrature(monkeypatch):
 
     monkeypatch.setattr(mp, "quad", quad)
     with pytest.raises(ValueError, match="N must be >= 0"):
-        circle.p_segment(-2.5, -1)
+        circle.p_segment(3, -1)
 
 
 @pytest.mark.parametrize("r, error", [(300, OversizeRequest), (-1, ValueError)])
@@ -573,9 +573,9 @@ def test_p_segment_refuses_a_quadrature_error_above_tol(monkeypatch):
         monkeypatch.setattr(mp, "quad", lambda f, points, error: (mp.mpf(2), 2 * mp.mpf(err)))
         if fails:
             with pytest.raises(QuadratureFailure, match="error estimate .* above tol/4"):
-                circle.p_segment(-mp.mpf(5) / 2, 49)
+                circle.p_segment(3, 49)
         else:
-            value = circle.p_segment(-mp.mpf(5) / 2, 49)
+            value = circle.p_segment(3, 49)
             with mp.workprec(circle.working_precision(49)):
                 assert value == 2 / mp.pi
 
@@ -590,7 +590,7 @@ def test_p_segment_refuses_an_error_above_tol_of_the_pathway_scale(monkeypatch):
         err = mp.mpf(circle.SEGMENT_TOL) / 4 * value * mp.mpf(0.99)
     monkeypatch.setattr(mp, "quad", lambda f, points, error: (value, err))
     with pytest.raises(QuadratureFailure, match="error estimate .* above tol/4"):
-        circle.p_segment(-mp.mpf(5) / 2, N)
+        circle.p_segment(3, N)
 
 
 def test_p_segment_real_and_bessel_pathway():
@@ -598,13 +598,13 @@ def test_p_segment_real_and_bessel_pathway():
         circle.bessel_pathway_check(3, 9)
     vals = [float(circle.bessel_pathway_check(3, N)) for N in (25, 100)]
     assert all(v < 1 for v in vals)
-    p = circle.p_segment(-mp.mpf(5) / 2, 49)
+    p = circle.p_segment(3, 49)
     assert isinstance(p, mp.mpf)
 
 
 @pytest.mark.parametrize(
     "segment",
-    [lambda N: circle.p_segment(-mp.mpf(5) / 2, N), lambda N: circle.bessel_pathway_check(3, N)],
+    [lambda N: circle.p_segment(3, N), lambda N: circle.bessel_pathway_check(3, N)],
     ids=["p_segment", "bessel_pathway_check"],
 )
 def test_bessel_segment_refuses_n_past_the_cap_before_quadrature(segment, monkeypatch):

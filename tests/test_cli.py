@@ -580,6 +580,20 @@ def test_module_entry_point_under_optimize(tmp_path):
     assert hashlib.sha256(proc.stdout).hexdigest() == VERIFY_DIGESTS["proposition"]
 
 
+@pytest.mark.parametrize("module", ["overmoments", "overmoments.cli"])
+def test_module_entry_points_write_what_main_writes(module, tmp_path):
+    # python -m runs __main__.py, or cli's own __main__ guard, in a child
+    # process, warnings as errors; its bytes are those of cli.main in-process
+    argv = ["series", "--kind", "crank", "--r", "1", "--trunc", "3", "--out"]
+    assert run([*argv, str(tmp_path / "in_process.csv")]) == 0
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", module, *argv, str(tmp_path / "child.csv")],
+        capture_output=True, timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert (tmp_path / "child.csv").read_bytes() == (tmp_path / "in_process.csv").read_bytes()
+
+
 # the numeric stack: mpmath with asympt and circle, hashlib (OpenSSL) and
 # dataclasses (with inspect and ast), about 9 MB and 60 ms of a process
 NUMERIC_STACK = (

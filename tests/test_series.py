@@ -3,8 +3,9 @@ checked with the schoolbook multiply, Newton inversion and product oracles
 of `oracles`."""
 
 import random
-from math import isqrt
+from math import inf, isqrt, nan
 
+import mpmath as mp
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -21,7 +22,7 @@ from oracles import (
     theta4_recurrence,
     zuckerman_pbar,
 )
-from overmoments import genfunc, series
+from overmoments import asympt, circle, combinat, genfunc, moments, series
 from overmoments.errors import OversizeRequest
 from overmoments.series import (
     EXACT_TRUNC_CAP,
@@ -264,6 +265,81 @@ def test_check_order_names_the_least_order(r, least, message):
     series.check_order(series.EXACT_ORDER_CAP, least)
     with pytest.raises(OversizeRequest, match=f"capped at order r={series.EXACT_ORDER_CAP}"):
         series.check_order(series.EXACT_ORDER_CAP + 1, least)
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [(nan, "x must be finite, got nan"), (inf, "x must be finite, got inf"),
+     (-inf, "x must be >= 0, got -inf")],
+)
+def test_check_size_refuses_what_is_not_finite(value, message):
+    # NaN passed the floor's value < least, and +inf met the cap, not the floor
+    with pytest.raises(ValueError, match=message):
+        series.check_size("x", value, 0, 10, "test")
+
+
+def _refuse_all_work(monkeypatch):
+    """Make every weight, Bernoulli number, kernel and quadrature fail."""
+    def fail(*args, **kwargs):
+        raise AssertionError("worked before the guards")
+
+    for module, name in [
+        (genfunc, "_steps"), (moments, "_weighted_sum"), (asympt, "cmul"),
+        (circle, "gf_numeric"), (mp, "bernoulli"), (mp, "altzeta"),
+        (mp, "factorial"), (mp, "quad"), (mp, "besseli"),
+    ]:
+        monkeypatch.setattr(module, name, fail)
+
+
+ORDER_TAKERS = {
+    "moment_series": lambda r, table: genfunc.moment_series("moment", "crank", r, 6),
+    "positive_moment": lambda r, table: moments.positive_moment(table, r, 5),
+    "pole_coefficients": lambda r, table: asympt.pole_coefficients("crank", r, 2, 64),
+    "main_term": lambda r, table: asympt.main_term("moment", r, 100),
+    "s_series_eval": lambda r, table: asympt.s_series_eval("crank", r, 0.5, 64),
+    "cauchy_coefficient": lambda r, table: circle.cauchy_coefficient("crank", r, 10),
+    "p_segment": lambda r, table: circle.p_segment(r, 16),
+}
+
+
+@pytest.mark.parametrize("r", [2.5, 3.0])
+@pytest.mark.parametrize("call", ORDER_TAKERS.values(), ids=ORDER_TAKERS.keys())
+def test_an_order_that_is_not_an_int_is_refused_before_any_work(call, r, monkeypatch):
+    # the order rule passed any number in range: moment_series("moment",
+    # "crank", 3.0, 6) returned floats and an order of 2.5 a moment of no
+    # meaning
+    table = combinat.build_table("crank", 5)
+    _refuse_all_work(monkeypatch)
+    with pytest.raises(ValueError, match=f"order r must be an integer, got {r}"):
+        call(r, table)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: asympt.main_term("moment", nan, 100), ValueError),
+        (lambda: asympt.main_term("moment", 3, nan), ValueError),
+        (lambda: asympt.main_term("moment", 3, inf), ValueError),
+        (lambda: genfunc.moment_series("moment", "crank", nan, 6), ValueError),
+        (lambda: asympt.pole_coefficients("crank", nan, 2, 64), ValueError),
+        (lambda: circle.p_segment(nan, 16), ValueError),
+        (lambda: circle.p_segment(-1, 16), ValueError),
+        (lambda: circle.p_segment(series.EXACT_ORDER_CAP + 1, 16), OversizeRequest),
+        (lambda: circle.cauchy_coefficient("crank", 3, 10, tol=inf), ValueError),
+        (lambda: circle.cauchy_coefficient("crank", 3, 10, tol=nan), ValueError),
+    ],
+    ids=[
+        "main_term-r-nan", "main_term-N-nan", "main_term-N-inf", "moment_series-r-nan",
+        "pole_coefficients-r-nan", "p_segment-r-nan", "p_segment-r-negative",
+        "p_segment-r-past-cap", "cauchy_coefficient-tol-inf", "cauchy_coefficient-tol-nan",
+    ],
+)
+def test_bad_numbers_are_refused_before_any_work(call, error, monkeypatch):
+    # main_term returned nan for a NaN order or N and an infinite N, and
+    # moment_series a list of floats ending in nan
+    _refuse_all_work(monkeypatch)
+    with pytest.raises(error):
+        call()
 
 
 def test_check_kind_accepts_the_two_statistics_only():

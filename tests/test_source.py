@@ -214,6 +214,18 @@ def test_one_owner_for_the_kind_and_order_rules():
     assert _functions_with(_is_order_floor_raise) == {"series.check_size"}
 
 
+def test_circle_states_no_input_rule_of_its_own():
+    # tol's finiteness and a Bessel segment's order are series' rules, read
+    # through check_size and check_order
+    source = (SRC / "circle.py").read_text()
+    raises = [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Raise) and "ValueError" in ast.unparse(node.exc or node)
+    ]
+    assert "isfinite" not in source and not raises, raises
+
+
 def _constructs_oversize_request(node) -> bool:
     return isinstance(node, ast.Call) and "OversizeRequest" in ast.unparse(node.func)
 
