@@ -69,8 +69,9 @@ def theta4(trunc: int) -> list[int]:
 def theta4_recurrence(c: Sequence[int]) -> list[int]:
     """c(q) / theta_4(q) through q^(len(c) - 1) by the per-n recurrence
     y[n] = c[n] + 2 (sum_{k odd} y[n - k^2] - sum_{k even} y[n - k^2]), every
-    square added in Python: the loop that `series.divide_by_theta4`'s block
-    form replaced, with the same additions."""
+    square added in Python with theta_4's own signs: the reference for
+    `series.divide_by_theta4`, which divides c(-q) by theta_3 block by block
+    and so shares neither its q -> -q twist nor its blocks."""
     y = list(c)
     trunc = len(y) - 1
     root = isqrt(trunc)

@@ -303,14 +303,19 @@ def test_ospt_json_is_byte_identical(tmp_path, capsys):
 
 def test_ospt_memory_does_not_grow_with_orders(tmp_path):
     # each order's values are freed once its rows are written, so six orders
-    # peak about where the largest one alone does (1.05 times).  With every
+    # peak about where the largest one alone does (1.07 times).  With every
     # order held to the end it was 3.7 times, and 1.37 times with only the
     # `del` left out.  The yardstick is the largest order, not r = 1,
     # because order 6 alone peaks about 1.8 times as high as order 1; a
     # first small run keeps one-off first-call allocations out of both peaks.
+    # Each peak starts from a full collection, so what earlier tests left for
+    # the collector cannot move the ratio: after the acceptance tests it
+    # ranged over 1.019-1.056 without the collection, 1.065-1.067 with it.
+    import gc
     import tracemalloc
 
     def peak(orders, indices="0:2000"):
+        gc.collect()
         tracemalloc.start()
         try:
             assert run(["ospt", "--r", orders, "--N", indices,

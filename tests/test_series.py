@@ -145,9 +145,9 @@ def test_divide_by_theta4_divides_in_place(size):
 
 
 def test_divide_by_theta4_matches_the_per_n_recurrence():
-    # the block form sums far squares over whole slices; every partial last
-    # block is here, those whose far squares are all even (trunc 5: block 4..5
-    # reads y[n - 4] only) or all odd (trunc 13: block 9..13 reads y[n - 9])
+    # the block form sums far squares over whole slices after q -> -q; every
+    # partial last block is here, and the first two blocks, which have no far
+    # square (trunc 2: block 1..2 reads y[n - 1] only, near)
     rng = random.Random(400)
     for trunc in range(401):
         c = [rng.randint(-(2**200), 2**200) for _ in range(trunc + 1)]
@@ -157,6 +157,21 @@ def test_divide_by_theta4_matches_the_per_n_recurrence():
 def test_pbar_division_matches_the_per_n_recurrence():
     unit = one(20_000)
     assert divide_by_theta4(list(unit)) == theta4_recurrence(unit)
+
+
+def test_ospt_division_matches_the_per_n_recurrence():
+    # the unit numerator's odd coefficients are all 0, so only a numerator
+    # with odd terms checks the q -> -q twist past trunc 400
+    c = genfunc.numerator("difference", "crank", 6, 20_000)
+    assert divide_by_theta4(list(c)) == theta4_recurrence(c)
+
+
+def test_divide_by_theta4_refuses_past_the_cap_and_leaves_the_list():
+    # the size check comes before the twist, so a refused list is unchanged
+    c = list(range(1, EXACT_TRUNC_CAP + 3))
+    with pytest.raises(OversizeRequest):
+        divide_by_theta4(c)
+    assert c == list(range(1, EXACT_TRUNC_CAP + 3))
 
 
 # both ends of blocks between squares, the n where a sum to k <= 25 strays
