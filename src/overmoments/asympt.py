@@ -122,9 +122,9 @@ def main_term(flavor: genfunc.Flavor, r: int, N: int, prec: int = 256) -> mp.mpf
     Moment and difference take I_nu's leading term e^z/sqrt(2 pi z), which
     makes them gamma_r N^{r/2-1} e^{pi sqrt N} and
     delta_r N^{r/2-3/2} e^{pi sqrt N}.  Log-space keeps e^{pi sqrt N} finite
-    for any N; crank and rank share every flavor's main term.  Refuses r
-    outside 1..EXACT_ORDER_CAP and N < 1 before any evaluation; N has no
-    cap, since the work does not grow with it.
+    for any N; crank and rank share every flavor's main term.  Before any
+    evaluation it refuses r outside 1..EXACT_ORDER_CAP and an N that is not
+    an int >= 1; N has no cap, since the work does not grow with it.
     """
     genfunc.check_flavor(flavor)
     check_order(r, least=1)

@@ -285,8 +285,8 @@ def p_segment(r: int, N: int) -> mp.mpf:
     by mp.quad on fixed panels.  Raises QuadratureFailure when its error
     estimate is above SEGMENT_TOL/4 of min(|P_s|, e^{3 pi sqrt N / 4}), and
     before any quadrature the order rule's errors (`series.check_order`),
-    ValueError below N = 0 and OversizeRequest above MAJOR_ARC_N_CAP, where
-    the working precision grows like sqrt N and the time with it.
+    ValueError for an N that is not an int >= 0 and OversizeRequest above
+    MAJOR_ARC_N_CAP, where the precision and the time grow like sqrt N.
 
     At high orders the limit meets mp.quad's noise: at (r, N) = (256, 100)
     P = -2.0e-24 comes with an estimate of 1.0e-24, where I_{254.5}(10 pi) is
@@ -311,7 +311,7 @@ def p_segment(r: int, N: int) -> mp.mpf:
 
 def bessel_pathway_check(r: int, N: int) -> mp.mpf:
     """|P_{-r+1/2} - I_{r-3/2}(pi sqrt N)| / e^{3 pi sqrt N / 4}; bounded in N.
-    N >= 16 here; `p_segment` states the order rule and the cap on N."""
+    N is an int >= 16 here; `p_segment` states the order rule and the cap on N."""
     check_size("N", N, 16)
     P = p_segment(r, N)
     with mp.workprec(working_precision(N)):

@@ -1,17 +1,20 @@
 """Batch command-line front end.
 
-Subcommands: series (exact coefficients), ospt (positivity table),
-converge (the main-term ratio table of `checks.converge`), verify (the
-pass/fail report of one suite of `checks`).  This module only parses,
-dispatches and writes; each resource guard is a cap of the library module
-it guards, not an option.  The order and size rules are the library's
-(`series.check_order`, `check_size`, `check_trunc`): ospt checks the ends of
-its ascending --r and --N ranges, O(1) however long they are, before any
-output or work; converge's --grid must ascend strictly and meet
-`series.check_indices`, and its --r and --grid `asympt.main_term`'s rules,
-before its numerator is built.  Outputs are deterministic: identical
-arguments produce byte-identical files.  Exit codes: 0 success, 1 check
-failure, 2 usage error, 3 resource guard tripped.
+Subcommands: series (exact coefficients), ospt (positivity table), converge
+(the main-term ratio table of `checks.converge`), verify (the pass/fail report
+of one suite of `checks`).  This module only parses, dispatches and writes;
+each resource guard is a cap of the library module it guards, not an option.
+The order and size rules are the library's (`series.check_order`,
+`check_size`, `check_trunc`): ospt checks the ends of its ascending --r and
+--N ranges, O(1) however long they are, before any output or work; converge's
+--grid must ascend strictly and meet `series.check_indices`, and its --r and
+--grid `asympt.main_term`'s rules, before its numerator is built; converge
+--flavor difference checks --kind but only echoes it.  An --out that is empty,
+a directory, or in a missing, unwritable or non-directory parent is refused
+before any work, and opened after every guard: by ospt before its first
+division, by the others after their work, so a tripped guard leaves no file.
+Identical arguments give byte-identical outputs.  Exit codes: 0 success, 1
+check failure, 2 usage error (one line on stderr), 3 resource guard tripped.
 
 Imports: this module loads no numeric module.  The exact commands (series,
 ospt, verify --suite oracle|proposition) load the exact layer only, and
@@ -226,7 +229,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # an unopenable --out is refused now, but opened after the work: a tripped guard leaves none
         if (out := args.out) not in (None, "-"):
             parent = os.path.dirname(out) or "."
             writable = os.path.isdir(parent) and os.access(parent, os.W_OK)
@@ -234,8 +236,6 @@ def main(argv=None) -> int:
                 raise ValueError(f"cannot open --out {out}: not a file in a writable directory")
         return args.func(args)
     except ValueError as exc:
-        # the library's argument validation and an unopenable --out: a
-        # usage error, not a traceback
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
     except (OversizeRequest, QuadratureFailure) as exc:
         print(f"resource guard: {exc}", file=sys.stderr)

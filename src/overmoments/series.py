@@ -54,9 +54,9 @@ EXACT_TRUNC_CAP = 200_000
 # but 415 MB for m = 10 at r = 10^9
 EXACT_ORDER_CAP = 256
 # theta4_quotient_at's sum (N + 1) multiply-adds may match the additions of one
-# theta_4 division at the cap, sum_{n<=cap} isqrt(n) ~ 2 cap^{3/2}/3; products
-# cost more: the worst accepted grid, 298 points to the cap, takes 26 s and that
-# division 7.6 s (symmetrized crank r = 3, 2-vCPU Xeon)
+# theta_4 division at the cap, sum_{n<=cap} isqrt(n) ~ 2 cap^{3/2}/3, here 59 600 000;
+# products cost more: the worst accepted grid, 298 points to the cap, takes 26 s
+# and that division 7.6 s (symmetrized crank r = 3, 2-vCPU Xeon)
 DOT_PRODUCT_CAP = 2 * EXACT_TRUNC_CAP * isqrt(EXACT_TRUNC_CAP) // 3
 # the two-variable series hold about trunc^2 Laurent coefficients and their
 # build time grows about as trunc^4: 0.8 s at trunc = 200 and 12 s (crank),
@@ -83,30 +83,30 @@ def euler_product(trunc: int) -> list[int]:
 def check_size(
     name: str, value: float, least: float, cap: int | None = None, what: str = ""
 ) -> None:
-    """The one floor-and-cap rule: ValueError when value is below least, NaN
-    or +inf, OversizeRequest above cap (a size in log space has none).  Every
-    floor and cap in the package, a tolerance's too, calls it first."""
+    """The one floor-and-cap rule: ValueError when value is below least, NaN,
+    +inf, or not an int where least is one (an int floor makes it a count),
+    OversizeRequest above cap (a size in log space has none).  Every floor
+    and cap in the package, a tolerance's too, calls it first."""
     if not least <= value < inf:  # NaN fails every comparison
         if value < least:
             raise ValueError(f"{name} must be >= {least}, got {value}")
         raise ValueError(f"{name} must be finite, got {value}")
+    if isinstance(least, int) and not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value}")
     if cap is not None and value > cap:
         raise OversizeRequest(f"{what} capped at {name}={cap}, got {value}")
 
 
 def check_trunc(trunc: int) -> None:
-    """Refuse a truncation before anything is allocated: ValueError below 0,
-    OversizeRequest above EXACT_TRUNC_CAP.  Every exact entry point calls it
-    first."""
+    """Refuse a truncation before anything is allocated: `check_size` at floor
+    0, cap EXACT_TRUNC_CAP.  Every exact entry point calls it first."""
     check_size("trunc", trunc, 0, EXACT_TRUNC_CAP, "exact series")
 
 
 def check_order(r: int, least: int = 0) -> None:
-    """Refuse a moment order before any weight is built: ValueError when it is
-    not an int or is below least, OversizeRequest above EXACT_ORDER_CAP.  The
-    one order rule; every entry point that takes an order calls it first."""
-    if not isinstance(r, int):
-        raise ValueError(f"order r must be an integer, got {r}")
+    """Refuse a moment order before any weight is built, by `check_size`: below
+    least, not finite or not an int (ValueError), above EXACT_ORDER_CAP
+    (OversizeRequest).  The one order rule; every order taker calls it first."""
     check_size("order r", r, least, EXACT_ORDER_CAP, "exact moments")
 
 

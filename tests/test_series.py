@@ -3,6 +3,7 @@ checked with the schoolbook multiply, Newton inversion and product oracles
 of `oracles`."""
 
 import random
+from functools import partial
 from math import inf, isqrt, nan
 
 import mpmath as mp
@@ -22,7 +23,7 @@ from oracles import (
     theta4_recurrence,
     zuckerman_pbar,
 )
-from overmoments import asympt, circle, combinat, genfunc, moments, series
+from overmoments import asympt, checks, circle, combinat, genfunc, moments, series
 from overmoments.errors import OversizeRequest
 from overmoments.series import (
     EXACT_TRUNC_CAP,
@@ -355,6 +356,55 @@ def test_bad_numbers_are_refused_before_any_work(call, error, monkeypatch):
     _refuse_all_work(monkeypatch)
     with pytest.raises(error):
         call()
+
+
+COUNT_TAKERS = {
+    "moment_series": lambda: genfunc.moment_series("moment", "crank", 3, 6.0),
+    "numerator": lambda: genfunc.numerator("moment", "crank", 3, 6.0),
+    "overpartition_gf": lambda: overpartition_gf(5.0),
+    "theta4_quotient_at": lambda: theta4_quotient_at([1, 2, 3], [2.0]),
+    "theta4_quotient_at-mixed": lambda: theta4_quotient_at([1, 2, 3], [100, 200.0]),
+    "build_table": lambda: combinat.build_table("rank", 3.0),
+    "enumerate_overpartitions": lambda: next(combinat.enumerate_overpartitions(2.5)),
+    "crank_two_variable": lambda: genfunc.crank_two_variable(3.0),
+    "rank_two_variable": lambda: genfunc.rank_two_variable(3.0),
+    # bound now, since the test makes asympt.main_term fail for converge
+    "main_term": partial(asympt.main_term, "moment", 3, 100.0),
+    "pole_coefficients": lambda: asympt.pole_coefficients("crank", 3, 2.0, 64),
+    "cauchy_coefficient": lambda: circle.cauchy_coefficient("crank", 3, 10.0),
+    "major_arc_coefficient": lambda: circle.major_arc_coefficient("crank", 3, 100.0),
+    "p_segment": lambda: circle.p_segment(3, 16.0),
+    "bessel_pathway_check": lambda: circle.bessel_pathway_check(3, 25.0),
+    "converge-first": lambda: checks.converge("moment", "crank", 3, [100.0, 200]),
+    "converge-last": lambda: checks.converge("moment", "crank", 3, [100, 200.0]),
+}
+
+
+@pytest.mark.parametrize("call", COUNT_TAKERS.values(), ids=COUNT_TAKERS.keys())
+def test_a_count_that_is_not_an_int_is_refused_before_any_work(call, monkeypatch):
+    # check_size refused only what was below its floor, so a float trunc, N,
+    # K or grid point raised TypeError deep in the work, or after a real
+    # evaluation of F, and main_term, p_segment and bessel_pathway_check
+    # took a float N
+    def fail(*args, **kwargs):
+        raise AssertionError("worked before the guards")
+
+    _refuse_all_work(monkeypatch)
+    for module, name in [
+        (series, "divide_by_theta4"), (combinat, "_partitions"),
+        (genfunc, "_mul_geometric"), (asympt, "main_term"),
+    ]:
+        monkeypatch.setattr(module, name, fail)
+    with pytest.raises(ValueError, match="must be an integer, got"):
+        call()
+
+
+def test_the_integer_rule_keeps_tol_real_and_the_order_message():
+    # tol's floor MIN_TOL is a float, so the integer rule leaves it alone
+    value = circle.cauchy_coefficient("crank", 3, 10, tol=1e-7)
+    assert abs(value - genfunc.crank_binomial_series(3, 10)[10]) < 1e-7 / 4
+    with pytest.raises(ValueError, match="order r must be an integer, got 2.5"):
+        series.check_order(2.5)
 
 
 def test_check_kind_accepts_the_two_statistics_only():

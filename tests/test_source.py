@@ -226,6 +226,22 @@ def test_circle_states_no_input_rule_of_its_own():
     assert "isfinite" not in source and not raises, raises
 
 
+def _tests_for_int(node) -> bool:
+    # isinstance(x, int), int alone or in a tuple of types
+    if not (isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance"
+            and len(node.args) == 2):
+        return False
+    types = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+    return any(isinstance(t, ast.Name) and t.id == "int" for t in types)
+
+
+def test_one_owner_for_the_integer_rule():
+    # a trunc, order, N, K or grid point that is not an int is refused by
+    # check_size alone, wherever the floor it is given is an int; no entry
+    # point, check_order included, keeps a type test of its own
+    assert _functions_with(_tests_for_int) == {"series.check_size"}
+
+
 def _constructs_oversize_request(node) -> bool:
     return isinstance(node, ast.Call) and "OversizeRequest" in ast.unparse(node.func)
 
@@ -385,4 +401,17 @@ def test_imports_are_stdlib_declared_or_own():
                 for name in names
                 if name.split(".")[0] not in allowed
             ]
+    assert not found, found
+
+
+def test_every_python_file_parses_as_python_3_10():
+    # pyproject promises python >= 3.10, so no file may use syntax a newer
+    # interpreter accepts and 3.10 does not, such as except*
+    found = []
+    for path in sorted(p for d in ("src", "tests", "demos", "perfbench")
+                       for p in (REPO / d).rglob("*.py")):
+        try:
+            ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+        except SyntaxError as error:
+            found.append(f"{path.relative_to(REPO)}:{error.lineno} {error.msg}")
     assert not found, found
