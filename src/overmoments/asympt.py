@@ -35,7 +35,7 @@ import mpmath as mp
 
 from . import genfunc
 from .errors import NonConvergent
-from .series import Kind, check_kind, check_order, check_size
+from .series import KINDS, Kind, check_kind, check_order, check_size
 
 __all__ = [
     "pole_coefficients",
@@ -70,11 +70,11 @@ def pole_coefficients(kind: Kind, r: int, K: int, prec: int) -> list:
     """C_0..C_{K-1} with S(e^{-t}) ~ sum_k C_k t^{k-r} as t -> 0+, for the
     Lambert sum S that `s_series_eval` evaluates at the standard shift s.
 
-    With x = nt the n-th term of S is (-1)^{n+1} e^{-kappa t n^2} x^{-r} g(x):
-    kappa = 1/2 and g = (x/(1-e^{-x}))^r e^{-(r-s-1/2)x} for the crank,
-    kappa = 1 and g = (x/(1-e^{-x}))^r e^{-(r-s)x} 2/(1+e^{-x}) for the rank.
+    With x = nt and the kind's `series.KINDS` row (a, b, delta), the n-th
+    term of S is (-1)^{n+1} e^{-kappa t n^2} x^{-r} g(x) with kappa = a/2 and
+    g = (x/(1-e^{-x}))^r e^{-lambda x} (2/(1+e^{-x}))^delta, lambda = r-s+b/2.
     Expanding g = sum g_i x^i and e^{-kappa t n^2} in t, then summing
-    (-1)^{n+1} n^{-a} = eta(a) over n, gives
+    (-1)^{n+1} n^{-u} = eta(u) over n, gives
     C_k = sum_{i+j=k} g_i (-kappa)^j / j! eta(r-i-2j).  The g_i come from
     log g, with log(x/(1-e^{-x})) = -sum_k B_k x^k / (k k!) and
     log(2/(1+e^{-x})) = sum_k (1-2^k) B_k x^k / (k k!) over k >= 1
@@ -87,14 +87,13 @@ def pole_coefficients(kind: Kind, r: int, K: int, prec: int) -> list:
     check_kind(kind)
     check_order(r)
     check_size("K", K, 0, POLE_TERMS_CAP, "pole expansion")
-    s = genfunc.standard_shift(r)
+    s, (a, b, delta) = genfunc.standard_shift(r), KINDS[kind]
     with mp.workprec(prec + GUARD_BITS):
-        half = mp.mpf(1) / 2
-        kappa, lam = (half, r - s - half) if kind == "crank" else (mp.mpf(1), mp.mpf(r - s))
+        kappa, lam = mp.mpf(a) / 2, r - s + mp.mpf(b) / 2
         # l[k]: coefficient of x^k in log g
         l = [-lam if k == 1 else mp.mpf(0) for k in range(K)]
         for k in range(1, K):
-            weight = -r if kind == "crank" else 1 - 2**k - r
+            weight = delta * (1 - 2**k) - r
             l[k] += weight * mp.bernoulli(k) / (k * mp.factorial(k))
         g = [mp.mpf(1)]
         for n in range(1, K):
@@ -182,14 +181,14 @@ def s_series_eval(kind: Kind, r: int, q, prec: int = 256):
     """Lambert sum of the crank or rank moment series at complex q, |q| < 1.
 
     The same sum as the symmetrized `genfunc.numerator`, weight binom(m+s, r),
-    in its summed form q^{e(n)} / D_n, D_n = (1-q^n)^r (times 1+q^n and 2 for
-    the rank), at the standard binomial shift s: e(n) = (n^2 + (2(r-s)-1)n)/2
-    (crank) or n^2 + (r-s)n (rank), with q^{e(n)} by recurrence.  Summation
+    in its summed form q^{e(n)} / D_n at the standard binomial shift s:
+    e(n) = E(n) + (r-s)n, D_n = (1-q^n)^r and the divisor and factor of the
+    kind's `series.KINDS` row, with q^{e(n)} by recurrence.  Summation
     stops once the certified tail bound 2|q|^{e(n+1)}/(1-|q|^{n+1})^{r+1} is
     below 2^-(prec+8) max(1, |S|), tested in log2 with a bit to spare.
     With m = deg D_n and G >= log2 1/(1-|q|), term n is off by under
-    2^{2mG} (3e(n) + 3mn + 2m + 2) units 2^-W, and n terms, doubled for the
-    rank, by 2^{2mG+3} (n+m+1)^3; so W = prec + 16 + 2mG + 3 bits(n+m+1), n
+    2^{2mG} (3e(n) + 3mn + 2m + 2) units 2^-W, and n terms, times the
+    factor, by 2^{2mG+3} (n+m+1)^3; so W = prec + 16 + 2mG + 3 bits(n+m+1), n
     bounded in advance by the tail rule, holds S to 2^-(prec+13) absolute.
     `s_series_kernel` sets up log|q|, G, n_max and W once per |q|, and its
     integer kernel sums at each q of that modulus.  Refuses r < 0
@@ -208,21 +207,22 @@ def s_series_kernel(kind: Kind, r: int, absq, prec: int) -> tuple:
         if not absq < 1:  # NaN too
             raise NonConvergent("|q| must be < 1")
         lnq, log2q, G = float(mp.log(absq)), float(mp.log(absq, 2)), 1 - mp.mag(1 - absq)
-    rank = kind == "rank"
-    n_max, m = isqrt((prec + 12 + (r + 1) * G) << (G + 1)) + 1, r + rank
+    a, b, delta = KINDS[kind]
+    n_max, m = isqrt((prec + 12 + (r + 1) * G) << (G + 1)) + 1, r + delta
     check_size("terms", n_max, 0, LAMBERT_TERMS_CAP, "Lambert sum")
     W = prec + 16 + 2 * m * G + 3 * (n_max + m + 1).bit_length()
     one, d = 1 << W, r - genfunc.standard_shift(r)
+    first = (a + b) // 2 + d, (3 * a + b) // 2 + d, a  # e(1), e(2) - e(1), e's 2nd difference
 
     def kernel(q) -> tuple:
         qx = fixed(q, W)
-        e, de, dde = (d + 1, d + 3, 2) if rank else (d, d + 1, 1)
+        e, de, dde = first
         qe, step, lift = _pow(qx, e, W), _pow(qx, de, W), _pow(qx, dde, W)
         qn, re, im, n = (one, 0), 0, 0, 1
         while True:
             qn = cmul(qn, qx, W)
             c, f = _pow((one - qn[0], -qn[1]), r, W)
-            if rank:  # times 1 + q^n; the crank's factor is 1
+            if delta:  # times the divisor 1 + q^n
                 c, f = cmul((c, f), (one + qn[0], qn[1]), W)
             (a, b), norm, sign = qe, c * c + f * f, 1 if n % 2 == 1 else -1
             re += sign * (((a * c + b * f) << W) // norm)
@@ -231,7 +231,7 @@ def s_series_kernel(kind: Kind, r: int, absq, prec: int) -> tuple:
             # log2 of twice the bound, plus the spare bit, against log2 max(1, |S|) or less
             tail = 2 + e * log2q - (r + 1) * log2(-expm1((n + 1) * lnq))
             if tail < max(max(abs(re), abs(im)).bit_length() - 1 - W, 0) - (prec + 8):
-                return re << rank, im << rank  # the rank's factor 2
+                return re << delta, im << delta  # the factor 2^delta
             qe, step, n = cmul(qe, step, W), cmul(step, lift, W), n + 1
 
     return W, kernel

@@ -1,33 +1,28 @@
 """Exact q-expansions of the moment generating series.
 
-One production loop, behind `numerator`, serves both statistics and
-every weight.  The z^m coefficient (m >= 1) of the Lambert part of the
-crank series is
-sum_{n>=1} (-1)^{n+1} q^{E(n)} (q^{nm} - q^{n(m+1)}) with E(n) = n(n-1)/2;
-the rank one has E(n) = n^2, an extra 1/(1+q^n) and a factor 2.  So for
-any weight w with w(0) := 0 the sum over m telescopes:
+One production loop, behind `numerator`, serves every statistic and every
+weight.  A statistic's Lambert part has the z^m coefficient (m >= 1) that
+the `series.KINDS` comment gives, so for any weight w with w(0) := 0 the sum
+over m telescopes (each term keeps the row's divisor and factor):
 
   sum_{m>=1} w(m) [z^m] = sum_{n>=1} (-1)^{n+1} q^{E(n)} sum_{m>=1} (w(m) - w(m-1)) q^{nm}
 
 With w(m) = binom(m+s, r), order r >= 0 and binomial shift s, this is the
-symmetrized series of order r:
-
-  crank:  (-q)oo/(q)oo * sum_{n>=1} (-1)^{n+1} q^{(n^2+(2(r-s)-1)n)/2} / (1-q^n)^r
-  rank: 2*(-q)oo/(q)oo * sum_{n>=1} (-1)^{n+1} q^{n^2+(r-s)n} / ((1+q^n)(1-q^n)^r)
-
-and with w(m) = m^r it is the positive power moment.  The standard
-symmetrized series use s = floor((r-1)/2).  The prefactor (-q)oo/(q)oo is
-1/theta_4(q), so each series is its Lambert sum divided by theta_4.  The
-paper's three exact series are named by flavor, as `converge` names them:
-"symmetrized" (binomial weight, any shift), "moment" (m^r) and "difference"
-(ospt, the crank sum minus the rank sum before the one division).  ospt_2(n)
-counts smallest parts, summed over the overpartitions of n whose smallest
-part is not overlined, so ospt_2(n) >= 1 for every n >= 1 (the one-part
-overpartition (n)).  `weight` is a flavor's w(m) and its one order and shift
-rule, read by `numerator` and the enumeration sums in `moments` alike;
-`numerator` builds the Lambert sum of a flavor, and `moment_series`, its
-quotient by theta_4 (`series.divide_by_theta4`), is the one entry point to
-every exact moment series.
+symmetrized series of order r, (-q)oo/(q)oo sum_{n>=1} (-1)^{n+1}
+q^{E(n)+(r-s)n} / (1-q^n)^r, and with w(m) = m^r it is the positive power
+moment.  The standard symmetrized series use s = floor((r-1)/2).  The
+prefactor (-q)oo/(q)oo is 1/theta_4(q), so each series is its Lambert sum
+divided by theta_4.  The paper's three exact series are named by flavor,
+as `converge` names them: "symmetrized" (binomial weight, any shift),
+"moment" (m^r) and "difference" (ospt, the crank sum minus the rank sum
+before the one division).  ospt_2(n) counts smallest parts, summed over the
+overpartitions of n whose smallest part is not overlined, so ospt_2(n) >= 1
+for every n >= 1 (the one-part overpartition (n)).  `weight` is a flavor's
+w(m) and its one order and shift rule, read by `numerator` and the
+enumeration sums in `moments` alike; `numerator` builds the Lambert sum of a
+flavor, and `moment_series`, its quotient by theta_4
+(`series.divide_by_theta4`), is the one entry point to every exact moment
+series.
 
 Every identity here is cross-checked against enumeration in the test suite;
 the shift parameter exists because two widely quoted sample expansions
@@ -56,6 +51,7 @@ from operator import add, sub
 from typing import Callable, Literal, get_args
 
 from .series import (
+    KINDS,
     TWO_VARIABLE_TRUNC_CAP,
     StatTable,
     check_kind,
@@ -105,20 +101,20 @@ def _add_lambert(c: list[int], kind: str, steps: list[int], sign: int) -> None:
     """Add sign (+1 or -1) times the Lambert part with weight steps `steps`
     to c, in place, through q^(len(c) - 1).
 
-    step_m goes on q^{E(n)+nm} with sign (-1)^{n+1}.  For the rank each
-    n-progression is divided by 1 + q^n, which in the index m is the prefix
-    recurrence d_m = 2 step_m - d_{m-1} (the rank's factor 2 folded in); it
-    does not depend on n, so it runs once, in place over steps, and
-    progression n reads the first (trunc - E(n)) // n of the d_m.
+    step_m goes on q^{E(n)+nm} with sign (-1)^{n+1}, E(n) by the `KINDS` row,
+    whose divisor 1 + q^n is the prefix recurrence d_m = 2 step_m - d_{m-1}
+    in the index m (its factor 2 folded in); it does not depend on n, so it
+    runs once, in place over steps, and progression n reads the first (trunc - E(n)) // n.
     """
-    if kind == "rank":
+    a, b, delta = KINDS[kind]
+    if delta:
         d = 0
         for i, step in enumerate(steps):
             steps[i] = d = 2 * step - d
     trunc = len(c) - 1
     ops = (sub, add) if sign > 0 else (add, sub)  # indexed by n % 2
     for n in count(1):
-        e = n * (n - 1) // 2 if kind == "crank" else n * n
+        e = (a * n + b) * n // 2
         if e + n > trunc:
             return
         # map stops at the progression's end: its first (trunc - e) // n terms

@@ -28,7 +28,7 @@ from __future__ import annotations
 from itertools import islice, repeat
 from math import inf, isqrt
 from operator import mul
-from typing import Literal, Sequence
+from typing import Literal, Sequence, get_args
 
 from .errors import OutOfRange, OversizeRequest
 
@@ -63,7 +63,11 @@ DOT_PRODUCT_CAP = 2 * EXACT_TRUNC_CAP * isqrt(EXACT_TRUNC_CAP) // 3
 # 48 MB peak, at this cap on a 2-vCPU Xeon
 TWO_VARIABLE_TRUNC_CAP = 400
 
-Kind = Literal["crank", "rank"]
+# One row (a, b, delta) per statistic, the one home of its Lambert sum: the z^m
+# coefficient (m >= 1) of its series times theta_4 is, with E(n) = (a n^2 + b n)/2,
+#   2^delta sum_{n>=1} (-1)^{n+1} q^{E(n)} (q^{nm} - q^{n(m+1)}) / (1 + q^n)^delta
+KINDS = {"crank": (1, -1, 0), "rank": (2, 0, 1)}  # E(n) = n(n-1)/2; n^2, over 1 + q^n, times 2
+Kind = Literal[tuple(KINDS)]
 
 
 def euler_product(trunc: int) -> list[int]:
@@ -111,10 +115,10 @@ def check_order(r: int, least: int = 0) -> None:
 
 
 def check_kind(kind: str) -> None:
-    """Refuse a statistic other than the crank and the rank with ValueError.
-    The one kind rule; every entry point that takes a kind calls it first."""
-    if kind not in ("crank", "rank"):
-        raise ValueError("kind must be 'crank' or 'rank'")
+    """Refuse a statistic that is not a `KINDS` key with ValueError.  The one
+    kind rule; every entry point that takes a kind calls it first."""
+    if kind not in get_args(Kind):
+        raise ValueError(f"kind must be {' or '.join(map(repr, KINDS))}")
 
 
 def check_indices(indices: Sequence[int]) -> None:

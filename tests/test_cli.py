@@ -53,6 +53,18 @@ CONVERGE_JSON_DIGESTS = {
     ("symmetrized", "crank", 4): "04b026b41d9db01be568ab5280499585a839e3ed31e40d6f32124a247cfdc928",
 }
 
+# SHA-256 of `series ARGS` (csv unless --format json), recorded on a `git
+# archive` of 1f1ce6a, before the crank and rank Lambert data moved into
+# series.KINDS
+SERIES_DIGESTS = {
+    "--kind crank --r 4 --shift 2 --trunc 3000":
+        "52c787d956ef833eff0075fc83fb6b51ec70e61620cb735e43a8bc1ab043295b",
+    "--kind rank --r 3 --trunc 2000 --format json":
+        "3f8cd7f09848f832ef64bd9192874a12d9f3e881aa68522fa8e3398f36c39f4e",
+    "--kind rank --r 6 --shift 0 --trunc 2000":
+        "7284b68384365b89ee6ff4d2895869a3892956464d2a2ddc5ddfab07150d7204",
+}
+
 
 def run(args):
     return main(args)
@@ -519,6 +531,13 @@ def test_converge_json_is_byte_identical(flavor, kind, r, tmp_path):
     assert run(["converge", "--flavor", flavor, "--kind", kind, "--r", str(r),
                 "--grid", "100,400,1600", "--format", "json", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == CONVERGE_JSON_DIGESTS[flavor, kind, r]
+
+
+@pytest.mark.parametrize("args", sorted(SERIES_DIGESTS))
+def test_series_output_is_byte_identical(args, tmp_path):
+    out = tmp_path / "series.out"
+    assert run(["series", *args.split(), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SERIES_DIGESTS[args]
 
 
 def test_converge_tables_share_one_theta4_division(monkeypatch, tmp_path):

@@ -6,8 +6,10 @@ import pathlib
 import pkgutil
 import re
 import sys
+from typing import get_args
 
 import overmoments
+from overmoments import series
 
 SRC = pathlib.Path(overmoments.__file__).parent
 REPO = pathlib.Path(__file__).resolve().parents[1]
@@ -208,10 +210,35 @@ def _is_order_floor_raise(node) -> bool:
 def test_one_owner_for_the_kind_and_order_rules():
     # which statistics exist and which orders are valid is written once, in
     # series, and the flavors are read off genfunc.Flavor; every entry point
-    # that takes a kind or an order calls these.  The order's floor is the
-    # size rule's, with the name "order r" left to its caller
-    assert _functions_with(_is_kind_membership) == {"series.check_kind"}
+    # that takes a kind or an order calls these.  The statistics are the keys
+    # of series.KINDS, which check_kind reads, so no function lists them.
+    # The order's floor is the size rule's, with the name "order r" left to
+    # its caller
+    assert _functions_with(_is_kind_membership) == set()
     assert _functions_with(_is_order_floor_raise) == {"series.check_size"}
+
+
+def _compares_with_a_kind(node) -> bool:
+    # kind == "rank", "crank" != kind, kind in ("crank", ...) or case "rank":
+    def is_kind(e):
+        return isinstance(e, ast.Constant) and e.value in ("crank", "rank")
+
+    if isinstance(node, ast.MatchValue):
+        return is_kind(node.value)
+    return isinstance(node, ast.Compare) and any(
+        is_kind(e) or isinstance(e, (ast.Tuple, ast.List, ast.Set)) and any(map(is_kind, e.elts))
+        for e in [node.left, *node.comparators]
+    )
+
+
+def test_each_statistic_is_one_row_of_kinds():
+    # the exact loop, the numeric kernel and the pole expansion tell the
+    # crank from the rank by their series.KINDS rows alone.  Only the kind
+    # rule and the enumeration oracle, which must read nothing from the
+    # series side, may name a statistic in a comparison
+    found = _functions_with(_compares_with_a_kind)
+    assert found <= {"series.check_kind", "combinat.build_table"}, found
+    assert set(get_args(series.Kind)) == set(series.KINDS)
 
 
 def test_circle_states_no_input_rule_of_its_own():
